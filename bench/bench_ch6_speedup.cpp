@@ -98,7 +98,6 @@ main(int argc, char **argv)
     base_config.faultPlan = args.faults;
     base_config.recovery = args.recovery;
     base_config.core = args.core;
-    base_config.hostThreads = args.threads;
     args.applyTelemetry(base_config);
     const sim::RunPolicy policy = args.runPolicy();
     const std::vector<int> pe_counts = {1, 2, 3, 4, 5, 6, 7, 8};
@@ -145,8 +144,7 @@ main(int argc, char **argv)
 
     std::cout << "wrote "
               << sim::writeBenchJson("ch6_speedup", all, "",
-                                     args.hostTime,
-                                     args.threads)
+                                     args.hostTime)
               << "\n";
     if (!args.metricsPath.empty()) {
         std::string where = sim::writeMetricsJson("ch6_speedup", all,

@@ -25,11 +25,6 @@
  * bench keeps its historical default.
  * `--max-pes N` drops sweep points above N PEs - the sanitizer CI leg
  * uses it to fit the partitioned sweep into its wall-clock budget.
- * `--threads N` runs every simulation of the sweep on N host worker
- * threads (the event core's PDES window scheduler; see
- * SystemConfig::hostThreads). Reports stay byte-identical for any
- * value; the chosen value is recorded as host_threads in the BENCH
- * JSON metadata so speedup tooling can compare like against like.
  * `--core tick|event` selects the simulation core: `event` (default)
  * is the next-event calendar scheduler, `tick` the unit-tick scan it
  * replaced. Both produce byte-identical reports; tick exists for the
@@ -55,7 +50,7 @@
  * snapshots (one line every `--telemetry-every N` simulated cycles,
  * default 1000) into FILE. Runs buffer their lines and the bench
  * writes them in spec order after the sweep, so the file is
- * byte-identical for any `--jobs`/`--threads` value and across a
+ * byte-identical for any `--jobs` value and across a
  * journal resume.
  * With `--resume-dir DIR` the flight recorder also lands per-run
  * black boxes in DIR: a run-start marker before each simulation and
@@ -95,7 +90,6 @@ struct BenchArgs
     bool topologyGiven = false;     ///< --topology present.
     mp::RingTopology topology{};    ///< Parsed --topology value.
     int maxPes = 0;                 ///< 0 = no cap on sweep points.
-    int threads = 1;                ///< Host threads per simulation.
     std::string resumeDir;          ///< Empty = no completion journal.
     long deadlineMs = 0;            ///< 0 = no per-run deadline.
     int retries = 0;                ///< Extra attempts per failed run.
@@ -236,16 +230,6 @@ parseBenchArgs(int argc, char **argv, const char *bench_name)
                 args.ok = false;
                 return args;
             }
-        } else if (arg == "--threads" && i + 1 < argc) {
-            try {
-                args.threads = parsePositiveIntArg(argv[++i],
-                                                   "--threads",
-                                                   /*max=*/1024);
-            } catch (const FatalError &e) {
-                std::cerr << bench_name << ": " << e.what() << "\n";
-                args.ok = false;
-                return args;
-            }
         } else if (arg == "--resume-dir" && i + 1 < argc) {
             args.resumeDir = argv[++i];
         } else if (arg == "--deadline-ms" && i + 1 < argc) {
@@ -305,7 +289,7 @@ parseBenchArgs(int argc, char **argv, const char *bench_name)
                          "[--checkpoint-every N] [--metrics FILE] "
                          "[--trace-dir DIR] [--core tick|event] "
                          "[--topology SPEC] [--max-pes N] "
-                         "[--threads N] [--host-time] "
+                         "[--host-time] "
                          "[--resume-dir DIR] [--deadline-ms N] "
                          "[--retries N] [--backoff-ms N] "
                          "[--telemetry FILE] [--telemetry-every N]\n";

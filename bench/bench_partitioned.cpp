@@ -141,7 +141,6 @@ main(int argc, char **argv)
     base_config.faultPlan = args.faults;
     base_config.recovery = args.recovery;
     base_config.core = args.core;
-    base_config.hostThreads = args.threads;
     args.applyTelemetry(base_config);
 
     std::vector<mp::RingTopology> topologies;
@@ -285,8 +284,7 @@ main(int argc, char **argv)
 
     std::cout << "wrote "
               << sim::writeBenchJson("partitioned", all, "",
-                                     args.hostTime,
-                                     args.threads)
+                                     args.hostTime)
               << "\n";
     if (!args.metricsPath.empty()) {
         std::string where = sim::writeMetricsJson("partitioned", all,

@@ -30,18 +30,19 @@ BM_PeInstructionRate(benchmark::State &state)
         "  fret\n");
     pe::Memory memory(1 << 16);
     pe::NullHost host;
+    std::int64_t instructions = 0;
     for (auto _ : state) {
         pe::ProcessingElement pe(memory, code, host);
         pe::ContextState ctx;
         ctx.qp = 0x1000;
         ctx.pom = pe::pomForPageWords(64);
         pe.loadContext(ctx);
-        std::uint64_t instructions = 0;
         while (pe.step().status == pe::StepStatus::Executed)
             ++instructions;
-        state.SetItemsProcessed(
-            static_cast<std::int64_t>(instructions));
     }
+    // SetItemsProcessed takes the total over every iteration (see
+    // simCyclesRate).
+    state.SetItemsProcessed(instructions);
 }
 BENCHMARK(BM_PeInstructionRate)->Unit(benchmark::kMillisecond);
 
@@ -62,14 +63,15 @@ BM_SimulateMatmul(benchmark::State &state)
     occam::CompiledProgram program =
         occam::compileOccam(programs::matmulSource());
     int pes = static_cast<int>(state.range(0));
+    std::int64_t instructions = 0;
     for (auto _ : state) {
         mp::SystemConfig config;
         config.numPes = pes;
         mp::System system(program.object, config);
         mp::RunResult result = system.run(program.mainLabel);
-        state.SetItemsProcessed(
-            static_cast<std::int64_t>(result.instructions));
+        instructions += static_cast<std::int64_t>(result.instructions);
     }
+    state.SetItemsProcessed(instructions);
 }
 BENCHMARK(BM_SimulateMatmul)->Arg(1)->Arg(8)->Unit(
     benchmark::kMillisecond);

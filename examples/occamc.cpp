@@ -2,8 +2,8 @@
  * @file
  * occamc - the OCCAM queue-machine compiler driver (thesis Fig 4.21).
  *
- * Usage: occamc [--asm] [--dot] [--run] [--pes N] [--threads N]
- *               [--stats] [--topology SPEC] [--trace out.json]
+ * Usage: occamc [--asm] [--dot] [--run] [--pes N] [--stats]
+ *               [--topology SPEC] [--trace out.json]
  *               [--metrics out.json] [--faults SPEC] [--recover]
  *               [--checkpoint-every N] [--checkpoint-file ckpt.qmc]
  *               [--resume ckpt.qmc] [--deadline-ms N]
@@ -47,7 +47,7 @@
  * --telemetry streams periodic qm.telemetry.v1 NDJSON snapshots of
  * the statistics registry mid-run, one line every --telemetry-every
  * simulated cycles (default 1000); the stream is cycle-deterministic
- * (byte-identical across --threads and both simulation cores).
+ * (byte-identical across both simulation cores).
  *
  * Exit codes are structured per failure class:
  *   0  success
@@ -93,7 +93,7 @@ int
 usage()
 {
     std::cerr << "usage: occamc [--asm] [--dot] [--run] [--interp] "
-                 "[--pes N] [--threads N] [--stats] "
+                 "[--pes N] [--stats] "
                  "[--topology ring|ring:P|rings:KxM] "
                  "[--trace out.json] "
                  "[--metrics out.json] [--faults SPEC] [--recover] "
@@ -129,7 +129,6 @@ main(int argc, char **argv)
     bool show_asm = false, show_dot = false, run = false,
          stats = false, interp_mode = false;
     int pes = 1;
-    int threads = 1;
     bool topology_given = false;
     qm::mp::RingTopology topology;
     qm::fault::FaultPlan faults;
@@ -156,15 +155,6 @@ main(int argc, char **argv)
             try {
                 pes = qm::parsePositiveIntArg(argv[++i], "--pes",
                                               /*max=*/4096);
-            } catch (const qm::FatalError &e) {
-                std::cerr << "occamc: " << e.what() << "\n";
-                return usage();
-            }
-        } else if (arg == "--threads" && i + 1 < argc) {
-            try {
-                threads = qm::parsePositiveIntArg(argv[++i],
-                                                  "--threads",
-                                                  /*max=*/1024);
             } catch (const qm::FatalError &e) {
                 std::cerr << "occamc: " << e.what() << "\n";
                 return usage();
@@ -278,7 +268,6 @@ main(int argc, char **argv)
         if (run) {
             qm::mp::SystemConfig config;
             config.numPes = pes;
-            config.hostThreads = threads;
             config.hostDeadlineMs = deadline_ms;
             config.traceConfig.enabled = !trace_path.empty();
             config.faultPlan = faults;

@@ -90,9 +90,11 @@ class Parser
                         : static_cast<Addr>(sizeOf(st));
             statements.push_back(std::move(st));
         }
-        fatalIf(!pending_labels.empty(),
-                "label '", pending_labels.front(),
-                "' at end of file labels nothing");
+        // fatalIf evaluates its message arguments eagerly, so front()
+        // on the (usually empty) list must sit behind the check.
+        if (!pending_labels.empty())
+            fatal("label '", pending_labels.front(),
+                  "' at end of file labels nothing");
     }
 
     /** Worst-case-stable size: label references always take a word. */

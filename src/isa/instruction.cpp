@@ -279,14 +279,7 @@ DecodedProgram::at(Word pc)
 {
     panicIf(static_cast<std::size_t>(pc) >= index_.size(),
             "PC out of code bounds: ", pc);
-    // Warm path: one acquire load pairing with the release store
-    // below, so a PE seeing the pointer also sees the decoded entry.
-    const DecodedOp *cached =
-        index_[pc].load(std::memory_order_acquire);
-    if (cached != nullptr)
-        return *cached;
-    std::lock_guard<std::mutex> lock(decodeMutex_);
-    cached = index_[pc].load(std::memory_order_relaxed);
+    const DecodedOp *&cached = index_[pc];
     if (cached == nullptr) {
         std::size_t index = pc;
         DecodedOp op;
@@ -295,7 +288,6 @@ DecodedProgram::at(Word pc)
         op.sizeWords = op.instr.sizeWords();
         ops_.push_back(op);  // deque: stable address
         cached = &ops_.back();
-        index_[pc].store(cached, std::memory_order_release);
     }
     return *cached;
 }

@@ -5,10 +5,8 @@
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -105,10 +103,8 @@ struct DecodedOp
  * panics at the same execution point in both cores, not at load time).
  *
  * Shared by every PE of a System: the instruction space is pure code.
- * Thread-safe: PEs stepped concurrently by the PDES windows race only
- * on first decode of a PC, which takes a mutex; the warm path is a
- * single acquire load, and arena entries have stable addresses (deque)
- * so a returned reference is valid for the program's lifetime.
+ * Arena entries have stable addresses (deque), so a returned reference
+ * is valid for the program's lifetime.
  */
 class DecodedProgram
 {
@@ -126,9 +122,8 @@ class DecodedProgram
   private:
     const std::vector<Word> *words_;
     /** Per-PC decoded entry; null until first execution decodes it. */
-    std::vector<std::atomic<const DecodedOp *>> index_;
+    std::vector<const DecodedOp *> index_;
     std::deque<DecodedOp> ops_;  ///< Stable-address arena, decode order.
-    std::mutex decodeMutex_;     ///< Serializes cold-path decodes.
 };
 
 } // namespace qm::isa

@@ -182,42 +182,6 @@ RingBus::partitionsCrossed(int src, int dst) const
     return exit_hops + backbone + entry_hops;
 }
 
-Cycle
-RingBus::minCrossLatency() const
-{
-    // Mirror of occupyRing's cost accumulation with every reservation
-    // free: messageOverhead plus the per-resource costs along the
-    // path. Contention (and the fault model's delays/backoff) only
-    // ever push an arrival later than this unloaded bound.
-    Cycle best = 0;
-    for (int src = 0; src < config_.numPes; ++src) {
-        for (int dst = 0; dst < config_.numPes; ++dst) {
-            if (src == dst)
-                continue;
-            Cycle cost = config_.messageOverhead;
-            if (config_.numRings <= 1 || ringOf(src) == ringOf(dst)) {
-                cost += static_cast<Cycle>(partitionsCrossed(src, dst)) *
-                        config_.hopCycles;
-            } else {
-                int exit_hops =
-                    config_.numPartitions - localPartitionOf(src);
-                int entry_hops = localPartitionOf(dst) + 1;
-                int backbone = (ringOf(dst) - ringOf(src) +
-                                config_.numRings) %
-                               config_.numRings;
-                cost += static_cast<Cycle>(exit_hops + entry_hops) *
-                            config_.hopCycles +
-                        2 * config_.bridgeCycles +
-                        static_cast<Cycle>(backbone) *
-                            config_.backboneHopCycles;
-            }
-            if (best == 0 || cost < best)
-                best = cost;
-        }
-    }
-    return best;
-}
-
 RingBus::Attempt
 RingBus::occupyRing(int src, int dst, Cycle now)
 {

@@ -159,17 +159,6 @@ class RingBus
      */
     BusDelivery deliver(int src, int dst, Cycle now);
 
-    /**
-     * Minimum unloaded cross-PE delivery latency over all ordered
-     * src != dst pairs: the PDES lookahead. Every cross-PE effect in
-     * the system rides a deliver() whose arrival is at least the
-     * departure time plus this bound (contention, fault delays, and
-     * retransmits only push arrivals later), so PEs inside a window
-     * of this length cannot influence each other. Returns 0 on a
-     * single-PE machine (no cross-PE pair exists).
-     */
-    Cycle minCrossLatency() const;
-
     const StatSet &stats() const { return stats_; }
 
     /** Attach the system's event recorder (may be null). */

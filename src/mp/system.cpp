@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "persist/state_codec.hpp"
@@ -111,13 +112,6 @@ struct System::PeSlot
      */
     Cycle calAt = -1;
 
-    /**
-     * Staged effects of this slot's current-window speculation, in
-     * batch order, awaiting ordered replay by the window drain (PDES;
-     * see System::runLoopThreaded). Always empty outside a window.
-     */
-    std::deque<SpecRec> specRecs;
-
     // Span journal (populated only when recovery is enabled): the
     // completed host ops and the memory stores of the span currently
     // running on this PE. Committed (cleared) whenever the span's
@@ -149,6 +143,13 @@ struct System::PeSlot
     replaying() const
     {
         return logCursor < hostLog.size();
+    }
+
+    /** Scheduling load: queued contexts plus the running one. */
+    std::size_t
+    load() const
+    {
+        return readyQ.size() + (running != msg::kNoCtx ? 1 : 0);
     }
 
     /** Next time this slot could do work, if any. */
@@ -262,33 +263,6 @@ System::System(const isa::ObjectCode &code, SystemConfig config)
         slots.push_back(std::move(slot));
     }
 
-    // PDES wiring (--threads): the windowed scheduler only exists for
-    // the event core, needs more than one PE to share work, and needs
-    // a positive bus lookahead (minCrossLatency) to form windows at
-    // all. Ownership is a fixed partition of the PEs over the workers,
-    // aligned to ring seams when the topology is hierarchical so a
-    // worker's slots share their kernel shard.
-    config_.hostThreads =
-        std::max(1, std::min(config_.hostThreads, config_.numPes));
-    if (config_.core == SimCore::Event && config_.hostThreads > 1) {
-        lookahead_ = bus.minCrossLatency();
-        int workers = config_.hostThreads;
-        partitions_.assign(static_cast<size_t>(workers), {});
-        if (bus.numRings() > 1 && workers <= bus.numRings()) {
-            for (int r = 0; r < bus.numRings(); ++r) {
-                int w = r * workers / bus.numRings();
-                for (int pe = bus.ringBase(r);
-                     pe < bus.ringBase(r) + bus.ringSize(r); ++pe)
-                    partitions_[static_cast<size_t>(w)].push_back(pe);
-            }
-        } else {
-            for (int pe = 0; pe < config_.numPes; ++pe)
-                partitions_[static_cast<size_t>(
-                                pe * workers / config_.numPes)]
-                    .push_back(pe);
-        }
-    }
-
     // Queue page pool, top-down so page 0 is handed out last.
     Addr page_bytes = static_cast<Addr>(config_.pageWords) * 4;
     for (int i = config_.maxLiveContexts - 1; i >= 0; --i)
@@ -348,9 +322,7 @@ void
 System::pushReady(PeSlot &slot, Cycle readyAt, CtxId ctx)
 {
     slot.readyQ.push({readyAt, ctx});
-    // The windowed loop selects by direct scan, not the calendar;
-    // registering wakes there would only grow the heap unboundedly.
-    if (config_.core == SimCore::Event && !threadedRun_)
+    if (config_.core == SimCore::Event)
         // Register the wake as a lower bound. max() with the slot's
         // clock saves one validation round-trip when the entry is
         // already in the past; any remaining staleness (another queued
@@ -388,23 +360,6 @@ System::placeContext(int forkingPe, int preferredShard)
 }
 
 std::size_t
-System::slotLoad(const PeSlot &slot) const
-{
-    // Placement must see the load the sequential core would see at the
-    // drain's current position. Uncommitted speculation has already
-    // popped ready entries (and possibly started a context) that the
-    // sequential core has not consumed yet, so add them back: every
-    // popped entry is one queued-or-running context, plus the context
-    // that was already running when the window's speculation began.
-    std::size_t load = slot.readyQ.size();
-    if (slot.specRecs.empty())
-        return load + (slot.running != msg::kNoCtx ? 1 : 0);
-    for (const SpecRec &rec : slot.specRecs)
-        load += rec.poppedEntry ? 1 : 0;
-    return load + (slot.specRecs.front().hadRunningBefore ? 1 : 0);
-}
-
-std::size_t
 System::shardLoad(int shard) const
 {
     std::size_t load = 0;
@@ -414,7 +369,7 @@ System::shardLoad(int shard) const
         const PeSlot &slot = *slots[static_cast<size_t>(base + i)];
         if (slot.dead)
             continue;
-        load += slotLoad(slot);
+        load += slot.load();
     }
     return load;
 }
@@ -440,7 +395,7 @@ System::placeSharded(int shard)
         const PeSlot &slot = *slots[static_cast<size_t>(pe)];
         if (slot.dead)
             continue;
-        std::size_t load = slotLoad(slot);
+        std::size_t load = slot.load();
         if (best < 0 || load < best_load) {
             best = pe;
             best_load = load;
@@ -452,7 +407,7 @@ System::placeSharded(int shard)
         const PeSlot &slot = *slots[static_cast<size_t>(pe)];
         if (slot.dead)
             continue;
-        std::size_t load = slotLoad(slot);
+        std::size_t load = slot.load();
         if (!any_live || load < global_min)
             global_min = load;
         any_live = true;
@@ -482,7 +437,7 @@ System::placeSurvivor()
         const PeSlot &slot = *slots[static_cast<size_t>(pe)];
         if (slot.dead)
             continue;
-        std::size_t load = slotLoad(slot);
+        std::size_t load = slot.load();
         if (best < 0 || load < best_load) {
             best = pe;
             best_load = load;
@@ -558,21 +513,8 @@ System::wakeContext(CtxId id, Cycle at)
 {
     Context &ctx = contexts[id];
     panicIf(ctx.status == CtxStatus::Done, "waking a finished context");
-    if (ctx.status == CtxStatus::Running) {
-        if (!speculativelyRunning(ctx))
-            return;  // Peer is mid-step on its own PE; it will observe.
-        // The context is Running only under uncommitted speculation on
-        // its home slot; the sequential core at this drain position
-        // would still see it Ready in the queue and stage a duplicate
-        // entry. Do exactly that - update readyAt and push - without
-        // touching the status the speculation owns. The wake arrived
-        // over the bus, so the entry lands at or after the window end
-        // and cannot invalidate any speculated batch.
-        ctx.readyAt = std::max(ctx.readyAt, at);
-        pushReady(*slots[static_cast<size_t>(ctx.homePe)], ctx.readyAt,
-                  ctx.id);
-        return;
-    }
+    if (ctx.status == CtxStatus::Running)
+        return;  // Peer is mid-step on its own PE; it will observe.
     ctx.status = CtxStatus::Ready;
     ctx.readyAt = std::max(ctx.readyAt, at);
     pushReady(*slots[static_cast<size_t>(ctx.homePe)], ctx.readyAt,
@@ -979,22 +921,7 @@ System::runLoop(Cycle max_cycles)
     // The host deadline budget covers one loop entry (run or resume).
     runStart_ = std::chrono::steady_clock::now();
     hostGuardTick_ = 0;
-    if (config_.core != SimCore::Event)
-        return runLoopTick(max_cycles);
-    // The windowed loop needs a positive lookahead to form windows,
-    // and falls back to the sequential loop under fault injection:
-    // faults can surface mid-batch failures (corruption, stalls) whose
-    // effects cannot be staged for ordered replay, and sequential
-    // execution of a faulted run is byte-identical by definition.
-    if (config_.hostThreads > 1 && lookahead_ >= 1 && !faults_)
-        return runLoopThreaded(max_cycles);
-    return runLoopEvent(max_cycles);
-}
-
-RunResult
-System::runLoopTick(Cycle max_cycles)
-{
-    RunResult result;
+    const bool tick = config_.core == SimCore::Tick;
     // Watchdog bound: explicit, or 1M cycles automatically when fault
     // injection is active (fault-free runs keep the historical
     // behavior exactly).
@@ -1002,21 +929,30 @@ System::runLoopTick(Cycle max_cycles)
         config_.watchdogCycles > 0 ? config_.watchdogCycles
         : faults_                  ? 1'000'000
                                    : 0;
+    if (!tick) {
+        // (Re)build the calendar from scratch: one entry per
+        // schedulable slot. run() enters here after boot pushes,
+        // resume() after a restore() reassigned every ready queue;
+        // leftovers from an earlier loop invocation are meaningless
+        // either way.
+        calendar_ = {};
+        for (auto &slot : slots) {
+            slot->calAt = -1;
+            if (auto t = slot->nextTime())
+                calSchedule(*slot, *t);
+        }
+    }
+    RunResult result;
     while (liveContexts > 0) {
         if (!pendingFailure_.empty())
             return failRun(pendingFailure_, /*watchdog=*/false);
         if (std::string why; hostAbortDue(why))
             return abortRun(why);
-        // Pick the PE able to act soonest.
-        PeSlot *best = nullptr;
+        // Pick the PE able to act soonest. Guards that `continue` leave
+        // the pick in place; the next iteration picks again.
         Cycle best_time = 0;
-        for (auto &slot : slots) {
-            auto t = slot->nextTime();
-            if (t && (!best || *t < best_time)) {
-                best = slot.get();
-                best_time = *t;
-            }
-        }
+        PeSlot *best =
+            tick ? pickScan(best_time) : pickCalendar(best_time);
         // Planned fail-stop: fires once simulated time reaches killAt.
         if (killArmed_ && best &&
             best_time >= config_.faultPlan.killAt) {
@@ -1050,9 +986,8 @@ System::runLoopTick(Cycle max_cycles)
                   " live contexts, none runnable\n", dumpState());
         }
         if (best_time > max_cycles) {
-            // Timed out: report everything the run did do (the old
-            // path returned zeroed statistics, hiding all progress).
-            // Not replayable: a replay would only re-spend the budget.
+            // Timed out: report everything the run did do. Not
+            // replayable: a replay would only re-spend the budget.
             result.completed = false;
             result.failureReason =
                 cat("cycle limit reached (", max_cycles, ")");
@@ -1100,67 +1035,19 @@ System::runLoopTick(Cycle max_cycles)
             pendingDeadPe_ < 0 && !replay_in_flight)
             emitTelemetry(best_time);
 
+        // Acting on the slot: the event core consumes its validated
+        // calendar entry now and re-registers its next wake (if any)
+        // after the batch.
         PeSlot &slot = *best;
-        if (!dispatch(slot))
-            continue;
-        if (recoveryOn_)
-            // Journal this span's memory stores for rollback.
-            memory_->setUndoLog(&slot.undoLog);
-
-        // Run the context until it blocks, finishes, or a small batch
-        // elapses (keeps PE clocks loosely synchronized).
-        for (int batch = 0; batch < 16; ++batch) {
-            Cycle before = slot.clock;
-            StepResult step = slot.pe->step();
-            slot.clock += step.cycles;
-            slot.busyCycles += slot.clock - before;
-            if (step.status != StepStatus::Blocked)
-                lastProgress_ = std::max(lastProgress_, slot.clock);
-            if (step.status == StepStatus::Executed) {
-                // Stop as soon as this PE crosses the cycle budget
-                // instead of finishing the batch: the overshoot is
-                // bounded by one instruction, not 16. The outer loop
-                // observes the exhausted clock and times out once no
-                // PE below the budget can act.
-                if (slot.clock > max_cycles)
-                    break;
-                continue;
-            }
-            if (step.status == StepStatus::ContextEnd) {
-                slot.clock += config_.exitCycles;
-                slot.switchCycles += config_.exitCycles;
-                finishContext(slot);
-            } else if (step.status == StepStatus::Blocked) {
-                if (slot.blockUntil) {
-                    Context &ctx = contexts[slot.running];
-                    ctx.readyAt = *slot.blockUntil;
-                    CtxId id = slot.running;
-                    park(slot, CtxStatus::BlockedTime);
-                    contexts[id].status = CtxStatus::Ready;
-                    pushReady(slot, contexts[id].readyAt, id);
-                    slot.blockUntil.reset();
-                } else if (slot.readyQ.empty()) {
-                    // Nothing else to run: stay resident (lazy switch).
-                    Context &ctx = contexts[slot.running];
-                    ctx.status = CtxStatus::BlockedChannel;
-                    recordResidency(slot);
-                    tracer_.peBusy(slot.spanStart, slot.clock,
-                                   slot.index, ctx.id);
-                    tracer_.ctxPark(slot.clock, slot.index, ctx.id,
-                                    trace::ParkReason::Resident);
-                    slot.residentBlocked = slot.running;
-                    slot.running = msg::kNoCtx;
-                } else {
-                    park(slot, CtxStatus::BlockedChannel);
-                }
-            } else {
-                panic("fret/rett executed inside a kernel-managed "
-                      "context");
-            }
-            break;
+        if (!tick) {
+            calendar_.pop();
+            slot.calAt = -1;
         }
-        if (recoveryOn_)
-            memory_->setUndoLog(nullptr);
+        if (dispatch(slot))
+            runBatch(slot, max_cycles);
+        if (!tick)
+            if (auto t = slot.nextTime())
+                calSchedule(slot, *t);
     }
 
     result.completed = true;
@@ -1169,164 +1056,78 @@ System::runLoopTick(Cycle max_cycles)
     return result;
 }
 
-RunResult
-System::runLoopEvent(Cycle max_cycles)
+System::PeSlot *
+System::pickScan(Cycle &at)
 {
-    RunResult result;
-    const Cycle watchdog =
-        config_.watchdogCycles > 0 ? config_.watchdogCycles
-        : faults_                  ? 1'000'000
-                                   : 0;
-    // (Re)build the calendar from scratch: one entry per schedulable
-    // slot. run() enters here after boot pushes, resume() after a
-    // restore() reassigned every ready queue; leftovers from an
-    // earlier loop invocation are meaningless either way.
-    calendar_ = {};
+    PeSlot *best = nullptr;
     for (auto &slot : slots) {
-        slot->calAt = -1;
-        if (auto t = slot->nextTime())
-            calSchedule(*slot, *t);
+        auto t = slot->nextTime();
+        if (t && (!best || *t < at)) {
+            best = slot.get();
+            at = *t;
+        }
     }
-    while (liveContexts > 0) {
-        if (!pendingFailure_.empty())
-            return failRun(pendingFailure_, /*watchdog=*/false);
-        if (std::string why; hostAbortDue(why))
-            return abortRun(why);
-        // Validated peek: drop entries whose slot is no longer
-        // schedulable, correct entries whose wake time moved, and stop
-        // at the first entry matching its slot's current nextTime().
-        // Every entry is a lower bound on its slot's wake (pushReady),
-        // so the first match IS the global minimum, and the (cycle,
-        // index) heap order picks the lowest PE index among ties -
-        // decision-for-decision what the tick core's scan returns.
-        PeSlot *best = nullptr;
-        Cycle best_time = 0;
-        while (!calendar_.empty()) {
-            CalEntry top = calendar_.top();
-            PeSlot &cand = *slots[static_cast<size_t>(top.pe)];
-            if (top.at != cand.calAt) {
-                // Superseded duplicate: a lower registration (or an
-                // act) replaced this entry while it was buried.
-                calendar_.pop();
-                continue;
-            }
-            auto t = cand.nextTime();
-            if (!t) {
-                calendar_.pop();
-                cand.calAt = -1;
-                continue;
-            }
-            if (*t != top.at) {
-                calendar_.pop();
-                cand.calAt = -1;
-                calSchedule(cand, *t);
-                continue;
-            }
-            best = &cand;
-            best_time = top.at;
-            break;
-        }
-        // The guard sequence below must stay in lock-step with
-        // runLoopTick: same conditions, same order, same exits. Guards
-        // that `continue` leave the validated top in place; it is
-        // re-validated (and survives or is corrected) next iteration.
-        if (killArmed_ && best &&
-            best_time >= config_.faultPlan.killAt) {
-            injectPeKill(config_.faultPlan.killAt);
-            continue;
-        }
-        if (pendingDeadPe_ >= 0 && recoveryOn_ &&
-            (!best || best_time >= deadDetectAt_)) {
-            recoverDeadPe(deadDetectAt_);
-            continue;
-        }
-        if (!best) {
-            if (faults_) {
-                if (traceEnabled())
-                    std::cerr << dumpState();
-                return failRun(
-                    cat("deadlock: ", liveContexts,
-                        " live contexts, none runnable (message lost "
-                        "beyond the retry bound?)"),
-                    /*watchdog=*/true);
-            }
-            fatal("deadlock: ", liveContexts,
-                  " live contexts, none runnable\n", dumpState());
-        }
-        if (best_time > max_cycles) {
-            result.completed = false;
-            result.failureReason =
-                cat("cycle limit reached (", max_cycles, ")");
-            replayable_ = false;
-            finalizeRun(result);
-            if (!config_.flightPath.empty())
-                writeFlightDump(config_.flightPath,
-                                result.failureReason);
-            return result;
-        }
-        if (watchdog > 0 && best_time - lastProgress_ > watchdog)
-            return failRun(
-                cat("watchdog: no instruction retired in ", watchdog,
-                    " cycles (last progress at cycle ", lastProgress_,
-                    ")"),
-                /*watchdog=*/true);
-        bool replay_in_flight = false;
-        for (auto &slot : slots)
-            if (slot->replaying())
-                replay_in_flight = true;
-        if (nextCheckpointAt_ > 0 && best_time >= nextCheckpointAt_ &&
-            pendingDeadPe_ < 0 && !replay_in_flight) {
-            // Advance the schedule *before* capturing: the snapshot
-            // then carries the next boundary, so a run warm-started
-            // from it (durable resume or checkpoint replay) continues
-            // to the next checkpoint instead of immediately
-            // re-snapshotting the boundary it was saved at.
-            while (nextCheckpointAt_ <= best_time)
-                nextCheckpointAt_ += config_.recovery.checkpointEvery;
-            snapshot();
-            continue;
-        }
-        // Telemetry boundary (after checkpoints, exactly as in
-        // runLoopTick; observational, so no continue).
-        if (nextTelemetryAt_ > 0 && best_time >= nextTelemetryAt_ &&
-            pendingDeadPe_ < 0 && !replay_in_flight)
-            emitTelemetry(best_time);
+    return best;
+}
 
-        // Acting on the slot: consume its validated entry now and
-        // re-register its next wake (if any) after the batch.
-        PeSlot &slot = *best;
-        calendar_.pop();
-        slot.calAt = -1;
-        if (!dispatch(slot)) {
-            if (auto t = slot.nextTime())
-                calSchedule(slot, *t);
+System::PeSlot *
+System::pickCalendar(Cycle &at)
+{
+    // Drop entries whose slot is no longer schedulable, correct entries
+    // whose wake time moved, and stop at the first entry matching its
+    // slot's current nextTime(). Every entry is a lower bound on its
+    // slot's wake (pushReady), so the first match IS the global
+    // minimum, and the (cycle, index) heap order picks the lowest PE
+    // index among ties.
+    while (!calendar_.empty()) {
+        CalEntry top = calendar_.top();
+        PeSlot &cand = *slots[static_cast<size_t>(top.pe)];
+        if (top.at != cand.calAt) {
+            // Superseded duplicate: a lower registration (or an act)
+            // replaced this entry while it was buried.
+            calendar_.pop();
             continue;
         }
-        runBatchEvent(slot, max_cycles, 0);
-        if (auto t = slot.nextTime())
-            calSchedule(slot, *t);
+        auto t = cand.nextTime();
+        if (!t) {
+            calendar_.pop();
+            cand.calAt = -1;
+            continue;
+        }
+        if (*t != top.at) {
+            calendar_.pop();
+            cand.calAt = -1;
+            calSchedule(cand, *t);
+            continue;
+        }
+        at = top.at;
+        return &cand;
     }
-
-    result.completed = true;
-    replayable_ = false;
-    finalizeRun(result);
-    return result;
+    return nullptr;
 }
 
 void
-System::runBatchEvent(PeSlot &slot, Cycle max_cycles, int first_step)
+System::runBatch(PeSlot &slot, Cycle max_cycles)
 {
+    // The tick core keeps the decode-every-step reference step; the
+    // event core fetches through the predecoded arena.
+    const bool tick = config_.core == SimCore::Tick;
     if (recoveryOn_)
+        // Journal this span's memory stores for rollback.
         memory_->setUndoLog(&slot.undoLog);
 
-    for (int batch = first_step; batch < 16; ++batch) {
+    for (int batch = 0; batch < 16; ++batch) {
         Cycle before = slot.clock;
-        StepResult step = slot.pe->stepFast();
+        StepResult step = tick ? slot.pe->step() : slot.pe->stepFast();
         slot.clock += step.cycles;
         slot.busyCycles += slot.clock - before;
         if (step.status != StepStatus::Blocked)
             lastProgress_ = std::max(lastProgress_, slot.clock);
         if (step.status == StepStatus::Executed) {
+            // Stop as soon as this PE crosses the cycle budget instead
+            // of finishing the batch: the overshoot is bounded by one
+            // instruction, not 16. The run loop observes the exhausted
+            // clock and times out once no PE below the budget can act.
             if (slot.clock > max_cycles)
                 break;
             continue;
@@ -1345,11 +1146,12 @@ System::runBatchEvent(PeSlot &slot, Cycle max_cycles, int first_step)
                 pushReady(slot, contexts[id].readyAt, id);
                 slot.blockUntil.reset();
             } else if (slot.readyQ.empty()) {
+                // Nothing else to run: stay resident (lazy switch).
                 Context &ctx = contexts[slot.running];
                 ctx.status = CtxStatus::BlockedChannel;
                 recordResidency(slot);
-                tracer_.peBusy(slot.spanStart, slot.clock,
-                               slot.index, ctx.id);
+                tracer_.peBusy(slot.spanStart, slot.clock, slot.index,
+                               ctx.id);
                 tracer_.ctxPark(slot.clock, slot.index, ctx.id,
                                 trace::ParkReason::Resident);
                 slot.residentBlocked = slot.running;
@@ -1358,433 +1160,12 @@ System::runBatchEvent(PeSlot &slot, Cycle max_cycles, int first_step)
                 park(slot, CtxStatus::BlockedChannel);
             }
         } else {
-            panic("fret/rett executed inside a kernel-managed "
-                  "context");
+            panic("fret/rett executed inside a kernel-managed context");
         }
         break;
     }
     if (recoveryOn_)
         memory_->setUndoLog(nullptr);
-}
-
-bool
-System::speculativelyRunning(const Context &ctx) const
-{
-    // Running, but only because an uncommitted speculation record on
-    // its home slot dispatched it: the oldest uncommitted record saw
-    // the slot idle, so the dispatch is staged, not yet sequential
-    // history. (If the dispatch had already committed, the oldest
-    // uncommitted record would have found the slot running.)
-    const PeSlot &slot = *slots[static_cast<size_t>(ctx.homePe)];
-    return !slot.specRecs.empty() && slot.running == ctx.id &&
-           !slot.specRecs.front().hadRunningBefore;
-}
-
-bool
-System::dispatchSpec(PeSlot &slot, SpecRec &rec)
-{
-    if (slot.dead)
-        return false;
-    rec.hadRunningBefore = slot.running != msg::kNoCtx;
-    if (rec.hadRunningBefore)
-        return true;
-    if (slot.readyQ.empty())
-        return false;
-    auto entry = slot.readyQ.top();
-    Context &ctx = contexts[entry.ctx];
-    if (ctx.status != CtxStatus::Ready)
-        // Stale or superseded entry. The sequential core skips these
-        // by popping, which changes the queue the drain will see;
-        // speculation must not guess, so it stops here having consumed
-        // nothing and leaves the decision to the drain's live path.
-        return false;
-    slot.readyQ.pop();
-    rec.poppedEntry = true;
-    slot.clock = std::max(slot.clock, entry.readyAt);
-    rec.readyWait =
-        static_cast<std::uint64_t>(slot.clock - entry.readyAt);
-
-    if (slot.residentBlocked == ctx.id) {
-        slot.residentBlocked = msg::kNoCtx;
-        ctx.status = CtxStatus::Running;
-        slot.running = ctx.id;
-        slot.spanStart = slot.clock;
-        rec.residentResume = true;
-        rec.dispatchCtx = ctx.id;
-        rec.dispatchAt = slot.clock;
-        return true;
-    }
-    if (slot.residentBlocked != msg::kNoCtx) {
-        // evictResident, with the counter bumps staged for the drain.
-        Context &resident = contexts[slot.residentBlocked];
-        Cycle cost = slot.pe->rollOut() + config_.contextSaveCycles;
-        slot.clock += cost;
-        slot.switchCycles += cost;
-        resident.regs = slot.pe->saveContext();
-        slot.residentBlocked = msg::kNoCtx;
-        ++rec.switchesDelta;
-        rec.evicted = true;
-        commitSpan(slot);
-    }
-    slot.clock += config_.contextLoadCycles;
-    slot.switchCycles += config_.contextLoadCycles;
-    ctx.status = CtxStatus::Running;
-    slot.running = ctx.id;
-    slot.spanStart = slot.clock;
-    slot.pe->loadContext(ctx.regs);
-    if (recoveryOn_) {
-        slot.hostLog = std::move(ctx.pendingReplay);
-        ctx.pendingReplay.clear();
-        slot.logCursor = 0;
-        slot.logOverflow = false;
-        slot.undoLog.clear();
-    }
-    ++rec.switchesDelta;
-    rec.dispatchCtx = ctx.id;
-    rec.dispatchAt = slot.clock;
-    return true;
-}
-
-void
-System::specSlot(PeSlot &slot, Cycle window_end, Cycle spec_horizon,
-                 Cycle max_cycles)
-{
-    // Runs on a gang worker thread, touching only this slot, its
-    // contexts, their memory pages, and the thread-local undo
-    // attachment. Host operations are deferred by the PE before any
-    // architectural effect, so every speculated step is pure compute:
-    // the only possible outcomes are Executed and Deferred.
-    //
-    // Two horizons govern how far ahead this may run. A *dispatch*
-    // consults the ready queue, and the queue is only guaranteed to
-    // match the sequential core's within the lookahead window: any
-    // entry a drain act of this window still pushes lands at or after
-    // the window end with a strictly later readyAt than the entry a
-    // sub-window dispatch pops, so the pop is unaffected. Dispatches
-    // are therefore limited to window_end. A *running* context,
-    // however, never touches the queue again until its next host op -
-    // its batches are pure slot-local compute wherever they start - so
-    // continuation records may be banked out to spec_horizon (bounded
-    // by kSpecBankRecords and the cycle budget) and committed by the
-    // drains of later windows without another gang round. The caller
-    // collapses spec_horizon to window_end whenever a time-triggered
-    // guard (watchdog, periodic checkpoint) needs window-exact state.
-    //
-    // Bank bound: one visit appends at most this many records, so a
-    // compute-bound (or non-terminating) context cannot grow the
-    // record queue without limit between commits.
-    constexpr std::size_t kSpecBankRecords = 256;
-    if (!slot.specRecs.empty())
-        // Banked records are still awaiting commit (and the last one
-        // may be a deferred host op that must execute live first);
-        // speculating further from post-bank state would double-run
-        // the continuation. The drain empties the bank; a later round
-        // re-banks.
-        return;
-    slot.pe->setDeferHostOps(true);
-    while (slot.specRecs.size() < kSpecBankRecords) {
-        auto t = slot.nextTime();
-        if (!t)
-            break;
-        if (*t >= (slot.running != msg::kNoCtx ? spec_horizon
-                                               : window_end))
-            break;
-        SpecRec rec;
-        rec.start = *t;
-        if (!dispatchSpec(slot, rec))
-            break;
-        bool stop = false;
-        if (recoveryOn_)
-            memory_->setUndoLog(&slot.undoLog);
-        for (int batch = 0; batch < 16; ++batch) {
-            rec.stepsDone = batch;
-            Cycle before = slot.clock;
-            StepResult step;
-            try {
-                step = slot.pe->stepFast();
-            } catch (...) {
-                // Replayed at this record's drain position, so the
-                // diagnostic surfaces in sequential order.
-                rec.error = std::current_exception();
-                stop = true;
-                break;
-            }
-            if (step.status == StepStatus::Deferred) {
-                // Host op boundary: the drain re-executes this step
-                // live (runBatchEvent resumes at stepsDone). No
-                // further speculation on this slot - the op's outcome
-                // decides what the queue looks like next.
-                rec.deferred = true;
-                stop = true;
-                break;
-            }
-            slot.clock += step.cycles;
-            slot.busyCycles += slot.clock - before;
-            rec.lastProgress = slot.clock;
-            rec.stepsDone = batch + 1;
-            if (slot.clock > max_cycles)
-                break;
-        }
-        slot.specRecs.push_back(std::move(rec));
-        if (stop)
-            break;
-    }
-    slot.pe->setDeferHostOps(false);
-    if (recoveryOn_)
-        memory_->setUndoLog(nullptr);
-}
-
-void
-System::commitSpec(PeSlot &slot, Cycle max_cycles)
-{
-    // Replay one record's staged system-global effects at its drain
-    // position - the exact order the sequential core would have
-    // produced them in.
-    SpecRec rec = std::move(slot.specRecs.front());
-    slot.specRecs.pop_front();
-    if (rec.readyWait) {
-        stats_.record("sys.ready_wait", *rec.readyWait);
-        stats_.scoped(slot.scope).record("ready_wait", *rec.readyWait);
-    }
-    if (rec.residentResume)
-        stats_.inc("sys.resident_resumes");
-    if (rec.evicted)
-        stats_.inc("sys.evictions");
-    switches += static_cast<std::uint64_t>(rec.switchesDelta);
-    if (rec.dispatchCtx != static_cast<CtxId>(-1))
-        tracer_.ctxDispatch(rec.dispatchAt, slot.index,
-                            rec.dispatchCtx);
-    if (rec.lastProgress >= 0)
-        lastProgress_ = std::max(lastProgress_, rec.lastProgress);
-    if (rec.error)
-        std::rethrow_exception(rec.error);
-    if (rec.deferred)
-        // Continuation: finish the interrupted batch live, starting at
-        // the deferred step. The host op now executes against the real
-        // kernel, in order.
-        runBatchEvent(slot, max_cycles, rec.stepsDone);
-}
-
-RunResult
-System::runLoopThreaded(Cycle max_cycles)
-{
-    RunResult result;
-    // runLoop routes fault-injected runs to the sequential loop, so
-    // the fault-driven 1M-cycle watchdog default never applies here.
-    const Cycle watchdog = config_.watchdogCycles;
-    struct ThreadedFlag
-    {
-        bool &flag;
-        explicit ThreadedFlag(bool &f) : flag(f) { flag = true; }
-        ~ThreadedFlag() { flag = false; }
-    } threaded(threadedRun_);
-    if (!gang_)
-        gang_ = std::make_unique<WorkerGang>(
-            static_cast<unsigned>(partitions_.size()));
-
-    while (liveContexts > 0) {
-        if (!pendingFailure_.empty())
-            return failRun(pendingFailure_, /*watchdog=*/false);
-        if (std::string why; hostAbortDue(why))
-            return abortRun(why);
-        // Window top: the global minimum (virtual time, PE index) over
-        // all slots - the same selection the sequential calendar peek
-        // makes, found by scan since the calendar is idle here. A slot
-        // holding banked speculation records is ordered by its oldest
-        // *uncommitted* record's start, not by its live clock, which
-        // has already run ahead of the committed timeline.
-        PeSlot *best = nullptr;
-        Cycle best_time = 0;
-        for (auto &slot : slots) {
-            std::optional<Cycle> t;
-            if (!slot->specRecs.empty())
-                t = slot->specRecs.front().start;
-            else
-                t = slot->nextTime();
-            if (t && (!best || *t < best_time)) {
-                best = slot.get();
-                best_time = *t;
-            }
-        }
-        // Guard sequence in lock-step with runLoopEvent. The kill and
-        // lease guards are structurally dead (they require fault
-        // injection, which runLoop routes away) but kept so the three
-        // loops stay textually parallel.
-        if (killArmed_ && best &&
-            best_time >= config_.faultPlan.killAt) {
-            injectPeKill(config_.faultPlan.killAt);
-            continue;
-        }
-        if (pendingDeadPe_ >= 0 && recoveryOn_ &&
-            (!best || best_time >= deadDetectAt_)) {
-            recoverDeadPe(deadDetectAt_);
-            continue;
-        }
-        if (!best)
-            fatal("deadlock: ", liveContexts,
-                  " live contexts, none runnable\n", dumpState());
-        if (best_time > max_cycles) {
-            result.completed = false;
-            result.failureReason =
-                cat("cycle limit reached (", max_cycles, ")");
-            replayable_ = false;
-            finalizeRun(result);
-            if (!config_.flightPath.empty())
-                writeFlightDump(config_.flightPath,
-                                result.failureReason);
-            return result;
-        }
-        if (watchdog > 0 && best_time - lastProgress_ > watchdog)
-            return failRun(
-                cat("watchdog: no instruction retired in ", watchdog,
-                    " cycles (last progress at cycle ", lastProgress_,
-                    ")"),
-                /*watchdog=*/true);
-        bool replay_in_flight = false;
-        for (auto &slot : slots)
-            if (slot->replaying())
-                replay_in_flight = true;
-        if (nextCheckpointAt_ > 0 && best_time >= nextCheckpointAt_ &&
-            pendingDeadPe_ < 0 && !replay_in_flight) {
-            // Advance the schedule *before* capturing: the snapshot
-            // then carries the next boundary, so a run warm-started
-            // from it (durable resume or checkpoint replay) continues
-            // to the next checkpoint instead of immediately
-            // re-snapshotting the boundary it was saved at.
-            while (nextCheckpointAt_ <= best_time)
-                nextCheckpointAt_ += config_.recovery.checkpointEvery;
-            snapshot();
-            continue;
-        }
-        // Telemetry boundary. The window cap below guarantees the
-        // boundary is a window top, so the registry state sampled here
-        // is exactly what the sequential loop would sample: every
-        // speculation record up to this point has been committed.
-        if (nextTelemetryAt_ > 0 && best_time >= nextTelemetryAt_ &&
-            pendingDeadPe_ < 0 && !replay_in_flight)
-            emitTelemetry(best_time);
-
-        // Form the window [T0, W). W is capped by the lookahead and by
-        // every time-triggered guard above, so each guard can only
-        // fire at a window top - exactly where the sequential loop,
-        // which re-evaluates them between batches, would fire it (each
-        // cap exceeds T0 because its guard just passed).
-        Cycle window_end = best_time + lookahead_;
-        window_end = std::min(window_end, max_cycles + 1);
-        if (killArmed_)
-            window_end =
-                std::min(window_end, config_.faultPlan.killAt);
-        if (pendingDeadPe_ >= 0 && recoveryOn_)
-            window_end = std::min(window_end, deadDetectAt_);
-        if (nextCheckpointAt_ > 0)
-            window_end = std::min(window_end, nextCheckpointAt_);
-        if (nextTelemetryAt_ > 0)
-            window_end = std::min(window_end, nextTelemetryAt_);
-        if (watchdog > 0)
-            window_end =
-                std::min(window_end, lastProgress_ + watchdog + 1);
-        panicIf(window_end <= best_time,
-                "PDES window collapsed (guard/cap inconsistency)");
-
-        // Speculation round. When no time-triggered guard needs
-        // window-exact slot state (no watchdog, no periodic
-        // checkpoints, no telemetry boundaries - all would have to
-        // preempt or sample slots whose in-place state had run
-        // ahead), a running context may
-        // be banked all the way to the cycle budget: it never consults
-        // the ready queue again until its next host op, so its batches
-        // are pure slot-local compute wherever they start, and the
-        // drain commits them window by window without another gang
-        // round. Dispatches stay bounded by the window (they consult
-        // the queue). Candidates are slots with no banked records that
-        // can make speculative progress; fork the gang only when at
-        // least two exist - a serial phase (the common startup and
-        // drain-out shape) skips the barrier entirely and runs live
-        // below.
-        const bool banking = watchdog == 0 && nextCheckpointAt_ == 0 &&
-                             nextTelemetryAt_ == 0;
-        const Cycle spec_horizon =
-            banking ? max_cycles + 1 : window_end;
-        int active = 0;
-        for (auto &slot : slots) {
-            if (!slot->specRecs.empty() || slot->dead)
-                continue;
-            bool candidate;
-            if (slot->running != msg::kNoCtx) {
-                candidate = slot->clock < spec_horizon;
-            } else {
-                auto t = slot->nextTime();
-                candidate = t && *t < window_end;
-            }
-            if (candidate)
-                ++active;
-        }
-        if (active > 1)
-            gang_->run([&](unsigned w) {
-                for (int pe : partitions_[w])
-                    specSlot(*slots[static_cast<size_t>(pe)],
-                             window_end, spec_horizon, max_cycles);
-            });
-
-        // Ordered drain: replay the window in the sequential loop's
-        // exact (time, PE index) order. One heap entry per slot; a
-        // slot's key is its oldest uncommitted record's start time, or
-        // its live nextTime() when speculation stopped short of the
-        // window end. Banked records starting at or past the window
-        // end are left for later windows - committing them now would
-        // interleave their side effects ahead of other slots' sub-W
-        // acts. Keys are stable while queued: a foreign act can only
-        // push ready entries at or after W onto this slot (bus
-        // lookahead), which cannot lower a sub-W key, and the slot's
-        // own key is re-computed after each of its own items.
-        struct DrainItem
-        {
-            Cycle at;
-            int pe;
-            bool operator>(const DrainItem &o) const
-            {
-                if (at != o.at)
-                    return at > o.at;
-                return pe > o.pe;
-            }
-        };
-        std::priority_queue<DrainItem, std::vector<DrainItem>,
-                            std::greater<>>
-            drain;
-        auto keyOf = [&](PeSlot &slot) -> std::optional<Cycle> {
-            if (!slot.specRecs.empty()) {
-                Cycle at = slot.specRecs.front().start;
-                if (at < window_end)
-                    return at;
-                return std::nullopt;
-            }
-            if (auto t = slot.nextTime(); t && *t < window_end)
-                return t;
-            return std::nullopt;
-        };
-        for (auto &slot : slots)
-            if (auto k = keyOf(*slot))
-                drain.push({*k, slot->index});
-        while (!drain.empty()) {
-            if (!pendingFailure_.empty())
-                break;  // surfaced as failRun at the loop top
-            DrainItem item = drain.top();
-            drain.pop();
-            PeSlot &slot = *slots[static_cast<size_t>(item.pe)];
-            if (!slot.specRecs.empty()) {
-                commitSpec(slot, max_cycles);
-            } else if (dispatch(slot)) {
-                runBatchEvent(slot, max_cycles, 0);
-            }
-            if (auto k = keyOf(slot))
-                drain.push({*k, slot.index});
-        }
-    }
-
-    result.completed = true;
-    replayable_ = false;
-    finalizeRun(result);
-    return result;
 }
 
 void

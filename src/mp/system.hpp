@@ -21,12 +21,9 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <queue>
 #include <string>
 #include <vector>
@@ -41,7 +38,6 @@
 #include "pe/pe.hpp"
 #include "persist/io.hpp"
 #include "support/stats.hpp"
-#include "support/thread_pool.hpp"
 #include "trace/trace.hpp"
 
 namespace qm::mp {
@@ -59,18 +55,20 @@ enum class Placement
 };
 
 /**
- * Simulation inner-loop implementation (see DESIGN.md "Event-driven
- * simulation core"). Both cores produce byte-identical RunResult,
- * statistics, metrics, and trace output - the differential test suite
- * holds them to it across the fuzz/fault/recovery corpora.
+ * Simulation core (see DESIGN.md "Event-driven simulation core"). Both
+ * cores run the same System::runLoop and produce byte-identical
+ * RunResult, statistics, metrics, and trace output - the differential
+ * test suite holds them to it across the fuzz/fault/recovery corpora.
+ * They differ only in the slot picker, the PE step, and the memory
+ * allocation mode.
  */
 enum class SimCore
 {
     /**
-     * The historical loop: every iteration linearly scans all PE slots
-     * for the lowest-clock schedulable one. Kept verbatim (including
-     * its eagerly-zeroed memory and per-step instruction decode) as
-     * the reference implementation and the host-performance baseline.
+     * The reference core: every iteration linearly scans all PE slots
+     * for the lowest-clock schedulable one, steps PEs with the
+     * decode-every-fetch Pe::step(), and zeroes memory eagerly. Kept as
+     * the oracle for the event core and the host-performance baseline.
      */
     Tick,
     /**
@@ -110,17 +108,6 @@ struct SystemConfig
     int channelDepth = 8;        ///< Message-cache tokens per channel.
     Placement placement = Placement::LeastLoaded;
     SimCore core = SimCore::Event;  ///< Inner-loop implementation.
-
-    /**
-     * Host worker threads for one run (--threads): the event core
-     * advances PEs in bounded synchronous windows (lookahead = minimum
-     * unloaded ring-bus latency) and speculates the pure compute
-     * portion of each window's batches across this many threads,
-     * byte-identical to the sequential core on every surface for any
-     * value. 1 = the plain sequential event loop. Ignored by the tick
-     * reference core (which stays serial), and capped at numPes.
-     */
-    int hostThreads = 1;
 
     // Kernel service costs in cycles (trap entry cost is charged by the
     // PE's own timing on top of these).
@@ -204,9 +191,9 @@ struct SystemConfig
      * Emit a telemetry snapshot every N simulated cycles (0 = off).
      * Snapshots fire at deterministic cycle boundaries evaluated at
      * the same guard points as periodic checkpoints, so the stream is
-     * byte-identical across cores, --threads, and --jobs. Host-side
-     * only: excluded from the checkpoint fingerprint; an interrupted
-     * stream re-aligns to the next boundary after the resume point.
+     * byte-identical across cores and --jobs. Host-side only:
+     * excluded from the checkpoint fingerprint; an interrupted stream
+     * re-aligns to the next boundary after the resume point.
      */
     Cycle telemetryEvery = 0;
 
@@ -218,9 +205,9 @@ struct SystemConfig
  * Deterministic textual digest of every simulation-relevant field of
  * @p config: machine shape, kernel costs, timing, fault/recovery
  * plans, and trace enablement. Host-side choices that are byte-inert
- * by invariant (SimCore, hostThreads, hostDeadlineMs) are deliberately
- * excluded. System::configFingerprint() extends this with a CRC of
- * the loaded object code; the sweep journal combines it with per-spec
+ * by invariant (SimCore, hostDeadlineMs) are deliberately excluded.
+ * System::configFingerprint() extends this with a CRC of the loaded
+ * object code; the sweep journal combines it with per-spec
  * program/verification digests.
  */
 std::string configFingerprint(const SystemConfig &config);
@@ -427,9 +414,9 @@ class System
      * checkpoint to be resumable on this system: machine shape,
      * kernel costs, timing, fault/recovery plans, trace enablement,
      * and a CRC of the object code. Host-side choices that are
-     * byte-inert by invariant (SimCore, hostThreads, deadline) are
-     * deliberately excluded, so a checkpoint saved under --core tick
-     * resumes under --core event --threads 4 and vice versa.
+     * byte-inert by invariant (SimCore, deadline) are deliberately
+     * excluded, so a checkpoint saved under --core tick resumes under
+     * --core event and vice versa.
      */
     std::string configFingerprint() const;
 
@@ -548,85 +535,33 @@ class System
      */
     void calSchedule(PeSlot &slot, Cycle at);
 
-    // --- Recovery (see DESIGN.md "Recoverable execution") ---------------
-    /** Dispatches on config_.core (shared by run() and resume()). */
+    // --- The run loop (see DESIGN.md "Event-driven simulation core") ---
+    /**
+     * The one scheduler loop behind run() and resume(): pick the slot
+     * able to act soonest, evaluate the guard sequence, then dispatch
+     * and run one batch on it. The two cores differ only in the picker
+     * (pickScan or pickCalendar) and in the PE step runBatch calls.
+     */
     RunResult runLoop(Cycle max_cycles);
-    /** The historical scan-all-slots loop, kept verbatim. */
-    RunResult runLoopTick(Cycle max_cycles);
-    /** The calendar-queue loop (see DESIGN.md). */
-    RunResult runLoopEvent(Cycle max_cycles);
+    /**
+     * Tick-core picker: scan every slot for the lowest nextTime(),
+     * ties to the lowest index. Null (and @p at untouched) when no
+     * slot can act.
+     */
+    PeSlot *pickScan(Cycle &at);
+    /**
+     * Event-core picker: validated peek at the calendar top, returning
+     * decision-for-decision what pickScan would. The chosen entry stays
+     * in the calendar until runLoop acts on the slot.
+     */
+    PeSlot *pickCalendar(Cycle &at);
+    /**
+     * Run @p slot's dispatched context until it blocks, finishes, or a
+     * 16-step batch elapses (keeps PE clocks loosely synchronized).
+     */
+    void runBatch(PeSlot &slot, Cycle max_cycles);
 
-    // --- PDES window scheduler (hostThreads > 1; see DESIGN.md) ----------
-    /**
-     * Conservative synchronous windowed loop: byte-identical to
-     * runLoopEvent for any thread count. Windows are [T0, W) with
-     * W - T0 bounded by the bus lookahead and by every guard the
-     * sequential loop evaluates between batches (kill/lease/
-     * checkpoint/watchdog/budget), so those guards can only fire at
-     * window boundaries - exactly where the sequential loop would
-     * fire them.
-     */
-    RunResult runLoopThreaded(Cycle max_cycles);
-    /**
-     * Speculation record: one 16-step batch run ahead of its global
-     * order on a worker thread, with every system-global side effect
-     * (stats samples, the dispatch trace event, the context-switch
-     * counter, progress watermark) staged for ordered replay by the
-     * window drain. Slot-local and context-local state is mutated in
-     * place - proven equivalent because cross-PE influence inside a
-     * window is impossible (lookahead) and host ops are deferred.
-     */
-    struct SpecRec
-    {
-        Cycle start = 0;      ///< Selection key (slot nextTime()).
-        int stepsDone = 0;    ///< Executed steps (batch resumes here).
-        bool deferred = false;    ///< Ended on a deferred host op.
-        bool poppedEntry = false; ///< Dispatch consumed a ready entry.
-        bool hadRunningBefore = false;  ///< Slot was mid-context.
-        CtxId dispatchCtx = static_cast<CtxId>(-1);  ///< Trace event.
-        Cycle dispatchAt = 0;
-        bool residentResume = false;
-        bool evicted = false;
-        int switchesDelta = 0;
-        Cycle lastProgress = -1;  ///< Watermark after the last step.
-        std::optional<std::uint64_t> readyWait;  ///< Queue-wait sample.
-        std::exception_ptr error;  ///< Rethrown at drain position.
-    };
-    /**
-     * Speculate one slot ahead of the committed timeline (worker
-     * thread). Dispatches are bounded by @p window_end (they consult
-     * the ready queue, which is only lookahead-stable inside the
-     * window); continuation batches of a running context are bounded
-     * by @p spec_horizon, which the caller widens to the cycle budget
-     * when no time-triggered guard needs window-exact state - that
-     * "banking" lets one gang round cover many windows.
-     */
-    void specSlot(PeSlot &slot, Cycle window_end, Cycle spec_horizon,
-                  Cycle max_cycles);
-    /**
-     * Staged twin of dispatch(): true if a batch should run. False
-     * ends speculation for the slot *without* consuming anything -
-     * taken when the top ready entry is not plainly dispatchable
-     * (stale or superseded), which only the drain can decide.
-     */
-    bool dispatchSpec(PeSlot &slot, SpecRec &rec);
-    /** Replay one record's staged effects (+ continuation batch). */
-    void commitSpec(PeSlot &slot, Cycle max_cycles);
-    /**
-     * The 16-step batch body shared verbatim by runLoopEvent, the
-     * window drain's live selections, and deferred-batch
-     * continuations (which resume at @p first_step).
-     */
-    void runBatchEvent(PeSlot &slot, Cycle max_cycles, int first_step);
-    /**
-     * Scheduling load of one slot as the sequential core would see it
-     * at the drain's current position: uncommitted speculation has
-     * already popped ready entries and possibly started a context, so
-     * those effects are added back.
-     */
-    std::size_t slotLoad(const PeSlot &slot) const;
-    /** Is @p ctx Running only because of uncommitted speculation? */
-    bool speculativelyRunning(const Context &ctx) const;
+    // --- Recovery (see DESIGN.md "Recoverable execution") ---------------
     void injectPeKill(Cycle at);
     /** Lease expired: re-dispatch the dead PE's contexts. */
     void recoverDeadPe(Cycle at);
@@ -648,7 +583,7 @@ class System
     RunResult failRun(const std::string &reason, bool watchdog);
 
     /**
-     * Throttled host-side abort check shared by all three run loops:
+     * Throttled host-side abort check evaluated by the run loop:
      * true (with @p why filled in) when a shutdown signal arrived or
      * the config_.hostDeadlineMs budget for this run-loop entry is
      * exhausted. Polls the wall clock only every ~1k calls, and only
@@ -714,14 +649,6 @@ class System
     bool booted = false;
     std::uint64_t liveContexts = 0;
     std::uint64_t switches = 0;
-
-    // PDES state (inert unless config_.hostThreads > 1 on the event
-    // core; see DESIGN.md "Deterministic intra-run parallelism").
-    Cycle lookahead_ = 0;   ///< bus.minCrossLatency(), cached at init.
-    bool threadedRun_ = false;  ///< Inside runLoopThreaded (skips the
-                                ///< calendar bookkeeping in pushReady).
-    std::unique_ptr<WorkerGang> gang_;  ///< Started on first windowed run.
-    std::vector<std::vector<int>> partitions_;  ///< Worker -> owned PEs.
 
     // Recovery state (all inert unless config_.recovery.enabled).
     bool recoveryOn_ = false;

@@ -101,9 +101,8 @@ class FlightRing
 
 /**
  * The always-on recorder. One instance per mp::System, attached as the
- * Tracer's sink. All Tracer emits happen on the sequential/drain
- * thread (the PDES workers stage events and replay them in commit
- * order), so the recorder needs no synchronization.
+ * Tracer's sink. All Tracer emits happen on the thread running the
+ * simulation, so the recorder needs no synchronization.
  */
 class FlightRecorder : public trace::EventSink
 {

@@ -6,8 +6,6 @@
 
 namespace qm::pe {
 
-thread_local UndoLog *Memory::undo_ = nullptr;
-
 Memory::Memory(std::size_t bytes, Alloc alloc) : size_(bytes)
 {
     if (alloc == Alloc::Eager) {

@@ -93,13 +93,9 @@ class Memory
 
     /**
      * Attach (or detach with nullptr) an undo log recording the old
-     * value of every subsequent write made by the calling thread. The
-     * System points this at the stepping PE's span log around each
-     * batch; with no recovery plan it stays null and writes behave
-     * exactly as before. The attachment is thread-local so the PDES
-     * worker threads can journal concurrent speculative spans into
-     * their own slots' logs without racing (each worker brackets its
-     * own batches; a thread that never attaches journals nothing).
+     * value of every subsequent write. The System points this at the
+     * stepping PE's span log around each batch; with no recovery plan
+     * it stays null and writes are not journaled.
      */
     void setUndoLog(UndoLog *undo) { undo_ = undo; }
 
@@ -125,8 +121,7 @@ class Memory
     std::unique_ptr<std::uint8_t[], FreeDeleter> lazy_;  ///< Lazy store.
     std::uint8_t *data_ = nullptr;  ///< Whichever store is active.
     std::size_t size_ = 0;
-    /** Per-thread undo attachment (see setUndoLog). */
-    static thread_local UndoLog *undo_;
+    UndoLog *undo_ = nullptr;  ///< Attached span log (see setUndoLog).
 };
 
 } // namespace qm::pe

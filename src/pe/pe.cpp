@@ -506,19 +506,6 @@ ProcessingElement::stepFast()
     const Instruction &instr = op.instr;
     Word next_pc = op.nextPc;
 
-    if (deferHostOps_ &&
-        (instr.op == Opcode::Send || instr.op == Opcode::Recv ||
-         instr.op == Opcode::Trap || instr.op == Opcode::Ftrap ||
-         instr.op == Opcode::Fret || instr.op == Opcode::Rett)) {
-        // Speculation boundary: stop before any architectural effect
-        // (no operand read, no cycle charge, no tally) so the drain
-        // re-executes this instruction from scratch against the real
-        // kernel.
-        StepResult deferred;
-        deferred.status = StepStatus::Deferred;
-        return deferred;
-    }
-
     long cycles = timing_.simpleCycles +
                   timing_.immWordCycles * (op.sizeWords - 1);
     StepResult result;

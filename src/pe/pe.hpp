@@ -84,7 +84,6 @@ enum class StepStatus
     Blocked,     ///< Channel/trap blocked; instruction not consumed.
     ContextEnd,  ///< Kernel exit trap: the context is finished.
     Returned,    ///< fret/rett executed (standalone-program halt).
-    Deferred,    ///< Host op reached in defer mode; nothing consumed.
 };
 
 struct StepResult
@@ -197,17 +196,6 @@ class ProcessingElement
     StepResult stepFast();
 
     /**
-     * Speculation mode for the PDES windows: while enabled, stepFast()
-     * returns StepStatus::Deferred (zero cycles, zero side effects -
-     * the instruction is not consumed and no tally moves) instead of
-     * executing any instruction that would call into the host kernel
-     * (send/recv/trap/ftrap). The window drain re-executes the
-     * deferred instruction with defer mode off, at which point it runs
-     * in full. Purely compute instructions are unaffected.
-     */
-    void setDeferHostOps(bool on) { deferHostOps_ = on; }
-
-    /**
      * Fold the stepFast() tallies into stats(). Only deltas that are
      * actually non-zero touch the map, so a PE that never executed a
      * given operation class creates no entry - exactly like step()'s
@@ -294,7 +282,6 @@ class ProcessingElement
     bool pcWritten_ = false;          ///< A dst wrote PC this step.
 
     isa::DecodedProgram *decoded_ = nullptr;
-    bool deferHostOps_ = false;  ///< PDES speculation: defer host ops.
     StatDeltas deltas_;
     StatSet stats_;
 };

@@ -10,8 +10,7 @@ namespace qm::sim {
 std::string
 writeBenchJson(const std::string &bench,
                const std::vector<SpeedupSeries> &series,
-               const std::string &path, bool host_time,
-               int host_threads)
+               const std::string &path, bool host_time)
 {
     std::string out_path =
         path.empty() ? "BENCH_" + bench + ".json" : path;
@@ -21,10 +20,6 @@ writeBenchJson(const std::string &bench,
     JsonWriter json(out);
     json.beginObject();
     json.key("bench").value(bench);
-    // Emitted only when the bench was explicitly run multi-threaded,
-    // so single-threaded documents keep the historical bytes.
-    if (host_threads > 1)
-        json.key("host_threads").value(host_threads);
     json.key("series").beginArray();
     for (const SpeedupSeries &s : series) {
         json.beginObject();

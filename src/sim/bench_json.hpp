@@ -23,18 +23,10 @@ namespace qm::sim {
  * additionally carry host_wall_ms and sim_cycles_per_sec. Off by
  * default: those fields are machine-dependent, and the default
  * document must stay byte-stable for determinism comparisons.
- *
- * With @p host_threads > 1 the document carries a host_threads
- * metadata key recording how many PDES worker threads each simulation
- * ran on (--threads). Simulation results are byte-identical for any
- * value - the key exists so host-speed tooling (bench_compare.py
- * --min-thread-speedup) can verify it is comparing a threaded run
- * against a sequential baseline.
  */
 std::string writeBenchJson(const std::string &bench,
                            const std::vector<SpeedupSeries> &series,
                            const std::string &path = "",
-                           bool host_time = false,
-                           int host_threads = 1);
+                           bool host_time = false);
 
 } // namespace qm::sim

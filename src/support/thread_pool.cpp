@@ -88,100 +88,6 @@ ThreadPool::workerLoop()
     }
 }
 
-WorkerGang::WorkerGang(unsigned workers)
-    : workers_(workers == 0 ? 1 : workers),
-      // Spin only when the host has a core per gang member; on an
-      // oversubscribed host a spinning member preempts the very thread
-      // it is waiting on, so sleeping immediately is strictly better.
-      spinBudget_(std::thread::hardware_concurrency() >= workers_
-                      ? (1 << 15)
-                      : 1)
-{
-    threads_.reserve(workers_ - 1);
-    for (unsigned i = 1; i < workers_; ++i)
-        threads_.emplace_back([this, i] { gangLoop(i); });
-}
-
-WorkerGang::~WorkerGang()
-{
-    stopping_.store(true, std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        epoch_.fetch_add(1, std::memory_order_release);
-    }
-    roundStart_.notify_all();
-    for (std::thread &thread : threads_)
-        thread.join();
-}
-
-void
-WorkerGang::run(const std::function<void(unsigned)> &fn)
-{
-    if (workers_ == 1) {
-        fn(0);
-        return;
-    }
-    fn_ = &fn;
-    done_.store(0, std::memory_order_relaxed);
-    // The release bump publishes fn_ to every gang thread whose spin
-    // loop acquires the new epoch; sleepers additionally need the
-    // mutex + notify so the bump cannot slot between their predicate
-    // check and the wait.
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        epoch_.fetch_add(1, std::memory_order_release);
-    }
-    if (sleepers_.load(std::memory_order_relaxed) > 0)
-        roundStart_.notify_all();
-    fn(0);
-    // Join barrier: every member's done_ increment (release) happens
-    // before we observe the full count (acquire), so all their writes
-    // are visible to the caller.
-    while (done_.load(std::memory_order_acquire) < workers_ - 1)
-        std::this_thread::yield();
-    if (firstError_) {
-        std::exception_ptr error =
-            std::exchange(firstError_, nullptr);
-        std::rethrow_exception(error);
-    }
-}
-
-void
-WorkerGang::gangLoop(unsigned index)
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        // Fork barrier: spin for the next epoch (when the host has
-        // cores to spare - see spinBudget_), then sleep. A successful
-        // spin makes back-to-back rounds cost two atomic round-trips
-        // instead of a futex wake.
-        std::uint64_t epoch = epoch_.load(std::memory_order_acquire);
-        int spins = 0;
-        while (epoch == seen && ++spins < spinBudget_)
-            epoch = epoch_.load(std::memory_order_acquire);
-        if (epoch == seen) {
-            std::unique_lock<std::mutex> lock(mutex_);
-            sleepers_.fetch_add(1, std::memory_order_relaxed);
-            roundStart_.wait(lock, [&] {
-                return epoch_.load(std::memory_order_acquire) != seen;
-            });
-            sleepers_.fetch_sub(1, std::memory_order_relaxed);
-            epoch = epoch_.load(std::memory_order_acquire);
-        }
-        seen = epoch;
-        if (stopping_.load(std::memory_order_relaxed))
-            return;
-        try {
-            (*fn_)(index);
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(errorMutex_);
-            if (!firstError_)
-                firstError_ = std::current_exception();
-        }
-        done_.fetch_add(1, std::memory_order_release);
-    }
-}
-
 void
 parallelFor(std::size_t count, unsigned jobs,
             const std::function<void(std::size_t)> &fn)

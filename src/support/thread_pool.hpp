@@ -18,10 +18,8 @@
  */
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -68,55 +66,6 @@ class ThreadPool
     std::condition_variable allDone_;
     std::size_t unfinished_ = 0;  ///< Queued + currently running tasks.
     bool stopping_ = false;
-    std::exception_ptr firstError_;
-};
-
-/**
- * Persistent gang of workers for fine-grained fork/join rounds (the
- * PDES window scheduler runs one round per simulation window, often
- * only a handful of simulated cycles long, so per-round thread or
- * task-queue churn would dwarf the work). run(fn) invokes
- * fn(0..workers-1) - worker 0 on the calling thread, the rest on the
- * gang's persistent threads - and returns once every invocation has
- * finished. Workers spin briefly between rounds before falling back to
- * a condition variable, so back-to-back rounds cost two atomic
- * round-trips, not a futex wake.
- *
- * One outstanding round at a time; run() is not reentrant and must
- * always be called from the same (owning) thread's context at a time.
- * The first exception thrown by any fn is rethrown from run() after
- * the round completes.
- */
-class WorkerGang
-{
-  public:
-    /** Start @p workers - 1 gang threads (workers >= 1). */
-    explicit WorkerGang(unsigned workers);
-
-    ~WorkerGang();
-
-    WorkerGang(const WorkerGang &) = delete;
-    WorkerGang &operator=(const WorkerGang &) = delete;
-
-    unsigned workers() const { return workers_; }
-
-    /** One fork/join round: fn(w) for every worker index w. */
-    void run(const std::function<void(unsigned)> &fn);
-
-  private:
-    void gangLoop(unsigned index);
-
-    unsigned workers_;
-    int spinBudget_;  ///< Fork-barrier spin loads before cv sleep.
-    std::vector<std::thread> threads_;
-    const std::function<void(unsigned)> *fn_ = nullptr;
-    std::atomic<std::uint64_t> epoch_{0};  ///< Bumped to start a round.
-    std::atomic<unsigned> done_{0};        ///< Gang members finished.
-    std::atomic<unsigned> sleepers_{0};    ///< Members in cv wait.
-    std::atomic<bool> stopping_{false};
-    std::mutex mutex_;
-    std::condition_variable roundStart_;
-    std::mutex errorMutex_;
     std::exception_ptr firstError_;
 };
 

@@ -13,7 +13,8 @@ Asserts:
     qm.flight.v1 black box, clean runs leave none, --flight off
     suppresses it;
   * --metrics byte-identity between a checkpointed run and its resume;
-  * --telemetry NDJSON byte-identity across --threads counts;
+  * --telemetry NDJSON streams are schema-tagged and cycle-monotone;
+  * the removed intra-run threading flag is a usage error (exit 2);
   * qmprof diff / qmprof flight exit codes and verdicts.
 
 Usage: cli_durability_test.py OCCAMC BENCH_COMPARE SOURCE_DIR QMPROF
@@ -54,6 +55,14 @@ def main():
     # --- occamc exit-code classes -------------------------------------
     p = run([occamc, "--definitely-not-a-flag"])
     check("usage error exits 2", p.returncode == 2, f"rc={p.returncode}")
+
+    # Intra-run threading was removed; its flag is now unknown.
+    p = run([occamc, "--run", "--pes", "4", "--threads", "4", pipeline])
+    check("removed threading flag exits 2", p.returncode == 2,
+          f"rc={p.returncode}")
+    check("removed threading flag prints the usage line",
+          p.stderr.startswith("usage: occamc") and not p.stdout,
+          p.stderr[:200])
 
     p = run([occamc, path("missing.occ")])
     check("unreadable input exits 2", p.returncode == 2,
@@ -200,21 +209,15 @@ def main():
           metrics_full == metrics_resumed)
 
     # --- telemetry stream ---------------------------------------------
-    def telemetry_bytes(threads, name):
-        out = path(name)
-        p = run([occamc, "--run", "--pes", "4", "--threads", threads,
-                 "--telemetry", out, "--telemetry-every", "100",
-                 pipeline])
-        check(f"telemetry run (threads={threads}) succeeds",
-              p.returncode == 0, f"rc={p.returncode}")
-        with open(out, "rb") as f:
-            return f.read()
-
-    t1 = telemetry_bytes("1", "t1.ndjson")
-    t4 = telemetry_bytes("4", "t4.ndjson")
-    check("telemetry stream is non-empty", len(t1) > 0)
-    check("telemetry is byte-identical across --threads", t1 == t4)
-    lines = t1.decode().splitlines()
+    telemetry = path("t.ndjson")
+    p = run([occamc, "--run", "--pes", "4", "--telemetry", telemetry,
+             "--telemetry-every", "100", pipeline])
+    check("telemetry run succeeds", p.returncode == 0,
+          f"rc={p.returncode}")
+    with open(telemetry, "rb") as f:
+        stream = f.read()
+    check("telemetry stream is non-empty", len(stream) > 0)
+    lines = stream.decode().splitlines()
     parsed = [json.loads(line) for line in lines]
     check("telemetry lines are qm.telemetry.v1 and cycle-monotone",
           all(s.get("schema") == "qm.telemetry.v1" for s in parsed)

@@ -6,8 +6,9 @@
  * every observable surface - RunResult fields, the rendered statistics
  * registry, the Chrome trace stream, the full simulated memory image,
  * and the BENCH / metrics JSON documents - across the same corpora the
- * fuzz suites run: plain programs, seeded fault injection, and the
- * harsh recovery mix with fail-stops and checkpoint replay.
+ * fuzz suites run: plain programs, seeded fault injection, the harsh
+ * recovery mix with fail-stops and checkpoint replay, and fault-free
+ * runs with periodic checkpoints.
  *
  * Honors QM_FUZZ_ITERS like the fuzz suites (the nightly chaos job
  * widens every corpus).
@@ -211,6 +212,40 @@ TEST_P(FuzzCoreRecoveryDifferentialTest, RecoveryCorpusByteIdentical)
 INSTANTIATE_TEST_SUITE_P(RecoveryCorpus,
                          FuzzCoreRecoveryDifferentialTest,
                          ::testing::Range(0, fuzzIters(40)));
+
+class FuzzCoreCheckpointDifferentialTest
+    : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(FuzzCoreCheckpointDifferentialTest, CheckpointCorpusByteIdentical)
+{
+    // Fault-free runs with aggressive periodic checkpoints: every
+    // snapshot quiesces the machine mid-run (preempting running and
+    // resident contexts), so the checkpoint guard and the quiesce path
+    // run many times per program with nothing else perturbing them.
+    std::string main_label;
+    isa::ObjectCode object =
+        compileCorpusProgram(GetParam(), &main_label);
+    mp::SystemConfig config;
+    // A hierarchy needs at least one PE per ring, so pad the machine
+    // when this index pins the rings:2x2 shape.
+    if (GetParam() % 2 == 0) {
+        config.numPes = 4 + corpusPes(GetParam());
+        config.setTopology({2, 2});
+    } else {
+        config.numPes = corpusPes(GetParam());
+    }
+    config.recovery.enabled = true;
+    config.recovery.checkpointEvery = 64 + 64 * (GetParam() % 3);
+    expectIdentical(
+        runCore(object, main_label, config, mp::SimCore::Tick),
+        runCore(object, main_label, config, mp::SimCore::Event));
+}
+
+INSTANTIATE_TEST_SUITE_P(CheckpointCorpus,
+                         FuzzCoreCheckpointDifferentialTest,
+                         ::testing::Range(0, fuzzIters(12)));
 
 class FuzzCorePartitionedDifferentialTest
     : public ::testing::TestWithParam<int>

@@ -234,6 +234,14 @@ TEST(Assembler, Errors)
     EXPECT_THROW(assemble("x: x: plus r0,r1 :r0\n"), FatalError);
     EXPECT_THROW(assemble("plus r0,r1 :r0 garbage\n"), FatalError);
     EXPECT_THROW(assemble("plus r99,r1 :r0\n"), FatalError);
+    // A trailing label names the label in its diagnostic.
+    try {
+        assemble("plus r0,r1 :r0\nend:\n");
+        FAIL() << "expected a FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("'end'"), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Assembler, NumberOverflowIsALineDiagnosticNotACrash)

@@ -2,7 +2,7 @@
  * @file
  * Observability layer tests: the always-on flight recorder (rings,
  * counts, qm.flight.v1 dumps, QM_FLIGHT kill switch), the telemetry
- * stream (determinism across cores and host threads), the Prometheus
+ * stream (determinism across cores), the Prometheus
  * exposition writer, and the qmprof cross-run analytics (diff verdicts
  * and flight post-mortems).
  */
@@ -268,13 +268,12 @@ TEST(FlightSystem, WriteFlightDumpProducesParseableFile)
 // --- Telemetry determinism -----------------------------------------------
 
 std::vector<std::string>
-telemetryLines(mp::SimCore core, int threads)
+telemetryLines(mp::SimCore core)
 {
     const occam::CompiledProgram &program = pipelineProgram();
     mp::SystemConfig config;
     config.numPes = 2;
     config.core = core;
-    config.hostThreads = threads;
     config.telemetryEvery = 50;
     mp::System system(program.object, config);
     std::vector<std::string> lines;
@@ -287,19 +286,16 @@ telemetryLines(mp::SimCore core, int threads)
     return lines;
 }
 
-TEST(Telemetry, StreamIsByteIdenticalAcrossCoresAndThreads)
+TEST(Telemetry, StreamIsByteIdenticalAcrossCores)
 {
-    std::vector<std::string> event1 =
-        telemetryLines(mp::SimCore::Event, 1);
-    ASSERT_FALSE(event1.empty());
-    EXPECT_EQ(event1, telemetryLines(mp::SimCore::Tick, 1));
-    EXPECT_EQ(event1, telemetryLines(mp::SimCore::Event, 4));
+    std::vector<std::string> event = telemetryLines(mp::SimCore::Event);
+    ASSERT_FALSE(event.empty());
+    EXPECT_EQ(event, telemetryLines(mp::SimCore::Tick));
 }
 
 TEST(Telemetry, LinesAreCycleStampedSchemaTaggedAndMonotone)
 {
-    std::vector<std::string> lines =
-        telemetryLines(mp::SimCore::Event, 1);
+    std::vector<std::string> lines = telemetryLines(mp::SimCore::Event);
     ASSERT_GE(lines.size(), 2u);
     std::int64_t last_cycle = 0;
     long long last_instructions = 0;

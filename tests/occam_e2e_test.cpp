@@ -24,12 +24,11 @@ struct Exec
     mp::RunResult result;
 
     Exec(const std::string &source, int pes = 1,
-        const CompileOptions &options = {}, int threads = 1)
+        const CompileOptions &options = {})
         : compiled(compileOccam(source, options))
     {
         mp::SystemConfig config;
         config.numPes = pes;
-        config.hostThreads = threads;
         system = std::make_unique<mp::System>(compiled.object, config);
         result = system->run(compiled.mainLabel);
     }
@@ -323,50 +322,24 @@ TEST(E2e, RecursiveProcedure)
     EXPECT_EQ(run.word("r"), 720u);
 }
 
-TEST(E2e, SameResultOnEveryThreadCount)
+TEST(E2e, JobsFlagRejectsMalformedValues)
 {
-    // The PDES scheduler behind --threads: observable results must be
-    // independent of the host thread count, including counts above
-    // the PE count (clamped to one worker per PE).
-    const std::string source =
-        "var v[8], r[1]:\n"
-        "var total:\n"
-        "seq\n"
-        "  par i = [0 for 8]\n"
-        "    v[i] := (i * i) + 1\n"
-        "  total := 0\n"
-        "  seq i = [0 for 8]\n"
-        "    total := total + v[i]\n"
-        "  r[0] := total\n";
-    for (int threads : {1, 2, 4, 8, 16}) {
-        Exec run(source, /*pes=*/8, {}, threads);
-        ASSERT_TRUE(run.result.completed) << "threads=" << threads;
-        EXPECT_EQ(run.word("r"), 148u) << "threads=" << threads;
-    }
-}
-
-TEST(E2e, ThreadsFlagRejectsMalformedValues)
-{
-    // occamc parses --threads through parsePositiveIntArg exactly like
-    // --pes (PR 2): zero, negative, non-numeric, trailing garbage, and
-    // absurd values must all fail with a diagnostic, not a crash or a
-    // silent fallback.
-    EXPECT_THROW(parsePositiveIntArg("0", "--threads", 1024),
+    // The sweep benches parse --jobs through parsePositiveIntArg
+    // exactly like occamc's --pes: zero, negative, non-numeric,
+    // trailing garbage, and absurd values must all fail with a
+    // diagnostic, not a crash or a silent fallback.
+    EXPECT_THROW(parsePositiveIntArg("0", "--jobs", 1024), FatalError);
+    EXPECT_THROW(parsePositiveIntArg("-2", "--jobs", 1024), FatalError);
+    EXPECT_THROW(parsePositiveIntArg("four", "--jobs", 1024),
                  FatalError);
-    EXPECT_THROW(parsePositiveIntArg("-2", "--threads", 1024),
+    EXPECT_THROW(parsePositiveIntArg("4x", "--jobs", 1024), FatalError);
+    EXPECT_THROW(parsePositiveIntArg("", "--jobs", 1024), FatalError);
+    EXPECT_THROW(parsePositiveIntArg("4096", "--jobs", 1024),
                  FatalError);
-    EXPECT_THROW(parsePositiveIntArg("four", "--threads", 1024),
+    EXPECT_THROW(parsePositiveIntArg("99999999999999999999", "--jobs",
+                                     1024),
                  FatalError);
-    EXPECT_THROW(parsePositiveIntArg("4x", "--threads", 1024),
-                 FatalError);
-    EXPECT_THROW(parsePositiveIntArg("", "--threads", 1024),
-                 FatalError);
-    EXPECT_THROW(parsePositiveIntArg("4096", "--threads", 1024),
-                 FatalError);
-    EXPECT_THROW(parsePositiveIntArg("99999999999999999999",
-                                     "--threads", 1024),
-                 FatalError);
-    EXPECT_EQ(parsePositiveIntArg("8", "--threads", 1024), 8);
+    EXPECT_EQ(parsePositiveIntArg("8", "--jobs", 1024), 8);
 }
 
 TEST(E2e, SameResultOnEveryPeCount)

@@ -1,13 +1,12 @@
 /**
  * @file
  * Durability suite: durable checkpoint save/load/resume byte-identity
- * across cores, topologies, host thread counts, and fault injection; a
- * corrupt-checkpoint fuzzer (bit flips and truncations must be
- * detected and refused with a structured error, never a crash or a
- * silently-wrong resume); the sweep completion journal (replay
- * identity, torn tails, fingerprint mismatch); and in-memory
- * snapshot/restore identity under hierarchical topologies and PDES
- * threading.
+ * across cores, topologies, and fault injection; a corrupt-checkpoint
+ * fuzzer (bit flips and truncations must be detected and refused with
+ * a structured error, never a crash or a silently-wrong resume); the
+ * sweep completion journal (replay identity, torn tails, fingerprint
+ * mismatch); and in-memory snapshot/restore identity under flat and
+ * hierarchical topologies.
  */
 #include <gtest/gtest.h>
 
@@ -173,7 +172,6 @@ struct ResumeCase
     int pes;
     mp::SimCore saveCore;
     mp::SimCore resumeCore;
-    int resumeThreads;
 };
 
 class DurableResumeTest : public ::testing::TestWithParam<ResumeCase>
@@ -194,7 +192,6 @@ TEST_P(DurableResumeTest, ResumeMatchesUninterruptedRun)
         Surfaces full = runSaving(save_config, path, target);
         mp::SystemConfig resume_config = save_config;
         resume_config.core = c.resumeCore;
-        resume_config.hostThreads = c.resumeThreads;
         Surfaces resumed = resumeFrom(resume_config, path);
         expectIdentical(full, resumed);
     }
@@ -205,17 +202,17 @@ INSTANTIATE_TEST_SUITE_P(
     Topologies, DurableResumeTest,
     ::testing::Values(
         ResumeCase{"flat_event", nullptr, 4, mp::SimCore::Event,
-                   mp::SimCore::Event, 1},
+                   mp::SimCore::Event},
         ResumeCase{"flat_cross_core", nullptr, 4, mp::SimCore::Tick,
-                   mp::SimCore::Event, 1},
+                   mp::SimCore::Event},
         ResumeCase{"flat_cross_core_rev", nullptr, 4, mp::SimCore::Event,
-                   mp::SimCore::Tick, 1},
-        ResumeCase{"ring4_threads2", "ring:4", 8, mp::SimCore::Event,
-                   mp::SimCore::Event, 2},
-        ResumeCase{"rings2x2_threads4", "rings:2x2", 8,
-                   mp::SimCore::Event, mp::SimCore::Event, 4},
+                   mp::SimCore::Tick},
+        ResumeCase{"ring4_event", "ring:4", 8, mp::SimCore::Event,
+                   mp::SimCore::Event},
+        ResumeCase{"rings2x2_event", "rings:2x2", 8, mp::SimCore::Event,
+                   mp::SimCore::Event},
         ResumeCase{"rings2x2_from_tick", "rings:2x2", 8,
-                   mp::SimCore::Tick, mp::SimCore::Event, 4}),
+                   mp::SimCore::Tick, mp::SimCore::Event}),
     [](const ::testing::TestParamInfo<ResumeCase> &info) {
         return info.param.name;
     });
@@ -555,7 +552,7 @@ TEST(SweepJournalTest, ShutdownMarksRemainingSpecsInterrupted)
 }
 
 // ---------------------------------------------------------------------------
-// In-memory snapshot/restore identity (hierarchical + threaded).
+// In-memory snapshot/restore identity (flat + hierarchical).
 // ---------------------------------------------------------------------------
 
 struct RestoreCase
@@ -563,7 +560,6 @@ struct RestoreCase
     const char *name;
     const char *topology;  ///< nullptr = default flat ring.
     int pes;
-    int threads;
 };
 
 class RestoreIdentityTest : public ::testing::TestWithParam<RestoreCase>
@@ -574,7 +570,6 @@ TEST_P(RestoreIdentityTest, ReplayFromCheckpointMatchesOriginal)
 {
     const RestoreCase &c = GetParam();
     mp::SystemConfig config = baseConfig(c.pes);
-    config.hostThreads = c.threads;
     if (c.topology)
         config.setTopology(mp::parseTopology(c.topology));
 
@@ -595,12 +590,10 @@ TEST_P(RestoreIdentityTest, ReplayFromCheckpointMatchesOriginal)
 
 INSTANTIATE_TEST_SUITE_P(
     Topologies, RestoreIdentityTest,
-    ::testing::Values(RestoreCase{"flat", nullptr, 4, 1},
-                      RestoreCase{"flat_threads2", nullptr, 4, 2},
-                      RestoreCase{"ring4_threads2", "ring:4", 8, 2},
-                      RestoreCase{"rings2x2", "rings:2x2", 8, 1},
-                      RestoreCase{"rings2x2_threads4", "rings:2x2", 8, 4},
-                      RestoreCase{"rings4x2_threads2", "rings:4x2", 8, 2}),
+    ::testing::Values(RestoreCase{"flat", nullptr, 4},
+                      RestoreCase{"ring4", "ring:4", 8},
+                      RestoreCase{"rings2x2", "rings:2x2", 8},
+                      RestoreCase{"rings4x2", "rings:4x2", 8}),
     [](const ::testing::TestParamInfo<RestoreCase> &info) {
         return info.param.name;
     });

@@ -147,56 +147,6 @@ TEST(ParallelFor, SerialExceptionPropagates)
                  std::runtime_error);
 }
 
-TEST(WorkerGang, RunsEveryWorkerEachRound)
-{
-    WorkerGang gang(4);
-    EXPECT_EQ(gang.workers(), 4u);
-    std::vector<std::atomic<int>> hits(4);
-    for (int round = 0; round < 50; ++round)
-        gang.run([&](unsigned w) { hits[w].fetch_add(1); });
-    for (std::size_t w = 0; w < hits.size(); ++w)
-        EXPECT_EQ(hits[w].load(), 50) << "worker " << w;
-}
-
-TEST(WorkerGang, SingleWorkerRunsInline)
-{
-    WorkerGang gang(1);
-    std::thread::id caller = std::this_thread::get_id();
-    std::thread::id seen;
-    gang.run([&](unsigned w) {
-        EXPECT_EQ(w, 0u);
-        seen = std::this_thread::get_id();
-    });
-    EXPECT_EQ(seen, caller);
-}
-
-TEST(WorkerGang, RethrowsFirstWorkerException)
-{
-    WorkerGang gang(3);
-    EXPECT_THROW(gang.run([](unsigned w) {
-        if (w == 1)
-            throw std::runtime_error("worker 1 failed");
-    }),
-                 std::runtime_error);
-    // The gang survives a failed round and keeps running.
-    std::atomic<int> ran{0};
-    gang.run([&](unsigned) { ran.fetch_add(1); });
-    EXPECT_EQ(ran.load(), 3);
-}
-
-TEST(WorkerGang, JoinBarrierPublishesWorkerWrites)
-{
-    // Writes made by gang members before the join barrier must be
-    // visible to the caller without extra synchronization.
-    WorkerGang gang(4);
-    std::vector<long> out(4, 0);
-    for (int round = 1; round <= 20; ++round) {
-        gang.run([&](unsigned w) { out[w] = round * (w + 1); });
-        for (unsigned w = 0; w < 4; ++w)
-            ASSERT_EQ(out[w], long(round) * (w + 1));
-    }
-}
-
 TEST(ParallelFor, ResultsIndependentOfJobCount)
 {
     auto compute = [](unsigned jobs) {

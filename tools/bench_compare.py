@@ -45,16 +45,6 @@ CURRENT's aggregate host time at --speedup-pes (default 8) is at least
 X times faster than BASELINE's, summed across every series present in
 both. Cycle and verification checks still run first - a faster core
 that changes results must not pass.
-
---min-thread-speedup X is the PDES variant of the same gate: BASELINE
-is a sequential (--threads 1) --host-time report and CURRENT a
-threaded one from the same machine and job. Before aggregating host
-times it verifies the host_threads metadata: CURRENT must record
-host_threads > 1 and BASELINE must not (the key is emitted only for
-threaded sweeps), so a misconfigured job can never "pass" by comparing
-two sequential runs or two threaded ones. Cycle checks still run
-first - the threaded scheduler is required to be byte-identical, so
-pass --tolerance 0 alongside this gate.
 """
 
 import argparse
@@ -188,32 +178,6 @@ def check_host_speedup(base_runs, cur_runs, pes, minimum):
     return 0
 
 
-def check_thread_speedup(base_doc, cur_doc, base_runs, cur_runs, pes,
-                         minimum):
-    """Threaded-vs-sequential host-time gate at one PE count.
-
-    Refuses to aggregate unless the metadata proves the comparison is
-    the intended one: the current report must come from a threaded
-    sweep (host_threads > 1, emitted by the bench writers only then)
-    and the baseline from a sequential one (key absent). The numeric
-    check is then identical to check_host_speedup.
-    """
-    cur_threads = cur_doc.get("host_threads", 1)
-    base_threads = base_doc.get("host_threads", 1)
-    if cur_threads <= 1:
-        print("FAIL: current report has no host_threads metadata; "
-              "rerun the sweep with --threads N (N > 1)")
-        return 1
-    if base_threads > 1:
-        print(f"FAIL: baseline report is itself threaded "
-              f"(host_threads={base_threads}); the thread-speedup "
-              f"gate needs a --threads 1 baseline")
-        return 1
-    print(f"note: thread-speedup gate: sequential baseline vs "
-          f"host_threads={cur_threads} current")
-    return check_host_speedup(base_runs, cur_runs, pes, minimum)
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
@@ -236,13 +200,6 @@ def main():
                         help="speedup mode: require CURRENT's aggregate "
                              "host time at --speedup-pes to beat "
                              "BASELINE's by at least X times")
-    parser.add_argument("--min-thread-speedup", type=float,
-                        default=None, metavar="X",
-                        help="threaded speedup mode: BASELINE is a "
-                             "sequential --host-time report, CURRENT "
-                             "a threaded one; require the aggregate "
-                             "host speedup at --speedup-pes to be at "
-                             "least X (metadata-checked)")
     parser.add_argument("--speedup-pes", type=int, default=8,
                         help="PE count the speedup gate aggregates "
                              "over (default 8)")
@@ -347,11 +304,6 @@ def main():
         return check_host_speedup(base_runs, cur_runs,
                                   args.speedup_pes,
                                   args.min_host_speedup)
-    if args.min_thread_speedup is not None:
-        return check_thread_speedup(base_doc, cur_doc,
-                                    base_runs, cur_runs,
-                                    args.speedup_pes,
-                                    args.min_thread_speedup)
     return 0
 
 
