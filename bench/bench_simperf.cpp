@@ -28,11 +28,12 @@ BM_PeInstructionRate(benchmark::State &state)
         "  minus r17,#1 :r17\n"
         "  bne r17,@loop\n"
         "  fret\n");
+    isa::DecodedProgram decoded(code.words);
     pe::Memory memory(1 << 16);
     pe::NullHost host;
     std::int64_t instructions = 0;
     for (auto _ : state) {
-        pe::ProcessingElement pe(memory, code, host);
+        pe::ProcessingElement pe(memory, decoded, host);
         pe::ContextState ctx;
         ctx.qp = 0x1000;
         ctx.pom = pe::pomForPageWords(64);

@@ -16,6 +16,7 @@
 
 #include "mp/system.hpp"
 #include "occam/compiler.hpp"
+#include "support/cli.hpp"
 
 namespace {
 
@@ -80,7 +81,15 @@ par
 int
 main(int argc, char **argv)
 {
-    int pes = argc > 1 ? std::stoi(argv[1]) : 4;
+    int pes = 4;
+    try {
+        if (argc > 1)
+            pes = qm::parsePositiveIntArg(argv[1], "pes", /*max=*/4096);
+    } catch (const qm::FatalError &e) {
+        std::cerr << "prime_sieve: " << e.what()
+                  << "\nusage: prime_sieve [pes]\n";
+        return 2;
+    }
     try {
         qm::occam::CompiledProgram program =
             qm::occam::compileOccam(kSieve);

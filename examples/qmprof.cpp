@@ -5,7 +5,8 @@
  * Usage: qmprof [--top K] [--buckets N] trace.json
  *        qmprof [--top K] [--buckets N] --run file.occ [--pes N]
  *        qmprof diff [--tolerance F] [--host-tolerance F]
- *                    baseline.json current.json
+ *                    [--host-aggregate] [--min-host-speedup X]
+ *                    [--quiet] baseline.json current.json
  *        qmprof flight [--last N] dump.flight.json
  *
  * The first form re-ingests a Chrome trace_event JSON file written by
@@ -22,10 +23,9 @@
  *
  * `qmprof diff` compares two qm.metrics.v1 or BENCH JSON documents
  * (baseline first) and prints per-run metric deltas, histogram
- * percentile divergence, and a regression verdict per cell using the
- * same thresholds as tools/bench_compare.py (--tolerance for
- * simulated cycles, --host-tolerance for host wall time). Exit 0 =
- * within tolerance, 1 = regression, 2 = unreadable input.
+ * percentile divergence, and a regression verdict per cell (see
+ * obs::DiffOptions for the gates; every CI gate runs through it).
+ * Exit 0 = within tolerance, 1 = regression, 2 = unreadable input.
  *
  * `qmprof flight` ingests a qm.flight.v1 black-box dump (written
  * automatically by any failed occamc/bench run) and prints the
@@ -52,7 +52,9 @@ usage()
                  "       qmprof [--top K] [--buckets N] --run file.occ "
                  "[--pes N]\n"
                  "       qmprof diff [--tolerance F] "
-                 "[--host-tolerance F] baseline.json current.json\n"
+                 "[--host-tolerance F] [--host-aggregate] "
+                 "[--min-host-speedup X] [--quiet] "
+                 "baseline.json current.json\n"
                  "       qmprof flight [--last N] dump.flight.json\n";
     return 2;
 }
@@ -74,6 +76,12 @@ mainDiff(int argc, char **argv)
                 options.hostTolerance =
                     qm::parseNonNegativeDoubleArg(argv[++i],
                                                   "--host-tolerance");
+            } else if (arg == "--host-aggregate") {
+                options.hostAggregate = true;
+            } else if (arg == "--min-host-speedup" && i + 1 < argc) {
+                options.minHostSpeedup =
+                    qm::parseNonNegativeDoubleArg(argv[++i],
+                                                  "--min-host-speedup");
             } else if (arg == "--quiet") {
                 options.showMetrics = false;
             } else if (!arg.empty() && arg[0] != '-') {

@@ -65,9 +65,10 @@ main()
 
     try {
         qm::isa::ObjectCode code = qm::isa::assemble(source);
+        qm::isa::DecodedProgram decoded(code.words);
         qm::pe::Memory memory(1 << 16);
         qm::pe::NullHost host;
-        qm::pe::ProcessingElement pe(memory, code, host);
+        qm::pe::ProcessingElement pe(memory, decoded, host);
 
         qm::pe::ContextState ctx;
         ctx.qp = 0x1000;

@@ -114,6 +114,10 @@ isCompare(Opcode op)
     return code >= 040 && code <= 057;
 }
 
+/** @p v wrapped to a signed machine word (two's complement). */
+constexpr SWord
+wrapWord(std::int64_t v) { return static_cast<SWord>(static_cast<Word>(v)); }
+
 /** Boolean encoding: all ones = true, all zeros = false (section 5.3.1). */
 constexpr Word kTrue = 0xFFFFFFFFu;
 constexpr Word kFalse = 0x00000000u;

@@ -95,12 +95,12 @@ struct DecodedOp
 
 /**
  * Lazily-built decode cache over one object-code image: a per-PC index
- * into an arena of DecodedOp entries. The event-driven core decodes
- * each instruction once, on first execution, and replays the cached
- * form on every later visit - the tick core re-decodes every step, and
- * the two must stay observationally identical, so decoding stays lazy
- * (a program whose cold path holds a truncated or garbage instruction
- * panics at the same execution point in both cores, not at load time).
+ * into an arena of DecodedOp entries. Every PE fetches through it, on
+ * both simulation cores: each instruction is decoded once, on first
+ * execution, and the cached form is replayed on every later visit.
+ * Decoding stays lazy so a program whose cold path holds a truncated
+ * or garbage instruction panics where execution reaches it, not at
+ * load time (isa_test holds every entry to Instruction::decode).
  *
  * Shared by every PE of a System: the instruction space is pure code.
  * Arena entries have stable addresses (deque), so a returned reference
@@ -113,7 +113,7 @@ class DecodedProgram
 
     /**
      * The decoded instruction at @p pc (decoding and caching it on
-     * first visit). Panics exactly like the interpreter on an
+     * first visit). Panics exactly like Instruction::decode on an
      * out-of-bounds PC or a truncated instruction. The returned
      * reference stays valid for the lifetime of this object.
      */

@@ -210,7 +210,7 @@ struct System::Checkpoint
 };
 
 System::System(const isa::ObjectCode &code, SystemConfig config)
-    : code_(code), config_(config),
+    : code_(code), decoded_(code.words), config_(config),
       memory_(std::make_unique<pe::Memory>(
           config.memoryBytes, config.core == SimCore::Event
                                   ? pe::Memory::Alloc::Lazy
@@ -226,9 +226,6 @@ System::System(const isa::ObjectCode &code, SystemConfig config)
         shardRr_.assign(static_cast<size_t>(numShards()), 0);
         shardCtxLive_.assign(static_cast<size_t>(numShards()), 0);
     }
-
-    if (config_.core == SimCore::Event)
-        decoded_ = std::make_unique<isa::DecodedProgram>(code_.words);
 
     if (config_.faultPlan.enabled())
         faults_ = std::make_unique<fault::FaultInjector>(
@@ -256,10 +253,9 @@ System::System(const isa::ObjectCode &code, SystemConfig config)
         slot->undoLog.cap = config_.recovery.maxUndoWords;
         slot->host = std::make_unique<HostAdapter>(*this, i);
         slot->pe = std::make_unique<pe::ProcessingElement>(
-            *memory_, code_, *slot->host, config_.peTiming);
+            *memory_, decoded_, *slot->host, config_.peTiming);
         slot->pe->attachTrace(&tracer_, i, &slot->clock);
         slot->pe->setFaultInjector(faults_.get());
-        slot->pe->setDecoded(decoded_.get());
         slots.push_back(std::move(slot));
     }
 
@@ -1109,8 +1105,8 @@ System::pickCalendar(Cycle &at)
 void
 System::runBatch(PeSlot &slot, Cycle max_cycles)
 {
-    // The tick core keeps the decode-every-step reference step; the
-    // event core fetches through the predecoded arena.
+    // The tick core records PE statistics straight into the registry,
+    // the reference the event core's deferred tallies are held to.
     const bool tick = config_.core == SimCore::Tick;
     if (recoveryOn_)
         // Journal this span's memory stores for rollback.
@@ -1118,7 +1114,8 @@ System::runBatch(PeSlot &slot, Cycle max_cycles)
 
     for (int batch = 0; batch < 16; ++batch) {
         Cycle before = slot.clock;
-        StepResult step = tick ? slot.pe->step() : slot.pe->stepFast();
+        StepResult step = tick ? slot.pe->step<pe::StatSink::Direct>()
+                               : slot.pe->step<pe::StatSink::Deferred>();
         slot.clock += step.cycles;
         slot.busyCycles += slot.clock - before;
         if (step.status != StepStatus::Blocked)
@@ -1342,8 +1339,8 @@ System::snapshot()
     cp->bus = bus.snapshot();
     cp->trace = tracer_.mark();
     for (auto &slot : slots) {
-        // Event core: fold pending stepFast tallies in before the
-        // capture (no-op on the tick core, whose deltas stay zero).
+        // Event core: fold pending deferred tallies in before the
+        // capture (no-op on the tick core, whose tallies stay zero).
         slot->pe->flushStats();
         cp->slotStates.push_back({slot->clock, slot->busyCycles,
                                   slot->kernelCycles,
@@ -1412,7 +1409,7 @@ System::restore()
         slot.dead = ss.dead;
         slot.readyQ = ss.readyQ;
         slot.pe->stats() = ss.peStats;
-        slot.pe->resetStatDeltas();
+        slot.pe->resetTallies();
         slot.spanStart = slot.clock;
         slot.running = msg::kNoCtx;
         slot.residentBlocked = msg::kNoCtx;
@@ -1901,7 +1898,7 @@ System::finalizeRun(RunResult &result)
     Cycle busy_total = 0, kernel_total = 0, switch_total = 0;
     for (auto &slot : slots) {
         // Event core: the per-PE registries are read (and merged)
-        // below, so fold pending stepFast tallies in first.
+        // below, so fold pending deferred tallies in first.
         slot->pe->flushStats();
         finish = std::max(finish, slot->clock);
         instructions += slot->pe->stats().counter("pe.instructions");

@@ -59,23 +59,23 @@ enum class Placement
  * cores run the same System::runLoop and produce byte-identical
  * RunResult, statistics, metrics, and trace output - the differential
  * test suite holds them to it across the fuzz/fault/recovery corpora.
- * They differ only in the slot picker, the PE step, and the memory
- * allocation mode.
+ * They differ only in the slot picker, the PE stat sink, and the
+ * memory allocation mode.
  */
 enum class SimCore
 {
     /**
      * The reference core: every iteration linearly scans all PE slots
-     * for the lowest-clock schedulable one, steps PEs with the
-     * decode-every-fetch Pe::step(), and zeroes memory eagerly. Kept as
-     * the oracle for the event core and the host-performance baseline.
+     * for the lowest-clock schedulable one, steps PEs with the Direct
+     * stat sink, and zeroes memory eagerly. Kept as the oracle for the
+     * event core and the host-performance baseline.
      */
     Tick,
     /**
      * Next-event calendar queue: each slot registers its next wake
      * cycle in a min-heap keyed by (cycle, PE index) and the scheduler
-     * jumps straight to the earliest one, with a predecoded-instruction
-     * arena, plain-counter statistics, and lazily-zeroed memory on the
+     * jumps straight to the earliest one, with plain-counter PE
+     * statistics (StatSink::Deferred) and lazily-zeroed memory on the
      * hot path. The default.
      */
     Event,
@@ -540,7 +540,7 @@ class System
      * The one scheduler loop behind run() and resume(): pick the slot
      * able to act soonest, evaluate the guard sequence, then dispatch
      * and run one batch on it. The two cores differ only in the picker
-     * (pickScan or pickCalendar) and in the PE step runBatch calls.
+     * (pickScan or pickCalendar) and in runBatch's PE stat sink.
      */
     RunResult runLoop(Cycle max_cycles);
     /**
@@ -594,6 +594,8 @@ class System
     RunResult abortRun(const std::string &reason);
 
     const isa::ObjectCode &code_;
+    /** Lazy decode cache every PE fetches through (pure code). */
+    isa::DecodedProgram decoded_;
     SystemConfig config_;
     std::unique_ptr<pe::Memory> memory_;
     RingBus bus;
@@ -627,8 +629,6 @@ class System
     };
     std::priority_queue<CalEntry, std::vector<CalEntry>, std::greater<>>
         calendar_;
-    /** Shared lazy decode cache (event core only). */
-    std::unique_ptr<isa::DecodedProgram> decoded_;
 
     std::vector<Context> contexts;
     std::vector<Addr> freePages;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -19,42 +21,74 @@ namespace {
 // diff
 // ---------------------------------------------------------------------------
 
-/** (series name, PE count) -> run object, as bench_compare.py keys. */
+/** (series name, PE count) -> run object. */
 using RunMap = std::map<std::pair<std::string, int>, const JsonValue *>;
 
+/** One loaded BENCH/metrics document and its run index. */
+struct Report
+{
+    std::string path;
+    JsonValue doc;
+    RunMap runs;  ///< Points into doc.
+};
+
 /**
- * Load one BENCH/metrics document and index its runs. Mirrors
- * bench_compare.py's load_runs contract: a missing, unreadable, or
- * structurally-wrong file is a one-line diagnostic and exit 2, never
- * a traceback.
+ * Load one side of a comparison - a single report, or with @p repeats
+ * a comma-separated list of repeated reports - and index their runs.
+ * A missing, unreadable, or structurally-wrong file (a top level,
+ * series entry or run entry that is not an object) is a one-line
+ * diagnostic and exit 2, never a crash.
  */
 bool
-loadRuns(const std::string &path, JsonValue &doc, RunMap &runs,
+loadSide(const std::string &paths, bool repeats, std::vector<Report> &side,
          std::ostream &err)
 {
-    try {
-        doc = parseJsonFile(path);
-    } catch (const std::exception &e) {
-        err << "qmprof diff: " << path << ": " << e.what() << "\n";
-        return false;
-    }
-    if (!doc.isObject()) {
-        err << "qmprof diff: " << path
-            << ": not a BENCH/metrics report (top level is not an "
-               "object)\n";
-        return false;
-    }
-    for (const JsonValue &series : doc.get("series").items) {
-        if (!series.isObject())
-            continue;
-        std::string name = series.str("name", "?");
-        for (const JsonValue &run : series.get("runs").items) {
-            if (!run.isObject())
-                continue;
-            runs[{name, static_cast<int>(run.intval("pes"))}] = &run;
+    std::istringstream in(paths);
+    for (std::string path; std::getline(in, path, repeats ? ',' : '\0');)
+        side.push_back({path, {}, {}});
+    // Loaded in place once the vector stops growing: each RunMap
+    // points into its own report's doc.
+    for (Report &report : side) {
+        auto fail = [&](const std::string &what) {
+            err << "qmprof diff: " << report.path << ": " << what << "\n";
+            return false;
+        };
+        try {
+            report.doc = parseJsonFile(report.path);
+        } catch (const std::exception &e) {
+            return fail(e.what());
+        }
+        if (!report.doc.isObject())
+            return fail("not a BENCH/metrics report (top level is not "
+                        "an object)");
+        for (const JsonValue &series : report.doc.get("series").items) {
+            if (!series.isObject())
+                return fail("malformed series entry (not an object)");
+            for (const JsonValue &run : series.get("runs").items) {
+                if (!run.isObject())
+                    return fail("malformed run entry (not an object)");
+                report.runs[{series.str("name", "?"),
+                             static_cast<int>(run.intval("pes"))}] = &run;
+            }
         }
     }
     return true;
+}
+
+std::string
+cellName(const std::pair<std::string, int> &key)
+{
+    return key.first + " @ " + std::to_string(key.second) + " PEs";
+}
+
+/** host_wall_ms of @p run, when it was measured (--host-time). */
+std::optional<double>
+hostMs(const JsonValue &run)
+{
+    auto it = run.members.find("host_wall_ms");
+    if (it == run.members.end())
+        return std::nullopt;
+    return it->second.number;
 }
 
 std::string
@@ -112,6 +146,83 @@ diffRunMetrics(const std::string &cell, const JsonValue &base,
     }
 }
 
+/**
+ * Best-of-N aggregate host gate: the minimum total host_wall_ms per
+ * side (which discards scheduler hiccups instead of averaging them
+ * in) may exceed the baseline's by at most @p tolerance.
+ */
+int
+checkHostAggregate(const std::vector<Report> &base,
+                   const std::vector<Report> &cur, double tolerance,
+                   std::ostream &out)
+{
+    double best[2] = {std::numeric_limits<double>::infinity(),
+                      std::numeric_limits<double>::infinity()};
+    for (int side = 0; side < 2; ++side) {
+        for (const Report &report : side == 0 ? base : cur) {
+            double total = 0.0;
+            for (const auto &[key, run] : report.runs) {
+                std::optional<double> ms = hostMs(*run);
+                if (!ms) {
+                    // A partial sum would compare different work.
+                    out << "FAIL: " << report.path << ": " << cellName(key)
+                        << " has no host_wall_ms (rerun with --host-time)\n";
+                    return 1;
+                }
+                total += *ms;
+            }
+            out << "note: " << report.path << ": total host "
+                << fixed(total, 2) << "ms\n";
+            best[side] = std::min(best[side], total);
+        }
+    }
+    double overhead = (best[1] - best[0]) / best[0];
+    bool ok = best[0] > 0.0 && overhead <= tolerance;
+    out << (ok ? "aggregate host overhead ok: "
+               : "FAIL: aggregate host overhead: ")
+        << "best-of-" << cur.size() << " total host " << fixed(best[0], 2)
+        << "ms -> " << fixed(best[1], 2) << "ms (" << pct(overhead)
+        << ", tolerance " << pct(tolerance) << ")\n";
+    return ok ? 0 : 1;
+}
+
+/**
+ * Host speedup gate: summed over every series at the largest PE count
+ * the reports share, the baseline's host_wall_ms must be at least
+ * @p minimum times the current report's. Runs after the cell checks,
+ * so every baseline cell is known to be in @p cur.
+ */
+int
+checkHostSpeedup(const RunMap &base, const RunMap &cur, double minimum,
+                 std::ostream &out)
+{
+    int pes = 0;
+    for (const auto &[key, run] : base)
+        pes = std::max(pes, key.second);
+    double base_ms = 0.0;
+    double cur_ms = 0.0;
+    for (const auto &[key, run] : base) {
+        if (key.second != pes)
+            continue;
+        std::optional<double> b = hostMs(*run);
+        std::optional<double> c = hostMs(*cur.at(key));
+        if (!b || !c) {
+            out << "FAIL: " << cellName(key) << ": host_wall_ms missing "
+                << "(rerun both sweeps with --host-time)\n";
+            return 1;
+        }
+        base_ms += *b;
+        cur_ms += *c;
+    }
+    double speedup = base_ms / cur_ms;
+    bool ok = pes > 0 && speedup >= minimum;
+    out << (ok ? "" : "FAIL: ") << "aggregate host speedup at " << pes
+        << " PEs: " << fixed(base_ms, 2) << "ms -> " << fixed(cur_ms, 2)
+        << "ms (" << fixed(speedup, 2) << "x, floor " << fixed(minimum, 2)
+        << "x)\n";
+    return ok ? 0 : 1;
+}
+
 // ---------------------------------------------------------------------------
 // flight
 // ---------------------------------------------------------------------------
@@ -142,26 +253,44 @@ diffReports(const std::string &baselinePath,
             const std::string &currentPath, const DiffOptions &options,
             std::ostream &out, std::ostream &err)
 {
-    JsonValue base_doc;
-    JsonValue cur_doc;
-    RunMap base_runs;
-    RunMap cur_runs;
-    if (!loadRuns(baselinePath, base_doc, base_runs, err) ||
-        !loadRuns(currentPath, cur_doc, cur_runs, err))
+    // With hostAggregate each side may list repeated reports; the
+    // first of each side anchors the cell checks.
+    std::vector<Report> base_side;
+    std::vector<Report> cur_side;
+    if (!loadSide(baselinePath, options.hostAggregate, base_side, err) ||
+        !loadSide(currentPath, options.hostAggregate, cur_side, err))
         return 2;
+    const RunMap &base_runs = base_side.front().runs;
+    const RunMap &cur_runs = cur_side.front().runs;
 
-    std::string base_name = base_doc.str("bench", "?");
-    std::string cur_name = cur_doc.str("bench", "?");
+    std::string base_name = base_side.front().doc.str("bench", "?");
+    std::string cur_name = cur_side.front().doc.str("bench", "?");
     if (base_name != cur_name) {
         out << "FAIL: comparing different benches ('" << base_name
             << "' vs '" << cur_name << "')\n";
         return 1;
     }
 
+    // The simulator is deterministic: a repeat whose cycles disagree
+    // with its side's first report is a broken sweep, not noise.
     int failures = 0;
+    for (const std::vector<Report> *side : {&base_side, &cur_side}) {
+        for (const Report &repeat : *side) {
+            for (const auto &[key, run] : side->front().runs) {
+                auto it = repeat.runs.find(key);
+                if (it == repeat.runs.end() ||
+                    it->second->intval("cycles") != run->intval("cycles")) {
+                    out << "FAIL: " << repeat.path << ": " << cellName(key)
+                        << " disagrees with its first repetition "
+                           "(nondeterministic sweep?)\n";
+                    ++failures;
+                }
+            }
+        }
+    }
+
     for (const auto &[key, base] : base_runs) {
-        const auto &[series, pes] = key;
-        std::string cell = series + " @ " + std::to_string(pes) + " PEs";
+        std::string cell = cellName(key);
         auto it = cur_runs.find(key);
         if (it == cur_runs.end()) {
             out << "FAIL: " << cell << ": missing from current report\n";
@@ -196,19 +325,18 @@ diffReports(const std::string &baselinePath,
                     << " cycles (unchanged)\n";
             }
         }
-        // Host time is gated only when both sides measured it; a
-        // committed machine-independent baseline never carries it.
-        auto base_ms_it = base->members.find("host_wall_ms");
-        auto cur_ms_it = cur.members.find("host_wall_ms");
-        if (base_ms_it != base->members.end() &&
-            cur_ms_it != cur.members.end() &&
-            base_ms_it->second.number > 0.0) {
-            double base_ms = base_ms_it->second.number;
-            double cur_ms = cur_ms_it->second.number;
-            double host_delta = (cur_ms - base_ms) / base_ms;
+        // Host time is gated per cell only when both sides measured
+        // it (a committed machine-independent baseline never carries
+        // it), and not under hostAggregate: per-cell times on the
+        // small sweeps are sub-millisecond, below runner noise.
+        std::optional<double> base_ms = hostMs(*base);
+        std::optional<double> cur_ms = hostMs(cur);
+        if (!options.hostAggregate && base_ms && cur_ms &&
+            *base_ms > 0.0) {
+            double host_delta = (*cur_ms - *base_ms) / *base_ms;
             if (host_delta > options.hostTolerance) {
-                out << "FAIL: " << cell << ": host " << fixed(base_ms, 2)
-                    << "ms -> " << fixed(cur_ms, 2) << "ms (+"
+                out << "FAIL: " << cell << ": host " << fixed(*base_ms, 2)
+                    << "ms -> " << fixed(*cur_ms, 2) << "ms (+"
                     << pct(host_delta) << " > "
                     << pct(options.hostTolerance)
                     << " host tolerance)\n";
@@ -221,8 +349,7 @@ diffReports(const std::string &baselinePath,
     for (const auto &[key, run] : cur_runs) {
         (void)run;
         if (base_runs.find(key) == base_runs.end())
-            out << "note: " << key.first << " @ " << key.second
-                << " PEs: new cell, no baseline\n";
+            out << "note: " << cellName(key) << ": new cell, no baseline\n";
     }
 
     if (failures != 0) {
@@ -233,7 +360,14 @@ diffReports(const std::string &baselinePath,
     }
     out << "all " << base_runs.size()
         << " baseline cells within tolerance\n";
-    return 0;
+    int verdict = 0;
+    if (options.hostAggregate)
+        verdict |= checkHostAggregate(base_side, cur_side,
+                                      options.hostTolerance, out);
+    if (options.minHostSpeedup)
+        verdict |= checkHostSpeedup(base_runs, cur_runs,
+                                    *options.minHostSpeedup, out);
+    return verdict;
 }
 
 int

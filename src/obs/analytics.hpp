@@ -6,11 +6,11 @@
  * diff ingests two BENCH_*.json or qm.metrics.v1 documents and walks
  * every (series, PE-count) cell of the baseline: cycle regressions
  * past a tolerance, cells that disappeared or stopped verifying, and
- * host-wall regressions when both documents measured host time — the
- * same thresholds and verdict semantics as tools/bench_compare.py, so
- * a CI gate and an interactive diff can never disagree. Metrics
- * documents additionally get per-counter deltas and histogram
- * percentile divergence.
+ * host-wall regressions when both documents measured host time. It is
+ * the one regression comparator: every CI gate runs through it, so a
+ * gate and an interactive diff can never disagree. Metrics documents
+ * additionally get per-counter deltas and histogram percentile
+ * divergence.
  *
  * flight ingests a `qm.flight.v1` black box (src/obs/flight.hpp) and
  * renders a post-mortem: the dump header, per-kind event totals, the
@@ -18,24 +18,36 @@
  * (contexts whose final recorded event is a park), and a probable-
  * cause digest keyed on the dump reason.
  *
- * Exit-code contract (mirrors bench_compare.py): 0 = clean, 1 = a
- * real regression / verdict failure, 2 = a document that cannot be
- * read or is not of the expected schema.
+ * Exit-code contract: 0 = clean, 1 = a real regression / verdict
+ * failure, 2 = a document that cannot be read or is not of the
+ * expected schema.
  */
 #pragma once
 
+#include <optional>
 #include <ostream>
 #include <string>
 
 namespace qm::obs {
 
-/** Thresholds for diffReports; defaults match bench_compare.py. */
+/** Thresholds and gate modes for diffReports. */
 struct DiffOptions
 {
     /** Max fractional cycle regression before a cell fails. */
     double tolerance = 0.10;
     /** Max fractional host_wall_ms regression (both sides present). */
     double hostTolerance = 0.25;
+    /**
+     * Gate hostTolerance on the best-of-N total host_wall_ms instead
+     * of per cell; each path may list comma-separated repeats, whose
+     * cycles must match their side's first report.
+     */
+    bool hostAggregate = false;
+    /**
+     * Baseline host_wall_ms over current, summed at the largest PE
+     * count both share, must be at least this.
+     */
+    std::optional<double> minHostSpeedup;
     /** Print per-counter deltas / histogram divergence for metrics. */
     bool showMetrics = true;
 };

@@ -228,18 +228,25 @@ class GraphBuilder
         return g().node(node).constValue;
     }
 
+    /** A folded constant, wrapped to a machine word like the PE's ALU. */
+    int
+    addFolded(std::int64_t value)
+    {
+        return g().addConst(isa::wrapWord(value));
+    }
+
     /** Binary op with constant folding. */
     int
     binOp(const std::string &op, int a, int b)
     {
         if (isConstNode(a) && isConstNode(b)) {
             std::int64_t x = constOf(a), y = constOf(b);
-            if (op == "+") return g().addConst(x + y);
-            if (op == "-") return g().addConst(x - y);
-            if (op == "*") return g().addConst(x * y);
-            if (op == "lshift") return g().addConst(x << y);
-            if (op == "/" && y != 0) return g().addConst(x / y);
-            if (op == "\\" && y != 0) return g().addConst(x % y);
+            if (op == "+") return addFolded(x + y);
+            if (op == "-") return addFolded(x - y);
+            if (op == "*") return addFolded(x * y);
+            if (op == "lshift") return addFolded(x << (y & 31));
+            if (op == "/" && y != 0) return addFolded(x / y);
+            if (op == "\\" && y != 0) return addFolded(x % y);
         }
         return g().addNode(op, {a, b});
     }
@@ -267,7 +274,7 @@ class GraphBuilder
             int a = emitExpr(*expr.args[0]);
             if (isConstNode(a)) {
                 if (expr.op == "neg")
-                    return g().addConst(-constOf(a));
+                    return addFolded(-constOf(a));
                 if (expr.op == "not")
                     return g().addConst(~constOf(a));
             }

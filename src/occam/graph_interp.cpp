@@ -49,24 +49,26 @@ GraphInterpreter::nodeValue(const Activation &act, int node) const
 
 namespace {
 
+/** Arithmetic wraps to a machine word, exactly like the PE's ALU. */
 std::int64_t
 applyArith(const std::string &op, std::int64_t a, std::int64_t b)
 {
-    if (op == "+") return a + b;
-    if (op == "-") return a - b;
-    if (op == "*") return a * b;
+    using isa::wrapWord;
+    if (op == "+") return wrapWord(a + b);
+    if (op == "-") return wrapWord(a - b);
+    if (op == "*") return wrapWord(a * b);
     if (op == "/") {
         fatalIf(b == 0, "abstract division by zero");
-        return a / b;
+        return wrapWord(a / b);
     }
     if (op == "\\") {
         fatalIf(b == 0, "abstract modulo by zero");
-        return a % b;
+        return wrapWord(a % b);
     }
     if (op == "and") return a & b;
     if (op == "or") return a | b;
     if (op == "xor") return a ^ b;
-    if (op == "lshift") return a << (b & 31);
+    if (op == "lshift") return wrapWord(a << (b & 31));
     if (op == "rshift") return a >> (b & 31);
     // Comparisons use the machine Boolean encoding (all ones / zero).
     if (op == "eq") return a == b ? -1 : 0;
@@ -181,7 +183,7 @@ GraphInterpreter::stepActivation(std::size_t index)
             ++result.steps;
             return true;
         } else if (n.op == "neg") {
-            value = -arg(0);
+            value = isa::wrapWord(-arg(0));
         } else if (n.op == "not") {
             value = ~arg(0);
         } else if (n.op == "in") {

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <map>
 
+#include "support/cli.hpp"
 #include "support/diagnostics.hpp"
 
 namespace qm::occam {
@@ -156,7 +157,13 @@ lex(const std::string &source)
                        std::isdigit(
                            static_cast<unsigned char>(source[i])))
                     digits += source[i++];
-                emit(Tok::Number, start, digits, std::stol(digits));
+                // Values are signed 32-bit words, and a literal is
+                // never negative (unary minus is an operator).
+                std::optional<long> value = tryParseInt(digits);
+                fatalIf(!value || *value > 2147483647, "line ", line, ":",
+                        colOf(start), ": literal ", digits,
+                        " exceeds 2147483647");
+                emit(Tok::Number, start, digits, *value);
                 continue;
             }
             auto two = [&](char second) {

@@ -1,5 +1,6 @@
 #include "occam/symbols.hpp"
 
+#include <cstdint>
 #include <map>
 
 #include "support/diagnostics.hpp"
@@ -17,6 +18,12 @@ SymbolTable::add(Symbol symbol)
 long
 foldConstant(const Expr &expr, const SymbolTable &table)
 {
+    // Overflow is a compile error: a constant must fit a machine word.
+    auto checked = [&expr](long value) {
+        fatalIf(value < INT32_MIN || value > INT32_MAX, "line ", expr.line,
+                ": constant expression overflows a 32-bit word");
+        return value;
+    };
     switch (expr.kind) {
       case Expr::Kind::Number:
       case Expr::Kind::BoolLit:
@@ -32,7 +39,7 @@ foldConstant(const Expr &expr, const SymbolTable &table)
       case Expr::Kind::Unary: {
         long v = foldConstant(*expr.args[0], table);
         if (expr.op == "neg")
-            return -v;
+            return checked(-v);
         if (expr.op == "not")
             return ~v;
         fatal("line ", expr.line, ": non-constant unary operator");
@@ -40,12 +47,12 @@ foldConstant(const Expr &expr, const SymbolTable &table)
       case Expr::Kind::Binary: {
         long a = foldConstant(*expr.args[0], table);
         long b = foldConstant(*expr.args[1], table);
-        if (expr.op == "+") return a + b;
-        if (expr.op == "-") return a - b;
-        if (expr.op == "*") return a * b;
+        if (expr.op == "+") return checked(a + b);
+        if (expr.op == "-") return checked(a - b);
+        if (expr.op == "*") return checked(a * b);
         if (expr.op == "/") {
             fatalIf(b == 0, "line ", expr.line, ": division by zero");
-            return a / b;
+            return checked(a / b);
         }
         if (expr.op == "\\") {
             fatalIf(b == 0, "line ", expr.line, ": modulo by zero");

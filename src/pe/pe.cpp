@@ -53,7 +53,7 @@ pageWordsForPom(Word pom)
 }
 
 ProcessingElement::ProcessingElement(Memory &memory,
-                                     const isa::ObjectCode &code,
+                                     isa::DecodedProgram &code,
                                      PeHost &host, PeTiming timing)
     : memory_(memory), code_(code), host_(&host), timing_(timing)
 {
@@ -141,6 +141,18 @@ ProcessingElement::bumpQp(int inc)
     qp_ = (qp_ & ~static_cast<Word>(0x3FF)) | (next << 2);
 }
 
+template <StatSink Sink>
+void
+ProcessingElement::count(PeCounter counter)
+{
+    auto index = static_cast<std::size_t>(counter);
+    if constexpr (Sink == StatSink::Direct)
+        stats_.inc(kPeCounterNames[index]);
+    else
+        ++tallies_[index];
+}
+
+template <StatSink Sink>
 Word
 ProcessingElement::readSrc(const Src &src, long &cycles)
 {
@@ -150,10 +162,10 @@ ProcessingElement::readSrc(const Src &src, long &cycles)
       case SrcKind::WindowReg: {
         int phys = physicalIndex(src.reg);
         if (presence_[static_cast<size_t>(phys)]) {
-            stats_.inc("pe.window_hits");
+            count<Sink>(PeCounter::WindowHits);
             return window_[static_cast<size_t>(phys)];
         }
-        stats_.inc("pe.window_misses");
+        count<Sink>(PeCounter::WindowMisses);
         cycles += timing_.memoryCycles;
         return memory_.readWord(windowAddress(src.reg));
       }
@@ -188,12 +200,6 @@ ProcessingElement::readReg(int reg)
 
 void
 ProcessingElement::writeReg(int reg, Word value)
-{
-    writeDst(reg, value);
-}
-
-void
-ProcessingElement::writeDst(int reg, Word value)
 {
     panicIf(reg < 0 || reg > 31, "register out of range: ", reg);
     if (reg < 16) {
@@ -241,12 +247,19 @@ ProcessingElement::aluResult(Opcode op, Word a, Word b)
         return static_cast<Word>(sa >> (b & 31));  // arithmetic shift
       case Opcode::Plus: return a + b;
       case Opcode::Minus: return a - b;
-      case Opcode::Mul: return static_cast<Word>(sa * sb);
+      // Mul, Div and Rem wrap in two's complement: the product is
+      // taken mod 2^32, INT32_MIN / -1 is INT32_MIN and INT32_MIN \ -1
+      // is 0 (the signed host operations would overflow or trap).
+      case Opcode::Mul: return a * b;
       case Opcode::Div:
         fatalIf(sb == 0, "division by zero");
+        if (sb == -1)
+            return 0u - a;
         return static_cast<Word>(sa / sb);
       case Opcode::Rem:
         fatalIf(sb == 0, "remainder by zero");
+        if (sb == -1)
+            return 0;
         return static_cast<Word>(sa % sb);
       case Opcode::Ge: return sa >= sb ? isa::kTrue : isa::kFalse;
       case Opcode::Ne: return a != b ? isa::kTrue : isa::kFalse;
@@ -263,12 +276,13 @@ ProcessingElement::aluResult(Opcode op, Word a, Word b)
     }
 }
 
+template <StatSink Sink>
 StepResult
 ProcessingElement::step()
 {
     if (faults_ && faults_->fire(fault::kPeStall)) {
         // Transient stall: cycles pass, no instruction retires, no
-        // architectural state changes. The next step() re-attempts the
+        // architectural state changes. The next step re-attempts the
         // same instruction.
         long stall = static_cast<long>(faults_->stallCycles());
         stats_.inc("fault.pe_stall");
@@ -280,21 +294,22 @@ ProcessingElement::step()
             tracer_->faultInject(clock_ ? *clock_ : 0, peIndex_,
                                  fault::kPeStall,
                                  static_cast<std::uint64_t>(stall));
-        StepResult stalled;
-        stalled.cycles = stall;
-        return stalled;
+        return {StepStatus::Executed, stall};
     }
-    panicIf(static_cast<std::size_t>(pc_) >= code_.words.size(),
-            "PC out of code bounds: ", pc_);
-    std::size_t index = pc_;
-    Instruction instr = Instruction::decode(code_.words, index);
-    Word next_pc = static_cast<Word>(index);
+    const isa::DecodedOp &op = code_.at(pc_);
+    const Instruction &instr = op.instr;
+    Word next_pc = op.nextPc;
 
     long cycles = timing_.simpleCycles +
-                  timing_.immWordCycles * (instr.sizeWords() - 1);
-    StepResult result;
-    stats_.inc("pe.instructions");
+                  timing_.immWordCycles * (op.sizeWords - 1);
+    count<Sink>(PeCounter::Instructions);
     pcWritten_ = false;
+    // A produced value fans out to dst1 and dst2 and feeds dup.
+    auto produce = [&](Word value) {
+        writeReg(instr.dst1, value);
+        writeReg(instr.dst2, value);
+        lastResult_ = value;
+    };
 
     if (isDup(instr.op)) {
         // dup writes go to the memory-resident operand queue, never to
@@ -306,86 +321,60 @@ ProcessingElement::step()
             memory_.writeWord(windowAddress(instr.dupDst2), lastResult_);
             cycles += timing_.memoryCycles;
         }
-        stats_.inc("pe.dups");
+        count<Sink>(PeCounter::Dups);
         pc_ = next_pc;
-        result.cycles = cycles;
-        return result;
+        return {StepStatus::Executed, cycles};
     }
 
     switch (instr.op) {
       case Opcode::Send: {
-        Word channel = readSrc(instr.src1, cycles);
-        Word value = readSrc(instr.src2, cycles);
+        Word channel = readSrc<Sink>(instr.src1, cycles);
+        Word value = readSrc<Sink>(instr.src2, cycles);
         cycles += timing_.channelCycles;
-        if (host_->send(channel, value) == HostStatus::Blocked) {
-            result.status = StepStatus::Blocked;
-            result.cycles = cycles;
-            return result;  // PC/QP untouched: retried later.
-        }
+        if (host_->send(channel, value) == HostStatus::Blocked)
+            return {StepStatus::Blocked, cycles};  // retried later
         bumpQp(instr.qpInc);
-        stats_.inc("pe.sends");
+        count<Sink>(PeCounter::Sends);
         break;
       }
       case Opcode::Recv: {
-        Word channel = readSrc(instr.src1, cycles);
+        Word channel = readSrc<Sink>(instr.src1, cycles);
         Word value = 0;
         cycles += timing_.channelCycles;
-        if (host_->recv(channel, value) == HostStatus::Blocked) {
-            result.status = StepStatus::Blocked;
-            result.cycles = cycles;
-            return result;
-        }
+        if (host_->recv(channel, value) == HostStatus::Blocked)
+            return {StepStatus::Blocked, cycles};
         bumpQp(instr.qpInc);
-        writeDst(instr.dst1, value);
-        writeDst(instr.dst2, value);
-        lastResult_ = value;
-        stats_.inc("pe.recvs");
+        produce(value);
+        count<Sink>(PeCounter::Recvs);
         break;
       }
-      case Opcode::Store: {
-        Word addr = readSrc(instr.src1, cycles);
-        Word value = readSrc(instr.src2, cycles);
-        bumpQp(instr.qpInc);
-        memory_.writeWord(addr, value);
-        cycles += timing_.memoryCycles;
-        stats_.inc("pe.stores");
-        break;
-      }
+      case Opcode::Store:
       case Opcode::Storb: {
-        Word addr = readSrc(instr.src1, cycles);
-        Word value = readSrc(instr.src2, cycles);
+        Word addr = readSrc<Sink>(instr.src1, cycles);
+        Word value = readSrc<Sink>(instr.src2, cycles);
         bumpQp(instr.qpInc);
-        memory_.writeByte(addr, static_cast<std::uint8_t>(value));
+        if (instr.op == Opcode::Store)
+            memory_.writeWord(addr, value);
+        else
+            memory_.writeByte(addr, static_cast<std::uint8_t>(value));
         cycles += timing_.memoryCycles;
-        stats_.inc("pe.stores");
+        count<Sink>(PeCounter::Stores);
         break;
       }
-      case Opcode::Fetch: {
-        Word addr = readSrc(instr.src1, cycles);
-        bumpQp(instr.qpInc);
-        Word value = memory_.readWord(addr);
-        cycles += timing_.memoryCycles;
-        writeDst(instr.dst1, value);
-        writeDst(instr.dst2, value);
-        lastResult_ = value;
-        stats_.inc("pe.fetches");
-        break;
-      }
+      case Opcode::Fetch:
       case Opcode::Fchb: {
-        Word addr = readSrc(instr.src1, cycles);
+        Word addr = readSrc<Sink>(instr.src1, cycles);
         bumpQp(instr.qpInc);
-        Word value = memory_.readByte(addr);
+        produce(instr.op == Opcode::Fetch ? memory_.readWord(addr)
+                                          : memory_.readByte(addr));
         cycles += timing_.memoryCycles;
-        writeDst(instr.dst1, value);
-        writeDst(instr.dst2, value);
-        lastResult_ = value;
-        stats_.inc("pe.fetches");
+        count<Sink>(PeCounter::Fetches);
         break;
       }
       case Opcode::Bne:
       case Opcode::Beq: {
-        Word control = readSrc(instr.src1, cycles);
-        Word offset = readSrc(instr.src2, cycles);
+        Word control = readSrc<Sink>(instr.src1, cycles);
+        Word offset = readSrc<Sink>(instr.src2, cycles);
         bumpQp(instr.qpInc);
         bool taken = (instr.op == Opcode::Bne) ? control != 0
                                                : control == 0;
@@ -393,306 +382,68 @@ ProcessingElement::step()
             next_pc = next_pc + offset;  // wraps mod 2^32 for negatives
             cycles += timing_.branchTakenCycles;
         }
-        stats_.inc("pe.branches");
+        count<Sink>(PeCounter::Branches);
         break;
       }
       case Opcode::Trap:
       case Opcode::Ftrap: {
-        Word number = readSrc(instr.src1, cycles);
-        Word argument = readSrc(instr.src2, cycles);
+        Word number = readSrc<Sink>(instr.src1, cycles);
+        Word argument = readSrc<Sink>(instr.src2, cycles);
         cycles += timing_.trapCycles;
         TrapOutcome outcome = host_->trap(number, argument);
-        if (outcome.status == HostStatus::Blocked) {
-            result.status = StepStatus::Blocked;
-            result.cycles = cycles;
-            return result;
-        }
+        if (outcome.status == HostStatus::Blocked)
+            return {StepStatus::Blocked, cycles};
         cycles += outcome.kernelCycles;
-        stats_.record("pe.trap_service",
-                      static_cast<std::uint64_t>(outcome.kernelCycles));
+        auto service = static_cast<std::uint64_t>(outcome.kernelCycles);
+        if constexpr (Sink == StatSink::Direct)
+            stats_.record(kPeTrapService, service);
+        else
+            trapService_.sample(service);
         if (tracer_)
             tracer_->trapEnter(clock_ ? *clock_ : 0, peIndex_, number,
                                outcome.kernelCycles);
         bumpQp(instr.qpInc);
-        if (outcome.result) {
-            writeDst(instr.dst1, *outcome.result);
-            writeDst(instr.dst2, *outcome.result);
-            lastResult_ = *outcome.result;
-        }
-        stats_.inc("pe.traps");
+        if (outcome.result)
+            produce(*outcome.result);
+        count<Sink>(PeCounter::Traps);
         if (outcome.endContext) {
-            result.status = StepStatus::ContextEnd;
-            result.cycles = cycles;
             pc_ = next_pc;
-            return result;
+            return {StepStatus::ContextEnd, cycles};
         }
         break;
       }
       case Opcode::Fret:
       case Opcode::Rett:
-        result.status = StepStatus::Returned;
-        result.cycles = cycles;
         pc_ = next_pc;
-        return result;
+        return {StepStatus::Returned, cycles};
       default: {
         // ALU / logical / comparison class.
-        Word a = readSrc(instr.src1, cycles);
-        Word b = readSrc(instr.src2, cycles);
+        Word a = readSrc<Sink>(instr.src1, cycles);
+        Word b = readSrc<Sink>(instr.src2, cycles);
         bumpQp(instr.qpInc);
-        Word value = aluResult(instr.op, a, b);
-        writeDst(instr.dst1, value);
-        writeDst(instr.dst2, value);
-        lastResult_ = value;
-        stats_.inc("pe.alu_ops");
+        produce(aluResult(instr.op, a, b));
+        count<Sink>(PeCounter::AluOps);
         break;
       }
     }
 
     if (!pcWritten_)
         pc_ = next_pc;
-    result.cycles = cycles;
-    return result;
+    return {StepStatus::Executed, cycles};
 }
 
-Word
-ProcessingElement::readSrcFast(const Src &src, long &cycles)
-{
-    switch (src.kind) {
-      case SrcKind::None:
-        return 0;
-      case SrcKind::WindowReg: {
-        int phys = physicalIndex(src.reg);
-        if (presence_[static_cast<size_t>(phys)]) {
-            ++deltas_.windowHits;
-            return window_[static_cast<size_t>(phys)];
-        }
-        ++deltas_.windowMisses;
-        cycles += timing_.memoryCycles;
-        return memory_.readWord(windowAddress(src.reg));
-      }
-      case SrcKind::GlobalReg:
-        return readReg(src.reg);
-      case SrcKind::SmallImm:
-      case SrcKind::ImmWord:
-        return static_cast<Word>(src.imm);
-    }
-    panic("unreachable src kind");
-}
-
-// Keep every architectural decision, cycle charge, and panic in this
-// function in lock-step with step() above: the differential suite
-// holds the two to byte-identical run output.
-StepResult
-ProcessingElement::stepFast()
-{
-    if (faults_ && faults_->fire(fault::kPeStall)) {
-        // Stalls are rare; the slow-path stat strings are fine here.
-        long stall = static_cast<long>(faults_->stallCycles());
-        stats_.inc("fault.pe_stall");
-        stats_.inc("fault.pe_stall_cycles",
-                   static_cast<std::uint64_t>(stall));
-        stats_.record("fault.stall",
-                      static_cast<std::uint64_t>(stall));
-        if (tracer_)
-            tracer_->faultInject(clock_ ? *clock_ : 0, peIndex_,
-                                 fault::kPeStall,
-                                 static_cast<std::uint64_t>(stall));
-        StepResult stalled;
-        stalled.cycles = stall;
-        return stalled;
-    }
-    panicIf(!decoded_, "stepFast without a DecodedProgram attached");
-    const isa::DecodedOp &op = decoded_->at(pc_);
-    const Instruction &instr = op.instr;
-    Word next_pc = op.nextPc;
-
-    long cycles = timing_.simpleCycles +
-                  timing_.immWordCycles * (op.sizeWords - 1);
-    StepResult result;
-    ++deltas_.instructions;
-    pcWritten_ = false;
-
-    if (isDup(instr.op)) {
-        memory_.writeWord(windowAddress(instr.dupDst1), lastResult_);
-        cycles += timing_.memoryCycles;
-        if (instr.op == Opcode::Dup2 &&
-            instr.dupDst2 != instr.dupDst1) {
-            memory_.writeWord(windowAddress(instr.dupDst2), lastResult_);
-            cycles += timing_.memoryCycles;
-        }
-        ++deltas_.dups;
-        pc_ = next_pc;
-        result.cycles = cycles;
-        return result;
-    }
-
-    switch (instr.op) {
-      case Opcode::Send: {
-        Word channel = readSrcFast(instr.src1, cycles);
-        Word value = readSrcFast(instr.src2, cycles);
-        cycles += timing_.channelCycles;
-        if (host_->send(channel, value) == HostStatus::Blocked) {
-            result.status = StepStatus::Blocked;
-            result.cycles = cycles;
-            return result;  // PC/QP untouched: retried later.
-        }
-        bumpQp(instr.qpInc);
-        ++deltas_.sends;
-        break;
-      }
-      case Opcode::Recv: {
-        Word channel = readSrcFast(instr.src1, cycles);
-        Word value = 0;
-        cycles += timing_.channelCycles;
-        if (host_->recv(channel, value) == HostStatus::Blocked) {
-            result.status = StepStatus::Blocked;
-            result.cycles = cycles;
-            return result;
-        }
-        bumpQp(instr.qpInc);
-        writeDst(instr.dst1, value);
-        writeDst(instr.dst2, value);
-        lastResult_ = value;
-        ++deltas_.recvs;
-        break;
-      }
-      case Opcode::Store: {
-        Word addr = readSrcFast(instr.src1, cycles);
-        Word value = readSrcFast(instr.src2, cycles);
-        bumpQp(instr.qpInc);
-        memory_.writeWord(addr, value);
-        cycles += timing_.memoryCycles;
-        ++deltas_.stores;
-        break;
-      }
-      case Opcode::Storb: {
-        Word addr = readSrcFast(instr.src1, cycles);
-        Word value = readSrcFast(instr.src2, cycles);
-        bumpQp(instr.qpInc);
-        memory_.writeByte(addr, static_cast<std::uint8_t>(value));
-        cycles += timing_.memoryCycles;
-        ++deltas_.stores;
-        break;
-      }
-      case Opcode::Fetch: {
-        Word addr = readSrcFast(instr.src1, cycles);
-        bumpQp(instr.qpInc);
-        Word value = memory_.readWord(addr);
-        cycles += timing_.memoryCycles;
-        writeDst(instr.dst1, value);
-        writeDst(instr.dst2, value);
-        lastResult_ = value;
-        ++deltas_.fetches;
-        break;
-      }
-      case Opcode::Fchb: {
-        Word addr = readSrcFast(instr.src1, cycles);
-        bumpQp(instr.qpInc);
-        Word value = memory_.readByte(addr);
-        cycles += timing_.memoryCycles;
-        writeDst(instr.dst1, value);
-        writeDst(instr.dst2, value);
-        lastResult_ = value;
-        ++deltas_.fetches;
-        break;
-      }
-      case Opcode::Bne:
-      case Opcode::Beq: {
-        Word control = readSrcFast(instr.src1, cycles);
-        Word offset = readSrcFast(instr.src2, cycles);
-        bumpQp(instr.qpInc);
-        bool taken = (instr.op == Opcode::Bne) ? control != 0
-                                               : control == 0;
-        if (taken) {
-            next_pc = next_pc + offset;  // wraps mod 2^32 for negatives
-            cycles += timing_.branchTakenCycles;
-        }
-        ++deltas_.branches;
-        break;
-      }
-      case Opcode::Trap:
-      case Opcode::Ftrap: {
-        Word number = readSrcFast(instr.src1, cycles);
-        Word argument = readSrcFast(instr.src2, cycles);
-        cycles += timing_.trapCycles;
-        TrapOutcome outcome = host_->trap(number, argument);
-        if (outcome.status == HostStatus::Blocked) {
-            result.status = StepStatus::Blocked;
-            result.cycles = cycles;
-            return result;
-        }
-        cycles += outcome.kernelCycles;
-        deltas_.trapService.sample(
-            static_cast<std::uint64_t>(outcome.kernelCycles));
-        if (tracer_)
-            tracer_->trapEnter(clock_ ? *clock_ : 0, peIndex_, number,
-                               outcome.kernelCycles);
-        bumpQp(instr.qpInc);
-        if (outcome.result) {
-            writeDst(instr.dst1, *outcome.result);
-            writeDst(instr.dst2, *outcome.result);
-            lastResult_ = *outcome.result;
-        }
-        ++deltas_.traps;
-        if (outcome.endContext) {
-            result.status = StepStatus::ContextEnd;
-            result.cycles = cycles;
-            pc_ = next_pc;
-            return result;
-        }
-        break;
-      }
-      case Opcode::Fret:
-      case Opcode::Rett:
-        result.status = StepStatus::Returned;
-        result.cycles = cycles;
-        pc_ = next_pc;
-        return result;
-      default: {
-        // ALU / logical / comparison class.
-        Word a = readSrcFast(instr.src1, cycles);
-        Word b = readSrcFast(instr.src2, cycles);
-        bumpQp(instr.qpInc);
-        Word value = aluResult(instr.op, a, b);
-        writeDst(instr.dst1, value);
-        writeDst(instr.dst2, value);
-        lastResult_ = value;
-        ++deltas_.aluOps;
-        break;
-      }
-    }
-
-    if (!pcWritten_)
-        pc_ = next_pc;
-    result.cycles = cycles;
-    return result;
-}
+template StepResult ProcessingElement::step<StatSink::Direct>();
+template StepResult ProcessingElement::step<StatSink::Deferred>();
 
 void
 ProcessingElement::flushStats()
 {
-    auto flush = [this](const char *name, std::uint64_t &delta) {
-        if (delta > 0) {
-            stats_.inc(name, delta);
-            delta = 0;
-        }
-    };
-    flush("pe.instructions", deltas_.instructions);
-    flush("pe.alu_ops", deltas_.aluOps);
-    flush("pe.dups", deltas_.dups);
-    flush("pe.sends", deltas_.sends);
-    flush("pe.recvs", deltas_.recvs);
-    flush("pe.stores", deltas_.stores);
-    flush("pe.fetches", deltas_.fetches);
-    flush("pe.branches", deltas_.branches);
-    flush("pe.traps", deltas_.traps);
-    flush("pe.window_hits", deltas_.windowHits);
-    flush("pe.window_misses", deltas_.windowMisses);
-    if (deltas_.trapService.count() > 0) {
-        stats_.histogramRef("pe.trap_service")
-            .merge(deltas_.trapService);
-        deltas_.trapService = Histogram{};
-    }
+    for (std::size_t i = 0; i < kNumPeCounters; ++i)
+        if (tallies_[i] > 0)
+            stats_.inc(kPeCounterNames[i], tallies_[i]);
+    if (trapService_.count() > 0)
+        stats_.histogramRef(kPeTrapService).merge(trapService_);
+    resetTallies();
 }
 
 } // namespace qm::pe

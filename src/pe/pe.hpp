@@ -27,7 +27,6 @@
 #include <optional>
 
 #include "fault/fault.hpp"
-#include "isa/assembler.hpp"
 #include "isa/instruction.hpp"
 #include "pe/memory.hpp"
 #include "support/stats.hpp"
@@ -92,6 +91,37 @@ struct StepResult
     long cycles = 0;  ///< Cycles charged for this step.
 };
 
+/** Per-step PE statistics counters (names in kPeCounterNames). */
+enum class PeCounter
+{
+    Instructions, AluOps, Dups, Sends, Recvs, Stores, Fetches, Branches,
+    Traps, WindowHits, WindowMisses,
+};
+
+inline constexpr std::size_t kNumPeCounters =
+    static_cast<std::size_t>(PeCounter::WindowMisses) + 1;
+
+/** Registry name of each PeCounter, indexed by its value. */
+inline constexpr std::array<const char *, kNumPeCounters> kPeCounterNames = {
+    "pe.instructions", "pe.alu_ops", "pe.dups", "pe.sends", "pe.recvs",
+    "pe.stores", "pe.fetches", "pe.branches", "pe.traps", "pe.window_hits",
+    "pe.window_misses"};
+
+/** Histogram of kernel cycles per serviced trap. */
+inline constexpr const char *kPeTrapService = "pe.trap_service";
+
+/**
+ * Where step() records its per-instruction statistics. Direct goes
+ * straight into the string-keyed stats() registry (standalone PEs and
+ * the tick core); Deferred tallies plain counters that flushStats()
+ * folds into the registry later (the event core's hot loop).
+ */
+enum class StatSink
+{
+    Direct,
+    Deferred,
+};
+
 /** Instruction timing parameters (Fig 5.9/5.10 classes). */
 struct PeTiming
 {
@@ -133,11 +163,9 @@ int pageWordsForPom(Word pom);
 class ProcessingElement
 {
   public:
-    ProcessingElement(Memory &memory, const isa::ObjectCode &code,
+    /** Every fetch goes through @p code (shared by a System's PEs). */
+    ProcessingElement(Memory &memory, isa::DecodedProgram &code,
                       PeHost &host, PeTiming timing = {});
-
-    /** Replace the host (used when wiring PEs into the kernel). */
-    void setHost(PeHost &host) { host_ = &host; }
 
     /**
      * Attach the system's event recorder. @p clock points at this PE's
@@ -176,40 +204,30 @@ class ProcessingElement
      */
     long rollOut();
 
-    /** Execute one instruction (plus chained dups under continue). */
+    /**
+     * Execute one instruction. @p Sink only picks where the step's
+     * statistics go; cycles and architectural state are the same for
+     * both. A System must call flushStats() before reading stats()
+     * from a PE stepped with StatSink::Deferred.
+     */
+    template <StatSink Sink = StatSink::Direct>
     StepResult step();
 
     /**
-     * Attach the shared predecoded form of the object code. Required
-     * before stepFast(); step() keeps decoding on the fly.
-     */
-    void setDecoded(isa::DecodedProgram *decoded) { decoded_ = decoded; }
-
-    /**
-     * Event-core fast path: architecturally identical to step(), but
-     * fetches through the DecodedProgram arena instead of re-decoding
-     * and tallies per-instruction statistics in plain counters (see
-     * flushStats) instead of per-step string-map lookups. A System
-     * must call flushStats() before reading stats() from a PE stepped
-     * through this path.
-     */
-    StepResult stepFast();
-
-    /**
-     * Fold the stepFast() tallies into stats(). Only deltas that are
-     * actually non-zero touch the map, so a PE that never executed a
-     * given operation class creates no entry - exactly like step()'s
-     * create-on-first-use behavior, keeping rendered statistics
-     * byte-identical between the two cores.
+     * Fold the StatSink::Deferred tallies into stats(). Only non-zero
+     * tallies touch the map, so a PE that never executed a given
+     * operation class creates no entry - exactly like the Direct
+     * sink's create-on-first-use, keeping rendered statistics
+     * byte-identical between the two sinks.
      */
     void flushStats();
 
     /**
-     * Drop unflushed stepFast() tallies. Used on checkpoint restore:
-     * the rolled-back stats() already exclude them, just as the tick
-     * core's post-snapshot increments are erased by the rollback.
+     * Drop unflushed Deferred tallies. Used on checkpoint restore:
+     * the rolled-back stats() already exclude them, just as a Direct
+     * PE's post-snapshot increments are erased by the rollback.
      */
-    void resetStatDeltas() { deltas_ = StatDeltas{}; }
+    void resetTallies() { tallies_.fill(0); trapService_ = {}; }
 
     // Architectural state access (for the kernel and for tests).
     Word pc() const { return pc_; }
@@ -235,32 +253,14 @@ class ProcessingElement
     StatSet &stats() { return stats_; }
 
   private:
-    /** Plain-counter tallies accumulated by stepFast(). */
-    struct StatDeltas
-    {
-        std::uint64_t instructions = 0;
-        std::uint64_t aluOps = 0;
-        std::uint64_t dups = 0;
-        std::uint64_t sends = 0;
-        std::uint64_t recvs = 0;
-        std::uint64_t stores = 0;
-        std::uint64_t fetches = 0;
-        std::uint64_t branches = 0;
-        std::uint64_t traps = 0;
-        std::uint64_t windowHits = 0;
-        std::uint64_t windowMisses = 0;
-        Histogram trapService;
-    };
-
+    template <StatSink Sink> void count(PeCounter counter);
+    template <StatSink Sink>
     Word readSrc(const isa::Src &src, long &cycles);
-    /** readSrc with the hit/miss tallies in deltas_ (stepFast path). */
-    Word readSrcFast(const isa::Src &src, long &cycles);
-    void writeDst(int reg, Word value);
     void bumpQp(int inc);
     Word aluResult(isa::Opcode op, Word a, Word b);
 
     Memory &memory_;
-    const isa::ObjectCode &code_;
+    isa::DecodedProgram &code_;
     PeHost *host_;
     PeTiming timing_;
 
@@ -281,8 +281,9 @@ class ProcessingElement
     Word lastResult_ = 0;             ///< Feeds dup instructions.
     bool pcWritten_ = false;          ///< A dst wrote PC this step.
 
-    isa::DecodedProgram *decoded_ = nullptr;
-    StatDeltas deltas_;
+    // StatSink::Deferred tallies, indexed by PeCounter.
+    std::array<std::uint64_t, kNumPeCounters> tallies_{};
+    Histogram trapService_;
     StatSet stats_;
 };
 

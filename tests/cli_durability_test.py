@@ -7,17 +7,18 @@ Asserts:
     failure 5, fatal 6, interrupted 128+signo);
   * occamc --checkpoint-file / --resume byte-identity on stdout,
     and the corrupt-checkpoint cold-start fallback;
-  * bench_compare.py's exit-2 diagnostics on missing/unreadable/
-    malformed report files (no tracebacks);
+  * qmprof diff exit codes, and a passing and a failing case for every
+    gate mode CI runs through it;
   * the flight recorder: every failure class leaves a parseable
     qm.flight.v1 black box, clean runs leave none, --flight off
     suppresses it;
   * --metrics byte-identity between a checkpointed run and its resume;
   * --telemetry NDJSON streams are schema-tagged and cycle-monotone;
-  * the removed intra-run threading flag is a usage error (exit 2);
-  * qmprof diff / qmprof flight exit codes and verdicts.
+  * the removed intra-run threading flag is a usage error (exit 2),
+    and so is a malformed prime_sieve PE count;
+  * qmprof flight exit codes and verdicts.
 
-Usage: cli_durability_test.py OCCAMC BENCH_COMPARE SOURCE_DIR QMPROF
+Usage: cli_durability_test.py OCCAMC SOURCE_DIR QMPROF PRIME_SIEVE
 """
 
 import json
@@ -38,53 +39,79 @@ def check(name, ok, detail=""):
         failures.append(name)
 
 
+def check_rc(name, proc, rc):
+    check(name, proc.returncode == rc, f"rc={proc.returncode}")
+
+
 def run(cmd, **kw):
     return subprocess.run(cmd, capture_output=True, text=True, **kw)
 
 
 def main():
     # Absolute paths: several runs set cwd to scratch directories.
-    occamc, bench_compare, srcdir, qmprof = map(os.path.abspath,
-                                                sys.argv[1:5])
+    occamc, srcdir, qmprof, prime_sieve = map(os.path.abspath,
+                                              sys.argv[1:5])
     pipeline = os.path.join(srcdir, "examples", "pipeline.occ")
     tmp = tempfile.mkdtemp(prefix="cli_durability_")
 
     def path(name):
         return os.path.join(tmp, name)
 
+    def write(name, text):
+        with open(path(name), "w") as f:
+            f.write(text)
+        return path(name)
+
     # --- occamc exit-code classes -------------------------------------
     p = run([occamc, "--definitely-not-a-flag"])
-    check("usage error exits 2", p.returncode == 2, f"rc={p.returncode}")
+    check_rc("usage error exits 2", p, 2)
 
     # Intra-run threading was removed; its flag is now unknown.
     p = run([occamc, "--run", "--pes", "4", "--threads", "4", pipeline])
-    check("removed threading flag exits 2", p.returncode == 2,
-          f"rc={p.returncode}")
+    check_rc("removed threading flag exits 2", p, 2)
     check("removed threading flag prints the usage line",
           p.stderr.startswith("usage: occamc") and not p.stdout,
           p.stderr[:200])
 
+    p = run([prime_sieve, "abc"])
+    check_rc("malformed prime_sieve PE count exits 2", p, 2)
+    check("malformed prime_sieve PE count prints a usage line",
+          "usage: prime_sieve" in p.stderr, p.stderr[:200])
+
     p = run([occamc, path("missing.occ")])
-    check("unreadable input exits 2", p.returncode == 2,
-          f"rc={p.returncode}")
+    check_rc("unreadable input exits 2", p, 2)
 
-    bad = path("bad.occ")
-    with open(bad, "w") as f:
-        f.write("seq !!! not occam\n")
+    bad = write("bad.occ", "seq !!! not occam\n")
     p = run([occamc, bad])
-    check("compile error exits 3", p.returncode == 3,
-          f"rc={p.returncode}")
+    check_rc("compile error exits 3", p, 3)
 
-    slow = path("slow.occ")
-    with open(slow, "w") as f:
-        f.write("var results[1]:\nvar total:\nseq\n  total := 0\n"
-                "  seq i = [1 for 500000]\n    total := total + i\n"
-                "  results[0] := total\n")
+    huge = write("huge.occ",
+                 "var r[1]:\nseq\n  r[0] := 12345678901234567890123\n")
+    p = run([occamc, "--run", huge])
+    check("oversized literal exits 3 naming line:col",
+          p.returncode == 3 and "line 3:11" in p.stderr,
+          f"rc={p.returncode} {p.stderr[:200]}")
+
+    # INT32_MIN / -1 wraps to INT32_MIN, as the ALU defines it; the
+    # host division used to kill the run with SIGFPE.
+    minint = write("minint.occ",
+                   "var r[4]:\nseq\n  r[0] := 0 - 2147483647\n"
+                   "  r[1] := r[0] - 1\n  r[2] := 0 - 1\n"
+                   "  r[3] := r[1] / r[2]\n")
+    p = run([occamc, "--run", minint])
+    check("INT32_MIN / -1 runs to completion",
+          p.returncode == 0 and
+          "r[0..3] = -2147483647 -2147483648 -1 -2147483648" in p.stdout,
+          f"rc={p.returncode} {p.stdout[-200:]}")
+
+    slow = write("slow.occ",
+                 "var results[1]:\nvar total:\nseq\n  total := 0\n"
+                 "  seq i = [1 for 500000]\n    total := total + i\n"
+                 "  results[0] := total\n")
     # Failure-class runs get cwd=tmp: with no explicit sibling file the
     # flight recorder's default dump path is ./qm.flight.json.
     p = run([occamc, "--run", "--deadline-ms", "1", slow], cwd=tmp)
-    check("host deadline exits 4 (watchdog class)", p.returncode == 4,
-          f"rc={p.returncode}")
+    check_rc("host deadline exits 4 (watchdog class)", p, 4)
     check("deadline row is structured",
           "failure: deadline:" in p.stdout, p.stdout[-200:])
 
@@ -105,8 +132,7 @@ def main():
 
     p = run([occamc, "--run", "--pes", "4", "--faults",
              "seed=7,rate=0.5,kinds=corrupt", pipeline], cwd=tmp)
-    check("structured run failure exits 5", p.returncode == 5,
-          f"rc={p.returncode}")
+    check_rc("structured run failure exits 5", p, 5)
     flight = read_flight(path("qm.flight.json"))
     check("structured failure leaves a parseable flight dump",
           flight is not None and flight.get("schema") == "qm.flight.v1"
@@ -115,20 +141,16 @@ def main():
     fault_flight = path("fault.flight.json")
     os.rename(path("qm.flight.json"), fault_flight)
 
-    dead = path("dead.occ")
-    with open(dead, "w") as f:
-        f.write("chan a:\nvar x:\nseq\n  a ? x\n")
+    dead = write("dead.occ", "chan a:\nvar x:\nseq\n  a ? x\n")
     p = run([occamc, "--run", dead], cwd=tmp)
-    check("kernel panic exits 6", p.returncode == 6,
-          f"rc={p.returncode}")
+    check_rc("kernel panic exits 6", p, 6)
     flight = read_flight(path("qm.flight.json"))
     check("fatal fault leaves a parseable flight dump",
           flight is not None and flight.get("schema") == "qm.flight.v1")
     os.remove(path("qm.flight.json"))
 
     p = run([occamc, "--run", "--flight", "off", dead], cwd=tmp)
-    check("--flight off still exits 6", p.returncode == 6,
-          f"rc={p.returncode}")
+    check_rc("--flight off still exits 6", p, 6)
     check("--flight off suppresses the dump",
           not os.path.exists(path("qm.flight.json")))
 
@@ -148,8 +170,7 @@ def main():
     clean_dir = path("clean")
     os.mkdir(clean_dir)
     p = run([occamc, "--run", slow], cwd=clean_dir)
-    check("clean run succeeds", p.returncode == 0,
-          f"rc={p.returncode}")
+    check_rc("clean run succeeds", p, 0)
     check("clean run leaves no flight dump",
           os.listdir(clean_dir) == [], repr(os.listdir(clean_dir)))
 
@@ -158,13 +179,11 @@ def main():
     base_cmd = [occamc, "--run", "--pes", "4", "--recover",
                 "--checkpoint-every", "200", "--stats"]
     p_full = run(base_cmd + ["--checkpoint-file", ckpt, pipeline])
-    check("checkpointed run succeeds", p_full.returncode == 0,
-          f"rc={p_full.returncode}")
+    check_rc("checkpointed run succeeds", p_full, 0)
     check("checkpoint file written", os.path.exists(ckpt))
 
     p_res = run(base_cmd + ["--resume", ckpt, pipeline])
-    check("resumed run succeeds", p_res.returncode == 0,
-          f"rc={p_res.returncode}")
+    check_rc("resumed run succeeds", p_res, 0)
     check("resumed stdout is byte-identical",
           p_res.stdout == p_full.stdout)
     check("resume notice goes to stderr only",
@@ -195,14 +214,12 @@ def main():
     ckpt2 = path("metrics.qmc")
     p1 = run(base_cmd + ["--checkpoint-file", ckpt2, "--metrics",
                          metrics, pipeline])
-    check("metrics run succeeds", p1.returncode == 0,
-          f"rc={p1.returncode}")
+    check_rc("metrics run succeeds", p1, 0)
     with open(metrics, "rb") as f:
         metrics_full = f.read()
     p2 = run(base_cmd + ["--resume", ckpt2, "--metrics", metrics,
                          pipeline])
-    check("metrics resume succeeds", p2.returncode == 0,
-          f"rc={p2.returncode}")
+    check_rc("metrics resume succeeds", p2, 0)
     with open(metrics, "rb") as f:
         metrics_resumed = f.read()
     check("resumed --metrics document is byte-identical",
@@ -212,8 +229,7 @@ def main():
     telemetry = path("t.ndjson")
     p = run([occamc, "--run", "--pes", "4", "--telemetry", telemetry,
              "--telemetry-every", "100", pipeline])
-    check("telemetry run succeeds", p.returncode == 0,
-          f"rc={p.returncode}")
+    check_rc("telemetry run succeeds", p, 0)
     with open(telemetry, "rb") as f:
         stream = f.read()
     check("telemetry stream is non-empty", len(stream) > 0)
@@ -224,71 +240,88 @@ def main():
           and all(a["cycle"] < b["cycle"]
                   for a, b in zip(parsed, parsed[1:])))
 
-    # --- bench_compare robustness -------------------------------------
-    good = path("BENCH_good.json")
-    with open(good, "w") as f:
-        json.dump({"bench": "t", "series": [
-            {"name": "s", "runs": [
-                {"pes": 1, "cycles": 100, "verified": True}]}]}, f)
+    # --- qmprof diff: the one regression comparator -------------------
+    def report(name, runs, doc=None):
+        """Write a one-series BENCH report (or @doc verbatim)."""
+        report_path = path(name)
+        with open(report_path, "w") as f:
+            json.dump(doc if doc is not None else {
+                "bench": "t", "series": [{"name": "s", "runs": runs}]}, f)
+        return report_path
 
-    p = run([sys.executable, bench_compare, good, good])
-    check("bench_compare accepts a valid report", p.returncode == 0,
-          f"rc={p.returncode}")
+    def cell(pes, cycles, host=None):
+        c = {"pes": pes, "cycles": cycles, "verified": True}
+        if host is not None:
+            c["host_wall_ms"] = host
+        return c
 
-    p = run([sys.executable, bench_compare, path("nope.json"), good])
-    check("missing report exits 2", p.returncode == 2,
-          f"rc={p.returncode}")
-    check("missing report: one-line diagnostic, no traceback",
-          "Traceback" not in p.stderr and
+    def check_diff(name, rc, needle, *args):
+        """qmprof diff ARGS must exit rc and print needle."""
+        p = run([qmprof, "diff"] + list(args))
+        check(f"qmprof diff: {name}",
+              p.returncode == rc and needle in p.stdout + p.stderr,
+              f"rc={p.returncode} {(p.stdout + p.stderr)[-200:]}")
+        return p
+
+    good = report("BENCH_good.json", [cell(1, 100)])
+    check_diff("identical reports exit 0", 0, "within tolerance", good, good)
+    check_diff("regression exits 1 naming the cell", 1, "FAIL: s @ 1 PEs",
+               good, report("BENCH_regressed.json", [cell(1, 200)]))
+    p = check_diff("missing report exits 2", 2, "nope.json",
+                   path("nope.json"), good)
+    check("qmprof diff: missing report is a one-line diagnostic",
           len(p.stderr.strip().splitlines()) == 1, p.stderr[:200])
+    check_diff("malformed report exits 2", 2, "", good,
+               write("BENCH_malformed.json", "{not json"))
+    for name, doc in (("top level", [1, 2, 3]),
+                      ("series entry", {"bench": "t", "series": [1]}),
+                      ("run entry", {"bench": "t", "series": [
+                          {"name": "s", "runs": [1]}]})):
+        check_diff(f"non-object {name} exits 2", 2, "not an object",
+                   report("BENCH_bad.json", None, doc), good)
+    # A zero-cycle cell still has its host time gated.
+    check_diff("5x host regression on a zero-cycle cell exits 1", 1,
+               "host tolerance", report("BENCH_z0.json", [cell(1, 0, 1.0)]),
+               report("BENCH_z1.json", [cell(1, 0, 5.0)]))
 
-    malformed = path("BENCH_malformed.json")
-    with open(malformed, "w") as f:
-        f.write("{not json")
-    p = run([sys.executable, bench_compare, good, malformed])
-    check("malformed report exits 2", p.returncode == 2,
-          f"rc={p.returncode}")
-    check("malformed report: no traceback", "Traceback" not in p.stderr)
+    # --host-aggregate: best-of-N total host time, as the obs job runs.
+    def repeats(side, totals, cycles=60):
+        """Repeated reports with these host totals; later ones' second
+        cell has @cycles cycles."""
+        return ",".join(report(f"BENCH_{side}{i}.json", [
+            cell(1, 100, ms / 2), cell(2, cycles if i else 60, ms / 2)])
+            for i, ms in enumerate(totals))
+    agg = ("--tolerance", "0", "--host-tolerance", "0.02",
+           "--host-aggregate")
+    off = repeats("off", (10.0, 9.0))
+    check_diff("--host-aggregate: +1.1% best-of-2 passes", 0,
+               "overhead ok", off, repeats("on", (9.5, 9.1)), *agg)
+    check_diff("--host-aggregate: +4.4% best-of-2 fails", 1,
+               "FAIL: aggregate host", off, repeats("on", (9.5, 9.4)), *agg)
+    check_diff("--host-aggregate: repeats that disagree fail", 1,
+               "first repetition", off, repeats("on", (9.5, 9.1), 61), *agg)
 
-    wrongshape = path("BENCH_list.json")
-    with open(wrongshape, "w") as f:
-        f.write("[1, 2, 3]")
-    p = run([sys.executable, bench_compare, wrongshape, good])
-    check("non-object report exits 2", p.returncode == 2,
-          f"rc={p.returncode}")
+    # --min-host-speedup: aggregated at the largest shared PE count
+    # (8 here; the current report's 16-PE cell has no baseline).
+    tick = report("BENCH_tick.json", [cell(1, 100, 50.0),
+                                      cell(8, 40, 100.0)])
+    def event(host8):
+        return report("BENCH_event.json", [
+            cell(1, 100, 10.0), cell(8, 40, host8), cell(16, 30, 1.0)])
+    check_diff("--min-host-speedup: 6.67x at 8 PEs passes", 0, "at 8 PEs",
+               tick, event(15.0), "--min-host-speedup", "5")
+    check_diff("--min-host-speedup: 3.33x at 8 PEs fails", 1,
+               "FAIL: aggregate host speedup at 8 PEs",
+               tick, event(30.0), "--min-host-speedup", "5")
 
-    # --- qmprof diff / flight -----------------------------------------
-    p = run([qmprof, "diff", good, good])
-    check("qmprof diff: identical reports exit 0", p.returncode == 0,
-          f"rc={p.returncode}")
-    check("qmprof diff: verdict line present",
-          "within tolerance" in p.stdout, p.stdout[:200])
-
-    regressed = path("BENCH_regressed.json")
-    with open(regressed, "w") as f:
-        json.dump({"bench": "t", "series": [
-            {"name": "s", "runs": [
-                {"pes": 1, "cycles": 200, "verified": True}]}]}, f)
-    p = run([qmprof, "diff", good, regressed])
-    check("qmprof diff: regression exits 1", p.returncode == 1,
-          f"rc={p.returncode}")
-    check("qmprof diff: regression names the cell",
-          "FAIL" in p.stdout and "s @ 1 PEs" in p.stdout,
-          p.stdout[:200])
-
-    p = run([qmprof, "diff", path("nope.json"), good])
-    check("qmprof diff: missing input exits 2", p.returncode == 2,
-          f"rc={p.returncode}")
-
+    # --- qmprof flight ------------------------------------------------
     p = run([qmprof, "flight", fault_flight])
-    check("qmprof flight: post-mortem exits 0", p.returncode == 0,
-          f"rc={p.returncode}")
+    check_rc("qmprof flight: post-mortem exits 0", p, 0)
     check("qmprof flight: probable cause reported",
           "probable cause" in p.stdout, p.stdout[:200])
 
     p = run([qmprof, "flight", good])
-    check("qmprof flight: non-flight JSON exits 2", p.returncode == 2,
-          f"rc={p.returncode}")
+    check_rc("qmprof flight: non-flight JSON exits 2", p, 2)
 
     if failures:
         print(f"{len(failures)} check(s) failed")

@@ -30,8 +30,85 @@ namespace {
 
 using namespace qm;
 using namespace qm::occam;
-using fuzz::ProgramGen;
+using fuzz::corpusSeed;
 using fuzz::fuzzIters;
+using fuzz::ProgramGen;
+
+/** A program compiled for both executors, plus its result array. */
+struct DualProgram
+{
+    ContextProgram contexts;
+    isa::ObjectCode object;
+    isa::Addr base = 0;  ///< Address of the result array.
+};
+
+DualProgram
+compileBoth(const std::string &source, const std::string &array)
+{
+    Program ast = parse(source);
+    SymbolTable table = analyze(ast);
+    Ift ift = Ift::build(ast, table);
+    DualProgram dual;
+    dual.contexts = buildContextGraphs(ast, table, ift);
+    for (const auto &[sym, addr] : dual.contexts.dataAddress)
+        if (table.symbol(sym).name == array)
+            dual.base = addr;
+    dual.object = isa::assemble(generateAssembly(dual.contexts));
+    return dual;
+}
+
+/**
+ * Expect the machine's first @p words result words to equal the
+ * interpreter's, compared in full: the interpreter computes in 64
+ * bits, so a result it failed to wrap to a machine word would show.
+ */
+void
+expectAgree(const GraphInterpreter &interp, mp::System &system,
+            isa::Addr base, int words)
+{
+    ASSERT_NE(base, 0u);
+    for (int i = 0; i < words; ++i) {
+        isa::Addr addr = base + static_cast<isa::Addr>(i) * 4;
+        auto machine =
+            static_cast<std::int32_t>(system.memory().readWord(addr));
+        EXPECT_EQ(interp.readWord(addr), machine) << "word " << i;
+    }
+}
+
+/**
+ * Run corpus program @p idx on the abstract interpreter and, under
+ * @p config, on the machine, replaying from checkpoints when recovery
+ * is on. A completed run must agree with the interpreter exactly; only
+ * a faulty run may fail instead, and then it must say why - never a
+ * hang, a crash, or a silent wrong answer.
+ */
+void
+expectCorpusAgrees(int idx, mp::SystemConfig config)
+{
+    std::string source = ProgramGen(corpusSeed(idx)).generate();
+    SCOPED_TRACE(source);
+    DualProgram dual = compileBoth(source, "res");
+    GraphInterpreter interp(dual.contexts);
+    ASSERT_TRUE(interp.run().completed);
+
+    config.numPes = 1 + idx % 4;
+    mp::System system(dual.object, config);
+    mp::RunResult result = system.run(dual.contexts.mainLabel);
+    for (int replays = 0;
+         !result.completed && config.recovery.enabled &&
+         system.replayable() && system.canRestore() &&
+         replays < config.recovery.maxReplays;
+         ++replays) {
+        system.restore();
+        result = system.resume();
+    }
+    if (!result.completed) {
+        ASSERT_TRUE(config.faultPlan.enabled()) << result.failureReason;
+        EXPECT_FALSE(result.failureReason.empty());
+        return;
+    }
+    expectAgree(interp, system, dual.base, 8);
+}
 
 class FuzzDifferentialTest : public ::testing::TestWithParam<int>
 {
@@ -39,43 +116,68 @@ class FuzzDifferentialTest : public ::testing::TestWithParam<int>
 
 TEST_P(FuzzDifferentialTest, ExecutorsAgree)
 {
-    ProgramGen gen(0xF00D + static_cast<std::uint64_t>(GetParam()) *
-                               0x9E37);
-    std::string source = gen.generate();
-    SCOPED_TRACE(source);
-
-    Program ast = parse(source);
-    SymbolTable table = analyze(ast);
-    Ift ift = Ift::build(ast, table);
-    ContextProgram contexts = buildContextGraphs(ast, table, ift);
-
-    isa::Addr base = 0;
-    for (const auto &[sym, addr] : contexts.dataAddress)
-        if (table.symbol(sym).name == "res")
-            base = addr;
-    ASSERT_NE(base, 0u);
-
-    GraphInterpreter interp(contexts);
-    ASSERT_TRUE(interp.run().completed);
-
-    isa::ObjectCode object = isa::assemble(generateAssembly(contexts));
-    mp::SystemConfig config;
-    config.numPes = 1 + GetParam() % 4;
-    mp::System system(object, config);
-    ASSERT_TRUE(system.run(contexts.mainLabel).completed);
-
-    for (int i = 0; i < 8; ++i) {
-        auto abstract = static_cast<std::int32_t>(
-            interp.readWord(base + static_cast<isa::Addr>(i) * 4));
-        auto machine = static_cast<std::int32_t>(
-            system.memory().readWord(base +
-                                     static_cast<isa::Addr>(i) * 4));
-        ASSERT_EQ(abstract, machine) << "res[" << i << "]";
-    }
+    expectCorpusAgrees(GetParam(), mp::SystemConfig{});
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, FuzzDifferentialTest,
                          ::testing::Range(0, fuzzIters(80)));
+
+/**
+ * Pinned programs at the edges of the 32-bit word, each writing
+ * r[0..results): the interpreter must wrap every folded and run-time
+ * result exactly like the machine's ALU.
+ */
+struct WordEdgeProgram
+{
+    const char *source;
+    int results;
+};
+
+const WordEdgeProgram kWordEdgePrograms[] = {
+    // INT32_MIN / -1 at run time: a host SIGFPE before the ALU wrapped.
+    {"var r[4]:\n"
+     "seq\n"
+     "  r[0] := 0 - 2147483647\n"
+     "  r[1] := r[0] - 1\n"
+     "  r[2] := 0 - 1\n"
+     "  r[3] := r[1] / r[2]\n",
+     4},
+    // The same edges folded at compile time.
+    {"var r[6]:\n"
+     "seq\n"
+     "  r[0] := 65536 * 65536\n"
+     "  r[1] := 2147483647 + 1\n"
+     "  r[2] := (0 - 2147483647) - 2\n"
+     "  r[3] := ((0 - 2147483647) - 1) / (0 - 1)\n"
+     "  r[4] := ((0 - 2147483647) - 1) \\ (0 - 1)\n"
+     "  r[5] := -((0 - 2147483647) - 1)\n",
+     6},
+    // And at run time, through memory so nothing folds.
+    {"var r[8]:\n"
+     "seq\n"
+     "  r[6] := 65536\n"
+     "  r[7] := (0 - 2147483647) - 1\n"
+     "  r[0] := r[6] * r[6]\n"
+     "  r[1] := (r[6] + 1) * (r[6] + 1)\n"
+     "  r[2] := r[7] / (0 - 1)\n"
+     "  r[3] := r[7] \\ (0 - 1)\n"
+     "  r[4] := r[7] - 1\n"
+     "  r[5] := -r[7]\n",
+     6},
+};
+
+TEST(FuzzDifferential, WordEdgesAgree)
+{
+    for (const WordEdgeProgram &edge : kWordEdgePrograms) {
+        SCOPED_TRACE(edge.source);
+        DualProgram dual = compileBoth(edge.source, "r");
+        GraphInterpreter interp(dual.contexts);
+        ASSERT_TRUE(interp.run().completed);
+        mp::System system(dual.object, mp::SystemConfig{});
+        ASSERT_TRUE(system.run(dual.contexts.mainLabel).completed);
+        expectAgree(interp, system, dual.base, edge.results);
+    }
+}
 
 class FuzzFaultDifferentialTest : public ::testing::TestWithParam<int>
 {
@@ -83,54 +185,16 @@ class FuzzFaultDifferentialTest : public ::testing::TestWithParam<int>
 
 TEST_P(FuzzFaultDifferentialTest, FaultyRunAgreesOrFailsCleanly)
 {
-    ProgramGen gen(0xF00D + static_cast<std::uint64_t>(GetParam()) *
-                               0x9E37);
-    std::string source = gen.generate();
-    SCOPED_TRACE(source);
-
-    Program ast = parse(source);
-    SymbolTable table = analyze(ast);
-    Ift ift = Ift::build(ast, table);
-    ContextProgram contexts = buildContextGraphs(ast, table, ift);
-
-    isa::Addr base = 0;
-    for (const auto &[sym, addr] : contexts.dataAddress)
-        if (table.symbol(sym).name == "res")
-            base = addr;
-    ASSERT_NE(base, 0u);
-
-    GraphInterpreter interp(contexts);
-    ASSERT_TRUE(interp.run().completed);
-
-    isa::ObjectCode object = isa::assemble(generateAssembly(contexts));
-    mp::SystemConfig config;
-    config.numPes = 1 + GetParam() % 4;
     // Value-preserving fault mix seeded from the corpus index: the
-    // schedule differs per program but stays reproducible.
-    fault::FaultPlan plan;
-    plan.seed = 0xFA117 + static_cast<std::uint64_t>(GetParam());
-    plan.rate = 0.03;
-    plan.kinds = fault::kBusDrop | fault::kBusDelay | fault::kPeStall;
-    config.faultPlan = plan;
+    // schedule differs per program but stays reproducible. A lost
+    // message beyond the retry bound is an acceptable degraded outcome.
+    mp::SystemConfig config;
+    config.faultPlan.seed = 0xFA117 + static_cast<std::uint64_t>(GetParam());
+    config.faultPlan.rate = 0.03;
+    config.faultPlan.kinds =
+        fault::kBusDrop | fault::kBusDelay | fault::kPeStall;
     config.watchdogCycles = 200'000;
-    mp::System system(object, config);
-    mp::RunResult result = system.run(contexts.mainLabel);
-
-    if (!result.completed) {
-        // A lost message beyond the retry bound is an acceptable
-        // degraded outcome, but it must be reported, never a hang, a
-        // crash, or a silent wrong answer.
-        EXPECT_FALSE(result.failureReason.empty());
-        return;
-    }
-    for (int i = 0; i < 8; ++i) {
-        auto abstract = static_cast<std::int32_t>(
-            interp.readWord(base + static_cast<isa::Addr>(i) * 4));
-        auto machine = static_cast<std::int32_t>(
-            system.memory().readWord(base +
-                                     static_cast<isa::Addr>(i) * 4));
-        ASSERT_EQ(abstract, machine) << "res[" << i << "]";
-    }
+    expectCorpusAgrees(GetParam(), config);
 }
 
 INSTANTIATE_TEST_SUITE_P(FaultCorpus, FuzzFaultDifferentialTest,
@@ -150,29 +214,8 @@ TEST_P(FuzzRecoveryDifferentialTest, RecoveredRunAgreesExactly)
     // bounded checkpoint replay. The bar is the same as the fault-free
     // corpus - exact agreement with the abstract interpreter - with a
     // structured failure as the only acceptable degraded outcome.
-    ProgramGen gen(0xF00D + static_cast<std::uint64_t>(GetParam()) *
-                               0x9E37);
-    std::string source = gen.generate();
-    SCOPED_TRACE(source);
-
-    Program ast = parse(source);
-    SymbolTable table = analyze(ast);
-    Ift ift = Ift::build(ast, table);
-    ContextProgram contexts = buildContextGraphs(ast, table, ift);
-
-    isa::Addr base = 0;
-    for (const auto &[sym, addr] : contexts.dataAddress)
-        if (table.symbol(sym).name == "res")
-            base = addr;
-    ASSERT_NE(base, 0u);
-
-    GraphInterpreter interp(contexts);
-    ASSERT_TRUE(interp.run().completed);
-
-    isa::ObjectCode object = isa::assemble(generateAssembly(contexts));
     mp::SystemConfig config;
-    config.numPes = 1 + GetParam() % 4;
-    fault::FaultPlan plan;
+    fault::FaultPlan &plan = config.faultPlan;
     plan.seed = 0x5EC0 + static_cast<std::uint64_t>(GetParam());
     plan.rate = 0.25;
     plan.kinds =
@@ -183,33 +226,10 @@ TEST_P(FuzzRecoveryDifferentialTest, RecoveredRunAgreesExactly)
         plan.killAt = 200;
         plan.killPe = GetParam() % 4;
     }
-    config.faultPlan = plan;
     config.watchdogCycles = 200'000;
     config.recovery.enabled = true;
     config.recovery.checkpointEvery = 300;
-    mp::System system(object, config);
-    mp::RunResult result = system.run(contexts.mainLabel);
-    int replays = 0;
-    while (!result.completed && system.replayable() &&
-           system.canRestore() &&
-           replays < config.recovery.maxReplays) {
-        system.restore();
-        ++replays;
-        result = system.resume();
-    }
-
-    if (!result.completed) {
-        EXPECT_FALSE(result.failureReason.empty());
-        return;
-    }
-    for (int i = 0; i < 8; ++i) {
-        auto abstract = static_cast<std::int32_t>(
-            interp.readWord(base + static_cast<isa::Addr>(i) * 4));
-        auto machine = static_cast<std::int32_t>(
-            system.memory().readWord(base +
-                                     static_cast<isa::Addr>(i) * 4));
-        ASSERT_EQ(abstract, machine) << "res[" << i << "]";
-    }
+    expectCorpusAgrees(GetParam(), config);
 }
 
 INSTANTIATE_TEST_SUITE_P(RecoveryCorpus, FuzzRecoveryDifferentialTest,

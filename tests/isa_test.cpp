@@ -5,9 +5,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "fuzz_corpus.hpp"
 #include "isa/assembler.hpp"
 #include "isa/fields.hpp"
 #include "isa/instruction.hpp"
+#include "occam/compiler.hpp"
+#include "programs/benchmarks.hpp"
 #include "support/diagnostics.hpp"
 
 namespace {
@@ -289,6 +294,63 @@ TEST(Assembler, DisassemblerRoundTripsText)
     std::size_t index = 0;
     while (index < code.words.size())
         Instruction::decode(code.words, index);
+}
+
+/**
+ * Every PE fetches through DecodedProgram: at every PC of @p words its
+ * entry must match Instruction::decode (instruction, next PC, size),
+ * or both must panic (an immediate word read as an instruction may be
+ * illegal or run off the end).
+ */
+void
+expectDecodeCacheMatches(const std::vector<Word> &words)
+{
+    DecodedProgram decoded(words);
+    for (std::size_t pc = 0; pc < words.size(); ++pc) {
+        std::size_t next = pc;
+        std::optional<Instruction> direct;
+        try {
+            direct = Instruction::decode(words, next);
+        } catch (const PanicError &) {
+        }
+        auto at = static_cast<Word>(pc);
+        if (!direct) {
+            EXPECT_THROW(decoded.at(at), PanicError) << "pc " << pc;
+            continue;
+        }
+        const DecodedOp &op = decoded.at(at);
+        EXPECT_EQ(op.instr.toString(), direct->toString()) << "pc " << pc;
+        EXPECT_EQ(op.nextPc, next) << "pc " << pc;
+        EXPECT_EQ(op.sizeWords, direct->sizeWords()) << "pc " << pc;
+    }
+}
+
+TEST(DecodedProgram, MatchesDecodeOnCompiledPrograms)
+{
+    for (const programs::Benchmark &b : programs::thesisBenchmarks()) {
+        SCOPED_TRACE(b.name);
+        expectDecodeCacheMatches(occam::compileOccam(b.source).object.words);
+    }
+    for (int i = 0; i < 4; ++i) {
+        std::string source = fuzz::ProgramGen(fuzz::corpusSeed(i)).generate();
+        SCOPED_TRACE(source);
+        expectDecodeCacheMatches(occam::compileOccam(source).object.words);
+    }
+}
+
+TEST(DecodedProgram, OutOfRangeAndTruncatedPanicLikeDecode)
+{
+    // The second instruction's immediate word is cut off.
+    std::vector<Word> words =
+        assemble("  plus #1,#2 :r17\n  plus #100000,#0 :r18\n").words;
+    words.pop_back();
+    DecodedProgram decoded(words);
+    for (std::size_t pc : {std::size_t{1}, words.size()}) {
+        std::size_t next = pc;
+        EXPECT_THROW(Instruction::decode(words, next), PanicError);
+        EXPECT_THROW(decoded.at(static_cast<Word>(pc)), PanicError);
+    }
+    EXPECT_EQ(decoded.at(0).nextPc, 1u);
 }
 
 } // namespace

@@ -119,6 +119,19 @@ TEST(Lexer, UnexpectedCharacterReportsLineAndColumn)
         << msg;
 }
 
+TEST(Lexer, LiteralsAreBoundedToAWord)
+{
+    std::vector<Token> toks = lex("x := 2147483647\n");
+    EXPECT_EQ(toks[2].value, 2147483647);
+    for (const char *src : {"x := 2147483648\n",
+                            "x := 12345678901234567890123\n"}) {
+        std::string msg = diagnosticOf([src] { lex(src); });
+        EXPECT_NE(msg.find("line 1:6"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("exceeds 2147483647"), std::string::npos)
+            << msg;
+    }
+}
+
 TEST(Parser, AssignAndExpressions)
 {
     Program p = parse("x := (a + b) * 3\n");
@@ -311,6 +324,28 @@ TEST(Sema, ConstantFolding)
         }
     }
     EXPECT_TRUE(found);
+}
+
+TEST(Sema, ConstantOverflowIsACompileError)
+{
+    Program p;
+    // INT32_MIN itself is representable...
+    EXPECT_NO_THROW(check("def lo = 0 - 2147483647 - 1:\nskip\n", p));
+    // ...but no folded constant (named constant or array size) may
+    // leave the word, and the error names the line.
+    for (auto [src, line] : {
+             std::pair{"def big = 65536 * 65536:\nskip\n", "line 1"},
+             std::pair{"def a = 1:\ndef big = 2147483647 + a:\nskip\n",
+                       "line 2"},
+             std::pair{"def lo = 0 - 2147483647 - 2:\nskip\n", "line 1"},
+             std::pair{"def lo = 0 - 2147483647 - 1, q = lo / (0 - 1):\n"
+                       "skip\n", "line 1"},
+             std::pair{"var v[65536 * 65536]:\nskip\n", "line 1"}}) {
+        std::string msg = diagnosticOf([&] { check(src, p); });
+        EXPECT_NE(msg.find("overflows a 32-bit word"), std::string::npos)
+            << src << ": " << msg;
+        EXPECT_NE(msg.find(line), std::string::npos) << msg;
+    }
 }
 
 TEST(Sema, ProcArityChecked)

@@ -36,15 +36,18 @@ run(ProcessingElement &pe, int max_steps = 1000)
     return cycles;
 }
 
+/** A PE loaded with @p source on a 64-word queue page at kPage. */
 struct Fixture
 {
     Memory memory{1 << 16};
-    NullHost host;
+    NullHost nullHost;
     ObjectCode code;
+    DecodedProgram decoded;
     ProcessingElement pe;
 
-    explicit Fixture(const std::string &source)
-        : code(assemble(source)), pe(memory, code, host)
+    explicit Fixture(const std::string &source, PeHost *host = nullptr)
+        : code(assemble(source)), decoded(code.words),
+          pe(memory, decoded, host ? *host : nullHost)
     {
         ContextState state;
         state.pc = 0;
@@ -255,6 +258,43 @@ TEST(Pe, DivisionByZeroIsFatal)
     EXPECT_THROW(run(f.pe), FatalError);
 }
 
+TEST(Pe, MulWrapsModulo2To32)
+{
+    Fixture f(
+        "  mul #65536,#65536 :r17\n"
+        "  mul #65537,#65537 :r18\n"
+        "  mul #-2147483648,#-1 :r19\n"
+        "  fret\n");
+    run(f.pe);
+    EXPECT_EQ(f.pe.readReg(17), 0u);
+    EXPECT_EQ(f.pe.readReg(18), 0x20001u);  // 2^32 + 2^17 + 1
+    EXPECT_EQ(f.pe.readReg(19), 0x80000000u);
+}
+
+TEST(Pe, MinIntDividedByMinusOneWraps)
+{
+    Fixture f(
+        "  div #-2147483648,#-1 :r17\n"
+        "  div #-7,#-1 :r18\n"
+        "  fret\n");
+    run(f.pe);
+    EXPECT_EQ(f.pe.readReg(17), 0x80000000u);
+    EXPECT_EQ(static_cast<SWord>(f.pe.readReg(18)), 7);
+}
+
+TEST(Pe, MinIntRemainderMinusOneIsZero)
+{
+    Fixture f(
+        "  rem #-2147483648,#-1 :r17\n"
+        "  rem #-7,#-1 :r18\n"
+        "  rem #-7,#2 :r19\n"
+        "  fret\n");
+    run(f.pe);
+    EXPECT_EQ(f.pe.readReg(17), 0u);
+    EXPECT_EQ(f.pe.readReg(18), 0u);
+    EXPECT_EQ(static_cast<SWord>(f.pe.readReg(19)), -1);
+}
+
 TEST(Pe, RollOutWritesPresentRegistersToQueuePage)
 {
     Fixture f(
@@ -338,14 +378,9 @@ class RecordingHost : public PeHost
 
 TEST(Pe, SendDeliversChannelAndValue)
 {
-    Memory memory(1 << 16);
     RecordingHost host;
-    ObjectCode code = assemble("  send #7,#42\n  fret\n");
-    ProcessingElement pe(memory, code, host);
-    ContextState state;
-    state.qp = kPage;
-    state.pom = pomForPageWords(64);
-    pe.loadContext(state);
+    Fixture f("  send #7,#42\n  fret\n", &host);
+    ProcessingElement &pe = f.pe;
     run(pe);
     ASSERT_EQ(host.sends.size(), 1u);
     EXPECT_EQ(host.sends[0], (std::pair<Word, Word>{7, 42}));
@@ -353,15 +388,10 @@ TEST(Pe, SendDeliversChannelAndValue)
 
 TEST(Pe, BlockedSendLeavesPcForRetry)
 {
-    Memory memory(1 << 16);
     RecordingHost host;
     host.blockCount = 2;
-    ObjectCode code = assemble("  send #7,#42\n  fret\n");
-    ProcessingElement pe(memory, code, host);
-    ContextState state;
-    state.qp = kPage;
-    state.pom = pomForPageWords(64);
-    pe.loadContext(state);
+    Fixture f("  send #7,#42\n  fret\n", &host);
+    ProcessingElement &pe = f.pe;
 
     EXPECT_EQ(pe.step().status, StepStatus::Blocked);
     EXPECT_EQ(pe.pc(), 0u);  // not consumed
@@ -372,31 +402,19 @@ TEST(Pe, BlockedSendLeavesPcForRetry)
 
 TEST(Pe, RecvWritesDestination)
 {
-    Memory memory(1 << 16);
     RecordingHost host;
     host.recvValues = {123};
-    ObjectCode code = assemble("  recv #5 :r17\n  fret\n");
-    ProcessingElement pe(memory, code, host);
-    ContextState state;
-    state.qp = kPage;
-    state.pom = pomForPageWords(64);
-    pe.loadContext(state);
+    Fixture f("  recv #5 :r17\n  fret\n", &host);
+    ProcessingElement &pe = f.pe;
     run(pe);
     EXPECT_EQ(pe.readReg(17), 123u);
 }
 
 TEST(Pe, TrapWritesResultsAndEndsContext)
 {
-    Memory memory(1 << 16);
     RecordingHost host;
-    ObjectCode code = assemble(
-        "  trap #99,#10 :r17,r18\n"
-        "  trap #0,#0\n");
-    ProcessingElement pe(memory, code, host);
-    ContextState state;
-    state.qp = kPage;
-    state.pom = pomForPageWords(64);
-    pe.loadContext(state);
+    Fixture f("  trap #99,#10 :r17,r18\n  trap #0,#0\n", &host);
+    ProcessingElement &pe = f.pe;
 
     EXPECT_EQ(pe.step().status, StepStatus::Executed);
     // The trap result fans out to both destinations, like any other op.
