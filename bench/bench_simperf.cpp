@@ -2,10 +2,16 @@
  * @file
  * Host-side performance of the simulator itself (google-benchmark):
  * instruction throughput of a single PE, whole-system simulation rate,
- * and compiler throughput. Not a thesis experiment - this guards the
- * usability of the reproduction.
+ * compiler throughput, and the checkpoint save/load round trip. Not a
+ * thesis experiment - this guards the usability of the reproduction.
  */
 #include <benchmark/benchmark.h>
+
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <string>
 
 #include "isa/assembler.hpp"
 #include "mp/system.hpp"
@@ -120,6 +126,51 @@ BM_SimCyclesEvent(benchmark::State &state)
 }
 BENCHMARK(BM_SimCyclesEvent)->Arg(1)->Arg(8)->Unit(
     benchmark::kMillisecond);
+
+/**
+ * Persistence round trip: matmul on 8 PEs with a snapshot every 4000
+ * cycles, each saved to a file by the checkpoint sink; a fresh System
+ * then loads the last one and resumes to completion. Items processed
+ * is the number of snapshots saved, accumulated across iterations as
+ * in simCyclesRate.
+ */
+void
+BM_CheckpointRoundTrip(benchmark::State &state)
+{
+    occam::CompiledProgram program =
+        occam::compileOccam(programs::matmulSource());
+    mp::SystemConfig config;
+    config.numPes = 8;
+    config.recovery.enabled = true;
+    config.recovery.checkpointEvery = 4000;
+    std::string path = (std::filesystem::temp_directory_path() /
+                        ("bench_simperf_" + std::to_string(::getpid()) +
+                         ".qmc"))
+                           .string();
+    std::int64_t snapshots = 0;
+    for (auto _ : state) {
+        bool ok = true;
+        {
+            mp::System system(program.object, config);
+            system.setCheckpointSink([&](mp::System &s) {
+                ok = s.saveCheckpoint(path).ok() && ok;
+                ++snapshots;
+            });
+            ok = system.run(program.mainLabel).completed && ok;
+        }
+        mp::System resumed(program.object, config);
+        ok = ok && resumed.loadCheckpoint(path).ok();
+        mp::RunResult result = ok ? resumed.resume() : mp::RunResult{};
+        benchmark::DoNotOptimize(result.cycles);
+        if (!result.completed) {
+            state.SkipWithError("checkpoint round trip failed");
+            break;
+        }
+    }
+    std::remove(path.c_str());
+    state.SetItemsProcessed(snapshots);
+}
+BENCHMARK(BM_CheckpointRoundTrip)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -174,7 +174,7 @@ struct System::PeSlot
  */
 struct System::Checkpoint
 {
-    std::vector<std::uint8_t> memory;
+    pe::PageImage memory;  ///< Written pages only (see pe::Memory).
     std::vector<Context> contexts;
     std::vector<Addr> freePages;
     Word nextChannel = 2;
@@ -1317,7 +1317,7 @@ System::snapshot()
                   << "\n";
     }
     auto cp = std::make_unique<Checkpoint>();
-    memory_->snapshotTo(cp->memory);
+    cp->memory = memory_->snapshot();
     cp->contexts = contexts;
     cp->freePages = freePages;
     cp->nextChannel = nextChannel;
@@ -1378,7 +1378,7 @@ System::restore()
     if (traceEnabled())
         std::cerr << "RESTORE\n";
     const Checkpoint &cp = *checkpoint_;
-    memory_->restoreBytes(cp.memory);
+    memory_->restore(cp.memory);
     contexts = cp.contexts;
     freePages = cp.freePages;
     nextChannel = cp.nextChannel;
@@ -1537,7 +1537,7 @@ System::saveCheckpoint(const std::string &path) const
     }
     {
         persist::Encoder enc;
-        persist::encodeSparseMemory(enc, cp.memory);
+        persist::encodeMemoryImage(enc, cp.memory);
         sections.push_back({"MEMS", enc.take()});
     }
     {
@@ -1737,6 +1737,40 @@ System::loadCheckpoint(const std::string &path)
         if (cp->pendingDeadPe >= config_.numPes)
             return bad("KERN", cat("pendingDeadPe ", cp->pendingDeadPe,
                                    " out of range"));
+        // Free queue pages: each a page of the pool, listed once, and
+        // not the page of a live context - the next fork would hand
+        // that context's operand queue to a second one.
+        auto pool_pages = static_cast<std::size_t>(config_.maxLiveContexts);
+        Addr page_bytes = static_cast<Addr>(config_.pageWords) * 4;
+        auto pool_index = [&](Addr page) -> std::size_t {
+            if (page < kQueuePagePool ||
+                (page - kQueuePagePool) % page_bytes != 0)
+                return pool_pages;
+            return std::min<std::size_t>((page - kQueuePagePool) /
+                                             page_bytes,
+                                         pool_pages);
+        };
+        std::vector<CtxId> holder(pool_pages, msg::kNoCtx);
+        for (const Context &ctx : cp->contexts) {
+            std::size_t at = pool_index(ctx.queuePage);
+            if (ctx.status != CtxStatus::Done && at < pool_pages)
+                holder[at] = ctx.id;
+        }
+        std::vector<bool> listed(pool_pages, false);
+        for (Addr page : cp->freePages) {
+            std::size_t at = pool_index(page);
+            if (at == pool_pages)
+                return bad("KERN", cat("free queue page ", page,
+                                       " is not a page of the queue pool"));
+            if (listed[at])
+                return bad("KERN", cat("free queue page ", page,
+                                       " is listed twice"));
+            if (holder[at] != msg::kNoCtx)
+                return bad("KERN", cat("free queue page ", page,
+                                       " is the queue page of live context ",
+                                       holder[at]));
+            listed[at] = true;
+        }
     }
 
     const persist::Section *mems = find("MEMS");
@@ -1744,7 +1778,7 @@ System::loadCheckpoint(const std::string &path)
         return missing("MEMS");
     {
         persist::Decoder dec(mems->payload);
-        cp->memory = persist::decodeSparseMemory(dec, memory_->size());
+        cp->memory = persist::decodeMemoryImage(dec, memory_->size());
         if (!dec.ok())
             return bad("MEMS", dec.error());
         if (!dec.atEnd())

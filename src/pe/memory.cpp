@@ -6,7 +6,8 @@
 
 namespace qm::pe {
 
-Memory::Memory(std::size_t bytes, Alloc alloc) : size_(bytes)
+Memory::Memory(std::size_t bytes, Alloc alloc)
+    : size_(bytes), written_((bytes + kPageBytes - 1) / kPageBytes, 0)
 {
     if (alloc == Alloc::Eager) {
         bytes_.assign(bytes, 0);
@@ -43,6 +44,7 @@ Memory::writeWord(Addr addr, Word value)
     checkWord(addr);
     if (undo_)
         undo_->record(addr, readWord(addr), /*byte=*/false);
+    written_[addr / kPageBytes] = 1;  // aligned: one page per word
     data_[addr] = static_cast<std::uint8_t>(value);
     data_[addr + 1] = static_cast<std::uint8_t>(value >> 8);
     data_[addr + 2] = static_cast<std::uint8_t>(value >> 16);
@@ -64,6 +66,7 @@ Memory::writeByte(Addr addr, std::uint8_t value)
             "byte access out of bounds at ", addr);
     if (undo_)
         undo_->record(addr, data_[addr], /*byte=*/true);
+    written_[addr / kPageBytes] = 1;
     data_[addr] = value;
 }
 
@@ -88,17 +91,40 @@ Memory::applyUndo(const UndoLog &undo)
     }
 }
 
-void
-Memory::snapshotTo(std::vector<std::uint8_t> &out) const
+PageImage
+Memory::snapshot() const
 {
-    out.assign(data_, data_ + size_);
+    PageImage image;
+    image.size = size_;
+    for (std::size_t p = 0; p < written_.size(); ++p)
+        if (written_[p])
+            image.pages.push_back(static_cast<std::uint32_t>(p));
+    image.bytes.resize(image.pages.size() * kPageBytes);
+    for (std::size_t k = 0; k < image.pages.size(); ++k) {
+        std::size_t p = image.pages[k];
+        std::memcpy(image.bytes.data() + k * kPageBytes,
+                    data_ + p * kPageBytes, pageLength(size_, p));
+    }
+    return image;
 }
 
 void
-Memory::restoreBytes(const std::vector<std::uint8_t> &bytes)
+Memory::restore(const PageImage &image)
 {
-    panicIf(bytes.size() != size_, "memory snapshot size mismatch");
-    std::memcpy(data_, bytes.data(), size_);
+    panicIf(image.size != size_ ||
+                image.bytes.size() != image.pages.size() * kPageBytes,
+            "memory image does not fit this memory");
+    for (std::size_t p = 0; p < written_.size(); ++p)
+        if (written_[p])
+            std::memset(data_ + p * kPageBytes, 0, pageLength(size_, p));
+    for (std::size_t k = 0; k < image.pages.size(); ++k) {
+        std::size_t p = image.pages[k];
+        panicIf(p >= written_.size(), "memory image page ", p,
+                " out of range");
+        std::memcpy(data_ + p * kPageBytes, image.page(k),
+                    pageLength(size_, p));
+        written_[p] = 1;
+    }
 }
 
 } // namespace qm::pe

@@ -6,10 +6,12 @@
  * The operand-queue pages of every context live in this memory alongside
  * program data (vectors, arrays), exactly as in the pseudo-static layout
  * where one instruction space is shared while each context owns a data
- * page.
+ * page. A live machine therefore writes a few dozen 4 KiB pages of its
+ * 32 MiB address space, and checkpoints copy only those (PageImage).
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -64,7 +66,42 @@ struct UndoLog
     }
 };
 
-/** Flat byte-addressable memory with checked word/byte access. */
+/** Granule of the written-page map and of a PageImage. */
+constexpr std::size_t kPageBytes = 4096;
+
+/** Bytes of page @p page inside a @p memory_bytes memory. */
+inline std::size_t
+pageLength(std::size_t memory_bytes, std::size_t page)
+{
+    return std::min(kPageBytes, memory_bytes - page * kPageBytes);
+}
+
+/**
+ * Sparse copy of a Memory: the pages it had written, ascending. The
+ * content of page pages[k] is bytes[k * kPageBytes, (k + 1) *
+ * kPageBytes); a short last page (memory size not a multiple of
+ * kPageBytes) is zero-padded. Every page not listed is all zero.
+ */
+struct PageImage
+{
+    std::size_t size = 0;              ///< Bytes of the imaged memory.
+    std::vector<std::uint32_t> pages;  ///< Ascending page indices.
+    std::vector<std::uint8_t> bytes;   ///< kPageBytes per listed page.
+
+    const std::uint8_t *
+    page(std::size_t k) const
+    {
+        return bytes.data() + k * kPageBytes;
+    }
+};
+
+/**
+ * Flat byte-addressable memory with checked word/byte access and one
+ * written flag per kPageBytes page. writeWord and writeByte are the
+ * only write paths and both set the flag, so every unflagged page is
+ * all zero; applyUndo rewrites only pages an earlier write flagged,
+ * and nothing ever clears a flag.
+ */
 class Memory
 {
   public:
@@ -102,9 +139,15 @@ class Memory
     /** Roll back every write recorded in @p undo (reverse order). */
     void applyUndo(const UndoLog &undo);
 
-    /** Whole-memory snapshot support (System checkpoints). */
-    void snapshotTo(std::vector<std::uint8_t> &out) const;
-    void restoreBytes(const std::vector<std::uint8_t> &bytes);
+    /** Copy of every written page (System checkpoints). */
+    PageImage snapshot() const;
+
+    /**
+     * Make memory equal @p image exactly: zero every written page,
+     * then copy in the image's pages and flag them. Costs the pages
+     * written, not the address space.
+     */
+    void restore(const PageImage &image);
 
     /** Raw backing store (tests/differential comparisons). */
     const std::uint8_t *data() const { return data_; }
@@ -121,6 +164,7 @@ class Memory
     std::unique_ptr<std::uint8_t[], FreeDeleter> lazy_;  ///< Lazy store.
     std::uint8_t *data_ = nullptr;  ///< Whichever store is active.
     std::size_t size_ = 0;
+    std::vector<std::uint8_t> written_;  ///< One flag per page.
     UndoLog *undo_ = nullptr;  ///< Attached span log (see setUndoLog).
 };
 

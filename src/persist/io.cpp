@@ -205,19 +205,20 @@ Decoder::str()
 }
 
 std::vector<std::uint8_t>
-Decoder::blob()
-{
-    std::size_t n = length(remaining());
-    return blobOf(n);
-}
-
-std::vector<std::uint8_t>
 Decoder::blobOf(std::size_t n)
 {
     const std::uint8_t *p = nullptr;
     if (!take(n, &p))
         return {};
     return std::vector<std::uint8_t>(p, p + n);
+}
+
+void
+Decoder::blobInto(void *out, std::size_t n)
+{
+    const std::uint8_t *p = nullptr;
+    if (take(n, &p))
+        std::memcpy(out, p, n);
 }
 
 // ---------------------------------------------------------------------------

@@ -118,9 +118,10 @@ class Decoder
     std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
     double f64();
     std::string str();
-    std::vector<std::uint8_t> blob();
     /** Exactly @p n raw bytes (no length prefix). */
     std::vector<std::uint8_t> blobOf(std::size_t n);
+    /** Exactly @p n raw bytes copied to @p out (untouched on failure). */
+    void blobInto(void *out, std::size_t n);
     /** u64 length check helper: fails unless at most @p limit. */
     std::size_t length(std::uint64_t limit);
 

@@ -1,7 +1,5 @@
 #include "persist/state_codec.hpp"
 
-#include <cstring>
-
 #include "support/format.hpp"
 
 namespace qm::persist {
@@ -366,8 +364,6 @@ decodeContext(Decoder &dec)
 
 namespace {
 
-constexpr std::size_t kPageBytes = 4096;
-
 bool
 pageIsZero(const std::uint8_t *page, std::size_t n)
 {
@@ -380,55 +376,70 @@ pageIsZero(const std::uint8_t *page, std::size_t n)
 } // namespace
 
 void
-encodeSparseMemory(Encoder &enc, const std::vector<std::uint8_t> &bytes)
+encodeMemoryImage(Encoder &enc, const pe::PageImage &image)
 {
-    enc.u64(bytes.size());
+    auto length = [&](std::size_t k) {
+        return pe::pageLength(image.size, image.pages[k]);
+    };
+    enc.u64(image.size);
+    // Written pages that hold only zeroes are skipped. Count the rest
+    // first, so the decoder knows how many page records follow
+    // without a sentinel.
     std::uint64_t pages = 0;
-    // First pass: count non-zero pages, so the decoder knows how many
-    // page records follow without a sentinel.
-    for (std::size_t off = 0; off < bytes.size(); off += kPageBytes) {
-        std::size_t n = std::min(kPageBytes, bytes.size() - off);
-        if (!pageIsZero(bytes.data() + off, n))
+    for (std::size_t k = 0; k < image.pages.size(); ++k)
+        if (!pageIsZero(image.page(k), length(k)))
             ++pages;
-    }
     enc.u64(pages);
-    for (std::size_t off = 0; off < bytes.size(); off += kPageBytes) {
-        std::size_t n = std::min(kPageBytes, bytes.size() - off);
-        if (pageIsZero(bytes.data() + off, n))
+    for (std::size_t k = 0; k < image.pages.size(); ++k) {
+        if (pageIsZero(image.page(k), length(k)))
             continue;
-        enc.u64(off);
-        enc.blob(bytes.data() + off, n);
+        enc.u64(std::uint64_t{image.pages[k]} * pe::kPageBytes);
+        enc.blob(image.page(k), length(k));
     }
 }
 
-std::vector<std::uint8_t>
-decodeSparseMemory(Decoder &dec, std::size_t expected_size)
+pe::PageImage
+decodeMemoryImage(Decoder &dec, std::size_t expected_size)
 {
-    std::vector<std::uint8_t> bytes;
+    pe::PageImage image;
     std::uint64_t size = dec.u64();
     if (!dec.ok())
-        return bytes;
+        return image;
     if (size != expected_size) {
         dec.fail(cat("memory image is ", size, " bytes, this machine has ",
                      expected_size));
-        return bytes;
+        return image;
     }
-    bytes.assign(expected_size, 0);
-    std::uint64_t pages = dec.u64();
-    for (std::uint64_t p = 0; p < pages && dec.ok(); ++p) {
+    image.size = expected_size;
+    std::size_t pages = dec.length(mapLimit(dec));
+    image.pages.reserve(pages);
+    for (std::size_t k = 0; k < pages && dec.ok(); ++k) {
         std::uint64_t off = dec.u64();
-        std::vector<std::uint8_t> page = dec.blob();
+        std::uint64_t len = dec.u64();
         if (!dec.ok())
             break;
-        if (off % kPageBytes != 0 || off >= bytes.size() ||
-            page.size() > bytes.size() - off || page.empty()) {
-            dec.fail(cat("memory page at offset ", off, " of ", page.size(),
-                         " bytes is out of bounds"));
+        if (off % pe::kPageBytes != 0 || off >= size) {
+            dec.fail(cat("memory page offset ", off,
+                         " is not a page of this memory"));
             break;
         }
-        std::memcpy(bytes.data() + off, page.data(), page.size());
+        auto page = static_cast<std::uint32_t>(off / pe::kPageBytes);
+        if (!image.pages.empty() && page <= image.pages.back()) {
+            dec.fail(cat("memory page offset ", off,
+                         " does not ascend"));
+            break;
+        }
+        std::size_t want = pe::pageLength(expected_size, page);
+        if (len != want) {
+            dec.fail(cat("memory page at offset ", off, " is ", len,
+                         " bytes, not ", want));
+            break;
+        }
+        image.pages.push_back(page);
+        image.bytes.resize(image.bytes.size() + pe::kPageBytes);
+        dec.blobInto(image.bytes.data() + k * pe::kPageBytes, want);
     }
-    return bytes;
+    return image;
 }
 
 } // namespace qm::persist

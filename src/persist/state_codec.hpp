@@ -18,6 +18,7 @@
 #include "msg/message_cache.hpp"
 #include "mp/ring_bus.hpp"
 #include "mp/system.hpp"
+#include "pe/memory.hpp"
 #include "persist/io.hpp"
 #include "support/stats.hpp"
 #include "trace/trace.hpp"
@@ -51,13 +52,14 @@ void encodeHostOp(Encoder &enc, const mp::HostOp &op);
 mp::HostOp decodeHostOp(Decoder &dec);
 
 /**
- * Sparse memory image: 4 KiB pages that are entirely zero are skipped,
- * so a 32 MiB address space with a small working set persists in a few
- * hundred KiB. Decode fails unless the declared size matches
- * @p expected_size exactly.
+ * MEMS: a memory image as its non-zero pages, ascending. Layout: size
+ * u64, page count u64, then per page its byte offset u64 and its bytes
+ * as a blob. Every page is pe::kPageBytes long except a last page past
+ * a size that is not a multiple of it. Decode fails unless the size is
+ * @p expected_size and every record is one page-aligned, in-range page
+ * at a strictly higher offset than the one before.
  */
-void encodeSparseMemory(Encoder &enc, const std::vector<std::uint8_t> &bytes);
-std::vector<std::uint8_t> decodeSparseMemory(Decoder &dec,
-                                             std::size_t expected_size);
+void encodeMemoryImage(Encoder &enc, const pe::PageImage &image);
+pe::PageImage decodeMemoryImage(Decoder &dec, std::size_t expected_size);
 
 } // namespace qm::persist

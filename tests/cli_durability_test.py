@@ -6,7 +6,8 @@ Asserts:
     (usage 2, compile 3, watchdog/deadline 4, structured run
     failure 5, fatal 6, interrupted 128+signo);
   * occamc --checkpoint-file / --resume byte-identity on stdout,
-    and the corrupt-checkpoint cold-start fallback;
+    and the cold-start fallback for a corrupt checkpoint and for one
+    whose free-page list aliases a live context;
   * qmprof diff exit codes, and a passing and a failing case for every
     gate mode CI runs through it;
   * the flight recorder: every failure class leaves a parseable
@@ -24,10 +25,12 @@ Usage: cli_durability_test.py OCCAMC SOURCE_DIR QMPROF PRIME_SIEVE
 import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 import tempfile
 import time
+import zlib
 
 failures = []
 
@@ -45,6 +48,43 @@ def check_rc(name, proc, rc):
 
 def run(cmd, **kw):
     return subprocess.run(cmd, capture_output=True, text=True, **kw)
+
+
+def alias_free_page(image):
+    """Rewrite the last free queue page in a QMCKPT01 image's KERN
+    section to the queue page of a live context, and re-seal the
+    section CRC. Returns the patched image, or None when the
+    checkpoint has no live context or no free page."""
+    (count,) = struct.unpack_from("<I", image, 12)
+    pos = 20  # magic, version, section count, header crc
+    for _ in range(count):
+        tag = bytes(image[pos:pos + 4])
+        (length,) = struct.unpack_from("<Q", image, pos + 4)
+        start = pos + 16
+        pos = start + length
+        if tag != b"KERN":
+            continue
+        kern = image[start:pos]
+        at, live = 8, []
+        for _ in range(struct.unpack_from("<Q", kern, 0)[0]):
+            at += 4 * 17  # id, pc, qp, pom, nar, lastResult, 11 generals
+            status = kern[at]
+            at += 1 + 8 + 4 + 4  # status, homePe, inChan, outChan
+            (queue_page,) = struct.unpack_from("<I", kern, at)
+            at += 4 + 8  # queuePage, readyAt
+            (replays,) = struct.unpack_from("<Q", kern, at)
+            at += 8 + 18 * replays  # kind u8, arg, result, cycles, flag
+            if status != 4:  # not Done
+                live.append(queue_page)
+        (free,) = struct.unpack_from("<Q", kern, at)
+        if not live or not free:
+            return None
+        struct.pack_into("<I", image, start + at + 8 + 4 * (free - 1),
+                         live[0])
+        struct.pack_into("<I", image, start - 4,
+                         zlib.crc32(image[start:pos]))
+        return image
+    return None
 
 
 def main():
@@ -201,6 +241,28 @@ def main():
           f"rc={p_bad.returncode}")
     check("corrupt checkpoint diagnosed on stderr",
           "cannot resume" in p_bad.stderr, p_bad.stderr[:200])
+
+    # A free queue page that aliases a live context's page, behind
+    # valid CRCs: refused as malformed, not resumed into a deadlock.
+    alias_cmd = [occamc, "--run", "--pes", "4", "--checkpoint-every",
+                 "1200"]
+    ckpt3 = path("alias.qmc")
+    p = run(alias_cmd + ["--checkpoint-file", ckpt3, pipeline])
+    check_rc("checkpoint for the aliasing case succeeds", p, 0)
+    with open(ckpt3, "rb") as f:
+        aliased = alias_free_page(bytearray(f.read()))
+    check("checkpoint has a live context and a free page to alias",
+          aliased is not None)
+    if aliased is not None:
+        with open(ckpt3, "wb") as f:
+            f.write(aliased)
+        p = run(alias_cmd + ["--resume", ckpt3, pipeline])
+        check("aliased free page is refused and the run starts cold",
+              p.returncode == 0 and "cannot resume" in p.stderr and
+              "bad-format: section KERN" in p.stderr and
+              "starting cold" in p.stderr and
+              "results[0..3] = 1496 16 0 0" in p.stdout,
+              f"rc={p.returncode} {p.stderr[:300]}")
 
     # Durable-checkpoint runs persist the black box at every boundary
     # so a kill -9 still leaves evidence on disk.

@@ -28,9 +28,11 @@
 #include "occam/compiler.hpp"
 #include "occam/ift.hpp"
 #include "occam/parser.hpp"
+#include "persist/io.hpp"
 #include "sim/bench_json.hpp"
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
+#include "support/format.hpp"
 #include "trace/export.hpp"
 
 namespace {
@@ -50,6 +52,8 @@ struct CoreRun
     std::string stats;           ///< StatSet::render() of the system.
     std::string trace;           ///< Chrome trace JSON, full stream.
     std::vector<std::uint8_t> memory;
+    /** Every snapshot's checkpoint file, when runCore saved them. */
+    std::vector<std::vector<std::uint8_t>> checkpoints;
 };
 
 isa::ObjectCode
@@ -65,9 +69,15 @@ compileCorpusProgram(int idx, std::string *main_label)
     return isa::assemble(generateAssembly(contexts));
 }
 
+/**
+ * Run @p object on @p core, replaying from checkpoints as the recovery
+ * plan allows. With a @p checkpoint_path, every snapshot is saved there
+ * and the file's bytes are kept in CoreRun::checkpoints.
+ */
 CoreRun
 runCore(const isa::ObjectCode &object, const std::string &main_label,
-        mp::SystemConfig config, mp::SimCore core)
+        mp::SystemConfig config, mp::SimCore core,
+        const std::string &checkpoint_path = "")
 {
     config.core = core;
     // Record the full event stream so the comparison covers trace
@@ -75,6 +85,15 @@ runCore(const isa::ObjectCode &object, const std::string &main_label,
     config.traceConfig.enabled = true;
     mp::System system(object, config);
     CoreRun run;
+    if (!checkpoint_path.empty())
+        system.setCheckpointSink([&](mp::System &s) {
+            persist::Status st = s.saveCheckpoint(checkpoint_path);
+            ASSERT_TRUE(st.ok()) << st.toString();
+            run.checkpoints.emplace_back();
+            ASSERT_TRUE(
+                persist::readFile(checkpoint_path, run.checkpoints.back())
+                    .ok());
+        });
     run.result = system.run(main_label);
     while (!run.result.completed && config.recovery.enabled &&
            system.replayable() && system.canRestore() &&
@@ -83,9 +102,12 @@ runCore(const isa::ObjectCode &object, const std::string &main_label,
         ++run.replays;
         run.result = system.resume();
     }
+    if (!checkpoint_path.empty())
+        std::remove(checkpoint_path.c_str());
     run.stats = system.stats().render();
     run.trace = trace::chromeTraceJson(system.tracer());
-    system.memory().snapshotTo(run.memory);
+    const pe::Memory &memory = system.memory();
+    run.memory.assign(memory.data(), memory.data() + memory.size());
     return run;
 }
 
@@ -122,6 +144,10 @@ expectIdentical(const CoreRun &tick, const CoreRun &event)
     EXPECT_EQ(tick.stats, event.stats);
     EXPECT_EQ(tick.trace, event.trace);
     EXPECT_EQ(tick.memory, event.memory);
+    ASSERT_EQ(tick.checkpoints.size(), event.checkpoints.size());
+    for (std::size_t i = 0; i < tick.checkpoints.size(); ++i)
+        EXPECT_EQ(tick.checkpoints[i], event.checkpoints[i])
+            << "checkpoint file " << i;
 }
 
 class FuzzCoreDifferentialTest : public ::testing::TestWithParam<int>
@@ -224,6 +250,8 @@ TEST_P(FuzzCoreCheckpointDifferentialTest, CheckpointCorpusByteIdentical)
     // snapshot quiesces the machine mid-run (preempting running and
     // resident contexts), so the checkpoint guard and the quiesce path
     // run many times per program with nothing else perturbing them.
+    // Every snapshot is also saved, and the two cores' checkpoint
+    // files must match byte for byte.
     std::string main_label;
     isa::ObjectCode object =
         compileCorpusProgram(GetParam(), &main_label);
@@ -238,9 +266,14 @@ TEST_P(FuzzCoreCheckpointDifferentialTest, CheckpointCorpusByteIdentical)
     }
     config.recovery.enabled = true;
     config.recovery.checkpointEvery = 64 + 64 * (GetParam() % 3);
-    expectIdentical(
-        runCore(object, main_label, config, mp::SimCore::Tick),
-        runCore(object, main_label, config, mp::SimCore::Event));
+    std::string path = cat(::testing::TempDir(), "core_diff_ckpt_",
+                           GetParam(), ".qmc");
+    CoreRun tick =
+        runCore(object, main_label, config, mp::SimCore::Tick, path);
+    CoreRun event =
+        runCore(object, main_label, config, mp::SimCore::Event, path);
+    EXPECT_GE(tick.checkpoints.size(), 2u);
+    expectIdentical(tick, event);
 }
 
 INSTANTIATE_TEST_SUITE_P(CheckpointCorpus,

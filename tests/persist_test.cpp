@@ -5,21 +5,28 @@
  * fuzzer (bit flips and truncations must be detected and refused with
  * a structured error, never a crash or a silently-wrong resume); the
  * sweep completion journal (replay identity, torn tails, fingerprint
- * mismatch); and in-memory snapshot/restore identity under flat and
- * hierarchical topologies.
+ * mismatch); in-memory snapshot/restore identity under flat and
+ * hierarchical topologies; page snapshots checked against a flat
+ * byte-vector oracle; and the checkpoint bytes themselves (reload
+ * identity, hostile MEMS and KERN payloads behind valid CRCs).
  */
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "fault/fault.hpp"
 #include "mp/system.hpp"
 #include "occam/compiler.hpp"
+#include "pe/memory.hpp"
 #include "persist/io.hpp"
+#include "persist/state_codec.hpp"
 #include "sim/experiment.hpp"
 #include "sim/journal.hpp"
+#include "support/diagnostics.hpp"
 #include "support/shutdown.hpp"
 #include "trace/export.hpp"
 
@@ -82,7 +89,8 @@ capture(mp::System &system, const mp::RunResult &result)
     s.result = result;
     s.stats = system.stats().render();
     s.trace = trace::chromeTraceJson(system.tracer());
-    system.memory().snapshotTo(s.memory);
+    const pe::Memory &memory = system.memory();
+    s.memory.assign(memory.data(), memory.data() + memory.size());
     return s;
 }
 
@@ -342,6 +350,223 @@ TEST(CorruptCheckpointTest, TruncationsDetectedAndRefused)
     std::remove(path.c_str());
 }
 
+// ---------------------------------------------------------------------------
+// Checkpoint bytes: reload identity, and structurally hostile sections
+// behind valid CRCs.
+// ---------------------------------------------------------------------------
+
+/** The container every checkpoint file is (see System::saveCheckpoint). */
+constexpr const char *kCheckpointMagic = "QMCKPT01";
+constexpr std::uint32_t kCheckpointVersion = 1;
+
+std::vector<std::uint8_t>
+readBytes(const std::string &path)
+{
+    std::vector<std::uint8_t> bytes;
+    EXPECT_TRUE(persist::readFile(path, bytes).ok()) << path;
+    return bytes;
+}
+
+std::vector<persist::Section>
+readSections(const std::string &path)
+{
+    std::vector<persist::Section> sections;
+    persist::Status st = persist::parseContainer(
+        readBytes(path), kCheckpointMagic, kCheckpointVersion, sections);
+    EXPECT_TRUE(st.ok()) << st.toString();
+    return sections;
+}
+
+std::vector<std::uint8_t> &
+payloadOf(std::vector<persist::Section> &sections, const std::string &tag)
+{
+    for (persist::Section &s : sections)
+        if (s.tag == tag)
+            return s.payload;
+    ADD_FAILURE() << "no section " << tag;
+    static std::vector<std::uint8_t> none;
+    return none;
+}
+
+/** Rebuild @p sections into a checkpoint at @p path and load it. */
+persist::Status
+loadSections(const mp::SystemConfig &config, const std::string &path,
+             const std::vector<persist::Section> &sections)
+{
+    EXPECT_TRUE(persist::writeFileAtomic(
+                    path, persist::buildContainer(kCheckpointMagic,
+                                                  kCheckpointVersion,
+                                                  sections))
+                    .ok());
+    mp::System system(pipelineProgram().object, config);
+    return system.loadCheckpoint(path);
+}
+
+TEST(PersistCheckpointBytesTest, ReloadedCheckpointSavesIdentically)
+{
+    // save -> load into a fresh System -> save is the identity on the
+    // file, so the MEMS codec (and every other section's) loses
+    // nothing and invents nothing.
+    std::string path = tempPath("reload_a.qmc");
+    std::string again = tempPath("reload_b.qmc");
+    mp::SystemConfig faulty = baseConfig(4);
+    faulty.faultPlan =
+        fault::parseFaultPlan("seed=42,rate=0.01,kinds=drop+delay");
+    mp::SystemConfig rings = baseConfig(8);
+    rings.setTopology(mp::parseTopology("rings:2x2"));
+    for (const mp::SystemConfig &config : {baseConfig(4), faulty, rings}) {
+        for (int target = 1; target <= 3; ++target) {
+            runSaving(config, path, target);
+            mp::System system(pipelineProgram().object, config);
+            persist::Status st = system.loadCheckpoint(path);
+            ASSERT_TRUE(st.ok()) << st.toString();
+            st = system.saveCheckpoint(again);
+            ASSERT_TRUE(st.ok()) << st.toString();
+            EXPECT_EQ(readBytes(path), readBytes(again))
+                << "snapshot " << target;
+        }
+    }
+    std::remove(path.c_str());
+    std::remove(again.c_str());
+}
+
+TEST(PersistCheckpointBytesTest, HostileMemoryImagesRefused)
+{
+    std::string path = tempPath("hostile_mems.qmc");
+    mp::SystemConfig config = baseConfig(4);
+    runSaving(config, path, 2);
+    std::vector<persist::Section> sections = readSections(path);
+    const std::uint64_t size = config.memoryBytes;
+
+    struct Record
+    {
+        std::uint64_t offset;
+        std::size_t length;
+    };
+    auto mems = [&](std::uint64_t count, std::vector<Record> records) {
+        persist::Encoder enc;
+        enc.u64(size);
+        enc.u64(count);
+        std::vector<std::uint8_t> bytes(2 * pe::kPageBytes, 0x5A);
+        for (const Record &r : records) {
+            enc.u64(r.offset);
+            enc.blob(bytes.data(), r.length);
+        }
+        return enc.take();
+    };
+    const std::uint64_t last = size - pe::kPageBytes;
+    struct Case
+    {
+        const char *name;
+        std::vector<std::uint8_t> payload;
+    };
+    const Case cases[] = {
+        {"unaligned offset", mems(1, {{100, pe::kPageBytes}})},
+        {"offset past the end", mems(1, {{size, pe::kPageBytes}})},
+        {"empty record", mems(1, {{0, 0}})},
+        {"record longer than a page", mems(1, {{0, 2 * pe::kPageBytes}})},
+        {"short page before the end", mems(1, {{0, 100}})},
+        {"short last page of a whole-page memory", mems(1, {{last, 100}})},
+        {"descending offsets",
+         mems(2, {{8192, pe::kPageBytes}, {0, pe::kPageBytes}})},
+        {"duplicate offsets",
+         mems(2, {{4096, pe::kPageBytes}, {4096, pe::kPageBytes}})},
+        {"page count far beyond the payload",
+         mems(std::uint64_t{1} << 60, {{0, pe::kPageBytes}})},
+        {"fewer records than the page count",
+         mems(3, {{0, pe::kPageBytes}, {4096, pe::kPageBytes}})},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        std::vector<persist::Section> bad = sections;
+        payloadOf(bad, "MEMS") = c.payload;
+        persist::Status st = loadSections(config, path, bad);
+        EXPECT_EQ(st.code, persist::ErrCode::BadFormat) << st.toString();
+        EXPECT_NE(st.message.find("section MEMS"), std::string::npos)
+            << st.toString();
+    }
+    // The well-formed edges load: no pages at all, and the last page.
+    for (const auto &payload :
+         {mems(0, {}), mems(2, {{0, pe::kPageBytes},
+                                {last, pe::kPageBytes}})}) {
+        std::vector<persist::Section> good = sections;
+        payloadOf(good, "MEMS") = payload;
+        persist::Status st = loadSections(config, path, good);
+        EXPECT_TRUE(st.ok()) << st.toString();
+    }
+    std::remove(path.c_str());
+}
+
+TEST(PersistCheckpointBytesTest, FreePageListAliasingRefused)
+{
+    // A free queue page must be a page of the pool, listed once, and
+    // not the operand-queue page of a live context: the next fork
+    // would otherwise share that context's queue, and the resumed run
+    // would die blaming the program. Patch the last free page of a
+    // real checkpoint's KERN section; the container re-seals the CRC.
+    std::string path = tempPath("alias_kern.qmc");
+    mp::SystemConfig config = baseConfig(4);
+    config.recovery.checkpointEvery = 1200;
+    runSaving(config, path, 2);
+    std::vector<persist::Section> sections = readSections(path);
+    const std::vector<std::uint8_t> &kern = payloadOf(sections, "KERN");
+
+    persist::Decoder dec(kern);
+    std::size_t nctx = dec.length(dec.remaining());
+    std::vector<isa::Addr> live;
+    for (std::size_t i = 0; i < nctx; ++i) {
+        mp::Context ctx = persist::decodeContext(dec);
+        if (ctx.status != mp::CtxStatus::Done)
+            live.push_back(ctx.queuePage);
+    }
+    std::size_t list_at = kern.size() - dec.remaining();
+    std::size_t nfree = dec.length(dec.remaining());
+    std::vector<isa::Addr> free;
+    for (std::size_t i = 0; i < nfree; ++i)
+        free.push_back(dec.u32());
+    ASSERT_TRUE(dec.ok()) << dec.error();
+    ASSERT_FALSE(live.empty());
+    ASSERT_GE(free.size(), 2u);
+    std::size_t last_at = list_at + 8 + 4 * (free.size() - 1);
+
+    const isa::Addr page_bytes = static_cast<isa::Addr>(config.pageWords) * 4;
+    struct Case
+    {
+        const char *name;
+        isa::Addr page;
+        const char *needle;
+    };
+    const Case cases[] = {
+        {"a live context's page", live.front(), "live context"},
+        {"a page listed twice", free[free.size() - 2], "listed twice"},
+        {"an unaligned page", free.back() + 4, "queue pool"},
+        {"a page below the pool", mp::kQueuePagePool - page_bytes,
+         "queue pool"},
+        {"a page past the pool",
+         mp::kQueuePagePool +
+             static_cast<isa::Addr>(config.maxLiveContexts) * page_bytes,
+         "queue pool"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        std::vector<persist::Section> bad = sections;
+        std::vector<std::uint8_t> &patched = payloadOf(bad, "KERN");
+        for (int b = 0; b < 4; ++b)
+            patched[last_at + static_cast<std::size_t>(b)] =
+                static_cast<std::uint8_t>(c.page >> (8 * b));
+        persist::Status st = loadSections(config, path, bad);
+        EXPECT_EQ(st.code, persist::ErrCode::BadFormat) << st.toString();
+        EXPECT_NE(st.message.find("section KERN: free queue page"),
+                  std::string::npos)
+            << st.toString();
+        EXPECT_NE(st.message.find(c.needle), std::string::npos)
+            << st.toString();
+    }
+    // The unpatched sections still load.
+    EXPECT_TRUE(loadSections(config, path, sections).ok());
+    std::remove(path.c_str());
+}
+
 TEST(CorruptCheckpointTest, MissingFileIsIoError)
 {
     const occam::CompiledProgram &program = pipelineProgram();
@@ -597,6 +822,172 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<RestoreCase> &info) {
         return info.param.name;
     });
+
+// ---------------------------------------------------------------------------
+// Page snapshots against a flat oracle. Both cores share pe::Memory, so
+// the core differential suite cannot see a restore bug they have in
+// common; here every step is checked against a plain byte vector, the
+// whole-store copy checkpoints used to hold.
+// ---------------------------------------------------------------------------
+
+void
+expectStoreEquals(const pe::Memory &memory,
+                  const std::vector<std::uint8_t> &flat, int step)
+{
+    ASSERT_EQ(memory.size(), flat.size());
+    if (std::memcmp(memory.data(), flat.data(), flat.size()) == 0)
+        return;
+    std::size_t at = 0;
+    while (memory.data()[at] == flat[at])
+        ++at;
+    ADD_FAILURE() << "step " << step << ": byte " << at << " is "
+                  << int(memory.data()[at]) << ", oracle has "
+                  << int(flat[at]);
+}
+
+/** Decode(encode(@p image)): what a checkpoint file carries. */
+pe::PageImage
+throughMems(const pe::PageImage &image)
+{
+    persist::Encoder enc;
+    persist::encodeMemoryImage(enc, image);
+    persist::Decoder dec(enc.bytes());
+    pe::PageImage back = persist::decodeMemoryImage(dec, image.size);
+    EXPECT_TRUE(dec.ok()) << dec.error();
+    EXPECT_TRUE(dec.atEnd());
+    return back;
+}
+
+/**
+ * Seeded random word and byte writes, snapshots, restores to the
+ * latest and to older images, and undo-log spans rolled back or kept,
+ * on a @p size byte memory. Writes cluster on a few pages (so restores
+ * overlap what is written) and are sometimes zero (so written pages
+ * can be all zero again).
+ */
+void
+driveAgainstOracle(std::size_t size, std::uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    auto below = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    pe::Memory memory(size, pe::Memory::Alloc::Lazy);
+    std::vector<std::uint8_t> flat(size, 0);
+    std::vector<std::size_t> hot;
+    for (int i = 0; i < 6; ++i)
+        hot.push_back(below((size + pe::kPageBytes - 1) / pe::kPageBytes));
+    auto address = [&](std::size_t align) {
+        std::size_t a = below(4) == 0
+                            ? below(size)
+                            : hot[below(hot.size())] * pe::kPageBytes +
+                                  below(pe::kPageBytes);
+        a = std::min(a, size - align) / align * align;
+        return static_cast<isa::Addr>(a);
+    };
+    auto value = [&]() -> isa::Word {
+        return below(3) == 0 ? 0 : static_cast<isa::Word>(rng());
+    };
+    auto write = [&]() {
+        if (below(3) == 0) {
+            isa::Addr a = address(1);
+            auto v = static_cast<std::uint8_t>(value());
+            memory.writeByte(a, v);
+            flat[a] = v;
+        } else {
+            isa::Addr a = address(4);
+            isa::Word v = value();
+            memory.writeWord(a, v);
+            for (int b = 0; b < 4; ++b)
+                flat[a + static_cast<std::size_t>(b)] =
+                    static_cast<std::uint8_t>(v >> (8 * b));
+        }
+    };
+
+    struct Saved
+    {
+        pe::PageImage image;
+        std::vector<std::uint8_t> flat;
+    };
+    std::vector<Saved> history;
+    pe::UndoLog undo;
+    for (int step = 0; step < 400; ++step) {
+        switch (below(8)) {
+        case 0: {  // snapshot; a fresh Memory restored from its MEMS
+                   // round trip, and that Memory's own snapshot, match
+            history.push_back({memory.snapshot(), flat});
+            pe::Memory fresh(size);
+            fresh.restore(throughMems(history.back().image));
+            expectStoreEquals(fresh, flat, step);
+            pe::Memory again(size);
+            again.restore(fresh.snapshot());
+            expectStoreEquals(again, flat, step);
+            break;
+        }
+        case 1:  // restore to the latest or to an older image
+            if (!history.empty()) {
+                const Saved &s = below(2) == 0
+                                     ? history.back()
+                                     : history[below(history.size())];
+                memory.restore(s.image);
+                flat = s.flat;
+            }
+            break;
+        case 2: {  // an undo-logged span, rolled back or kept
+            std::vector<std::uint8_t> before = flat;
+            undo.clear();
+            memory.setUndoLog(&undo);
+            for (std::size_t n = 1 + below(12); n > 0; --n)
+                write();
+            memory.setUndoLog(nullptr);
+            if (below(2) == 0) {
+                memory.applyUndo(undo);
+                flat = std::move(before);
+            }
+            break;
+        }
+        default:
+            write();
+            break;
+        }
+        expectStoreEquals(memory, flat, step);
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    // Every image restores into a fresh Memory as well.
+    for (const Saved &s : history) {
+        pe::Memory fresh(size);
+        fresh.restore(s.image);
+        expectStoreEquals(fresh, s.flat, -1);
+    }
+}
+
+TEST(PersistPageImageTest, MatchesFlatOracleOnWholePages)
+{
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(seed);
+        driveAgainstOracle(16 * pe::kPageBytes, seed);
+    }
+}
+
+TEST(PersistPageImageTest, MatchesFlatOracleWithShortLastPage)
+{
+    // A size that is not a multiple of the page: the last page is
+    // short in the memory, zero-padded in the image, and short in MEMS.
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(seed);
+        driveAgainstOracle(5 * pe::kPageBytes + 1000, seed);
+        driveAgainstOracle(2 * pe::kPageBytes + 4, seed + 100);
+    }
+}
+
+TEST(PersistPageImageTest, ImageOfAnotherSizeIsAPanic)
+{
+    pe::Memory small(2 * pe::kPageBytes);
+    small.writeWord(8, 7);
+    pe::Memory big(4 * pe::kPageBytes);
+    EXPECT_THROW(big.restore(small.snapshot()), PanicError);
+}
 
 // ---------------------------------------------------------------------------
 // persist primitives.
