@@ -55,21 +55,20 @@ class HostAdapter : public pe::PeHost
     int pe_;
 };
 
-/** Per-PE scheduling state. */
-struct System::PeSlot
+/**
+ * The part of a PE slot a checkpoint captures: the base of
+ * System::PeSlot, so snapshot() and restore() copy it whole.
+ */
+struct SlotState
 {
-    int index = 0;
-    /** Per-PE metric prefix ("pe3."), see StatSet::scoped. */
-    std::string scope;
     Cycle clock = 0;
     Cycle busyCycles = 0;
     /** Kernel trap service cycles charged while stepping (breakdown). */
     Cycle kernelCycles = 0;
     /** Context load/save/roll-out and exit bookkeeping cycles. */
     Cycle switchCycles = 0;
-    /** Start of the current context's uninterrupted run span. */
-    Cycle spanStart = 0;
-    CtxId running = msg::kNoCtx;
+    /** Fail-stopped by an injected pekill: never schedules again. */
+    bool dead = false;
     /** Ready contexts ordered by earliest runnable time. */
     struct Entry
     {
@@ -83,6 +82,17 @@ struct System::PeSlot
         }
     };
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>> readyQ;
+};
+
+/** Per-PE scheduling state. */
+struct System::PeSlot : SlotState
+{
+    int index = 0;
+    /** Per-PE metric prefix ("pe3."), see StatSet::scoped. */
+    std::string scope;
+    /** Start of the current context's uninterrupted run span. */
+    Cycle spanStart = 0;
+    CtxId running = msg::kNoCtx;
     std::unique_ptr<HostAdapter> host;
     std::unique_ptr<pe::ProcessingElement> pe;
     /** Deferred wait deadline when a TrapWait blocks. */
@@ -97,9 +107,6 @@ struct System::PeSlot
      * behind the thesis's better-than-linear throughput ratios.
      */
     CtxId residentBlocked = msg::kNoCtx;
-
-    /** Fail-stopped by an injected pekill: never schedules again. */
-    bool dead = false;
 
     /**
      * Time of this slot's live calendar entry (-1 = none). The event
@@ -175,38 +182,17 @@ struct System::PeSlot
 struct System::Checkpoint
 {
     pe::PageImage memory;  ///< Written pages only (see pe::Memory).
-    std::vector<Context> contexts;
-    std::vector<Addr> freePages;
-    Word nextChannel = 2;
-    Addr heapNext = kHeapBase;
-    int rrNext = 0;
-    std::vector<int> shardRr;
-    std::vector<std::uint64_t> shardCtxLive;
-    std::map<Word, int> channelShard;
-    std::uint64_t liveContexts = 0;
-    std::uint64_t switches = 0;
-    bool killArmed = false;
-    int pendingDeadPe = -1;
-    Cycle deadDetectAt = 0;
-    Cycle nextCheckpointAt = 0;
-    Cycle lastProgress = 0;
-    Cycle nextTelemetryAt = 0;
-    StatSet stats;
+    KernelState kernel;
     msg::MessageCache::Snapshot cache;
     RingBus::Snapshot bus;
     trace::Tracer::Mark trace;
 
-    struct SlotState
+    /** One PE slot's durable fields plus its PE's statistics. */
+    struct Slot : SlotState
     {
-        Cycle clock = 0;
-        Cycle busyCycles = 0;
-        Cycle kernelCycles = 0;
-        Cycle switchCycles = 0;
-        bool dead = false;
-        decltype(PeSlot::readyQ) readyQ;
         StatSet peStats;
     };
-    std::vector<SlotState> slotStates;
+    std::vector<Slot> slots;
 };
 
 System::System(const isa::ObjectCode &code, SystemConfig config)
@@ -222,10 +208,8 @@ System::System(const isa::ObjectCode &code, SystemConfig config)
     fatalIf(config_.pageWords < 32 || config_.pageWords > 256,
             "queue page words out of range");
 
-    if (numShards() > 1) {
+    if (numShards() > 1)
         shardRr_.assign(static_cast<size_t>(numShards()), 0);
-        shardCtxLive_.assign(static_cast<size_t>(numShards()), 0);
-    }
 
     if (config_.faultPlan.enabled())
         faults_ = std::make_unique<fault::FaultInjector>(
@@ -476,7 +460,6 @@ System::createContext(Word codeAddr, Word inChan, Word outChan,
         int from = shardOfPe(forkingPe);
         int to = shardOfPe(ctx.homePe);
         int preferred = preferredShard >= 0 ? preferredShard : from;
-        ++shardCtxLive_[static_cast<size_t>(to)];
         channelShard_[inChan] = to;
         stats_.inc(to == preferred ? "sys.shard_local_placements"
                                    : "sys.shard_remote_placements");
@@ -878,8 +861,6 @@ System::finishContext(PeSlot &slot)
     freeQueuePage(ctx.queuePage);
     slot.running = msg::kNoCtx;
     --liveContexts;
-    if (numShards() > 1)
-        --shardCtxLive_[static_cast<size_t>(shardOfPe(ctx.homePe))];
     stats_.inc("sys.contexts_finished");
     commitSpan(slot);
 }
@@ -1265,8 +1246,6 @@ System::recoverDeadPe(Cycle at)
         if (numShards() > 1) {
             int to = shardOfPe(target);
             if (to != dead_shard) {
-                --shardCtxLive_[static_cast<size_t>(dead_shard)];
-                ++shardCtxLive_[static_cast<size_t>(to)];
                 channelShard_[ctx.inChan] = to;
                 stats_.inc("sys.shard_migrations");
                 tracer_.ctxMigrate(at, target, ctx.id, dead_pe);
@@ -1318,23 +1297,7 @@ System::snapshot()
     }
     auto cp = std::make_unique<Checkpoint>();
     cp->memory = memory_->snapshot();
-    cp->contexts = contexts;
-    cp->freePages = freePages;
-    cp->nextChannel = nextChannel;
-    cp->heapNext = heapNext;
-    cp->rrNext = rrNext;
-    cp->shardRr = shardRr_;
-    cp->shardCtxLive = shardCtxLive_;
-    cp->channelShard = channelShard_;
-    cp->liveContexts = liveContexts;
-    cp->switches = switches;
-    cp->killArmed = killArmed_;
-    cp->pendingDeadPe = pendingDeadPe_;
-    cp->deadDetectAt = deadDetectAt_;
-    cp->nextCheckpointAt = nextCheckpointAt_;
-    cp->lastProgress = lastProgress_;
-    cp->nextTelemetryAt = nextTelemetryAt_;
-    cp->stats = stats_;
+    cp->kernel = *this;
     cp->cache = cache.snapshot();
     cp->bus = bus.snapshot();
     cp->trace = tracer_.mark();
@@ -1342,10 +1305,7 @@ System::snapshot()
         // Event core: fold pending deferred tallies in before the
         // capture (no-op on the tick core, whose tallies stay zero).
         slot->pe->flushStats();
-        cp->slotStates.push_back({slot->clock, slot->busyCycles,
-                                  slot->kernelCycles,
-                                  slot->switchCycles, slot->dead,
-                                  slot->readyQ, slot->pe->stats()});
+        cp->slots.push_back({*slot, slot->pe->stats()});
     }
     checkpoint_ = std::move(cp);
     // Durable persistence point: occamc's --checkpoint-file sink
@@ -1379,36 +1339,14 @@ System::restore()
         std::cerr << "RESTORE\n";
     const Checkpoint &cp = *checkpoint_;
     memory_->restore(cp.memory);
-    contexts = cp.contexts;
-    freePages = cp.freePages;
-    nextChannel = cp.nextChannel;
-    heapNext = cp.heapNext;
-    rrNext = cp.rrNext;
-    shardRr_ = cp.shardRr;
-    shardCtxLive_ = cp.shardCtxLive;
-    channelShard_ = cp.channelShard;
-    liveContexts = cp.liveContexts;
-    switches = cp.switches;
-    killArmed_ = cp.killArmed;
-    pendingDeadPe_ = cp.pendingDeadPe;
-    deadDetectAt_ = cp.deadDetectAt;
-    nextCheckpointAt_ = cp.nextCheckpointAt;
-    lastProgress_ = cp.lastProgress;
-    nextTelemetryAt_ = cp.nextTelemetryAt;
-    stats_ = cp.stats;
+    static_cast<KernelState &>(*this) = cp.kernel;
     cache.restore(cp.cache);
     bus.restore(cp.bus);
     tracer_.rewind(cp.trace);
     for (std::size_t i = 0; i < slots.size(); ++i) {
         PeSlot &slot = *slots[i];
-        const Checkpoint::SlotState &ss = cp.slotStates[i];
-        slot.clock = ss.clock;
-        slot.busyCycles = ss.busyCycles;
-        slot.kernelCycles = ss.kernelCycles;
-        slot.switchCycles = ss.switchCycles;
-        slot.dead = ss.dead;
-        slot.readyQ = ss.readyQ;
-        slot.pe->stats() = ss.peStats;
+        static_cast<SlotState &>(slot) = cp.slots[i];
+        slot.pe->stats() = cp.slots[i].peStats;
         slot.pe->resetTallies();
         slot.spanStart = slot.clock;
         slot.running = msg::kNoCtx;
@@ -1454,6 +1392,90 @@ namespace {
 constexpr const char *kCheckpointMagic = "QMCKPT01";
 constexpr std::uint32_t kCheckpointVersion = 1;
 
+// Each section's wire layout is listed once, in a fields() template
+// that saveCheckpoint runs with an Encoder and loadCheckpoint with a
+// Decoder (see persist/state_codec.hpp).
+
+/**
+ * KERN: the kernel records and cursors. @p shard_live is not kernel
+ * state: it is derived from the context records (shardLiveCounts)
+ * when saving and must equal that derivation when loading.
+ */
+template <class Ar, class K, class L>
+void
+kernelFields(Ar &ar, K &k, L &shard_live)
+{
+    ar.seq(k.contexts, [&](auto &ctx) { persist::fields(ar, ctx); });
+    ar.seq(k.freePages, [&](auto &page) { ar.u32(page); });
+    ar.u32(k.nextChannel);
+    ar.u32(k.heapNext);
+    ar.i64(k.rrNext);
+    ar.seq(k.shardRr_, [&](auto &cursor) { ar.i64(cursor); });
+    ar.seq(shard_live, [&](auto &live) { ar.u64(live); });
+    ar.map(k.channelShard_, [&](auto &chan, auto &shard) {
+        ar.u32(chan);
+        ar.i64(shard);
+    });
+    ar.u64(k.liveContexts);
+    ar.u64(k.switches);
+    ar.u8(k.killArmed_);
+    ar.i64(k.pendingDeadPe_);
+    ar.i64(k.deadDetectAt_);
+    ar.i64(k.nextCheckpointAt_);
+    ar.i64(k.lastProgress_);
+}
+
+/** SLOT (one per PE): the slot's durable fields and its PE's stats. */
+template <class Ar, class S>
+void
+slotFields(Ar &ar, S &slot)
+{
+    ar.i64(slot.clock);
+    ar.i64(slot.busyCycles);
+    ar.i64(slot.kernelCycles);
+    ar.i64(slot.switchCycles);
+    ar.u8(slot.dead);
+    ar.seq(slot.readyQ, [&](auto &entry) {
+        ar.i64(entry.readyAt);
+        ar.u32(entry.ctx);
+    });
+    persist::statSet(ar, slot.peStats);
+}
+
+/** FALT: whether an injector exists, then its decision-stream state. */
+template <class Ar, class B, class S>
+void
+faultFields(Ar &ar, B &present, S &state)
+{
+    ar.u8(present);
+    if (!present)
+        return;
+    for (auto &stream : state.streams)
+        ar.u64(stream);
+    ar.u64(state.payload);
+    for (auto &count : state.counts)
+        ar.u64(count);
+    ar.u64(state.injected);
+}
+
+/**
+ * Live (not Done) contexts per shard of their home PE, as KERN lists
+ * them: one count per local ring, none on a flat ring.
+ */
+std::vector<std::uint64_t>
+shardLiveCounts(const std::vector<Context> &contexts, const RingBus &bus,
+                int shards)
+{
+    std::vector<std::uint64_t> live;
+    if (shards > 1) {
+        live.assign(static_cast<std::size_t>(shards), 0);
+        for (const Context &ctx : contexts)
+            if (ctx.status != CtxStatus::Done)
+                ++live[static_cast<std::size_t>(bus.ringOf(ctx.homePe))];
+    }
+    return live;
+}
+
 } // namespace
 
 std::string
@@ -1490,6 +1512,7 @@ System::configFingerprint() const
 persist::Status
 System::saveCheckpoint(const std::string &path) const
 {
+    using persist::Encoder;
     using persist::ErrCode;
     using persist::Status;
     if (!checkpoint_)
@@ -1497,115 +1520,48 @@ System::saveCheckpoint(const std::string &path) const
             ErrCode::Mismatch,
             "no snapshot to persist (checkpoints require recovery mode)");
     const Checkpoint &cp = *checkpoint_;
-    std::vector<persist::Section> sections;
 
-    {
-        persist::Encoder enc;
-        enc.str(configFingerprint());
-        sections.push_back({"META", enc.take()});
-    }
-    {
-        persist::Encoder enc;
-        enc.u64(cp.contexts.size());
-        for (const Context &ctx : cp.contexts)
-            persist::encodeContext(enc, ctx);
-        enc.u64(cp.freePages.size());
-        for (Addr p : cp.freePages)
-            enc.u32(p);
-        enc.u32(cp.nextChannel);
-        enc.u32(cp.heapNext);
-        enc.i64(cp.rrNext);
-        enc.u64(cp.shardRr.size());
-        for (int v : cp.shardRr)
-            enc.i64(v);
-        enc.u64(cp.shardCtxLive.size());
-        for (std::uint64_t v : cp.shardCtxLive)
-            enc.u64(v);
-        enc.u64(cp.channelShard.size());
-        for (const auto &[chan, shard] : cp.channelShard) {
-            enc.u32(chan);
-            enc.i64(shard);
-        }
-        enc.u64(cp.liveContexts);
-        enc.u64(cp.switches);
-        enc.u8(cp.killArmed ? 1 : 0);
-        enc.i64(cp.pendingDeadPe);
-        enc.i64(cp.deadDetectAt);
-        enc.i64(cp.nextCheckpointAt);
-        enc.i64(cp.lastProgress);
-        sections.push_back({"KERN", enc.take()});
-    }
-    {
-        persist::Encoder enc;
+    std::vector<std::uint64_t> shard_live =
+        shardLiveCounts(cp.kernel.contexts, bus, numShards());
+    // Recorder content up to the checkpoint mark, so a resumed
+    // process exports the same trace an uninterrupted one would.
+    persist::TraceState ts;
+    const auto &events = tracer_.events();
+    std::size_t upto = std::min(cp.trace.events, events.size());
+    ts.events.assign(events.begin(),
+                     events.begin() + static_cast<std::ptrdiff_t>(upto));
+    ts.dropped = cp.trace.dropped;
+    ts.kindCounts = cp.trace.kindCounts;
+    bool has_faults = faults_ != nullptr;
+    fault::FaultInjector::PersistState fstate;
+    if (faults_)
+        fstate = faults_->persistState();
+
+    std::vector<persist::Section> sections;
+    auto section = [&](const char *tag, auto &&write) {
+        Encoder enc;
+        write(enc);
+        sections.push_back({tag, enc.take()});
+    };
+    section("META", [&](Encoder &enc) { enc.str(configFingerprint()); });
+    section("KERN", [&](Encoder &enc) {
+        kernelFields(enc, cp.kernel, shard_live);
+    });
+    section("MEMS", [&](Encoder &enc) {
         persist::encodeMemoryImage(enc, cp.memory);
-        sections.push_back({"MEMS", enc.take()});
-    }
-    {
-        persist::Encoder enc;
-        persist::encodeStatSet(enc, cp.stats);
-        sections.push_back({"STAT", enc.take()});
-    }
-    {
-        persist::Encoder enc;
-        persist::encodeCacheSnapshot(enc, cp.cache);
-        sections.push_back({"CACH", enc.take()});
-    }
-    {
-        persist::Encoder enc;
-        persist::encodeBusSnapshot(enc, cp.bus);
-        sections.push_back({"BUSS", enc.take()});
-    }
-    {
-        persist::Encoder enc;
-        enc.u64(cp.slotStates.size());
-        for (const Checkpoint::SlotState &ss : cp.slotStates) {
-            enc.i64(ss.clock);
-            enc.i64(ss.busyCycles);
-            enc.i64(ss.kernelCycles);
-            enc.i64(ss.switchCycles);
-            enc.u8(ss.dead ? 1 : 0);
-            // Flatten the ready queue by draining a copy. Rebuilding
-            // by pushes is order-exact: entries are totally ordered by
-            // (readyAt, ctx), so heap pop order is reproducible.
-            auto q = ss.readyQ;
-            enc.u64(q.size());
-            while (!q.empty()) {
-                enc.i64(q.top().readyAt);
-                enc.u32(q.top().ctx);
-                q.pop();
-            }
-            persist::encodeStatSet(enc, ss.peStats);
-        }
-        sections.push_back({"SLOT", enc.take()});
-    }
-    {
-        // Recorder content up to the checkpoint mark, so a resumed
-        // process exports the same trace an uninterrupted one would.
-        persist::Encoder enc;
-        persist::TraceState ts;
-        const auto &events = tracer_.events();
-        std::size_t upto = std::min(cp.trace.events, events.size());
-        ts.events.assign(events.begin(),
-                         events.begin() + static_cast<std::ptrdiff_t>(upto));
-        ts.dropped = cp.trace.dropped;
-        ts.kindCounts = cp.trace.kindCounts;
-        persist::encodeTraceState(enc, ts);
-        sections.push_back({"TRAC", enc.take()});
-    }
-    {
-        persist::Encoder enc;
-        enc.u8(faults_ ? 1 : 0);
-        if (faults_) {
-            fault::FaultInjector::PersistState s = faults_->persistState();
-            for (std::uint64_t v : s.streams)
-                enc.u64(v);
-            enc.u64(s.payload);
-            for (std::uint64_t v : s.counts)
-                enc.u64(v);
-            enc.u64(s.injected);
-        }
-        sections.push_back({"FALT", enc.take()});
-    }
+    });
+    section("STAT", [&](Encoder &enc) {
+        persist::encodeStatSet(enc, cp.kernel.stats_);
+    });
+    section("CACH", [&](Encoder &enc) { persist::fields(enc, cp.cache); });
+    section("BUSS", [&](Encoder &enc) { persist::fields(enc, cp.bus); });
+    section("SLOT", [&](Encoder &enc) {
+        enc.seq(cp.slots, [&](auto &slot) { slotFields(enc, slot); });
+    });
+    section("TRAC", [&](Encoder &enc) { persist::fields(enc, ts); });
+    section("FALT", [&](Encoder &enc) {
+        faultFields(enc, has_faults, fstate);
+    });
 
     std::vector<std::uint8_t> image = persist::buildContainer(
         kCheckpointMagic, kCheckpointVersion, sections);
@@ -1615,6 +1571,7 @@ System::saveCheckpoint(const std::string &path) const
 persist::Status
 System::loadCheckpoint(const std::string &path)
 {
+    using persist::Decoder;
     using persist::ErrCode;
     using persist::Status;
     if (booted)
@@ -1631,112 +1588,97 @@ System::loadCheckpoint(const std::string &path)
     if (!st.ok())
         return st;
 
-    auto find = [&](const char *tag) -> const persist::Section * {
-        for (const auto &s : sections)
-            if (s.tag == tag)
-                return &s;
-        return nullptr;
-    };
-    auto missing = [](const char *tag) {
-        return Status::error(ErrCode::BadFormat,
-                             cat("missing section ", tag));
-    };
-    auto bad = [](const char *tag, const std::string &why) {
-        return Status::error(ErrCode::BadFormat,
-                             cat("section ", tag, ": ", why));
+    // Decode each section in file order, stopping at the first that
+    // is missing, malformed, or not fully consumed.
+    auto section = [&](const char *tag, auto &&visit) {
+        if (!st.ok())
+            return;
+        auto found = std::find_if(
+            sections.begin(), sections.end(),
+            [&](const persist::Section &s) { return s.tag == tag; });
+        if (found == sections.end()) {
+            st = Status::error(ErrCode::BadFormat,
+                               cat("missing section ", tag));
+            return;
+        }
+        Decoder dec(found->payload);
+        visit(dec);
+        if (dec.ok() && !dec.atEnd())
+            dec.fail("trailing bytes");
+        if (!dec.ok())
+            st = Status::error(ErrCode::BadFormat,
+                               cat("section ", tag, ": ", dec.error()));
     };
 
-    const persist::Section *meta = find("META");
-    if (!meta)
-        return missing("META");
-    {
-        persist::Decoder dec(meta->payload);
-        std::string fp = dec.str();
-        if (!dec.ok())
-            return bad("META", dec.error());
-        std::string want = configFingerprint();
-        if (fp != want)
-            return Status::error(
-                ErrCode::Mismatch,
-                cat("checkpoint was written for a different configuration "
-                    "(file: ", fp, " | machine: ", want, ")"));
-    }
+    std::string fp;
+    section("META", [&](Decoder &dec) { dec.str(fp); });
+    if (!st.ok())
+        return st;
+    if (fp != configFingerprint())
+        return Status::error(
+            ErrCode::Mismatch,
+            cat("checkpoint was written for a different configuration "
+                "(file: ", fp, " | machine: ", configFingerprint(), ")"));
 
     // Decode every section into locals first: the machine mutates only
     // after the whole file has been decoded and validated, so a bad
-    // checkpoint leaves this system cold and perfectly runnable.
+    // checkpoint leaves this system cold and perfectly runnable. After
+    // decoding, a visitor fails its decoder on a semantic problem: the
+    // CRC only proves the bytes were written together, not that they
+    // describe this machine.
     auto cp = std::make_unique<Checkpoint>();
+    const KernelState &k = cp->kernel;
 
-    const persist::Section *kern = find("KERN");
-    if (!kern)
-        return missing("KERN");
-    {
-        persist::Decoder dec(kern->payload);
-        std::size_t nctx = dec.length(dec.remaining());
-        cp->contexts.reserve(nctx);
-        for (std::size_t i = 0; i < nctx && dec.ok(); ++i)
-            cp->contexts.push_back(persist::decodeContext(dec));
-        std::size_t npages = dec.length(dec.remaining());
-        cp->freePages.reserve(npages);
-        for (std::size_t i = 0; i < npages && dec.ok(); ++i)
-            cp->freePages.push_back(dec.u32());
-        cp->nextChannel = dec.u32();
-        cp->heapNext = dec.u32();
-        cp->rrNext = static_cast<int>(dec.i64());
-        std::size_t nrr = dec.length(dec.remaining());
-        for (std::size_t i = 0; i < nrr && dec.ok(); ++i)
-            cp->shardRr.push_back(static_cast<int>(dec.i64()));
-        std::size_t nlive = dec.length(dec.remaining());
-        for (std::size_t i = 0; i < nlive && dec.ok(); ++i)
-            cp->shardCtxLive.push_back(dec.u64());
-        std::size_t nshard = dec.length(dec.remaining());
-        for (std::size_t i = 0; i < nshard && dec.ok(); ++i) {
-            Word chan = dec.u32();
-            int shard = static_cast<int>(dec.i64());
-            if (dec.ok())
-                cp->channelShard[chan] = shard;
-        }
-        cp->liveContexts = dec.u64();
-        cp->switches = dec.u64();
-        cp->killArmed = dec.u8() != 0;
-        cp->pendingDeadPe = static_cast<int>(dec.i64());
-        cp->deadDetectAt = dec.i64();
-        cp->nextCheckpointAt = dec.i64();
-        cp->lastProgress = dec.i64();
+    section("KERN", [&](Decoder &dec) {
+        std::vector<std::uint64_t> shard_live;
+        kernelFields(dec, cp->kernel, shard_live);
         if (!dec.ok())
-            return bad("KERN", dec.error());
-        if (!dec.atEnd())
-            return bad("KERN", "trailing bytes");
-        // Semantic validation: the CRC only proves the bytes were
-        // written together, not that they describe this machine.
+            return;
         std::uint64_t live = 0;
-        for (std::size_t i = 0; i < cp->contexts.size(); ++i) {
-            const Context &ctx = cp->contexts[i];
+        for (std::size_t i = 0; i < k.contexts.size(); ++i) {
+            const Context &ctx = k.contexts[i];
             if (ctx.id != i)
-                return bad("KERN", cat("context ", i, " carries id ",
-                                       ctx.id));
+                return dec.fail(cat("context ", i, " carries id ", ctx.id));
             if (ctx.homePe < 0 || ctx.homePe >= config_.numPes)
-                return bad("KERN", cat("context ", i, " homed on PE ",
-                                       ctx.homePe, " of a ",
-                                       config_.numPes, "-PE machine"));
+                return dec.fail(cat("context ", i, " homed on PE ",
+                                    ctx.homePe, " of a ", config_.numPes,
+                                    "-PE machine"));
             if (ctx.status == CtxStatus::Running)
-                return bad("KERN", cat("context ", i,
-                                       " claims to be Running (snapshots "
-                                       "are quiesced)"));
+                return dec.fail(cat("context ", i,
+                                    " claims to be Running (snapshots "
+                                    "are quiesced)"));
             if (ctx.status != CtxStatus::Done)
                 ++live;
         }
-        if (live != cp->liveContexts)
-            return bad("KERN", cat("liveContexts says ", cp->liveContexts,
-                                   ", context records say ", live));
-        for (const auto &[chan, shard] : cp->channelShard)
+        if (live != k.liveContexts)
+            return dec.fail(cat("liveContexts says ", k.liveContexts,
+                                ", context records say ", live));
+        if (shard_live != shardLiveCounts(k.contexts, bus, numShards()))
+            return dec.fail("per-shard live context counts do not match "
+                            "the context records");
+        // The placement cursors index the PE slots unchecked.
+        if (k.rrNext < 0 || k.rrNext >= config_.numPes)
+            return dec.fail(cat("rrNext ", k.rrNext, " is not a PE of a ",
+                                config_.numPes, "-PE machine"));
+        std::size_t shards = numShards() > 1 ? numShards() : 0;
+        if (k.shardRr_.size() != shards)
+            return dec.fail(cat("shardRr lists ", k.shardRr_.size(),
+                                " shard cursors, this machine needs ",
+                                shards));
+        for (std::size_t s = 0; s < shards; ++s) {
+            int size = bus.ringSize(static_cast<int>(s));
+            if (k.shardRr_[s] < 0 || k.shardRr_[s] >= size)
+                return dec.fail(cat("shardRr cursor ", k.shardRr_[s],
+                                    " of shard ", s, " is not one of its ",
+                                    size, " PEs"));
+        }
+        for (const auto &[chan, shard] : k.channelShard_)
             if (shard < 0 || shard >= numShards())
-                return bad("KERN", cat("channel ", chan,
-                                       " mapped to shard ", shard, " of ",
-                                       numShards()));
-        if (cp->pendingDeadPe >= config_.numPes)
-            return bad("KERN", cat("pendingDeadPe ", cp->pendingDeadPe,
-                                   " out of range"));
+                return dec.fail(cat("channel ", chan, " mapped to shard ",
+                                    shard, " of ", numShards()));
+        if (k.pendingDeadPe_ >= config_.numPes)
+            return dec.fail(cat("pendingDeadPe ", k.pendingDeadPe_,
+                                " out of range"));
         // Free queue pages: each a page of the pool, listed once, and
         // not the page of a live context - the next fork would hand
         // that context's operand queue to a second one.
@@ -1751,156 +1693,78 @@ System::loadCheckpoint(const std::string &path)
                                          pool_pages);
         };
         std::vector<CtxId> holder(pool_pages, msg::kNoCtx);
-        for (const Context &ctx : cp->contexts) {
+        for (const Context &ctx : k.contexts) {
             std::size_t at = pool_index(ctx.queuePage);
             if (ctx.status != CtxStatus::Done && at < pool_pages)
                 holder[at] = ctx.id;
         }
         std::vector<bool> listed(pool_pages, false);
-        for (Addr page : cp->freePages) {
+        for (Addr page : k.freePages) {
             std::size_t at = pool_index(page);
             if (at == pool_pages)
-                return bad("KERN", cat("free queue page ", page,
-                                       " is not a page of the queue pool"));
+                return dec.fail(cat("free queue page ", page,
+                                    " is not a page of the queue pool"));
             if (listed[at])
-                return bad("KERN", cat("free queue page ", page,
-                                       " is listed twice"));
+                return dec.fail(cat("free queue page ", page,
+                                    " is listed twice"));
             if (holder[at] != msg::kNoCtx)
-                return bad("KERN", cat("free queue page ", page,
-                                       " is the queue page of live context ",
-                                       holder[at]));
+                return dec.fail(cat("free queue page ", page,
+                                    " is the queue page of live context ",
+                                    holder[at]));
             listed[at] = true;
         }
-    }
-
-    const persist::Section *mems = find("MEMS");
-    if (!mems)
-        return missing("MEMS");
-    {
-        persist::Decoder dec(mems->payload);
+    });
+    // Context ids a section names must index the decoded records.
+    auto names_context = [&](CtxId id) { return id < k.contexts.size(); };
+    section("MEMS", [&](Decoder &dec) {
         cp->memory = persist::decodeMemoryImage(dec, memory_->size());
-        if (!dec.ok())
-            return bad("MEMS", dec.error());
-        if (!dec.atEnd())
-            return bad("MEMS", "trailing bytes");
-    }
-
-    const persist::Section *stat = find("STAT");
-    if (!stat)
-        return missing("STAT");
-    {
-        persist::Decoder dec(stat->payload);
-        cp->stats = persist::decodeStatSet(dec);
-        if (!dec.ok())
-            return bad("STAT", dec.error());
-        if (!dec.atEnd())
-            return bad("STAT", "trailing bytes");
-    }
-
-    const persist::Section *cach = find("CACH");
-    if (!cach)
-        return missing("CACH");
-    {
-        persist::Decoder dec(cach->payload);
-        cp->cache = persist::decodeCacheSnapshot(dec);
-        if (!dec.ok())
-            return bad("CACH", dec.error());
-        if (!dec.atEnd())
-            return bad("CACH", "trailing bytes");
-    }
-
-    const persist::Section *buss = find("BUSS");
-    if (!buss)
-        return missing("BUSS");
-    {
-        persist::Decoder dec(buss->payload);
-        cp->bus = persist::decodeBusSnapshot(dec);
-        if (!dec.ok())
-            return bad("BUSS", dec.error());
-        if (!dec.atEnd())
-            return bad("BUSS", "trailing bytes");
+    });
+    section("STAT", [&](Decoder &dec) {
+        cp->kernel.stats_ = persist::decodeStatSet(dec);
+    });
+    section("CACH", [&](Decoder &dec) {
+        persist::fields(dec, cp->cache);
+        for (const auto &[chan, entry] : cp->cache.entries)
+            for (const auto *waiters :
+                 {&entry.sendWaiters, &entry.recvWaiters})
+                for (CtxId id : *waiters)
+                    if (!names_context(id))
+                        return dec.fail(cat("channel ", chan,
+                                            " waiter names context ", id,
+                                            " of ", k.contexts.size()));
+    });
+    section("BUSS", [&](Decoder &dec) {
+        persist::fields(dec, cp->bus);
         RingBus::Snapshot shape = bus.snapshot();
         if (cp->bus.partitionFree.size() != shape.partitionFree.size() ||
             cp->bus.bridgeFree.size() != shape.bridgeFree.size() ||
             cp->bus.backboneFree.size() != shape.backboneFree.size())
-            return bad("BUSS", "ring shape does not match this topology");
-    }
-
-    const persist::Section *slot_sec = find("SLOT");
-    if (!slot_sec)
-        return missing("SLOT");
-    {
-        persist::Decoder dec(slot_sec->payload);
-        std::size_t nslots = dec.length(dec.remaining());
-        if (dec.ok() && nslots != slots.size())
-            return bad("SLOT", cat("file has ", nslots,
-                                   " PE slots, this machine has ",
-                                   slots.size()));
-        for (std::size_t i = 0; i < nslots && dec.ok(); ++i) {
-            Checkpoint::SlotState ss;
-            ss.clock = dec.i64();
-            ss.busyCycles = dec.i64();
-            ss.kernelCycles = dec.i64();
-            ss.switchCycles = dec.i64();
-            ss.dead = dec.u8() != 0;
-            std::size_t nready = dec.length(dec.remaining());
-            for (std::size_t r = 0; r < nready && dec.ok(); ++r) {
-                Cycle readyAt = dec.i64();
-                CtxId ctx = dec.u32();
-                if (!dec.ok())
-                    break;
-                if (ctx >= cp->contexts.size())
-                    return bad("SLOT", cat("ready entry names context ",
-                                           ctx, " of ",
-                                           cp->contexts.size()));
-                ss.readyQ.push({readyAt, ctx});
-            }
-            ss.peStats = persist::decodeStatSet(dec);
-            if (dec.ok())
-                cp->slotStates.push_back(std::move(ss));
-        }
-        if (!dec.ok())
-            return bad("SLOT", dec.error());
-        if (!dec.atEnd())
-            return bad("SLOT", "trailing bytes");
-    }
-
+            dec.fail("ring shape does not match this topology");
+    });
+    section("SLOT", [&](Decoder &dec) {
+        dec.seq(cp->slots, [&](auto &slot) { slotFields(dec, slot); });
+        if (cp->slots.size() != slots.size())
+            return dec.fail(cat("file has ", cp->slots.size(),
+                                " PE slots, this machine has ",
+                                slots.size()));
+        for (const Checkpoint::Slot &slot : cp->slots)
+            for (auto q = slot.readyQ; !q.empty(); q.pop())
+                if (!names_context(q.top().ctx))
+                    return dec.fail(cat("ready entry names context ",
+                                        q.top().ctx, " of ",
+                                        k.contexts.size()));
+    });
     persist::TraceState ts;
-    const persist::Section *trac = find("TRAC");
-    if (!trac)
-        return missing("TRAC");
-    {
-        persist::Decoder dec(trac->payload);
-        ts = persist::decodeTraceState(dec);
-        if (!dec.ok())
-            return bad("TRAC", dec.error());
-        if (!dec.atEnd())
-            return bad("TRAC", "trailing bytes");
-    }
-
+    section("TRAC", [&](Decoder &dec) { persist::fields(dec, ts); });
     bool has_faults = false;
     fault::FaultInjector::PersistState fstate;
-    const persist::Section *falt = find("FALT");
-    if (!falt)
-        return missing("FALT");
-    {
-        persist::Decoder dec(falt->payload);
-        has_faults = dec.u8() != 0;
-        if (has_faults) {
-            for (std::uint64_t &v : fstate.streams)
-                v = dec.u64();
-            fstate.payload = dec.u64();
-            for (std::uint64_t &v : fstate.counts)
-                v = dec.u64();
-            fstate.injected = dec.u64();
-        }
-        if (!dec.ok())
-            return bad("FALT", dec.error());
-        if (!dec.atEnd())
-            return bad("FALT", "trailing bytes");
+    section("FALT", [&](Decoder &dec) {
+        faultFields(dec, has_faults, fstate);
         if (has_faults != (faults_ != nullptr))
-            return bad("FALT", "fault-injector presence does not match");
-    }
+            dec.fail("fault-injector presence does not match");
+    });
+    if (!st.ok())
+        return st;
 
     // Commit: everything decoded and validated; no failure paths below.
     if (faults_)

@@ -318,8 +318,46 @@ struct RunResult
     std::array<FaultKindCounts, fault::kNumFaultKinds> faultKinds{};
 };
 
+/**
+ * The kernel state a checkpoint captures. A private base of System, so
+ * snapshot() and restore() copy it whole while the kernel code keeps
+ * naming its fields unqualified.
+ */
+struct KernelState
+{
+    std::vector<Context> contexts;
+    std::vector<Addr> freePages;
+    Word nextChannel = 2;  ///< 0 reserved, allocate pairs from 2.
+    Addr heapNext = kHeapBase;
+    int rrNext = 0;        ///< Round-robin placement cursor.
+
+    // Sharded-kernel state (sized/maintained only when numShards() > 1
+    // so flat-ring runs stay byte-identical on every surface).
+    std::vector<int> shardRr_;           ///< Per-shard tie cursors.
+    /**
+     * Channel directory: channel id -> shard of the allocating PE.
+     * Ifork consults it to place a child near the consumer of its
+     * output channel (distance-aware placement).
+     */
+    std::map<Word, int> channelShard_;
+    std::uint64_t liveContexts = 0;
+    std::uint64_t switches = 0;
+
+    // Recovery state (all inert unless config_.recovery.enabled).
+    bool killArmed_ = false;       ///< Planned pekill not yet fired.
+    int pendingDeadPe_ = -1;       ///< Killed PE awaiting lease expiry.
+    Cycle deadDetectAt_ = 0;       ///< When the kernel notices.
+    Cycle nextCheckpointAt_ = 0;   ///< Next periodic snapshot.
+    Cycle lastProgress_ = 0;       ///< Watchdog progress marker.
+
+    /** Next telemetry boundary (host-side: not in the checkpoint file). */
+    Cycle nextTelemetryAt_ = 0;
+
+    StatSet stats_;
+};
+
 /** The whole simulated machine. */
-class System
+class System : private KernelState
 {
   public:
     System(const isa::ObjectCode &code, SystemConfig config);
@@ -630,33 +668,10 @@ class System
     std::priority_queue<CalEntry, std::vector<CalEntry>, std::greater<>>
         calendar_;
 
-    std::vector<Context> contexts;
-    std::vector<Addr> freePages;
-    Word nextChannel = 2;  ///< 0 reserved, allocate pairs from 2.
-    Addr heapNext = kHeapBase;
-    int rrNext = 0;        ///< Round-robin placement cursor.
-
-    // Sharded-kernel state (sized/maintained only when numShards() > 1
-    // so flat-ring runs stay byte-identical on every surface).
-    std::vector<int> shardRr_;           ///< Per-shard tie cursors.
-    std::vector<std::uint64_t> shardCtxLive_;  ///< Live ctx per shard.
-    /**
-     * Channel directory: channel id -> shard of the allocating PE.
-     * Ifork consults it to place a child near the consumer of its
-     * output channel (distance-aware placement).
-     */
-    std::map<Word, int> channelShard_;
     bool booted = false;
-    std::uint64_t liveContexts = 0;
-    std::uint64_t switches = 0;
 
     // Recovery state (all inert unless config_.recovery.enabled).
     bool recoveryOn_ = false;
-    bool killArmed_ = false;       ///< Planned pekill not yet fired.
-    int pendingDeadPe_ = -1;       ///< Killed PE awaiting lease expiry.
-    Cycle deadDetectAt_ = 0;       ///< When the kernel notices.
-    Cycle nextCheckpointAt_ = 0;   ///< Next periodic snapshot.
-    Cycle lastProgress_ = 0;       ///< Watchdog progress marker.
     bool replayable_ = false;
     struct Checkpoint;
     std::unique_ptr<Checkpoint> checkpoint_;
@@ -666,13 +681,11 @@ class System
     std::chrono::steady_clock::time_point runStart_{};
     unsigned hostGuardTick_ = 0;
 
-    // Telemetry stream state (inert unless config_.telemetryEvery > 0).
-    Cycle nextTelemetryAt_ = 0;  ///< Next snapshot boundary.
+    // Telemetry stream (inert unless config_.telemetryEvery > 0).
     std::function<void(System &, Cycle)> telemetrySink_;
     /** Telemetry boundary reached: advance and invoke the sink. */
     void emitTelemetry(Cycle best_time);
 
-    StatSet stats_;
     // The flight recorder must outlive the tracer, whose sink pointer
     // refers to it (members destroy in reverse declaration order).
     obs::FlightRecorder flight_;

@@ -66,6 +66,10 @@ std::uint32_t crc32Update(std::uint32_t seed, const void *data,
 /**
  * Little-endian binary encoder. Append-only; the buffer is plain
  * bytes so a whole message can be CRC'd and written in one go.
+ *
+ * Its field calls mirror Decoder's, so one `fields(ar, record)`
+ * template lists a record's wire layout for both directions: the
+ * encoder takes each field by value, the decoder by reference.
  */
 class Encoder
 {
@@ -78,6 +82,48 @@ class Encoder
     void f64(double v);
     /** Length-prefixed (u64) byte string. */
     void str(const std::string &v);
+
+    /** An enum as u8; the bound is checked on the decode side. */
+    template <class E>
+    void u8(E v, E, const char *)
+    {
+        u8(static_cast<std::uint8_t>(v));
+    }
+    /** Bounded integers; the bounds are checked on the decode side. */
+    void u64(std::uint64_t v, std::uint64_t, std::uint64_t, const char *)
+    {
+        u64(v);
+    }
+    void i64(std::int64_t v, std::int64_t, std::int64_t, const char *)
+    {
+        i64(v);
+    }
+
+    /**
+     * A u64 count, then @p each per element in iteration order - or,
+     * for a priority queue, in pop order, which is reproducible because
+     * the decoder rebuilds it by pushes.
+     */
+    template <class C, class F>
+    void seq(const C &c, F &&each)
+    {
+        u64(c.size());
+        if constexpr (requires { c.top(); }) {
+            for (C q = c; !q.empty(); q.pop())
+                each(q.top());
+        } else {
+            for (const auto &e : c)
+                each(e);
+        }
+    }
+    /** A u64 count, then @p each (key, value) in key order. */
+    template <class M, class F>
+    void map(const M &m, F &&each)
+    {
+        u64(m.size());
+        for (const auto &[k, v] : m)
+            each(k, v);
+    }
     /** Length-prefixed (u64) raw blob. */
     void blob(const void *data, std::size_t size);
     /** Raw bytes, no length prefix (fixed-size fields like magics). */
@@ -118,6 +164,70 @@ class Decoder
     std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
     double f64();
     std::string str();
+
+    // Field calls mirroring Encoder's (see there): read into @p v.
+    template <class T> void u8(T &v) { v = static_cast<T>(u8()); }
+    template <class T> void u32(T &v) { v = static_cast<T>(u32()); }
+    template <class T> void u64(T &v) { v = static_cast<T>(u64()); }
+    template <class T> void i64(T &v) { v = static_cast<T>(i64()); }
+    void f64(double &v) { v = f64(); }
+    void str(std::string &v) { v = str(); }
+
+    /** An enum stored as u8: fails unless the value is at most @p max. */
+    template <class E>
+    void u8(E &v, E max, const char *what)
+    {
+        bounded(v, u8(), std::uint8_t{0}, static_cast<std::uint8_t>(max),
+                what);
+    }
+    /** Bounded integers: fail unless the value is in [lo, hi]. */
+    template <class T>
+    void u64(T &v, std::uint64_t lo, std::uint64_t hi, const char *what)
+    {
+        bounded(v, u64(), lo, hi, what);
+    }
+    template <class T>
+    void i64(T &v, std::int64_t lo, std::int64_t hi, const char *what)
+    {
+        bounded(v, i64(), lo, hi, what);
+    }
+
+    /**
+     * A u64 count capped by remaining() (every element takes at least
+     * one byte, so a corrupt count cannot drive a huge allocation),
+     * then @p each on a value-initialized element that is appended
+     * (or pushed, for a priority queue) while the decode is ok.
+     */
+    template <class C, class F>
+    void seq(C &c, F &&each)
+    {
+        std::size_t n = length(remaining());
+        if constexpr (requires { c.reserve(n); })
+            c.reserve(n);
+        for (std::size_t i = 0; i < n && ok(); ++i) {
+            typename C::value_type e{};
+            each(e);
+            if (!ok())
+                break;
+            if constexpr (requires { c.push(std::move(e)); })
+                c.push(std::move(e));
+            else
+                c.push_back(std::move(e));
+        }
+    }
+    /** Count-prefixed (key, value) pairs; a repeated key fails. */
+    template <class M, class F>
+    void map(M &m, F &&each)
+    {
+        std::size_t n = length(remaining());
+        for (std::size_t i = 0; i < n && ok(); ++i) {
+            typename M::key_type k{};
+            typename M::mapped_type v{};
+            each(k, v);
+            if (ok() && !m.emplace(std::move(k), std::move(v)).second)
+                fail("repeated map key");
+        }
+    }
     /** Exactly @p n raw bytes (no length prefix). */
     std::vector<std::uint8_t> blobOf(std::size_t n);
     /** Exactly @p n raw bytes copied to @p out (untouched on failure). */
@@ -135,6 +245,18 @@ class Decoder
 
   private:
     bool take(std::size_t n, const std::uint8_t **out);
+
+    template <class T, class W>
+    void bounded(T &v, W raw, W lo, W hi, const char *what)
+    {
+        if (!ok())
+            return;
+        if (raw < lo || raw > hi)
+            fail(std::string(what) + " " + std::to_string(+raw) +
+                 " out of range");
+        else
+            v = static_cast<T>(raw);
+    }
 
     const std::uint8_t *data_ = nullptr;
     std::size_t size_ = 0;

@@ -106,259 +106,6 @@ decodeStatSet(Decoder &dec)
 }
 
 // ---------------------------------------------------------------------------
-// Trace stream.
-// ---------------------------------------------------------------------------
-
-void
-encodeTraceState(Encoder &enc, const TraceState &state)
-{
-    enc.u64(state.dropped);
-    for (int i = 0; i < trace::kEventKinds; ++i)
-        enc.u64(state.kindCounts[static_cast<std::size_t>(i)]);
-    enc.u64(state.events.size());
-    for (const trace::Event &e : state.events) {
-        enc.u8(static_cast<std::uint8_t>(e.kind));
-        enc.u64(static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(e.pe)));
-        enc.u32(e.ctx);
-        enc.i64(e.at);
-        enc.i64(e.end);
-        enc.u64(e.a);
-        enc.u64(e.b);
-    }
-}
-
-TraceState
-decodeTraceState(Decoder &dec)
-{
-    TraceState state;
-    state.dropped = dec.u64();
-    for (int i = 0; i < trace::kEventKinds; ++i)
-        state.kindCounts[static_cast<std::size_t>(i)] =
-            static_cast<std::size_t>(dec.u64());
-    std::size_t n = dec.length(mapLimit(dec));
-    state.events.reserve(n);
-    for (std::size_t i = 0; i < n && dec.ok(); ++i) {
-        trace::Event e;
-        std::uint8_t kind = dec.u8();
-        if (kind >= trace::kEventKinds) {
-            dec.fail(cat("trace event kind ", int(kind), " out of range"));
-            break;
-        }
-        e.kind = static_cast<trace::EventKind>(kind);
-        std::int64_t pe = static_cast<std::int64_t>(dec.u64());
-        if (pe < -1 || pe > 0x7FFF) {
-            dec.fail(cat("trace event pe ", pe, " out of range"));
-            break;
-        }
-        e.pe = static_cast<std::int16_t>(pe);
-        e.ctx = dec.u32();
-        e.at = dec.i64();
-        e.end = dec.i64();
-        e.a = dec.u64();
-        e.b = dec.u64();
-        state.events.push_back(e);
-    }
-    return state;
-}
-
-// ---------------------------------------------------------------------------
-// Message cache.
-// ---------------------------------------------------------------------------
-
-void
-encodeCacheSnapshot(Encoder &enc, const msg::MessageCache::Snapshot &snap)
-{
-    enc.u64(snap.entries.size());
-    for (const auto &[channel, entry] : snap.entries) {
-        enc.u32(channel);
-        enc.u64(entry.nextSeq);
-        enc.u64(entry.values.size());
-        for (const msg::Token &t : entry.values) {
-            enc.u32(t.value);
-            enc.u8(t.sum);
-            enc.u64(t.seq);
-            enc.u32(t.pristine);
-            enc.i64(t.sentAt);
-        }
-        enc.u64(entry.sendWaiters.size());
-        for (msg::CtxId ctx : entry.sendWaiters)
-            enc.u32(ctx);
-        enc.u64(entry.recvWaiters.size());
-        for (msg::CtxId ctx : entry.recvWaiters)
-            enc.u32(ctx);
-    }
-    encodeStatSet(enc, snap.stats);
-}
-
-msg::MessageCache::Snapshot
-decodeCacheSnapshot(Decoder &dec)
-{
-    msg::MessageCache::Snapshot snap;
-    std::size_t entries = dec.length(mapLimit(dec));
-    for (std::size_t i = 0; i < entries && dec.ok(); ++i) {
-        isa::Word channel = dec.u32();
-        msg::ChannelEntry entry;
-        entry.nextSeq = dec.u64();
-        std::size_t values = dec.length(mapLimit(dec));
-        for (std::size_t v = 0; v < values && dec.ok(); ++v) {
-            msg::Token t;
-            t.value = dec.u32();
-            t.sum = dec.u8();
-            t.seq = dec.u64();
-            t.pristine = dec.u32();
-            t.sentAt = dec.i64();
-            entry.values.push_back(t);
-        }
-        std::size_t sends = dec.length(mapLimit(dec));
-        for (std::size_t s = 0; s < sends && dec.ok(); ++s)
-            entry.sendWaiters.push_back(dec.u32());
-        std::size_t recvs = dec.length(mapLimit(dec));
-        for (std::size_t r = 0; r < recvs && dec.ok(); ++r)
-            entry.recvWaiters.push_back(dec.u32());
-        if (dec.ok())
-            snap.entries.emplace(channel, std::move(entry));
-    }
-    snap.stats = decodeStatSet(dec);
-    return snap;
-}
-
-// ---------------------------------------------------------------------------
-// Ring bus.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void
-encodeCycleVector(Encoder &enc, const std::vector<mp::Cycle> &v)
-{
-    enc.u64(v.size());
-    for (mp::Cycle c : v)
-        enc.i64(c);
-}
-
-std::vector<mp::Cycle>
-decodeCycleVector(Decoder &dec)
-{
-    std::vector<mp::Cycle> v;
-    std::size_t n = dec.length(mapLimit(dec));
-    v.reserve(n);
-    for (std::size_t i = 0; i < n && dec.ok(); ++i)
-        v.push_back(dec.i64());
-    return v;
-}
-
-} // namespace
-
-void
-encodeBusSnapshot(Encoder &enc, const mp::RingBus::Snapshot &snap)
-{
-    encodeCycleVector(enc, snap.partitionFree);
-    encodeCycleVector(enc, snap.bridgeFree);
-    encodeCycleVector(enc, snap.backboneFree);
-    encodeStatSet(enc, snap.stats);
-}
-
-mp::RingBus::Snapshot
-decodeBusSnapshot(Decoder &dec)
-{
-    mp::RingBus::Snapshot snap;
-    snap.partitionFree = decodeCycleVector(dec);
-    snap.bridgeFree = decodeCycleVector(dec);
-    snap.backboneFree = decodeCycleVector(dec);
-    snap.stats = decodeStatSet(dec);
-    return snap;
-}
-
-// ---------------------------------------------------------------------------
-// Kernel contexts.
-// ---------------------------------------------------------------------------
-
-void
-encodeHostOp(Encoder &enc, const mp::HostOp &op)
-{
-    enc.u8(static_cast<std::uint8_t>(op.kind));
-    enc.u32(op.arg);
-    enc.u32(op.result);
-    enc.i64(op.kernelCycles);
-    enc.u8(op.hasResult ? 1 : 0);
-}
-
-mp::HostOp
-decodeHostOp(Decoder &dec)
-{
-    mp::HostOp op;
-    std::uint8_t kind = dec.u8();
-    if (kind > static_cast<std::uint8_t>(mp::HostOp::Kind::Trap)) {
-        dec.fail(cat("host-op kind ", int(kind), " out of range"));
-        return op;
-    }
-    op.kind = static_cast<mp::HostOp::Kind>(kind);
-    op.arg = dec.u32();
-    op.result = dec.u32();
-    op.kernelCycles = static_cast<long>(dec.i64());
-    op.hasResult = dec.u8() != 0;
-    return op;
-}
-
-void
-encodeContext(Encoder &enc, const mp::Context &ctx)
-{
-    enc.u32(ctx.id);
-    enc.u32(ctx.regs.pc);
-    enc.u32(ctx.regs.qp);
-    enc.u32(ctx.regs.pom);
-    enc.u32(ctx.regs.nar);
-    enc.u32(ctx.regs.lastResult);
-    for (isa::Word g : ctx.regs.generals)
-        enc.u32(g);
-    enc.u8(static_cast<std::uint8_t>(ctx.status));
-    enc.u64(static_cast<std::uint64_t>(ctx.homePe));
-    enc.u32(ctx.inChan);
-    enc.u32(ctx.outChan);
-    enc.u32(ctx.queuePage);
-    enc.i64(ctx.readyAt);
-    enc.u64(ctx.pendingReplay.size());
-    for (const mp::HostOp &op : ctx.pendingReplay)
-        encodeHostOp(enc, op);
-}
-
-mp::Context
-decodeContext(Decoder &dec)
-{
-    mp::Context ctx;
-    ctx.id = dec.u32();
-    ctx.regs.pc = dec.u32();
-    ctx.regs.qp = dec.u32();
-    ctx.regs.pom = dec.u32();
-    ctx.regs.nar = dec.u32();
-    ctx.regs.lastResult = dec.u32();
-    for (isa::Word &g : ctx.regs.generals)
-        g = dec.u32();
-    std::uint8_t status = dec.u8();
-    if (status > static_cast<std::uint8_t>(mp::CtxStatus::Done)) {
-        dec.fail(cat("context status ", int(status), " out of range"));
-        return ctx;
-    }
-    ctx.status = static_cast<mp::CtxStatus>(status);
-    std::uint64_t home = dec.u64();
-    if (home > 0xFFFF) {
-        dec.fail(cat("context homePe ", home, " out of range"));
-        return ctx;
-    }
-    ctx.homePe = static_cast<int>(home);
-    ctx.inChan = dec.u32();
-    ctx.outChan = dec.u32();
-    ctx.queuePage = dec.u32();
-    ctx.readyAt = dec.i64();
-    std::size_t replay = dec.length(mapLimit(dec));
-    ctx.pendingReplay.reserve(replay);
-    for (std::size_t i = 0; i < replay && dec.ok(); ++i)
-        ctx.pendingReplay.push_back(decodeHostOp(dec));
-    return ctx;
-}
-
-// ---------------------------------------------------------------------------
 // Sparse memory image.
 // ---------------------------------------------------------------------------
 

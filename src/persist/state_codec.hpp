@@ -4,6 +4,12 @@
  * checkpoint: the statistics registry, the trace event stream, the
  * message-cache and ring-bus snapshots, and kernel context records.
  *
+ * Each record's wire layout is listed once, in a `fields(ar, record)`
+ * template that encodes through an Encoder (record const) and decodes
+ * through a Decoder (record written in place). StatSet and the MEMS
+ * memory image keep encode/decode pairs: their read side rebuilds and
+ * validates differently from how the write side walks them.
+ *
  * Decode never throws and never trusts the input: every length is
  * bounds-checked against the remaining bytes and every enum/index is
  * range-checked, flipping the Decoder into its sticky failed state on
@@ -13,6 +19,8 @@
  */
 #pragma once
 
+#include <concepts>
+#include <type_traits>
 #include <vector>
 
 #include "msg/message_cache.hpp"
@@ -28,6 +36,23 @@ namespace qm::persist {
 void encodeStatSet(Encoder &enc, const StatSet &stats);
 StatSet decodeStatSet(Decoder &dec);
 
+/** A StatSet as one field of a fields() record. */
+inline void
+statSet(Encoder &enc, const StatSet &stats)
+{
+    encodeStatSet(enc, stats);
+}
+
+inline void
+statSet(Decoder &dec, StatSet &stats)
+{
+    stats = decodeStatSet(dec);
+}
+
+/** @p T is the record type @p R, const when encoding. */
+template <class T, class R>
+concept RecordOf = std::same_as<std::remove_const_t<T>, R>;
+
 /** The full recorder content: events + dropped count + kind counts. */
 struct TraceState
 {
@@ -36,20 +61,92 @@ struct TraceState
     std::array<std::size_t, trace::kEventKinds> kindCounts{};
 };
 
-void encodeTraceState(Encoder &enc, const TraceState &state);
-TraceState decodeTraceState(Decoder &dec);
+template <class Ar, RecordOf<trace::Event> T>
+void
+fields(Ar &ar, T &e)
+{
+    ar.u8(e.kind, static_cast<trace::EventKind>(trace::kEventKinds - 1),
+          "trace event kind");
+    ar.i64(e.pe, -1, 0x7FFF, "trace event pe");
+    ar.u32(e.ctx);
+    ar.i64(e.at);
+    ar.i64(e.end);
+    ar.u64(e.a);
+    ar.u64(e.b);
+}
 
-void encodeCacheSnapshot(Encoder &enc, const msg::MessageCache::Snapshot &snap);
-msg::MessageCache::Snapshot decodeCacheSnapshot(Decoder &dec);
+template <class Ar, RecordOf<TraceState> T>
+void
+fields(Ar &ar, T &state)
+{
+    ar.u64(state.dropped);
+    for (auto &count : state.kindCounts)
+        ar.u64(count);
+    ar.seq(state.events, [&](auto &e) { fields(ar, e); });
+}
 
-void encodeBusSnapshot(Encoder &enc, const mp::RingBus::Snapshot &snap);
-mp::RingBus::Snapshot decodeBusSnapshot(Decoder &dec);
+template <class Ar, RecordOf<msg::MessageCache::Snapshot> T>
+void
+fields(Ar &ar, T &snap)
+{
+    ar.map(snap.entries, [&](auto &channel, auto &entry) {
+        ar.u32(channel);
+        ar.u64(entry.nextSeq);
+        ar.seq(entry.values, [&](auto &t) {
+            ar.u32(t.value);
+            ar.u8(t.sum);
+            ar.u64(t.seq);
+            ar.u32(t.pristine);
+            ar.i64(t.sentAt);
+        });
+        ar.seq(entry.sendWaiters, [&](auto &ctx) { ar.u32(ctx); });
+        ar.seq(entry.recvWaiters, [&](auto &ctx) { ar.u32(ctx); });
+    });
+    statSet(ar, snap.stats);
+}
 
-void encodeContext(Encoder &enc, const mp::Context &ctx);
-mp::Context decodeContext(Decoder &dec);
+template <class Ar, RecordOf<mp::RingBus::Snapshot> T>
+void
+fields(Ar &ar, T &snap)
+{
+    auto cycle = [&](auto &c) { ar.i64(c); };
+    ar.seq(snap.partitionFree, cycle);
+    ar.seq(snap.bridgeFree, cycle);
+    ar.seq(snap.backboneFree, cycle);
+    statSet(ar, snap.stats);
+}
 
-void encodeHostOp(Encoder &enc, const mp::HostOp &op);
-mp::HostOp decodeHostOp(Decoder &dec);
+template <class Ar, RecordOf<mp::HostOp> T>
+void
+fields(Ar &ar, T &op)
+{
+    ar.u8(op.kind, mp::HostOp::Kind::Trap, "host-op kind");
+    ar.u32(op.arg);
+    ar.u32(op.result);
+    ar.i64(op.kernelCycles);
+    ar.u8(op.hasResult);
+}
+
+template <class Ar, RecordOf<mp::Context> T>
+void
+fields(Ar &ar, T &ctx)
+{
+    ar.u32(ctx.id);
+    ar.u32(ctx.regs.pc);
+    ar.u32(ctx.regs.qp);
+    ar.u32(ctx.regs.pom);
+    ar.u32(ctx.regs.nar);
+    ar.u32(ctx.regs.lastResult);
+    for (auto &g : ctx.regs.generals)
+        ar.u32(g);
+    ar.u8(ctx.status, mp::CtxStatus::Done, "context status");
+    ar.i64(ctx.homePe, 0, 0xFFFF, "context homePe");
+    ar.u32(ctx.inChan);
+    ar.u32(ctx.outChan);
+    ar.u32(ctx.queuePage);
+    ar.i64(ctx.readyAt);
+    ar.seq(ctx.pendingReplay, [&](auto &op) { fields(ar, op); });
+}
 
 /**
  * MEMS: a memory image as its non-zero pages, ascending. Layout: size

@@ -103,24 +103,7 @@ runOnce(const occam::CompiledProgram &program,
         stamp_host(report);
         return report;
     }
-    report.completed = result.completed;
-    report.cycles = result.cycles;
-    report.instructions = result.instructions;
-    report.contexts = result.contexts;
-    report.rendezvous = result.rendezvous;
-    report.contextSwitches = result.contextSwitches;
-    report.utilization = result.utilization;
-    report.computeCycles = result.computeCycles;
-    report.kernelCycles = result.kernelCycles;
-    report.blockedCycles = result.blockedCycles;
-    report.busCycles = result.busCycles;
-    report.watchdogTripped = result.watchdogTripped;
-    report.hostAborted = result.hostAborted;
-    report.failureReason = result.failureReason;
-    report.faultsInjected = result.faultsInjected;
-    report.faultRecoveries = result.faultRecoveries;
-    report.faultKinds = result.faultKinds;
-    report.traceDropped = result.traceDropped;
+    static_cast<mp::RunResult &>(report) = result;
     // Structured failures (watchdog, deadline, corruption, signal,
     // cycle limit) already dumped the black box inside System; the
     // report just records where it landed.

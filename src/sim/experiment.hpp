@@ -8,7 +8,6 @@
  */
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -19,64 +18,36 @@
 
 namespace qm::sim {
 
-/** Statistics of one benchmark run (one thesis table row). */
-struct RunReport
+/**
+ * Statistics of one benchmark run (one thesis table row): the
+ * simulator's mp::RunResult plus what the experiment runner adds.
+ */
+struct RunReport : mp::RunResult
 {
     int pes = 0;
-    bool completed = false;  ///< Run finished before the cycle limit.
     bool verified = false;   ///< Completed AND produced the reference.
-    mp::Cycle cycles = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t contexts = 0;
-    std::uint64_t rendezvous = 0;
-    std::uint64_t contextSwitches = 0;
-    double utilization = 0.0;
-
-    // Per-phase cycle breakdown (see mp::RunResult).
-    mp::Cycle computeCycles = 0;
-    mp::Cycle kernelCycles = 0;
-    mp::Cycle blockedCycles = 0;
-    mp::Cycle busCycles = 0;
-
-    // Degraded-run reporting (see src/fault): a run that fails -
-    // watchdog, lost message, detected corruption, or even a kernel
-    // panic - still yields a report row instead of aborting the whole
-    // sweep. All-default on a healthy fault-free run.
-    bool watchdogTripped = false;
-    std::string failureReason;  ///< Empty unless the run failed.
-    std::uint64_t faultsInjected = 0;
-    std::uint64_t faultRecoveries = 0;
 
     // Recovery reporting (see mp::SystemConfig::recovery): a failed
     // run may be replayed from the last checkpoint up to
     // RecoveryPlan::maxReplays times; `recovered` marks a run that
-    // completed only thanks to at least one such replay.
+    // completed only thanks to at least one such replay. A run that
+    // dies outright (e.g. a kernel panic) still yields a report row,
+    // with failureReason set, instead of aborting the whole sweep.
     bool recovered = false;
     int replays = 0;            ///< Checkpoint replays consumed.
-    /** Per-kind injected/detected/recovered (FaultKind bit order). */
-    std::array<mp::RunResult::FaultKindCounts, fault::kNumFaultKinds>
-        faultKinds{};
-
-    /**
-     * Events the tracer discarded after its maxEvents cap: non-zero
-     * means the exported trace (and anything derived from it) is
-     * truncated. Always zero with tracing off.
-     */
-    std::uint64_t traceDropped = 0;
 
     // Self-healing runner bookkeeping (see RunPolicy). `attempts` is
     // how many times the spec was driven end to end (1 unless retries
     // were requested and needed); `quarantined` marks a spec that
     // exhausted its retry budget without a verified completion and was
     // set aside as a structured failed row instead of aborting the
-    // sweep; `hostAborted` marks a run cut short by the host (deadline
-    // or SIGINT/SIGTERM) - such rows are never journaled, because the
-    // abort point is wall-clock-dependent, not deterministic;
-    // `journalReplayed` marks a row served from a previous attempt's
-    // completion journal instead of being re-simulated.
+    // sweep; host-aborted rows (deadline or SIGINT/SIGTERM) are never
+    // journaled, because the abort point is wall-clock-dependent, not
+    // deterministic; `journalReplayed` marks a row served from a
+    // previous attempt's completion journal instead of being
+    // re-simulated.
     int attempts = 1;
     bool quarantined = false;
-    bool hostAborted = false;
     bool journalReplayed = false;
 
     /**

@@ -14,93 +14,66 @@ namespace {
 // from scratch (it is only a cache of deterministic results).
 constexpr const char *kJournalMagic = "QMSWJNL2";
 
+/** A journal row's wire layout, for encodeRunReport and decodeRunReport. */
+template <class Ar, class R>
+void
+fields(Ar &ar, R &r)
+{
+    ar.i64(r.pes);
+    ar.u8(r.completed);
+    ar.u8(r.verified);
+    ar.i64(r.cycles);
+    ar.u64(r.instructions);
+    ar.u64(r.contexts);
+    ar.u64(r.rendezvous);
+    ar.u64(r.contextSwitches);
+    ar.f64(r.utilization);
+    ar.i64(r.computeCycles);
+    ar.i64(r.kernelCycles);
+    ar.i64(r.blockedCycles);
+    ar.i64(r.busCycles);
+    ar.u8(r.watchdogTripped);
+    ar.str(r.failureReason);
+    ar.u64(r.faultsInjected);
+    ar.u64(r.faultRecoveries);
+    ar.u8(r.recovered);
+    ar.i64(r.replays);
+    std::uint64_t kinds = r.faultKinds.size();
+    ar.u64(kinds, kinds, kinds, "fault-kind count");
+    for (auto &k : r.faultKinds) {
+        ar.u64(k.injected);
+        ar.u64(k.detected);
+        ar.u64(k.recovered);
+    }
+    ar.u64(r.traceDropped);
+    ar.i64(r.attempts);
+    ar.u8(r.quarantined);
+    ar.u8(r.hostAborted);
+    persist::statSet(ar, r.stats);
+    // Host performance figures ride along so --host-time output is
+    // stable across a resume (they describe the attempt that actually
+    // simulated the row, which is exactly what the journal replays).
+    ar.f64(r.hostWallMs);
+    ar.f64(r.simCyclesPerSec);
+    // v2: replayed rows keep their telemetry stream (so the NDJSON
+    // file is identical across a resume) and their black-box path.
+    ar.str(r.telemetry);
+    ar.str(r.flightDumpPath);
+}
+
 } // namespace
 
 void
 encodeRunReport(persist::Encoder &enc, const RunReport &report)
 {
-    enc.i64(report.pes);
-    enc.u8(report.completed ? 1 : 0);
-    enc.u8(report.verified ? 1 : 0);
-    enc.i64(report.cycles);
-    enc.u64(report.instructions);
-    enc.u64(report.contexts);
-    enc.u64(report.rendezvous);
-    enc.u64(report.contextSwitches);
-    enc.f64(report.utilization);
-    enc.i64(report.computeCycles);
-    enc.i64(report.kernelCycles);
-    enc.i64(report.blockedCycles);
-    enc.i64(report.busCycles);
-    enc.u8(report.watchdogTripped ? 1 : 0);
-    enc.str(report.failureReason);
-    enc.u64(report.faultsInjected);
-    enc.u64(report.faultRecoveries);
-    enc.u8(report.recovered ? 1 : 0);
-    enc.i64(report.replays);
-    enc.u64(report.faultKinds.size());
-    for (const auto &k : report.faultKinds) {
-        enc.u64(k.injected);
-        enc.u64(k.detected);
-        enc.u64(k.recovered);
-    }
-    enc.u64(report.traceDropped);
-    enc.i64(report.attempts);
-    enc.u8(report.quarantined ? 1 : 0);
-    enc.u8(report.hostAborted ? 1 : 0);
-    persist::encodeStatSet(enc, report.stats);
-    // Host performance figures ride along so --host-time output is
-    // stable across a resume (they describe the attempt that actually
-    // simulated the row, which is exactly what the journal replays).
-    enc.f64(report.hostWallMs);
-    enc.f64(report.simCyclesPerSec);
-    // v2: replayed rows keep their telemetry stream (so the NDJSON
-    // file is identical across a resume) and their black-box path.
-    enc.str(report.telemetry);
-    enc.str(report.flightDumpPath);
+    fields(enc, report);
 }
 
 RunReport
 decodeRunReport(persist::Decoder &dec)
 {
     RunReport report;
-    report.pes = static_cast<int>(dec.i64());
-    report.completed = dec.u8() != 0;
-    report.verified = dec.u8() != 0;
-    report.cycles = dec.i64();
-    report.instructions = dec.u64();
-    report.contexts = dec.u64();
-    report.rendezvous = dec.u64();
-    report.contextSwitches = dec.u64();
-    report.utilization = dec.f64();
-    report.computeCycles = dec.i64();
-    report.kernelCycles = dec.i64();
-    report.blockedCycles = dec.i64();
-    report.busCycles = dec.i64();
-    report.watchdogTripped = dec.u8() != 0;
-    report.failureReason = dec.str();
-    report.faultsInjected = dec.u64();
-    report.faultRecoveries = dec.u64();
-    report.recovered = dec.u8() != 0;
-    report.replays = static_cast<int>(dec.i64());
-    if (dec.u64() != report.faultKinds.size()) {
-        dec.fail("fault-kind count mismatch");
-        return report;
-    }
-    for (auto &k : report.faultKinds) {
-        k.injected = dec.u64();
-        k.detected = dec.u64();
-        k.recovered = dec.u64();
-    }
-    report.traceDropped = dec.u64();
-    report.attempts = static_cast<int>(dec.i64());
-    report.quarantined = dec.u8() != 0;
-    report.hostAborted = dec.u8() != 0;
-    report.stats = persist::decodeStatSet(dec);
-    report.hostWallMs = dec.f64();
-    report.simCyclesPerSec = dec.f64();
-    report.telemetry = dec.str();
-    report.flightDumpPath = dec.str();
+    fields(dec, report);
     return report;
 }
 

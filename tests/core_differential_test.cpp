@@ -29,6 +29,7 @@
 #include "occam/ift.hpp"
 #include "occam/parser.hpp"
 #include "persist/io.hpp"
+#include "run_result_expect.hpp"
 #include "sim/bench_json.hpp"
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
@@ -114,32 +115,7 @@ runCore(const isa::ObjectCode &object, const std::string &main_label,
 void
 expectIdentical(const CoreRun &tick, const CoreRun &event)
 {
-    const mp::RunResult &a = tick.result;
-    const mp::RunResult &b = event.result;
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.contexts, b.contexts);
-    EXPECT_EQ(a.rendezvous, b.rendezvous);
-    EXPECT_EQ(a.contextSwitches, b.contextSwitches);
-    EXPECT_EQ(a.utilization, b.utilization);
-    EXPECT_EQ(a.computeCycles, b.computeCycles);
-    EXPECT_EQ(a.kernelCycles, b.kernelCycles);
-    EXPECT_EQ(a.blockedCycles, b.blockedCycles);
-    EXPECT_EQ(a.busCycles, b.busCycles);
-    EXPECT_EQ(a.watchdogTripped, b.watchdogTripped);
-    EXPECT_EQ(a.failureReason, b.failureReason);
-    EXPECT_EQ(a.faultsInjected, b.faultsInjected);
-    EXPECT_EQ(a.faultRecoveries, b.faultRecoveries);
-    EXPECT_EQ(a.traceDropped, b.traceDropped);
-    for (std::size_t k = 0; k < a.faultKinds.size(); ++k) {
-        EXPECT_EQ(a.faultKinds[k].injected, b.faultKinds[k].injected)
-            << "kind bit " << k;
-        EXPECT_EQ(a.faultKinds[k].detected, b.faultKinds[k].detected)
-            << "kind bit " << k;
-        EXPECT_EQ(a.faultKinds[k].recovered, b.faultKinds[k].recovered)
-            << "kind bit " << k;
-    }
+    testutil::expectSameRunResult(tick.result, event.result);
     EXPECT_EQ(tick.replays, event.replays);
     EXPECT_EQ(tick.stats, event.stats);
     EXPECT_EQ(tick.trace, event.trace);

@@ -18,6 +18,7 @@
 #include "mp/system.hpp"
 #include "occam/compiler.hpp"
 #include "programs/benchmarks.hpp"
+#include "run_result_expect.hpp"
 #include "sim/experiment.hpp"
 #include "support/diagnostics.hpp"
 
@@ -377,30 +378,10 @@ void
 expectReportsEqual(const sim::RunReport &a, const sim::RunReport &b,
                    const std::string &label)
 {
-    EXPECT_EQ(a.completed, b.completed) << label;
+    testutil::expectSameRunResult(a, b, label);
     EXPECT_EQ(a.verified, b.verified) << label;
-    EXPECT_EQ(a.cycles, b.cycles) << label;
-    EXPECT_EQ(a.instructions, b.instructions) << label;
-    EXPECT_EQ(a.contexts, b.contexts) << label;
-    EXPECT_EQ(a.rendezvous, b.rendezvous) << label;
-    EXPECT_EQ(a.contextSwitches, b.contextSwitches) << label;
-    EXPECT_EQ(a.computeCycles, b.computeCycles) << label;
-    EXPECT_EQ(a.kernelCycles, b.kernelCycles) << label;
-    EXPECT_EQ(a.blockedCycles, b.blockedCycles) << label;
-    EXPECT_EQ(a.busCycles, b.busCycles) << label;
-    EXPECT_EQ(a.watchdogTripped, b.watchdogTripped) << label;
-    EXPECT_EQ(a.failureReason, b.failureReason) << label;
-    EXPECT_EQ(a.faultsInjected, b.faultsInjected) << label;
-    EXPECT_EQ(a.faultRecoveries, b.faultRecoveries) << label;
     EXPECT_EQ(a.recovered, b.recovered) << label;
     EXPECT_EQ(a.replays, b.replays) << label;
-    for (int k = 0; k < fault::kNumFaultKinds; ++k) {
-        const auto &ka = a.faultKinds[static_cast<std::size_t>(k)];
-        const auto &kb = b.faultKinds[static_cast<std::size_t>(k)];
-        EXPECT_EQ(ka.injected, kb.injected) << label << " kind " << k;
-        EXPECT_EQ(ka.detected, kb.detected) << label << " kind " << k;
-        EXPECT_EQ(ka.recovered, kb.recovered) << label << " kind " << k;
-    }
 }
 
 TEST(FaultChaos, ScheduleIsIndependentOfJobCount)

@@ -8,12 +8,15 @@
  * mismatch); in-memory snapshot/restore identity under flat and
  * hierarchical topologies; page snapshots checked against a flat
  * byte-vector oracle; and the checkpoint bytes themselves (reload
- * identity, hostile MEMS and KERN payloads behind valid CRCs).
+ * identity, hostile MEMS, KERN and CACH payloads behind valid CRCs,
+ * and CRC32 pins of every checkpoint section and of a journal row
+ * across commits).
  */
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -24,6 +27,7 @@
 #include "pe/memory.hpp"
 #include "persist/io.hpp"
 #include "persist/state_codec.hpp"
+#include "run_result_expect.hpp"
 #include "sim/experiment.hpp"
 #include "sim/journal.hpp"
 #include "support/diagnostics.hpp"
@@ -97,22 +101,7 @@ capture(mp::System &system, const mp::RunResult &result)
 void
 expectIdentical(const Surfaces &a, const Surfaces &b)
 {
-    EXPECT_EQ(a.result.completed, b.result.completed);
-    EXPECT_EQ(a.result.cycles, b.result.cycles);
-    EXPECT_EQ(a.result.instructions, b.result.instructions);
-    EXPECT_EQ(a.result.contexts, b.result.contexts);
-    EXPECT_EQ(a.result.rendezvous, b.result.rendezvous);
-    EXPECT_EQ(a.result.contextSwitches, b.result.contextSwitches);
-    EXPECT_EQ(a.result.utilization, b.result.utilization);
-    EXPECT_EQ(a.result.computeCycles, b.result.computeCycles);
-    EXPECT_EQ(a.result.kernelCycles, b.result.kernelCycles);
-    EXPECT_EQ(a.result.blockedCycles, b.result.blockedCycles);
-    EXPECT_EQ(a.result.busCycles, b.result.busCycles);
-    EXPECT_EQ(a.result.watchdogTripped, b.result.watchdogTripped);
-    EXPECT_EQ(a.result.failureReason, b.result.failureReason);
-    EXPECT_EQ(a.result.faultsInjected, b.result.faultsInjected);
-    EXPECT_EQ(a.result.faultRecoveries, b.result.faultRecoveries);
-    EXPECT_EQ(a.result.traceDropped, b.result.traceDropped);
+    testutil::expectSameRunResult(a.result, b.result);
     EXPECT_EQ(a.stats, b.stats);
     EXPECT_EQ(a.trace, b.trace);
     EXPECT_EQ(a.memory, b.memory);
@@ -515,7 +504,8 @@ TEST(PersistCheckpointBytesTest, FreePageListAliasingRefused)
     std::size_t nctx = dec.length(dec.remaining());
     std::vector<isa::Addr> live;
     for (std::size_t i = 0; i < nctx; ++i) {
-        mp::Context ctx = persist::decodeContext(dec);
+        mp::Context ctx;
+        persist::fields(dec, ctx);
         if (ctx.status != mp::CtxStatus::Done)
             live.push_back(ctx.queuePage);
     }
@@ -567,6 +557,287 @@ TEST(PersistCheckpointBytesTest, FreePageListAliasingRefused)
     std::remove(path.c_str());
 }
 
+/** Byte offsets of the KERN fields that follow its two leading lists. */
+struct KernLayout
+{
+    std::size_t rrNext = 0;        ///< i64.
+    std::size_t shardRr = 0;       ///< u64 count, then one i64 each.
+    std::size_t shardRrCount = 0;
+    std::size_t shardLive = 0;     ///< u64 count, then one u64 each.
+};
+
+KernLayout
+kernLayout(const std::vector<std::uint8_t> &kern)
+{
+    persist::Decoder dec(kern);
+    auto at = [&] { return kern.size() - dec.remaining(); };
+    std::size_t nctx = dec.length(dec.remaining());
+    for (std::size_t i = 0; i < nctx; ++i) {
+        mp::Context ctx;
+        persist::fields(dec, ctx);
+    }
+    std::size_t nfree = dec.length(dec.remaining());
+    for (std::size_t i = 0; i < nfree; ++i)
+        dec.u32();
+    dec.u32();  // nextChannel
+    dec.u32();  // heapNext
+    KernLayout layout;
+    layout.rrNext = at();
+    dec.i64();
+    layout.shardRr = at();
+    layout.shardRrCount = dec.length(dec.remaining());
+    for (std::size_t i = 0; i < layout.shardRrCount; ++i)
+        dec.i64();
+    layout.shardLive = at();
+    EXPECT_TRUE(dec.ok()) << dec.error();
+    return layout;
+}
+
+void
+patchWord64(std::vector<std::uint8_t> &bytes, std::size_t at,
+            std::int64_t value)
+{
+    for (int b = 0; b < 8; ++b)
+        bytes[at + static_cast<std::size_t>(b)] = static_cast<std::uint8_t>(
+            static_cast<std::uint64_t>(value) >> (8 * b));
+}
+
+TEST(PersistCheckpointBytesTest, HostileKernelCursorsRefused)
+{
+    // The placement cursors index the PE slots unchecked on the next
+    // fork, and the per-shard live counts must agree with the context
+    // records: each hostile value is refused at load instead of
+    // crashing (or silently skewing) the resumed run.
+    std::string path = tempPath("hostile_cursor.qmc");
+    mp::SystemConfig flat = baseConfig(4);
+    mp::SystemConfig rings = baseConfig(8);
+    rings.setTopology(mp::parseTopology("rings:2x2"));
+
+    using Patch = std::function<void(std::vector<std::uint8_t> &,
+                                     const KernLayout &)>;
+    struct Case
+    {
+        const char *name;
+        const mp::SystemConfig *config;
+        Patch patch;
+        const char *needle;
+    };
+    const Case cases[] = {
+        {"rrNext below zero", &flat,
+         [](auto &kern, const KernLayout &l) {
+             patchWord64(kern, l.rrNext, -1);
+         },
+         "rrNext"},
+        {"rrNext past the last PE", &flat,
+         [](auto &kern, const KernLayout &l) {
+             patchWord64(kern, l.rrNext, 4);
+         },
+         "rrNext"},
+        {"shard cursors on a flat machine", &flat,
+         [](auto &kern, const KernLayout &l) {
+             patchWord64(kern, l.shardRr, 1);
+             kern.insert(kern.begin() +
+                             static_cast<std::ptrdiff_t>(l.shardRr + 8),
+                         8, 0);
+         },
+         "shardRr"},
+        {"shard cursors emptied on rings:2x2", &rings,
+         [](auto &kern, const KernLayout &l) {
+             patchWord64(kern, l.shardRr, 0);
+             auto begin = kern.begin() +
+                          static_cast<std::ptrdiff_t>(l.shardRr + 8);
+             kern.erase(begin, begin + static_cast<std::ptrdiff_t>(
+                                           8 * l.shardRrCount));
+         },
+         "shardRr"},
+        {"shard cursor past its ring", &rings,
+         [](auto &kern, const KernLayout &l) {
+             patchWord64(kern, l.shardRr + 16, 4);
+         },
+         "shardRr"},
+        {"shard cursor below zero", &rings,
+         [](auto &kern, const KernLayout &l) {
+             patchWord64(kern, l.shardRr + 8, -1);
+         },
+         "shardRr"},
+        {"shard live count off by one", &rings,
+         [](auto &kern, const KernLayout &l) {
+             patchWord64(kern, l.shardLive + 8,
+                         static_cast<std::int64_t>(kern[l.shardLive + 8]) +
+                             1);
+         },
+         "live"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        runSaving(*c.config, path, 2);
+        std::vector<persist::Section> sections = readSections(path);
+        std::vector<std::uint8_t> &kern = payloadOf(sections, "KERN");
+        KernLayout layout = kernLayout(kern);
+        ASSERT_EQ(layout.shardRrCount,
+                  c.config == &rings ? std::size_t{2} : std::size_t{0});
+        ASSERT_TRUE(loadSections(*c.config, path, sections).ok());
+        c.patch(kern, layout);
+        persist::Status st = loadSections(*c.config, path, sections);
+        EXPECT_EQ(st.code, persist::ErrCode::BadFormat) << st.toString();
+        EXPECT_NE(st.message.find("section KERN: "), std::string::npos)
+            << st.toString();
+        EXPECT_NE(st.message.find(c.needle), std::string::npos)
+            << st.toString();
+    }
+    std::remove(path.c_str());
+}
+
+TEST(PersistCheckpointBytesTest, HostileChannelWaitersRefused)
+{
+    // A parked sender or receiver is woken through contexts[id]: a
+    // waiter naming a context the file does not have is refused.
+    std::string path = tempPath("hostile_waiter.qmc");
+    mp::SystemConfig config = baseConfig(4);
+    runSaving(config, path, 2);
+    std::vector<persist::Section> sections = readSections(path);
+    for (bool send : {false, true}) {
+        SCOPED_TRACE(send ? "send waiter" : "recv waiter");
+        std::vector<persist::Section> bad = sections;
+        std::vector<std::uint8_t> &cach = payloadOf(bad, "CACH");
+        persist::Decoder dec(cach);
+        msg::MessageCache::Snapshot snap;
+        persist::fields(dec, snap);
+        ASSERT_TRUE(dec.atEnd()) << dec.error();
+        msg::ChannelEntry &entry = snap.entries[2];
+        (send ? entry.sendWaiters : entry.recvWaiters).push_back(9999);
+        persist::Encoder enc;
+        persist::fields(enc, snap);
+        cach = enc.take();
+        persist::Status st = loadSections(config, path, bad);
+        EXPECT_EQ(st.code, persist::ErrCode::BadFormat) << st.toString();
+        EXPECT_NE(st.message.find("section CACH: "), std::string::npos)
+            << st.toString();
+        EXPECT_NE(st.message.find("9999"), std::string::npos)
+            << st.toString();
+    }
+    EXPECT_TRUE(loadSections(config, path, sections).ok());
+    std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Format pins: the checkpoint and journal bytes across commits.
+// ---------------------------------------------------------------------------
+
+std::string
+hex32(std::uint32_t v)
+{
+    char buf[16];
+    std::snprintf(buf, sizeof buf, "0x%08x", v);
+    return buf;
+}
+
+TEST(PersistFormatPinTest, CheckpointSectionsKeepTheirBytes)
+{
+    // ReloadedCheckpointSavesIdentically compares one build with
+    // itself, so it still passes when a field moves on both the save
+    // and the load side. These CRC32s pin the QMCKPT01 version 1
+    // bytes of the pipeline program's second snapshot across commits.
+    struct Pin
+    {
+        const char *tag;
+        std::uint32_t crc;
+    };
+    struct Case
+    {
+        const char *name;
+        mp::SystemConfig config;
+        std::vector<Pin> pins;
+    };
+    mp::SystemConfig faulty = baseConfig(4);
+    faulty.faultPlan =
+        fault::parseFaultPlan("seed=42,rate=0.01,kinds=drop+delay");
+    mp::SystemConfig rings = baseConfig(8);
+    rings.setTopology(mp::parseTopology("rings:2x2"));
+    const Case cases[] = {
+        {"flat 4-PE faulty", faulty,
+         {{"META", 0x8fde219f}, {"KERN", 0x3d54d247}, {"MEMS", 0xf47c0ec1},
+          {"STAT", 0xa6d43fce}, {"CACH", 0x7a855ba3}, {"BUSS", 0x97fc16ca},
+          {"SLOT", 0xfc28dfc7}, {"TRAC", 0x08e14073}, {"FALT", 0x49301c9a}}},
+        {"rings:2x2", rings,
+         {{"META", 0xd77caece}, {"KERN", 0x2b4c8221}, {"MEMS", 0x86dfa309},
+          {"STAT", 0x05ce8dd4}, {"CACH", 0xb6b50047}, {"BUSS", 0xe6afa524},
+          {"SLOT", 0xff2a8715}, {"TRAC", 0xfc7c40c3}, {"FALT", 0xd202ef8d}}},
+    };
+    std::string path = tempPath("format_pin.qmc");
+    for (const Case &c : cases) {
+        runSaving(c.config, path, 2);
+        std::vector<persist::Section> sections = readSections(path);
+        ASSERT_EQ(sections.size(), c.pins.size()) << c.name;
+        for (std::size_t i = 0; i < sections.size(); ++i) {
+            const persist::Section &s = sections[i];
+            std::uint32_t crc =
+                persist::crc32(s.payload.data(), s.payload.size());
+            EXPECT_EQ(s.tag, c.pins[i].tag) << c.name;
+            EXPECT_EQ(hex32(crc), hex32(c.pins[i].crc))
+                << "section " << s.tag << " of the " << c.name
+                << " checkpoint changed its bytes; a deliberate format "
+                   "change bumps kCheckpointVersion and re-pins this CRC "
+                   "in CHANGES.md";
+        }
+    }
+    std::remove(path.c_str());
+}
+
+/** A report whose every journaled field holds a distinct non-default value. */
+sim::RunReport
+distinctReport()
+{
+    sim::RunReport r;
+    r.pes = 3;
+    r.completed = true;
+    r.verified = true;
+    r.cycles = 101;
+    r.instructions = 102;
+    r.contexts = 103;
+    r.rendezvous = 104;
+    r.contextSwitches = 105;
+    r.utilization = 0.375;
+    r.computeCycles = 106;
+    r.kernelCycles = 107;
+    r.blockedCycles = 108;
+    r.busCycles = 109;
+    r.watchdogTripped = true;
+    r.failureReason = "watchdog: pinned";
+    r.faultsInjected = 110;
+    r.faultRecoveries = 111;
+    r.recovered = true;
+    r.replays = 4;
+    for (std::uint64_t k = 0; k < r.faultKinds.size(); ++k)
+        r.faultKinds[k] = {200 + 3 * k, 201 + 3 * k, 202 + 3 * k};
+    r.traceDropped = 112;
+    r.attempts = 5;
+    r.quarantined = true;
+    r.hostAborted = true;
+    r.stats.inc("sys.checkpoints", 6);
+    r.stats.set("sys.share", 0.5);
+    r.stats.sample("bus.latency", 7.0);
+    r.stats.record("queue.depth", 9);
+    r.hostWallMs = 12.5;
+    r.simCyclesPerSec = 8.25;
+    r.telemetry = "{\"cycle\":1}\n";
+    r.flightDumpPath = "run.flight.json";
+    return r;
+}
+
+TEST(PersistFormatPinTest, JournalRowKeepsItsBytes)
+{
+    // The QMSWJNL2 row encoding, pinned across commits like the
+    // checkpoint sections above.
+    persist::Encoder enc;
+    sim::encodeRunReport(enc, distinctReport());
+    EXPECT_EQ(hex32(persist::crc32(enc.bytes().data(), enc.bytes().size())),
+              hex32(0x4fdd7417))
+        << "the journal row encoding changed its bytes; a deliberate "
+           "format change bumps the QMSWJNL magic and re-pins this CRC "
+           "in CHANGES.md";
+}
+
 TEST(CorruptCheckpointTest, MissingFileIsIoError)
 {
     const occam::CompiledProgram &program = pipelineProgram();
@@ -598,41 +869,25 @@ journalSpecs(int n)
 
 TEST(SweepJournalTest, RunReportCodecRoundTrips)
 {
-    sim::RunReport report;
-    report.pes = 5;
-    report.completed = true;
-    report.verified = true;
-    report.cycles = 1234;
-    report.instructions = 987;
-    report.utilization = 0.625;
-    report.failureReason = "none really";
-    report.replays = 2;
-    report.attempts = 3;
-    report.quarantined = true;
-    report.faultKinds[1].injected = 7;
-    report.hostWallMs = 12.5;
-    report.stats.inc("sys.checkpoints");
-    report.stats.record("queue.depth", 4);
-
+    sim::RunReport report = distinctReport();
     persist::Encoder enc;
     sim::encodeRunReport(enc, report);
     persist::Decoder dec(enc.bytes());
     sim::RunReport back = sim::decodeRunReport(dec);
     ASSERT_TRUE(dec.ok()) << dec.error();
     EXPECT_TRUE(dec.atEnd());
+    testutil::expectSameRunResult(back, report);
     EXPECT_EQ(back.pes, report.pes);
-    EXPECT_EQ(back.completed, report.completed);
     EXPECT_EQ(back.verified, report.verified);
-    EXPECT_EQ(back.cycles, report.cycles);
-    EXPECT_EQ(back.instructions, report.instructions);
-    EXPECT_EQ(back.utilization, report.utilization);
-    EXPECT_EQ(back.failureReason, report.failureReason);
+    EXPECT_EQ(back.recovered, report.recovered);
     EXPECT_EQ(back.replays, report.replays);
     EXPECT_EQ(back.attempts, report.attempts);
     EXPECT_EQ(back.quarantined, report.quarantined);
-    EXPECT_EQ(back.faultKinds[1].injected, 7u);
-    EXPECT_EQ(back.hostWallMs, report.hostWallMs);
     EXPECT_EQ(back.stats.render(), report.stats.render());
+    EXPECT_EQ(back.hostWallMs, report.hostWallMs);
+    EXPECT_EQ(back.simCyclesPerSec, report.simCyclesPerSec);
+    EXPECT_EQ(back.telemetry, report.telemetry);
+    EXPECT_EQ(back.flightDumpPath, report.flightDumpPath);
 }
 
 TEST(SweepJournalTest, RecordsSurviveReopen)

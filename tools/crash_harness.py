@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Crash-injection harness for the durability layer.
 
-Three attack modes, all seeded and reproducible:
+Four attack modes, all seeded and reproducible:
 
   run    kill -9 an `occamc --checkpoint-file` run at a randomized
          point, then `--resume` from whatever checkpoint survived and
@@ -18,6 +18,13 @@ Three attack modes, all seeded and reproducible:
          random-garbage splices) and require every mutant to be
          refused cleanly: occamc must diagnose on stderr, fall back to
          a cold start, and still produce the reference stdout.
+  reseal flip one bit inside one section payload of a valid
+         checkpoint (flat and rings:2x2) and recompute that section's
+         CRC, so the hostile bytes reach the section decoders instead
+         of failing the CRC. A mutant may load and change the run, so
+         the contract is weaker but absolute: `occamc --resume` ends
+         with one of its structured exit codes - never a signal -
+         with no sanitizer report, within RESEAL_TIMEOUT_S seconds.
 
 A kill that lands after the process already exited counts as a
 "no-kill" trial - the resume path is still exercised (journal/
@@ -30,6 +37,7 @@ Examples:
   crash_harness.py run   --occamc build/examples/occamc --trials 5
   crash_harness.py sweep --bench build/bench/bench_ch5_bus --trials 3
   crash_harness.py fuzz  --occamc build/examples/occamc --mutants 40
+  crash_harness.py reseal --occamc build/examples/occamc --mutants 120
 """
 
 import argparse
@@ -39,10 +47,12 @@ import os
 import random
 import shutil
 import signal
+import struct
 import subprocess
 import sys
 import tempfile
 import time
+import zlib
 
 PIPELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "..", "examples", "pipeline.occ")
@@ -236,11 +246,82 @@ def mode_fuzz(args, rng):
     shutil.rmtree(tmp, ignore_errors=True)
 
 
+# occamc's structured exit codes: ok, usage, compile error, watchdog or
+# deadline, run failure, fatal/panic. (128+sig needs a shutdown signal,
+# which reseal never sends.)
+STRUCTURED_EXITS = {0, 2, 3, 4, 5, 6}
+SANITIZER_MARKERS = ("Sanitizer", "runtime error:")
+# A resumed pipeline run takes well under a second even under ASan.
+RESEAL_TIMEOUT_S = 60
+
+
+def sections(image):
+    """(tag, payload start, payload end) of each section of a QMCKPT01
+    image: [magic 8][version u32][count u32][header crc u32], then per
+    section [tag 4][length u64][crc u32][payload]."""
+    (count,) = struct.unpack_from("<I", image, 12)
+    pos, found = 20, []
+    for _ in range(count):
+        (length,) = struct.unpack_from("<Q", image, pos + 4)
+        found.append((image[pos:pos + 4].decode(), pos + 16,
+                      pos + 16 + length))
+        pos += 16 + length
+    return found
+
+
+def mode_reseal(args, rng):
+    tmp = tempfile.mkdtemp(prefix="crash_reseal_")
+    seeds = []
+    for name, extra in (("flat", []),
+                        ("rings:2x2",
+                         ["--pes", "8", "--topology", "rings:2x2"])):
+        ckpt = os.path.join(tmp, f"seed_{len(seeds)}.qmc")
+        p = run(occamc_cmd(args, extra + ["--checkpoint-file", ckpt]))
+        report(f"{name} seed checkpoint run succeeds", p.returncode == 0,
+               f"rc={p.returncode}")
+        with open(ckpt, "rb") as f:
+            seeds.append((name, extra, f.read()))
+    refused = 0
+    for i in range(args.mutants):
+        name, extra, seed = seeds[i % len(seeds)]
+        img = bytearray(seed)
+        tag, start, end = rng.choice([s for s in sections(img)
+                                      if s[2] > s[1]])
+        pos = rng.randrange(start, end)
+        img[pos] ^= 1 << rng.randrange(8)
+        struct.pack_into("<I", img, start - 4, zlib.crc32(img[start:end]))
+        mutant = os.path.join(tmp, f"mutant_{i}.qmc")
+        with open(mutant, "wb") as f:
+            f.write(bytes(img))
+        label = f"mutant {i} ({name} {tag}+{pos - start})"
+        try:
+            # errors="replace": a refusal may quote the flipped bytes.
+            p = subprocess.run(occamc_cmd(args, extra + ["--resume",
+                                                         mutant]),
+                               capture_output=True, text=True,
+                               errors="replace", timeout=RESEAL_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            report(f"{label}: ends within {RESEAL_TIMEOUT_S}s", False)
+            continue
+        sanitizer = any(m in p.stderr for m in SANITIZER_MARKERS)
+        report(f"{label}: structured exit, no sanitizer report",
+               p.returncode in STRUCTURED_EXITS and not sanitizer,
+               f"rc={p.returncode} sanitizer={sanitizer}")
+        if "cannot resume" in p.stderr and "bad-format: section" in p.stderr:
+            refused += 1
+        os.remove(mutant)
+    report("resealed mutants reached the section decoders", refused > 0,
+           f"{refused}/{args.mutants} refused by a decoder")
+    print(f"reseal mode: {refused}/{args.mutants} mutants refused by a "
+          "section decoder, the rest loaded")
+    shutil.rmtree(tmp, ignore_errors=True)
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("mode", choices=["run", "sweep", "fuzz"])
+    parser.add_argument("mode", choices=["run", "sweep", "fuzz", "reseal"])
     parser.add_argument("--occamc", default="build/examples/occamc")
     parser.add_argument("--bench", default="build/bench/bench_ch5_bus")
     parser.add_argument("--bench-args", default="",
@@ -255,8 +336,8 @@ def main():
     args.bench = os.path.abspath(args.bench)
     rng = random.Random(args.seed)
 
-    {"run": mode_run, "sweep": mode_sweep, "fuzz": mode_fuzz}[
-        args.mode](args, rng)
+    {"run": mode_run, "sweep": mode_sweep, "fuzz": mode_fuzz,
+     "reseal": mode_reseal}[args.mode](args, rng)
 
     if failures:
         print(f"{failures} invariant violation(s)")
