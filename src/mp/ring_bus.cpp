@@ -197,9 +197,8 @@ RingBus::occupyRing(int src, int dst, Cycle now)
         Cycle start = std::max(t, free_at);
         Cycle wait = start - t;
         if (wait > 0) {
-            counterSlot(counters_.contentionCycles,
-                        "bus.contention_cycles") +=
-                static_cast<std::uint64_t>(wait);
+            stats_.inc(metric::BusContentionCycles,
+                       static_cast<std::uint64_t>(wait));
             if (bridge)
                 bridge_waited += wait;
         }
@@ -242,15 +241,13 @@ RingBus::occupyRing(int src, int dst, Cycle now)
             reserve(partitionFree, dst_ring * parts + i,
                     config_.hopCycles, false);
         hops = exit_hops + backbone + entry_hops;
-        counterSlot(counters_.bridgeTransfers,
-                    "bus.bridge_transfers") += 1;
-        counterSlot(counters_.backboneHops, "bus.backbone_hops") +=
-            static_cast<std::uint64_t>(backbone);
+        stats_.inc(metric::BusBridgeTransfers);
+        stats_.inc(metric::BusBackboneHops,
+                   static_cast<std::uint64_t>(backbone));
     }
-    counterSlot(counters_.hopCount, "bus.hop_count") +=
-        static_cast<std::uint64_t>(hops);
-    counterSlot(counters_.transferCycles, "bus.transfer_cycles") +=
-        static_cast<std::uint64_t>(t - now);
+    stats_.inc(metric::BusHopCount, static_cast<std::uint64_t>(hops));
+    stats_.inc(metric::BusTransferCycles,
+               static_cast<std::uint64_t>(t - now));
     if (tracer_)
         tracer_->busTransfer(now, t, src, dst, hops, bridge_waited);
     attempt.at = t;
@@ -263,16 +260,15 @@ RingBus::occupyRing(int src, int dst, Cycle now)
 void
 RingBus::bookDelivered(const Attempt &attempt, Cycle now)
 {
-    counterSlot(counters_.remoteTransfers, "bus.remote_transfers") += 1;
-    histogramSlot(histograms_.hops, "bus.hops")
-        .sample(static_cast<std::uint64_t>(attempt.hops));
-    histogramSlot(histograms_.queueWait, "bus.queue_wait")
-        .sample(static_cast<std::uint64_t>(attempt.waited));
-    histogramSlot(histograms_.latency, "bus.latency")
-        .sample(static_cast<std::uint64_t>(attempt.at - now));
+    stats_.inc(metric::BusRemoteTransfers);
+    stats_.record(metric::BusHops, static_cast<std::uint64_t>(attempt.hops));
+    stats_.record(metric::BusQueueWait,
+                  static_cast<std::uint64_t>(attempt.waited));
+    stats_.record(metric::BusLatency,
+                  static_cast<std::uint64_t>(attempt.at - now));
     if (config_.numRings > 1)
-        histogramSlot(histograms_.bridgeWait, "bus.bridge_wait")
-            .sample(static_cast<std::uint64_t>(attempt.bridgeWaited));
+        stats_.record(metric::BusBridgeWait,
+                      static_cast<std::uint64_t>(attempt.bridgeWaited));
 }
 
 Cycle
@@ -280,7 +276,7 @@ RingBus::transfer(int src, int dst, Cycle now)
 {
     if (src == dst) {
         // Intra-PE transfers stay inside the local message processor.
-        counterSlot(counters_.localTransfers, "bus.local_transfers") += 1;
+        stats_.inc(metric::BusLocalTransfers);
         return now + config_.messageOverhead;
     }
     Attempt attempt = occupyRing(src, dst, now);
@@ -312,7 +308,7 @@ RingBus::deliver(int src, int dst, Cycle now)
          ++resend) {
         if (resend > 0) {
             depart += recovery_->ackTimeout;
-            stats_.inc("fault.bus_resend");
+            stats_.inc(metric::FaultBusResend);
             if (tracer_)
                 tracer_->faultRecover(
                     depart, src, fault::kBusDrop,
@@ -332,9 +328,9 @@ RingBus::deliver(int src, int dst, Cycle now)
                 break;
             }
             ++drops;
-            stats_.inc("bus.dropped_attempt");
-            stats_.inc("fault.bus_drop");
-            stats_.inc("fault.drop.detected");
+            stats_.inc(metric::BusDroppedAttempt);
+            stats_.inc(metric::FaultBusDrop);
+            stats_.inc(metric::FaultDropDetected);
             if (tracer_)
                 tracer_->faultInject(attempt.at, src, fault::kBusDrop,
                                      static_cast<std::uint64_t>(dst));
@@ -348,10 +344,10 @@ RingBus::deliver(int src, int dst, Cycle now)
             // overflow.
             Cycle backoff = faults_->plan().retryBackoff
                             << std::min(attempt_no, 16);
-            stats_.inc("fault.bus_retry");
-            stats_.inc("fault.bus_backoff_cycles",
+            stats_.inc(metric::FaultBusRetry);
+            stats_.inc(metric::FaultBusBackoffCycles,
                        static_cast<std::uint64_t>(backoff));
-            stats_.record("fault.backoff",
+            stats_.record(metric::FaultBackoff,
                           static_cast<std::uint64_t>(backoff));
             if (tracer_)
                 tracer_->faultRecover(
@@ -363,14 +359,14 @@ RingBus::deliver(int src, int dst, Cycle now)
     delivery.attempts = attempts;
     // Reliability overhead, as a distribution: how many ring occupations
     // one kernel message cost under the active fault plan.
-    stats_.record("fault.delivery_attempts",
+    stats_.record(metric::FaultDeliveryAttempts,
                   static_cast<std::uint64_t>(attempts));
     if (!delivered) {
         // The message is permanently lost. The caller (kernel) leaves
         // the receiver unwoken; the System watchdog converts any
         // resulting livelock into a clean structured failure, and the
         // checkpoint-replay policy gets a chance to retry the run.
-        stats_.inc("fault.bus_lost");
+        stats_.inc(metric::FaultBusLost);
         delivery.delivered = false;
         delivery.at = depart;
         return delivery;
@@ -378,12 +374,12 @@ RingBus::deliver(int src, int dst, Cycle now)
     if (drops > 0)
         // Every drop on this delivery was compensated by a retry or an
         // end-to-end retransmission.
-        stats_.inc("fault.drop.recovered", drops);
+        stats_.inc(metric::FaultDropRecovered, drops);
 
     if (faults_->fire(fault::kBusDelay)) {
         Cycle extra = faults_->delayCycles();
-        stats_.inc("fault.bus_delay");
-        stats_.inc("fault.bus_delay_cycles",
+        stats_.inc(metric::FaultBusDelay);
+        stats_.inc(metric::FaultBusDelayCycles,
                    static_cast<std::uint64_t>(extra));
         if (tracer_)
             tracer_->faultInject(delivery.at, src, fault::kBusDelay,
@@ -394,7 +390,7 @@ RingBus::deliver(int src, int dst, Cycle now)
     if (faults_->fire(fault::kBusDup)) {
         // The duplicate occupies the ring like any other transfer;
         // delivery must be idempotent, so it only perturbs timing.
-        stats_.inc("fault.bus_dup");
+        stats_.inc(metric::FaultBusDup);
         delivery.duplicated = true;
         delivery.duplicateAt = transfer(src, dst, delivery.at);
         if (tracer_)

@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "support/stats.hpp"
+#include "support/metric_catalog.hpp"
 #include "trace/trace.hpp"
 
 namespace qm::mp {
@@ -99,8 +99,21 @@ RingTopology parseTopology(const std::string &text);
 /** Render a topology as its canonical --topology spelling. */
 std::string topologyName(const RingTopology &topology);
 
+/** The bus state a checkpoint captures, copied whole (RingBus's base). */
+struct RingBusState
+{
+    /** Earliest free cycle per local segment (ring-major order). */
+    std::vector<Cycle> partitionFree;
+    /** Earliest free cycle per bridge (hierarchical only). */
+    std::vector<Cycle> bridgeFree;
+    /** Earliest free cycle per backbone segment (hierarchical only). */
+    std::vector<Cycle> backboneFree;
+    /** The bus's statistics, recorded by catalog ID. */
+    StatBlock<metric::Owner::Bus> stats_;
+};
+
 /** Time-aware transfer model for the (optionally hierarchical) ring. */
-class RingBus
+class RingBus : private RingBusState
 {
   public:
     explicit RingBus(RingBusConfig config);
@@ -159,7 +172,9 @@ class RingBus
      */
     BusDelivery deliver(int src, int dst, Cycle now);
 
-    const StatSet &stats() const { return stats_; }
+    const StatBlock<metric::Owner::Bus> &statBlock() const { return stats_; }
+
+    StatSet stats() const { return stats_.folded(); }
 
     /** Attach the system's event recorder (may be null). */
     void setTracer(trace::Tracer *tracer) { tracer_ = tracer; }
@@ -177,32 +192,9 @@ class RingBus
     }
 
     /** Deep-copyable timing state for System checkpoints. */
-    struct Snapshot
-    {
-        std::vector<Cycle> partitionFree;
-        std::vector<Cycle> bridgeFree;
-        std::vector<Cycle> backboneFree;
-        StatSet stats;
-    };
-
-    Snapshot
-    snapshot() const
-    {
-        return {partitionFree, bridgeFree, backboneFree, stats_};
-    }
-
-    void
-    restore(const Snapshot &snap)
-    {
-        partitionFree = snap.partitionFree;
-        bridgeFree = snap.bridgeFree;
-        backboneFree = snap.backboneFree;
-        stats_ = snap.stats;
-        // The assignment rebuilt the stat maps; cached slot pointers
-        // into the old maps are dead.
-        counters_ = CounterHandles{};
-        histograms_ = HistogramHandles{};
-    }
+    using Snapshot = RingBusState;
+    Snapshot snapshot() const { return *this; }
+    void restore(const Snapshot &snap) { RingBusState::operator=(snap); }
 
   private:
     /**
@@ -229,56 +221,7 @@ class RingBus
     /** Local partition of @p pe within its ring (hierarchical). */
     int localPartitionOf(int pe) const;
 
-    /**
-     * Cached map slots for transfer()'s per-message statistics (the
-     * rendezvous hot path). Resolved on first actual use - so a stat
-     * a run never emits still creates no map entry - and invalidated
-     * whenever stats_ is reassigned (restore()).
-     */
-    struct CounterHandles
-    {
-        std::uint64_t *localTransfers = nullptr;
-        std::uint64_t *remoteTransfers = nullptr;
-        std::uint64_t *contentionCycles = nullptr;
-        std::uint64_t *hopCount = nullptr;
-        std::uint64_t *transferCycles = nullptr;
-        std::uint64_t *bridgeTransfers = nullptr;
-        std::uint64_t *backboneHops = nullptr;
-    };
-    struct HistogramHandles
-    {
-        Histogram *hops = nullptr;
-        Histogram *queueWait = nullptr;
-        Histogram *latency = nullptr;
-        Histogram *bridgeWait = nullptr;
-    };
-
-    std::uint64_t &
-    counterSlot(std::uint64_t *&slot, const char *name)
-    {
-        if (!slot)
-            slot = &stats_.counterRef(name);
-        return *slot;
-    }
-
-    Histogram &
-    histogramSlot(Histogram *&slot, const char *name)
-    {
-        if (!slot)
-            slot = &stats_.histogramRef(name);
-        return *slot;
-    }
-
     RingBusConfig config_;
-    /** Earliest free cycle per local segment (ring-major order). */
-    std::vector<Cycle> partitionFree;
-    /** Earliest free cycle per bridge (hierarchical only). */
-    std::vector<Cycle> bridgeFree;
-    /** Earliest free cycle per backbone segment (hierarchical only). */
-    std::vector<Cycle> backboneFree;
-    StatSet stats_;
-    CounterHandles counters_;
-    HistogramHandles histograms_;
     trace::Tracer *tracer_ = nullptr;
     fault::FaultInjector *faults_ = nullptr;
     const fault::RecoveryPlan *recovery_ = nullptr;

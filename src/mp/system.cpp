@@ -88,8 +88,6 @@ struct SlotState
 struct System::PeSlot : SlotState
 {
     int index = 0;
-    /** Per-PE metric prefix ("pe3."), see StatSet::scoped. */
-    std::string scope;
     /** Start of the current context's uninterrupted run span. */
     Cycle spanStart = 0;
     CtxId running = msg::kNoCtx;
@@ -190,7 +188,7 @@ struct System::Checkpoint
     /** One PE slot's durable fields plus its PE's statistics. */
     struct Slot : SlotState
     {
-        StatSet peStats;
+        pe::ProcessingElement::Stats peStats;
     };
     std::vector<Slot> slots;
 };
@@ -210,6 +208,7 @@ System::System(const isa::ObjectCode &code, SystemConfig config)
 
     if (numShards() > 1)
         shardRr_.assign(static_cast<size_t>(numShards()), 0);
+    peStats_.resize(static_cast<size_t>(config_.numPes));
 
     if (config_.faultPlan.enabled())
         faults_ = std::make_unique<fault::FaultInjector>(
@@ -233,7 +232,6 @@ System::System(const isa::ObjectCode &code, SystemConfig config)
     for (int i = 0; i < config_.numPes; ++i) {
         auto slot = std::make_unique<PeSlot>();
         slot->index = i;
-        slot->scope = cat("pe", i, ".");
         slot->undoLog.cap = config_.recovery.maxUndoWords;
         slot->host = std::make_unique<HostAdapter>(*this, i);
         slot->pe = std::make_unique<pe::ProcessingElement>(
@@ -399,7 +397,7 @@ System::placeSharded(int shard)
     }
     // Preferred ring is saturated (or entirely fail-stopped): fall
     // back to the global least-loaded policy.
-    stats_.inc("sys.shard_spills");
+    stats_.inc(metric::SysShardSpills);
     return placeSurvivor();
 }
 
@@ -450,7 +448,7 @@ System::createContext(Word codeAddr, Word inChan, Word outChan,
     ctx.readyAt = shipped.at;
     contexts.push_back(ctx);
     ++liveContexts;
-    stats_.inc("sys.contexts_created");
+    stats_.inc(metric::SysContextsCreated);
     tracer_.ctxCreate(now, ctx.homePe, ctx.id, forkingPe);
     if (numShards() > 1) {
         // Shard bookkeeping: the descriptor ship above IS the explicit
@@ -461,10 +459,10 @@ System::createContext(Word codeAddr, Word inChan, Word outChan,
         int to = shardOfPe(ctx.homePe);
         int preferred = preferredShard >= 0 ? preferredShard : from;
         channelShard_[inChan] = to;
-        stats_.inc(to == preferred ? "sys.shard_local_placements"
-                                   : "sys.shard_remote_placements");
+        stats_.inc(to == preferred ? metric::SysShardLocalPlacements
+                                   : metric::SysShardRemotePlacements);
         if (to != from) {
-            stats_.inc("sys.shard_migrations");
+            stats_.inc(metric::SysShardMigrations);
             tracer_.ctxMigrate(now, ctx.homePe, ctx.id, forkingPe);
         }
     }
@@ -482,7 +480,7 @@ System::createContext(Word codeAddr, Word inChan, Word outChan,
         // The descriptor was lost beyond the retry bound: the context
         // exists but can never start. The watchdog/starvation exit
         // reports the resulting stall as a clean failure.
-        stats_.inc("fault.ctx_ship_lost");
+        stats_.inc(metric::FaultCtxShipLost);
     }
     return ctx.id;
 }
@@ -655,7 +653,7 @@ System::trapService(PeSlot &slot, Word number, Word argument)
         createContext(argument, in, in + 1, slot.index, slot.clock);
         outcome.result = in;
         outcome.kernelCycles = config_.forkCycles;
-        stats_.inc("sys.rforks");
+        stats_.inc(metric::SysRforks);
         return outcome;
       }
       case isa::TrapIfork: {
@@ -675,7 +673,7 @@ System::trapService(PeSlot &slot, Word number, Word argument)
                       slot.clock, preferred);
         outcome.result = in;
         outcome.kernelCycles = config_.forkCycles;
-        stats_.inc("sys.iforks");
+        stats_.inc(metric::SysIforks);
         return outcome;
       }
       case isa::TrapGetIn:
@@ -734,10 +732,10 @@ System::dispatch(PeSlot &slot)
     // and the PE actually picking it up (scheduler-induced latency,
     // before any context-load cost is charged).
     Cycle ready_wait = slot.clock - entry.readyAt;
-    stats_.record("sys.ready_wait",
+    stats_.record(metric::SysReadyWait,
                   static_cast<std::uint64_t>(ready_wait));
-    stats_.scoped(slot.scope)
-        .record("ready_wait", static_cast<std::uint64_t>(ready_wait));
+    peStats_[static_cast<size_t>(slot.index)].record(
+        metric::ViewReadyWait, static_cast<std::uint64_t>(ready_wait));
 
     if (slot.residentBlocked == ctx.id) {
         // The resident context's rendezvous completed: resume in place
@@ -748,7 +746,7 @@ System::dispatch(PeSlot &slot)
         ctx.status = CtxStatus::Running;
         slot.running = ctx.id;
         slot.spanStart = slot.clock;
-        stats_.inc("sys.resident_resumes");
+        stats_.inc(metric::SysResidentResumes);
         tracer_.ctxDispatch(slot.clock, slot.index, ctx.id);
         return true;
     }
@@ -785,9 +783,9 @@ System::recordResidency(PeSlot &slot)
     // mean the lazy-switch machinery is paying off; a spray of short
     // ones means the run is rendezvous-bound.
     Cycle span = slot.clock - slot.spanStart;
-    stats_.record("sys.residency", static_cast<std::uint64_t>(span));
-    stats_.scoped(slot.scope)
-        .record("residency", static_cast<std::uint64_t>(span));
+    stats_.record(metric::SysResidency, static_cast<std::uint64_t>(span));
+    peStats_[static_cast<size_t>(slot.index)].record(
+        metric::ViewResidency, static_cast<std::uint64_t>(span));
 }
 
 void
@@ -819,7 +817,7 @@ System::evictResident(PeSlot &slot)
     resident.regs = slot.pe->saveContext();
     slot.residentBlocked = msg::kNoCtx;
     ++switches;
-    stats_.inc("sys.evictions");
+    stats_.inc(metric::SysEvictions);
     commitSpan(slot);
 }
 
@@ -861,7 +859,7 @@ System::finishContext(PeSlot &slot)
     freeQueuePage(ctx.queuePage);
     slot.running = msg::kNoCtx;
     --liveContexts;
-    stats_.inc("sys.contexts_finished");
+    stats_.inc(metric::SysContextsFinished);
     commitSpan(slot);
 }
 
@@ -1086,17 +1084,13 @@ System::pickCalendar(Cycle &at)
 void
 System::runBatch(PeSlot &slot, Cycle max_cycles)
 {
-    // The tick core records PE statistics straight into the registry,
-    // the reference the event core's deferred tallies are held to.
-    const bool tick = config_.core == SimCore::Tick;
     if (recoveryOn_)
         // Journal this span's memory stores for rollback.
         memory_->setUndoLog(&slot.undoLog);
 
     for (int batch = 0; batch < 16; ++batch) {
         Cycle before = slot.clock;
-        StepResult step = tick ? slot.pe->step<pe::StatSink::Direct>()
-                               : slot.pe->step<pe::StatSink::Deferred>();
+        StepResult step = slot.pe->step();
         slot.clock += step.cycles;
         slot.busyCycles += slot.clock - before;
         if (step.status != StepStatus::Blocked)
@@ -1158,7 +1152,7 @@ System::injectPeKill(Cycle at)
     slot.clock = std::max(slot.clock, at);
     if (faults_)
         faults_->notePlanned(fault::kPeKill);
-    stats_.inc("fault.pe_kill");
+    stats_.inc(metric::FaultPeKill);
     if (traceEnabled())
         std::cerr << "[t=" << at << "] KILL pe" << victim << "\n";
     tracer_.faultInject(at, victim, fault::kPeKill,
@@ -1177,7 +1171,7 @@ System::recoverDeadPe(Cycle at)
     const int dead_pe = pendingDeadPe_;
     pendingDeadPe_ = -1;
     PeSlot &slot = *slots[static_cast<size_t>(dead_pe)];
-    stats_.inc("fault.pekill.detected");
+    stats_.inc(metric::FaultPekillDetected);
     if (traceEnabled())
         std::cerr << "[t=" << at << "] RECOVER-DEAD pe" << dead_pe
                   << " running=" << static_cast<long>(slot.running)
@@ -1247,7 +1241,7 @@ System::recoverDeadPe(Cycle at)
             int to = shardOfPe(target);
             if (to != dead_shard) {
                 channelShard_[ctx.inChan] = to;
-                stats_.inc("sys.shard_migrations");
+                stats_.inc(metric::SysShardMigrations);
                 tracer_.ctxMigrate(at, target, ctx.id, dead_pe);
             }
         }
@@ -1256,7 +1250,7 @@ System::recoverDeadPe(Cycle at)
             continue;  // Blocked: its wake lands on the new home.
         BusDelivery shipped = bus.deliver(dead_pe, target, at);
         if (!shipped.delivered) {
-            stats_.inc("fault.ctx_ship_lost");
+            stats_.inc(metric::FaultCtxShipLost);
             continue;
         }
         ctx.readyAt = std::max(ctx.readyAt, shipped.at);
@@ -1267,7 +1261,7 @@ System::recoverDeadPe(Cycle at)
                       shipped.duplicateAt, ctx.id);
     }
     if (moved > 0)
-        stats_.inc("fault.pekill.recovered", moved);
+        stats_.inc(metric::FaultPekillRecovered, moved);
     tracer_.faultRecover(at, dead_pe, fault::kPeKill, moved);
 }
 
@@ -1288,41 +1282,31 @@ System::snapshot()
         else if (slot->residentBlocked != msg::kNoCtx)
             evictResident(*slot);
     }
-    stats_.inc("sys.checkpoints");
-    if (traceEnabled()) {
-        Cycle maxc = 0;
-        for (auto &s : slots) maxc = std::max(maxc, s->clock);
-        std::cerr << "[t=" << maxc << "] SNAPSHOT live=" << liveContexts
-                  << "\n";
-    }
+    stats_.inc(metric::SysCheckpoints);
+    if (traceEnabled())
+        std::cerr << "[t=" << frontier() << "] SNAPSHOT live="
+                  << liveContexts << "\n";
     auto cp = std::make_unique<Checkpoint>();
     cp->memory = memory_->snapshot();
     cp->kernel = *this;
     cp->cache = cache.snapshot();
     cp->bus = bus.snapshot();
     cp->trace = tracer_.mark();
-    for (auto &slot : slots) {
-        // Event core: fold pending deferred tallies in before the
-        // capture (no-op on the tick core, whose tallies stay zero).
-        slot->pe->flushStats();
-        cp->slots.push_back({*slot, slot->pe->stats()});
-    }
+    for (auto &slot : slots)
+        cp->slots.push_back({*slot, slot->pe->statBlock()});
     checkpoint_ = std::move(cp);
+    // Flight recorder: note the boundary, and refresh the on-disk
+    // black box before the sink persists this snapshot - a kill -9
+    // (which no handler can catch) then never leaves a checkpoint file
+    // without a parseable post-mortem next to it.
+    flight_.checkpoint(frontier(), static_cast<int>(liveContexts));
+    if (checkpointSink_ && !config_.flightPath.empty())
+        writeFlightDump(config_.flightPath, "checkpoint");
     // Durable persistence point: occamc's --checkpoint-file sink
     // serializes the fresh checkpoint here, so every boot/periodic
     // snapshot boundary is also a crash-recovery point on disk.
     if (checkpointSink_)
         checkpointSink_(*this);
-    // Flight recorder: note the boundary, and refresh the on-disk
-    // black box whenever this snapshot was durably persisted - a
-    // kill -9 (which no handler can catch) then still leaves a
-    // parseable post-mortem next to the checkpoint file.
-    Cycle flight_now = 0;
-    for (auto &s : slots)
-        flight_now = std::max(flight_now, s->clock);
-    flight_.checkpoint(flight_now, static_cast<int>(liveContexts));
-    if (checkpointSink_ && !config_.flightPath.empty())
-        writeFlightDump(config_.flightPath, "checkpoint");
 }
 
 bool
@@ -1346,8 +1330,7 @@ System::restore()
     for (std::size_t i = 0; i < slots.size(); ++i) {
         PeSlot &slot = *slots[i];
         static_cast<SlotState &>(slot) = cp.slots[i];
-        slot.pe->stats() = cp.slots[i].peStats;
-        slot.pe->resetTallies();
+        slot.pe->statBlock() = cp.slots[i].peStats;
         slot.spanStart = slot.clock;
         slot.running = msg::kNoCtx;
         slot.residentBlocked = msg::kNoCtx;
@@ -1367,10 +1350,7 @@ System::restore()
     // The flight recorder deliberately does NOT rewind: it is a
     // record of what the host actually executed, abandoned replay
     // timelines included - exactly what a post-mortem wants.
-    Cycle flight_now = 0;
-    for (auto &s : slots)
-        flight_now = std::max(flight_now, s->clock);
-    flight_.noteRestore(flight_now);
+    flight_.noteRestore(frontier());
 }
 
 // ---------------------------------------------------------------------------
@@ -1551,7 +1531,7 @@ System::saveCheckpoint(const std::string &path) const
         persist::encodeMemoryImage(enc, cp.memory);
     });
     section("STAT", [&](Encoder &enc) {
-        persist::encodeStatSet(enc, cp.kernel.stats_);
+        persist::statSet(enc, cp.kernel.stats_, &cp.kernel.peStats_);
     });
     section("CACH", [&](Encoder &enc) { persist::fields(enc, cp.cache); });
     section("BUSS", [&](Encoder &enc) { persist::fields(enc, cp.bus); });
@@ -1720,7 +1700,8 @@ System::loadCheckpoint(const std::string &path)
         cp->memory = persist::decodeMemoryImage(dec, memory_->size());
     });
     section("STAT", [&](Decoder &dec) {
-        cp->kernel.stats_ = persist::decodeStatSet(dec);
+        cp->kernel.peStats_.resize(slots.size());
+        persist::statSet(dec, cp->kernel.stats_, &cp->kernel.peStats_);
     });
     section("CACH", [&](Decoder &dec) {
         persist::fields(dec, cp->cache);
@@ -1778,56 +1759,30 @@ System::loadCheckpoint(const std::string &path)
     // of the on-disk format: a durable resume re-aligns to the first
     // boundary after the resume point (restore() zeroed it from the
     // decoded checkpoint's default).
-    if (config_.telemetryEvery > 0) {
-        Cycle now = 0;
-        for (auto &s : slots)
-            now = std::max(now, s->clock);
-        nextTelemetryAt_ =
-            (now / config_.telemetryEvery + 1) * config_.telemetryEvery;
-    }
+    if (config_.telemetryEvery > 0)
+        nextTelemetryAt_ = (frontier() / config_.telemetryEvery + 1) *
+                           config_.telemetryEvery;
     return Status::okStatus();
 }
 
 void
 System::finalizeRun(RunResult &result)
 {
-    Cycle finish = 0;
-    std::uint64_t instructions = 0;
+    Cycle finish = frontier();
     Cycle busy_total = 0, kernel_total = 0, switch_total = 0;
+    double busy = 0.0;
     for (auto &slot : slots) {
-        // Event core: the per-PE registries are read (and merged)
-        // below, so fold pending deferred tallies in first.
-        slot->pe->flushStats();
-        finish = std::max(finish, slot->clock);
-        instructions += slot->pe->stats().counter("pe.instructions");
         busy_total += slot->busyCycles;
         kernel_total += slot->kernelCycles;
         switch_total += slot->switchCycles;
-        stats_.merge(slot->pe->stats());
-        // Per-PE views: the same PE-local stats again under a "peN."
-        // prefix, plus this slot's cycle breakdown, so the metrics
-        // export can show where each PE's time went without losing the
-        // aggregate view above.
-        stats_.mergeScoped(slot->pe->stats(), slot->scope);
-        StatScope scope = stats_.scoped(slot->scope);
-        scope.set("clock", static_cast<double>(slot->clock));
-        scope.set("cycles_busy", static_cast<double>(slot->busyCycles));
-        scope.set("cycles_kernel",
-                  static_cast<double>(slot->kernelCycles));
-        scope.set("cycles_switch",
-                  static_cast<double>(slot->switchCycles));
-    }
-    double busy = 0.0;
-    for (auto &slot : slots)
         busy += finish > 0 ? static_cast<double>(slot->busyCycles) /
                                  static_cast<double>(finish)
                            : 0.0;
-    stats_.merge(cache.stats());
-    stats_.merge(bus.stats());
+    }
     result.cycles = finish;
-    result.instructions = instructions;
-    result.contexts = stats_.counter("sys.contexts_created");
-    result.rendezvous = cache.stats().counter("msg.rendezvous");
+    result.instructions = count(metric::PeInstructions);
+    result.contexts = count(metric::SysContextsCreated);
+    result.rendezvous = count(metric::MsgRendezvous);
     result.contextSwitches = switches;
     result.utilization = busy / config_.numPes;
 
@@ -1836,60 +1791,100 @@ System::finalizeRun(RunResult &result)
     // occupancy overlaps PE time and is reported as its own dimension.
     // Injected stall cycles inflate busyCycles without doing user
     // work, so they move from compute to blocked.
-    Cycle stall_total =
-        static_cast<Cycle>(stats_.counter("fault.pe_stall_cycles"));
+    auto stall_total = static_cast<Cycle>(count(metric::FaultPeStallCycles));
     result.computeCycles = busy_total - kernel_total - stall_total;
     result.kernelCycles = kernel_total + switch_total;
     result.blockedCycles = finish * config_.numPes -
                            (busy_total + switch_total) + stall_total;
-    result.busCycles = static_cast<Cycle>(
-        stats_.counter("bus.transfer_cycles"));
+    result.busCycles = static_cast<Cycle>(count(metric::BusTransferCycles));
     result.faultsInjected = faults_ ? faults_->injected() : 0;
     result.traceDropped = tracer_.dropped();
 
     // Unified per-kind accounting, indexed in FaultKind bit order.
     // Delay and stall faults are absorbed by the timing model: they
     // are injected but there is nothing to detect or recover.
-    struct KindCounters
-    {
-        fault::FaultKind kind;
-        const char *detected;
-        const char *recovered;
-    };
-    static const KindCounters kind_table[fault::kNumFaultKinds] = {
-        {fault::kBusDrop, "fault.drop.detected",
-         "fault.drop.recovered"},
-        {fault::kBusDup, "fault.dup.detected", "fault.dup.recovered"},
-        {fault::kBusDelay, nullptr, nullptr},
-        {fault::kCacheCorrupt, "fault.corrupt.detected",
-         "fault.corrupt.recovered"},
-        {fault::kPeStall, nullptr, nullptr},
-        {fault::kPeKill, "fault.pekill.detected",
-         "fault.pekill.recovered"},
+    using Counted = std::optional<std::pair<metric::Id, metric::Id>>;
+    static const Counted detected_recovered[fault::kNumFaultKinds] = {
+        {{metric::FaultDropDetected, metric::FaultDropRecovered}},
+        {{metric::FaultDupDetected, metric::FaultDupRecovered}},
+        {},
+        {{metric::FaultCorruptDetected, metric::FaultCorruptRecovered}},
+        {},
+        {{metric::FaultPekillDetected, metric::FaultPekillRecovered}},
     };
     std::uint64_t recovered_total = 0;
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(fault::kNumFaultKinds); ++i) {
-        const KindCounters &kc = kind_table[i];
+    for (std::size_t i = 0; i < result.faultKinds.size(); ++i) {
+        const Counted &counted = detected_recovered[i];
         RunResult::FaultKindCounts &out = result.faultKinds[i];
-        out.injected = faults_ ? faults_->injectedOf(kc.kind) : 0;
-        out.detected =
-            kc.detected ? stats_.counter(kc.detected) : 0;
-        out.recovered =
-            kc.recovered ? stats_.counter(kc.recovered) : 0;
+        auto kind = static_cast<fault::FaultKind>(1u << i);
+        out.injected = faults_ ? faults_->injectedOf(kind) : 0;
+        out.detected = counted ? count(counted->first) : 0;
+        out.recovered = counted ? count(counted->second) : 0;
         recovered_total += out.recovered;
     }
     result.faultRecoveries = recovered_total;
 
-    stats_.set("sys.cycles", static_cast<double>(finish));
-    stats_.set("sys.utilization", result.utilization);
-    stats_.set("sys.cycles_compute",
+    stats_.set(metric::SysCycles, static_cast<double>(finish));
+    stats_.set(metric::SysUtilization, result.utilization);
+    stats_.set(metric::SysCyclesCompute,
                static_cast<double>(result.computeCycles));
-    stats_.set("sys.cycles_kernel",
+    stats_.set(metric::SysCyclesKernel,
                static_cast<double>(result.kernelCycles));
-    stats_.set("sys.cycles_blocked",
+    stats_.set(metric::SysCyclesBlocked,
                static_cast<double>(result.blockedCycles));
-    stats_.set("sys.cycles_bus", static_cast<double>(result.busCycles));
+    stats_.set(metric::SysCyclesBus, static_cast<double>(result.busCycles));
+    folded_ = foldStats();
+}
+
+Cycle
+System::frontier() const
+{
+    Cycle at = 0;
+    for (const auto &slot : slots)
+        at = std::max(at, slot->clock);
+    return at;
+}
+
+StatSet
+System::foldStats() const
+{
+    StatSet out;
+    stats_.foldInto(out);
+    for (const auto &slot : slots) {
+        std::string prefix = metric::pePrefix(slot->index);
+        auto view = peStats_[static_cast<size_t>(slot->index)];
+        view.set(metric::ViewClock, static_cast<double>(slot->clock));
+        view.set(metric::ViewCyclesBusy,
+                 static_cast<double>(slot->busyCycles));
+        view.set(metric::ViewCyclesKernel,
+                 static_cast<double>(slot->kernelCycles));
+        view.set(metric::ViewCyclesSwitch,
+                 static_cast<double>(slot->switchCycles));
+        view.foldInto(out, prefix);
+        slot->pe->statBlock().foldInto(out);
+        slot->pe->statBlock().foldInto(out, prefix);
+    }
+    cache.statBlock().foldInto(out);
+    bus.statBlock().foldInto(out);
+    return out;
+}
+
+std::uint64_t
+System::count(metric::Id id) const
+{
+    std::uint64_t total = 0;
+    switch (metric::kCatalog[id].owner) {
+      case metric::Owner::Kernel: return stats_.counter(id);
+      case metric::Owner::Cache: return cache.statBlock().counter(id);
+      case metric::Owner::Bus: return bus.statBlock().counter(id);
+      case metric::Owner::Pe:
+        for (const auto &slot : slots)
+            total += slot->pe->statBlock().counter(id);
+        return total;
+      case metric::Owner::PeView:
+        break;
+    }
+    panic("metric ", metric::kCatalog[id].name, " is not a counter");
 }
 
 RunResult
@@ -1957,42 +1952,10 @@ System::writeFlightDump(const std::string &path,
         return persist::Status::okStatus();
     obs::FlightHeader header;
     header.reason = reason;
-    Cycle now = 0;
-    for (auto &s : slots)
-        now = std::max(now, s->clock);
-    header.cycle = now;
+    header.cycle = frontier();
     header.pes = config_.numPes;
     header.liveContexts = static_cast<int>(liveContexts);
     return flight_.dumpToFile(path, header);
-}
-
-StatSet
-System::statsSnapshot()
-{
-    // Same folding order as finalizeRun, applied to a copy: global
-    // registry, then each PE's aggregate + scoped view + cycle
-    // breakdown scalars, then the cache and bus registries. Flushing
-    // the event core's pending plain-counter deltas mutates only the
-    // per-PE registries they were always destined for (snapshot() and
-    // finalizeRun() flush at the same points), so the run's own
-    // output is unchanged.
-    for (auto &slot : slots)
-        slot->pe->flushStats();
-    StatSet out = stats_;
-    for (auto &slot : slots) {
-        out.merge(slot->pe->stats());
-        out.mergeScoped(slot->pe->stats(), slot->scope);
-        StatScope scope = out.scoped(slot->scope);
-        scope.set("clock", static_cast<double>(slot->clock));
-        scope.set("cycles_busy", static_cast<double>(slot->busyCycles));
-        scope.set("cycles_kernel",
-                  static_cast<double>(slot->kernelCycles));
-        scope.set("cycles_switch",
-                  static_cast<double>(slot->switchCycles));
-    }
-    out.merge(cache.stats());
-    out.merge(bus.stats());
-    return out;
 }
 
 void

@@ -37,7 +37,7 @@
 #include "pe/memory.hpp"
 #include "pe/pe.hpp"
 #include "persist/io.hpp"
-#include "support/stats.hpp"
+#include "support/metric_catalog.hpp"
 #include "trace/trace.hpp"
 
 namespace qm::mp {
@@ -56,27 +56,26 @@ enum class Placement
 
 /**
  * Simulation core (see DESIGN.md "Event-driven simulation core"). Both
- * cores run the same System::runLoop and produce byte-identical
- * RunResult, statistics, metrics, and trace output - the differential
- * test suite holds them to it across the fuzz/fault/recovery corpora.
- * They differ only in the slot picker, the PE stat sink, and the
- * memory allocation mode.
+ * cores run the same System::runLoop and PE step and record the same
+ * statistics the same way, so they produce byte-identical RunResult,
+ * statistics, metrics, and trace output - the differential test suite
+ * holds them to it across the fuzz/fault/recovery corpora. They differ
+ * only in the slot picker and the memory allocation mode.
  */
 enum class SimCore
 {
     /**
      * The reference core: every iteration linearly scans all PE slots
-     * for the lowest-clock schedulable one, steps PEs with the Direct
-     * stat sink, and zeroes memory eagerly. Kept as the oracle for the
-     * event core and the host-performance baseline.
+     * for the lowest-clock schedulable one, and memory is zeroed
+     * eagerly. Kept as the oracle for the event core and the
+     * host-performance baseline.
      */
     Tick,
     /**
      * Next-event calendar queue: each slot registers its next wake
      * cycle in a min-heap keyed by (cycle, PE index) and the scheduler
-     * jumps straight to the earliest one, with plain-counter PE
-     * statistics (StatSink::Deferred) and lazily-zeroed memory on the
-     * hot path. The default.
+     * jumps straight to the earliest one, over lazily-zeroed memory.
+     * The default.
      */
     Event,
 };
@@ -353,7 +352,10 @@ struct KernelState
     /** Next telemetry boundary (host-side: not in the checkpoint file). */
     Cycle nextTelemetryAt_ = 0;
 
-    StatSet stats_;
+    /** The kernel's statistics, recorded by catalog ID. */
+    StatBlock<metric::Owner::Kernel> stats_;
+    /** Its view of each PE (pe<N>.ready_wait, ...), one block per PE. */
+    std::vector<StatBlock<metric::Owner::PeView>> peStats_;
 };
 
 /** The whole simulated machine. */
@@ -458,17 +460,15 @@ class System : private KernelState
      */
     std::string configFingerprint() const;
 
-    /** Aggregate statistics from the last run. */
-    const StatSet &stats() const { return stats_; }
+    /** The statistics registry the last run ended with. */
+    const StatSet &stats() const { return folded_; }
 
     /**
-     * Consistent mid-run view of the statistics registry: the global
-     * StatSet plus every PE slot's pending plain-counter deltas and
-     * per-PE scoped views, folded the same way finalizeRun() folds
-     * them at the end. Purely observational — the run's own stats are
-     * not perturbed. Used by the telemetry stream.
+     * The statistics registry as it stands mid-run: the same fold
+     * finalizeRun() ends a run with, minus the end-of-run sys.*
+     * scalars. Purely observational. Used by the telemetry stream.
      */
-    StatSet statsSnapshot();
+    StatSet statsSnapshot() const { return foldStats(); }
 
     /** The always-on flight recorder (see src/obs/flight.hpp). */
     const obs::FlightRecorder &flight() const { return flight_; }
@@ -578,7 +578,7 @@ class System : private KernelState
      * The one scheduler loop behind run() and resume(): pick the slot
      * able to act soonest, evaluate the guard sequence, then dispatch
      * and run one batch on it. The two cores differ only in the picker
-     * (pickScan or pickCalendar) and in runBatch's PE stat sink.
+     * (pickScan or pickCalendar).
      */
     RunResult runLoop(Cycle max_cycles);
     /**
@@ -608,11 +608,26 @@ class System : private KernelState
 
     /**
      * End-of-run bookkeeping shared by the normal and timeout exits:
-     * folds per-PE and message-cache statistics into stats_, computes
-     * finish time, utilization, and the compute/kernel/bus/blocked
-     * cycle breakdown. Everything except `completed` is filled in.
+     * computes finish time, utilization, and the compute/kernel/bus/
+     * blocked cycle breakdown, records them as sys.* scalars, and
+     * folds every block into the registry stats() returns. Everything
+     * except `completed` is filled in.
      */
     void finalizeRun(RunResult &result);
+
+    /**
+     * Every block as one registry: the kernel's, each PE's (summed,
+     * and again under "pe<N>." beside the kernel's per-PE entries and
+     * the slot's clock and cycle split), the message cache's and the
+     * ring bus's.
+     */
+    StatSet foldStats() const;
+
+    /** Counter @p id summed over every block that records it. */
+    std::uint64_t count(metric::Id id) const;
+
+    /** The highest PE clock: how far the machine has run. */
+    Cycle frontier() const;
 
     /**
      * Fill in the end-of-run failure fields shared by the watchdog,
@@ -680,6 +695,9 @@ class System : private KernelState
     std::function<void(System &)> checkpointSink_;
     std::chrono::steady_clock::time_point runStart_{};
     unsigned hostGuardTick_ = 0;
+
+    /** The registry finalizeRun() folded (see stats()). */
+    StatSet folded_;
 
     // Telemetry stream (inert unless config_.telemetryEvery > 0).
     std::function<void(System &, Cycle)> telemetrySink_;

@@ -34,7 +34,7 @@ MessageCache::send(Word channel, CtxId ctx, Word value,
 {
     ChannelEntry &entry = entries[channel];
     ChannelOp op;
-    counterSlot(counters_.sendRequests, "msg.send_requests") += 1;
+    stats_.inc(metric::MsgSendRequests);
     if (static_cast<int>(entry.values.size()) >= capacity_) {
         entry.sendWaiters.push_back(ctx);
         op.blocked = true;
@@ -43,15 +43,15 @@ MessageCache::send(Word channel, CtxId ctx, Word value,
     std::uint64_t seq = entry.nextSeq++;
     entry.values.push_back(
         {value, tokenChecksum(value), seq, value, now});
-    histogramSlot(histograms_.fifoDepth, "msg.fifo_depth")
-        .sample(static_cast<std::uint64_t>(entry.values.size()));
+    stats_.record(metric::MsgFifoDepth,
+                  static_cast<std::uint64_t>(entry.values.size()));
     if (faults_ && faults_->fire(fault::kCacheCorrupt)) {
         // Flip one bit of the slot just written, keeping the send-time
         // checksum (and the sender's pristine retransmit copy): the
         // receive side detects the mismatch.
         entry.values.back().value =
             faults_->corruptWord(entry.values.back().value);
-        stats_.inc("fault.cache_corrupt");
+        stats_.inc(metric::FaultCacheCorrupt);
         if (tracer_)
             tracer_->faultInject(now, -1, fault::kCacheCorrupt,
                                  channel);
@@ -61,9 +61,9 @@ MessageCache::send(Word channel, CtxId ctx, Word value,
         // number; the entry already holds (or has consumed past) that
         // seq, so receiver-side dedup rejects it outright. Idempotent
         // by protocol, not by luck.
-        stats_.inc("fault.cache_dup");
-        stats_.inc("fault.dup.detected");
-        stats_.inc("fault.dup.recovered");
+        stats_.inc(metric::FaultCacheDup);
+        stats_.inc(metric::FaultDupDetected);
+        stats_.inc(metric::FaultDupRecovered);
         if (tracer_) {
             tracer_->faultInject(now, -1, fault::kBusDup, channel);
             tracer_->faultRecover(now, -1, fault::kBusDup, seq);
@@ -82,7 +82,7 @@ MessageCache::recv(Word channel, CtxId ctx, trace::Cycle now)
 {
     ChannelEntry &entry = entries[channel];
     ChannelOp op;
-    counterSlot(counters_.recvRequests, "msg.recv_requests") += 1;
+    stats_.inc(metric::MsgRecvRequests);
     if (entry.values.empty()) {
         entry.recvWaiters.push_back(ctx);
         op.blocked = true;
@@ -94,8 +94,8 @@ MessageCache::recv(Word channel, CtxId ctx, trace::Cycle now)
     op.value = token.value;
     if (faults_ && tokenChecksum(token.value) != token.sum) {
         op.corrupted = true;
-        stats_.inc("fault.corrupt_detected");
-        stats_.inc("fault.corrupt.detected");
+        stats_.inc(metric::FaultChecksumMismatch);
+        stats_.inc(metric::FaultCorruptDetected);
         if (tracer_)
             tracer_->faultRecover(now, -1, fault::kCacheCorrupt,
                                   channel);
@@ -106,21 +106,21 @@ MessageCache::recv(Word channel, CtxId ctx, trace::Cycle now)
             op.value = token.pristine;
             op.healed = true;
             op.penalty = recovery_->nackPenalty;
-            stats_.inc("fault.corrupt.recovered");
-            stats_.inc("fault.nack_penalty_cycles",
+            stats_.inc(metric::FaultCorruptRecovered);
+            stats_.inc(metric::FaultNackPenaltyCycles,
                        static_cast<std::uint64_t>(op.penalty));
-            stats_.record("fault.nack_penalty",
+            stats_.record(metric::FaultNackPenalty,
                           static_cast<std::uint64_t>(op.penalty));
         }
     }
-    counterSlot(counters_.rendezvous, "msg.rendezvous") += 1;
+    stats_.inc(metric::MsgRendezvous);
     // Send-to-rendezvous latency. The receiver's clock can lag the
     // sender's (PE clocks are only loosely synchronized), so clamp at
     // zero rather than recording a wrapped negative.
-    histogramSlot(histograms_.latency, "msg.latency")
-        .sample(now >= token.sentAt
-                    ? static_cast<std::uint64_t>(now - token.sentAt)
-                    : 0);
+    stats_.record(metric::MsgLatency,
+                  now >= token.sentAt
+                      ? static_cast<std::uint64_t>(now - token.sentAt)
+                      : 0);
     if (tracer_)
         tracer_->rendezvous(now, channel, ctx, *op.value);
     if (!entry.sendWaiters.empty()) {

@@ -33,7 +33,7 @@
 
 #include "fault/fault.hpp"
 #include "isa/fields.hpp"
-#include "support/stats.hpp"
+#include "support/metric_catalog.hpp"
 #include "trace/trace.hpp"
 
 namespace qm::msg {
@@ -100,6 +100,14 @@ struct ChannelEntry
     std::uint64_t nextSeq = 0;     ///< Send-side sequence counter.
 };
 
+/** The cache state a checkpoint captures, copied whole. */
+struct MessageCacheState
+{
+    std::map<Word, ChannelEntry> entries;
+    /** The cache's statistics, recorded by catalog ID. */
+    StatBlock<metric::Owner::Cache> stats_;
+};
+
 /**
  * The message cache: channel-id -> protocol entry, with the transition
  * functions of Tables 5.3/5.4. One instance is shared by the kernel in
@@ -107,7 +115,7 @@ struct ChannelEntry
  * caches; the protocol states and transitions are identical, and the
  * per-hop transfer costs are charged by the ring-bus model instead).
  */
-class MessageCache
+class MessageCache : private MessageCacheState
 {
   public:
     /** @p capacity = tokens one entry can hold before senders park. */
@@ -139,8 +147,11 @@ class MessageCache
 
     int capacity() const { return capacity_; }
 
-    StatSet &stats() { return stats_; }
-    const StatSet &stats() const { return stats_; }
+    const StatBlock<metric::Owner::Cache> &statBlock() const
+    {
+        return stats_;
+    }
+
 
     /** Attach the system's event recorder (may be null). */
     void setTracer(trace::Tracer *tracer) { tracer_ = tracer; }
@@ -169,28 +180,9 @@ class MessageCache
     }
 
     /** Deep-copyable protocol state for System checkpoints. */
-    struct Snapshot
-    {
-        std::map<Word, ChannelEntry> entries;
-        StatSet stats;
-    };
-
-    Snapshot
-    snapshot() const
-    {
-        return {entries, stats_};
-    }
-
-    void
-    restore(const Snapshot &snap)
-    {
-        entries = snap.entries;
-        stats_ = snap.stats;
-        // The assignment rebuilt the stat maps; cached slot pointers
-        // into the old maps are dead.
-        counters_ = CounterHandles{};
-        histograms_ = HistogramHandles{};
-    }
+    using Snapshot = MessageCacheState;
+    Snapshot snapshot() const { return *this; }
+    void restore(const Snapshot &snap) { MessageCacheState::operator=(snap); }
 
   private:
     bool recoveryOn() const
@@ -198,44 +190,7 @@ class MessageCache
         return recovery_ != nullptr && recovery_->enabled;
     }
 
-    /**
-     * Cached map slots for the send/recv hot-path statistics. Resolved
-     * on first use (creation order in the stat map is unchanged) and
-     * invalidated whenever stats_ is reassigned (restore()).
-     */
-    struct CounterHandles
-    {
-        std::uint64_t *sendRequests = nullptr;
-        std::uint64_t *recvRequests = nullptr;
-        std::uint64_t *rendezvous = nullptr;
-    };
-    struct HistogramHandles
-    {
-        Histogram *fifoDepth = nullptr;
-        Histogram *latency = nullptr;
-    };
-
-    std::uint64_t &
-    counterSlot(std::uint64_t *&slot, const char *name)
-    {
-        if (!slot)
-            slot = &stats_.counterRef(name);
-        return *slot;
-    }
-
-    Histogram &
-    histogramSlot(Histogram *&slot, const char *name)
-    {
-        if (!slot)
-            slot = &stats_.histogramRef(name);
-        return *slot;
-    }
-
     int capacity_;
-    std::map<Word, ChannelEntry> entries;
-    StatSet stats_;
-    CounterHandles counters_;
-    HistogramHandles histograms_;
     trace::Tracer *tracer_ = nullptr;
     fault::FaultInjector *faults_ = nullptr;
     const fault::RecoveryPlan *recovery_ = nullptr;

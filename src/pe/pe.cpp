@@ -102,7 +102,7 @@ ProcessingElement::rollOut()
                               window_[static_cast<size_t>(phys)]);
             presence_[static_cast<size_t>(phys)] = false;
             cycles += timing_.rollOutCyclesPerReg;
-            stats_.inc("pe.rollout_regs");
+            stats_.inc(metric::PeRolloutRegs);
         }
     }
     return cycles;
@@ -141,18 +141,6 @@ ProcessingElement::bumpQp(int inc)
     qp_ = (qp_ & ~static_cast<Word>(0x3FF)) | (next << 2);
 }
 
-template <StatSink Sink>
-void
-ProcessingElement::count(PeCounter counter)
-{
-    auto index = static_cast<std::size_t>(counter);
-    if constexpr (Sink == StatSink::Direct)
-        stats_.inc(kPeCounterNames[index]);
-    else
-        ++tallies_[index];
-}
-
-template <StatSink Sink>
 Word
 ProcessingElement::readSrc(const Src &src, long &cycles)
 {
@@ -162,10 +150,10 @@ ProcessingElement::readSrc(const Src &src, long &cycles)
       case SrcKind::WindowReg: {
         int phys = physicalIndex(src.reg);
         if (presence_[static_cast<size_t>(phys)]) {
-            count<Sink>(PeCounter::WindowHits);
+            stats_.inc(metric::PeWindowHits);
             return window_[static_cast<size_t>(phys)];
         }
-        count<Sink>(PeCounter::WindowMisses);
+        stats_.inc(metric::PeWindowMisses);
         cycles += timing_.memoryCycles;
         return memory_.readWord(windowAddress(src.reg));
       }
@@ -276,7 +264,6 @@ ProcessingElement::aluResult(Opcode op, Word a, Word b)
     }
 }
 
-template <StatSink Sink>
 StepResult
 ProcessingElement::step()
 {
@@ -285,10 +272,10 @@ ProcessingElement::step()
         // architectural state changes. The next step re-attempts the
         // same instruction.
         long stall = static_cast<long>(faults_->stallCycles());
-        stats_.inc("fault.pe_stall");
-        stats_.inc("fault.pe_stall_cycles",
+        stats_.inc(metric::FaultPeStall);
+        stats_.inc(metric::FaultPeStallCycles,
                    static_cast<std::uint64_t>(stall));
-        stats_.record("fault.stall",
+        stats_.record(metric::FaultStall,
                       static_cast<std::uint64_t>(stall));
         if (tracer_)
             tracer_->faultInject(clock_ ? *clock_ : 0, peIndex_,
@@ -302,7 +289,7 @@ ProcessingElement::step()
 
     long cycles = timing_.simpleCycles +
                   timing_.immWordCycles * (op.sizeWords - 1);
-    count<Sink>(PeCounter::Instructions);
+    stats_.inc(metric::PeInstructions);
     pcWritten_ = false;
     // A produced value fans out to dst1 and dst2 and feeds dup.
     auto produce = [&](Word value) {
@@ -321,60 +308,60 @@ ProcessingElement::step()
             memory_.writeWord(windowAddress(instr.dupDst2), lastResult_);
             cycles += timing_.memoryCycles;
         }
-        count<Sink>(PeCounter::Dups);
+        stats_.inc(metric::PeDups);
         pc_ = next_pc;
         return {StepStatus::Executed, cycles};
     }
 
     switch (instr.op) {
       case Opcode::Send: {
-        Word channel = readSrc<Sink>(instr.src1, cycles);
-        Word value = readSrc<Sink>(instr.src2, cycles);
+        Word channel = readSrc(instr.src1, cycles);
+        Word value = readSrc(instr.src2, cycles);
         cycles += timing_.channelCycles;
         if (host_->send(channel, value) == HostStatus::Blocked)
             return {StepStatus::Blocked, cycles};  // retried later
         bumpQp(instr.qpInc);
-        count<Sink>(PeCounter::Sends);
+        stats_.inc(metric::PeSends);
         break;
       }
       case Opcode::Recv: {
-        Word channel = readSrc<Sink>(instr.src1, cycles);
+        Word channel = readSrc(instr.src1, cycles);
         Word value = 0;
         cycles += timing_.channelCycles;
         if (host_->recv(channel, value) == HostStatus::Blocked)
             return {StepStatus::Blocked, cycles};
         bumpQp(instr.qpInc);
         produce(value);
-        count<Sink>(PeCounter::Recvs);
+        stats_.inc(metric::PeRecvs);
         break;
       }
       case Opcode::Store:
       case Opcode::Storb: {
-        Word addr = readSrc<Sink>(instr.src1, cycles);
-        Word value = readSrc<Sink>(instr.src2, cycles);
+        Word addr = readSrc(instr.src1, cycles);
+        Word value = readSrc(instr.src2, cycles);
         bumpQp(instr.qpInc);
         if (instr.op == Opcode::Store)
             memory_.writeWord(addr, value);
         else
             memory_.writeByte(addr, static_cast<std::uint8_t>(value));
         cycles += timing_.memoryCycles;
-        count<Sink>(PeCounter::Stores);
+        stats_.inc(metric::PeStores);
         break;
       }
       case Opcode::Fetch:
       case Opcode::Fchb: {
-        Word addr = readSrc<Sink>(instr.src1, cycles);
+        Word addr = readSrc(instr.src1, cycles);
         bumpQp(instr.qpInc);
         produce(instr.op == Opcode::Fetch ? memory_.readWord(addr)
                                           : memory_.readByte(addr));
         cycles += timing_.memoryCycles;
-        count<Sink>(PeCounter::Fetches);
+        stats_.inc(metric::PeFetches);
         break;
       }
       case Opcode::Bne:
       case Opcode::Beq: {
-        Word control = readSrc<Sink>(instr.src1, cycles);
-        Word offset = readSrc<Sink>(instr.src2, cycles);
+        Word control = readSrc(instr.src1, cycles);
+        Word offset = readSrc(instr.src2, cycles);
         bumpQp(instr.qpInc);
         bool taken = (instr.op == Opcode::Bne) ? control != 0
                                                : control == 0;
@@ -382,30 +369,27 @@ ProcessingElement::step()
             next_pc = next_pc + offset;  // wraps mod 2^32 for negatives
             cycles += timing_.branchTakenCycles;
         }
-        count<Sink>(PeCounter::Branches);
+        stats_.inc(metric::PeBranches);
         break;
       }
       case Opcode::Trap:
       case Opcode::Ftrap: {
-        Word number = readSrc<Sink>(instr.src1, cycles);
-        Word argument = readSrc<Sink>(instr.src2, cycles);
+        Word number = readSrc(instr.src1, cycles);
+        Word argument = readSrc(instr.src2, cycles);
         cycles += timing_.trapCycles;
         TrapOutcome outcome = host_->trap(number, argument);
         if (outcome.status == HostStatus::Blocked)
             return {StepStatus::Blocked, cycles};
         cycles += outcome.kernelCycles;
-        auto service = static_cast<std::uint64_t>(outcome.kernelCycles);
-        if constexpr (Sink == StatSink::Direct)
-            stats_.record(kPeTrapService, service);
-        else
-            trapService_.sample(service);
+        stats_.record(metric::PeTrapService,
+                      static_cast<std::uint64_t>(outcome.kernelCycles));
         if (tracer_)
             tracer_->trapEnter(clock_ ? *clock_ : 0, peIndex_, number,
                                outcome.kernelCycles);
         bumpQp(instr.qpInc);
         if (outcome.result)
             produce(*outcome.result);
-        count<Sink>(PeCounter::Traps);
+        stats_.inc(metric::PeTraps);
         if (outcome.endContext) {
             pc_ = next_pc;
             return {StepStatus::ContextEnd, cycles};
@@ -418,11 +402,11 @@ ProcessingElement::step()
         return {StepStatus::Returned, cycles};
       default: {
         // ALU / logical / comparison class.
-        Word a = readSrc<Sink>(instr.src1, cycles);
-        Word b = readSrc<Sink>(instr.src2, cycles);
+        Word a = readSrc(instr.src1, cycles);
+        Word b = readSrc(instr.src2, cycles);
         bumpQp(instr.qpInc);
         produce(aluResult(instr.op, a, b));
-        count<Sink>(PeCounter::AluOps);
+        stats_.inc(metric::PeAluOps);
         break;
       }
     }
@@ -430,20 +414,6 @@ ProcessingElement::step()
     if (!pcWritten_)
         pc_ = next_pc;
     return {StepStatus::Executed, cycles};
-}
-
-template StepResult ProcessingElement::step<StatSink::Direct>();
-template StepResult ProcessingElement::step<StatSink::Deferred>();
-
-void
-ProcessingElement::flushStats()
-{
-    for (std::size_t i = 0; i < kNumPeCounters; ++i)
-        if (tallies_[i] > 0)
-            stats_.inc(kPeCounterNames[i], tallies_[i]);
-    if (trapService_.count() > 0)
-        stats_.histogramRef(kPeTrapService).merge(trapService_);
-    resetTallies();
 }
 
 } // namespace qm::pe

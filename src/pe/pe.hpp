@@ -29,7 +29,7 @@
 #include "fault/fault.hpp"
 #include "isa/instruction.hpp"
 #include "pe/memory.hpp"
-#include "support/stats.hpp"
+#include "support/metric_catalog.hpp"
 #include "trace/trace.hpp"
 
 namespace qm::pe {
@@ -89,37 +89,6 @@ struct StepResult
 {
     StepStatus status = StepStatus::Executed;
     long cycles = 0;  ///< Cycles charged for this step.
-};
-
-/** Per-step PE statistics counters (names in kPeCounterNames). */
-enum class PeCounter
-{
-    Instructions, AluOps, Dups, Sends, Recvs, Stores, Fetches, Branches,
-    Traps, WindowHits, WindowMisses,
-};
-
-inline constexpr std::size_t kNumPeCounters =
-    static_cast<std::size_t>(PeCounter::WindowMisses) + 1;
-
-/** Registry name of each PeCounter, indexed by its value. */
-inline constexpr std::array<const char *, kNumPeCounters> kPeCounterNames = {
-    "pe.instructions", "pe.alu_ops", "pe.dups", "pe.sends", "pe.recvs",
-    "pe.stores", "pe.fetches", "pe.branches", "pe.traps", "pe.window_hits",
-    "pe.window_misses"};
-
-/** Histogram of kernel cycles per serviced trap. */
-inline constexpr const char *kPeTrapService = "pe.trap_service";
-
-/**
- * Where step() records its per-instruction statistics. Direct goes
- * straight into the string-keyed stats() registry (standalone PEs and
- * the tick core); Deferred tallies plain counters that flushStats()
- * folds into the registry later (the event core's hot loop).
- */
-enum class StatSink
-{
-    Direct,
-    Deferred,
 };
 
 /** Instruction timing parameters (Fig 5.9/5.10 classes). */
@@ -204,30 +173,8 @@ class ProcessingElement
      */
     long rollOut();
 
-    /**
-     * Execute one instruction. @p Sink only picks where the step's
-     * statistics go; cycles and architectural state are the same for
-     * both. A System must call flushStats() before reading stats()
-     * from a PE stepped with StatSink::Deferred.
-     */
-    template <StatSink Sink = StatSink::Direct>
+    /** Execute one instruction. */
     StepResult step();
-
-    /**
-     * Fold the StatSink::Deferred tallies into stats(). Only non-zero
-     * tallies touch the map, so a PE that never executed a given
-     * operation class creates no entry - exactly like the Direct
-     * sink's create-on-first-use, keeping rendered statistics
-     * byte-identical between the two sinks.
-     */
-    void flushStats();
-
-    /**
-     * Drop unflushed Deferred tallies. Used on checkpoint restore:
-     * the rolled-back stats() already exclude them, just as a Direct
-     * PE's post-snapshot increments are erased by the rollback.
-     */
-    void resetTallies() { tallies_.fill(0); trapService_ = {}; }
 
     // Architectural state access (for the kernel and for tests).
     Word pc() const { return pc_; }
@@ -249,12 +196,14 @@ class ProcessingElement
     /** Physical register index backing virtual register @p n (Fig 5.3). */
     int physicalIndex(int n) const;
 
-    const StatSet &stats() const { return stats_; }
-    StatSet &stats() { return stats_; }
+    /** This PE's statistics, recorded by catalog ID (metric::Owner::Pe). */
+    using Stats = StatBlock<metric::Owner::Pe>;
+    const Stats &statBlock() const { return stats_; }
+    Stats &statBlock() { return stats_; }
+
+    StatSet stats() const { return stats_.folded(); }
 
   private:
-    template <StatSink Sink> void count(PeCounter counter);
-    template <StatSink Sink>
     Word readSrc(const isa::Src &src, long &cycles);
     void bumpQp(int inc);
     Word aluResult(isa::Opcode op, Word a, Word b);
@@ -281,10 +230,7 @@ class ProcessingElement
     Word lastResult_ = 0;             ///< Feeds dup instructions.
     bool pcWritten_ = false;          ///< A dst wrote PC this step.
 
-    // StatSink::Deferred tallies, indexed by PeCounter.
-    std::array<std::uint64_t, kNumPeCounters> tallies_{};
-    Histogram trapService_;
-    StatSet stats_;
+    Stats stats_;
 };
 
 } // namespace qm::pe

@@ -37,15 +37,7 @@ encodeStatSet(Encoder &enc, const StatSet &stats)
         enc.str(name);
         enc.f64(value);
     }
-    const auto &dists = stats.distributionMap();
-    enc.u64(dists.size());
-    for (const auto &[name, d] : dists) {
-        enc.str(name);
-        enc.u64(d.count());
-        enc.f64(d.min());
-        enc.f64(d.max());
-        enc.f64(d.sum());
-    }
+    enc.u64(0);  // The removed distribution kind.
     const auto &hists = stats.histogramMap();
     enc.u64(hists.size());
     for (const auto &[name, h] : hists) {
@@ -63,46 +55,57 @@ StatSet
 decodeStatSet(Decoder &dec)
 {
     StatSet stats;
-    std::size_t n = dec.length(mapLimit(dec));
-    for (std::size_t i = 0; i < n && dec.ok(); ++i) {
-        std::string name = dec.str();
-        std::uint64_t value = dec.u64();
-        if (dec.ok())
-            stats.inc(name, value);
-    }
-    n = dec.length(mapLimit(dec));
-    for (std::size_t i = 0; i < n && dec.ok(); ++i) {
-        std::string name = dec.str();
-        double value = dec.f64();
-        if (dec.ok())
-            stats.set(name, value);
-    }
-    n = dec.length(mapLimit(dec));
-    for (std::size_t i = 0; i < n && dec.ok(); ++i) {
-        std::string name = dec.str();
-        std::uint64_t count = dec.u64();
-        double min = dec.f64();
-        double max = dec.f64();
-        double sum = dec.f64();
-        if (dec.ok())
-            stats.distributionRef(name) =
-                Distribution::fromRaw(count, min, max, sum);
-    }
-    n = dec.length(mapLimit(dec));
-    for (std::size_t i = 0; i < n && dec.ok(); ++i) {
-        std::string name = dec.str();
+    // One list of named entries; the names must strictly ascend, as
+    // StatSet's ordered maps write them (a repeat would be summed).
+    auto list = [&](const char *kind, auto &&entry) {
+        std::size_t n = dec.length(mapLimit(dec));
+        std::string last;
+        for (std::size_t i = 0; i < n && dec.ok(); ++i) {
+            std::string name = dec.str();
+            if (dec.ok() && i > 0 && name <= last)
+                return dec.fail(cat(kind, " ", name, " does not ascend after ",
+                                    last));
+            entry(name);
+            last = std::move(name);
+        }
+    };
+    // A failed decode returns garbage the caller never reads.
+    list("counter", [&](const std::string &n) { stats.inc(n, dec.u64()); });
+    list("scalar", [&](const std::string &n) { stats.set(n, dec.f64()); });
+    if (std::size_t n = dec.length(mapLimit(dec)); dec.ok() && n != 0)
+        dec.fail(cat(n, " distributions listed; that statistic kind was "
+                        "removed"));
+    list("histogram", [&](const std::string &name) {
         std::uint64_t count = dec.u64();
         std::uint64_t sum = dec.u64();
         std::uint64_t min = dec.u64();
         std::uint64_t max = dec.u64();
         std::array<std::uint64_t, Histogram::kNumBuckets> buckets{};
-        for (int b = 0; b < Histogram::kNumBuckets; ++b)
-            buckets[static_cast<std::size_t>(b)] = dec.u64();
-        if (dec.ok())
-            stats.histogramRef(name) =
-                Histogram::fromRaw(count, sum, min, max, buckets);
-    }
+        for (auto &bucket : buckets)
+            bucket = dec.u64();
+        auto hist = Histogram::fromRaw(count, sum, min, max, buckets);
+        if (dec.ok() && !hist)
+            dec.fail(cat("histogram ", name, " (count ", count, ", sum ", sum,
+                         ", min ", min, ", max ", max,
+                         ") does not match its buckets"));
+        else if (dec.ok())
+            stats.merge(name, *hist);
+    });
     return stats;
+}
+
+void
+refuseStrays(Decoder &dec, const StatSet &in, const StatSet &kept)
+{
+    auto check = [&](const char *kind, const auto &listed, const auto &mine) {
+        for (const auto &entry : listed)
+            if (dec.ok() && mine.count(entry.first) == 0)
+                dec.fail(cat(kind, " ", entry.first, " is not one of this "
+                             "section's metric catalog entries"));
+    };
+    check("counter", in.counterMap(), kept.counterMap());
+    check("scalar", in.scalarMap(), kept.scalarMap());
+    check("histogram", in.histogramMap(), kept.histogramMap());
 }
 
 // ---------------------------------------------------------------------------

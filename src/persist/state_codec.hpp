@@ -8,7 +8,8 @@
  * template that encodes through an Encoder (record const) and decodes
  * through a Decoder (record written in place). StatSet and the MEMS
  * memory image keep encode/decode pairs: their read side rebuilds and
- * validates differently from how the write side walks them.
+ * validates differently from how the write side walks them. A
+ * component's StatBlock travels as the StatSet it folds into.
  *
  * Decode never throws and never trusts the input: every length is
  * bounds-checked against the remaining bytes and every enum/index is
@@ -28,15 +29,21 @@
 #include "mp/system.hpp"
 #include "pe/memory.hpp"
 #include "persist/io.hpp"
-#include "support/stats.hpp"
+#include "support/metric_catalog.hpp"
 #include "trace/trace.hpp"
 
 namespace qm::persist {
 
+/**
+ * A StatSet: counters, scalars, the always-empty list of a removed kind
+ * and histograms, each by ascending name. Decoding refuses a list that
+ * does not strictly ascend, a non-empty removed list and a histogram
+ * Histogram::fromRaw refuses.
+ */
 void encodeStatSet(Encoder &enc, const StatSet &stats);
 StatSet decodeStatSet(Decoder &dec);
 
-/** A StatSet as one field of a fields() record. */
+/** A StatSet as one field of a fields() record (journal rows). */
 inline void
 statSet(Encoder &enc, const StatSet &stats)
 {
@@ -47,6 +54,49 @@ inline void
 statSet(Decoder &dec, StatSet &stats)
 {
     stats = decodeStatSet(dec);
+}
+
+/** The kernel's view of each PE, which STAT carries beside its block. */
+using PeViews = std::vector<StatBlock<metric::Owner::PeView>>;
+
+/** @p block's entries, and @p views' under "pe<N>.", as one StatSet. */
+template <metric::Owner O>
+StatSet
+sectionStats(const StatBlock<O> &block, const PeViews *views)
+{
+    StatSet stats = block.folded();
+    for (std::size_t pe = 0; views && pe < views->size(); ++pe)
+        (*views)[pe].foldInto(stats, metric::pePrefix(static_cast<int>(pe)));
+    return stats;
+}
+
+/** Fail @p dec on the first entry of @p in that @p kept lacks. */
+void refuseStrays(Decoder &dec, const StatSet &in, const StatSet &kept);
+
+/**
+ * A component's statistics as one field of a fields() record: the
+ * StatSet its block (and the kernel's @p views) fold into. Decoding
+ * unfolds it by catalog name and refuses any entry no block took: a
+ * name outside the catalog, of another kind, owned by another section,
+ * or naming a PE the machine lacks (@p views holds one block per PE).
+ */
+template <metric::Owner O>
+void
+statSet(Encoder &enc, const StatBlock<O> &block,
+        const PeViews *views = nullptr)
+{
+    encodeStatSet(enc, sectionStats(block, views));
+}
+
+template <metric::Owner O>
+void
+statSet(Decoder &dec, StatBlock<O> &block, PeViews *views = nullptr)
+{
+    StatSet in = decodeStatSet(dec);
+    block.unfoldFrom(in);
+    for (std::size_t pe = 0; views && pe < views->size(); ++pe)
+        (*views)[pe].unfoldFrom(in, metric::pePrefix(static_cast<int>(pe)));
+    refuseStrays(dec, in, sectionStats(block, views));
 }
 
 /** @p T is the record type @p R, const when encoding. */
@@ -102,7 +152,7 @@ fields(Ar &ar, T &snap)
         ar.seq(entry.sendWaiters, [&](auto &ctx) { ar.u32(ctx); });
         ar.seq(entry.recvWaiters, [&](auto &ctx) { ar.u32(ctx); });
     });
-    statSet(ar, snap.stats);
+    statSet(ar, snap.stats_);
 }
 
 template <class Ar, RecordOf<mp::RingBus::Snapshot> T>
@@ -113,7 +163,7 @@ fields(Ar &ar, T &snap)
     ar.seq(snap.partitionFree, cycle);
     ar.seq(snap.bridgeFree, cycle);
     ar.seq(snap.backboneFree, cycle);
-    statSet(ar, snap.stats);
+    statSet(ar, snap.stats_);
 }
 
 template <class Ar, RecordOf<mp::HostOp> T>

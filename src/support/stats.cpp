@@ -75,6 +75,34 @@ Histogram::merge(const Histogram &other)
     }
 }
 
+std::optional<Histogram>
+Histogram::fromRaw(std::uint64_t count, std::uint64_t sum, std::uint64_t min,
+                   std::uint64_t max,
+                   const std::array<std::uint64_t, kNumBuckets> &buckets)
+{
+    Histogram h;
+    int first = -1, last = -1;
+    for (int i = 0; i < kNumBuckets; ++i) {
+        std::uint64_t in = buckets[static_cast<std::size_t>(i)];
+        if (in == 0)
+            continue;
+        first = first < 0 ? i : first;
+        last = i;
+        if (__builtin_add_overflow(h.count_, in, &h.count_))
+            h.count_ = ~std::uint64_t{0};
+    }
+    bool consistent = count == 0 ? sum == 0 && min == 0 && max == 0
+                                 : min <= max && bucketIndex(min) == first &&
+                                       bucketIndex(max) == last;
+    if (count != h.count_ || !consistent)
+        return std::nullopt;
+    h.sum_ = sum;
+    h.min_ = min;
+    h.max_ = max;
+    h.buckets_ = buckets;
+    return h;
+}
+
 void
 StatSet::inc(const std::string &name, std::uint64_t delta)
 {
@@ -88,15 +116,15 @@ StatSet::set(const std::string &name, double value)
 }
 
 void
-StatSet::sample(const std::string &name, double value)
-{
-    distributions_[name].sample(value);
-}
-
-void
 StatSet::record(const std::string &name, std::uint64_t value)
 {
     histograms_[name].sample(value);
+}
+
+void
+StatSet::merge(const std::string &name, const Histogram &hist)
+{
+    histograms_[name].merge(hist);
 }
 
 std::uint64_t
@@ -125,58 +153,12 @@ StatSet::scalar(const std::string &name) const
     return it == scalars_.end() ? 0.0 : it->second;
 }
 
-const Distribution &
-StatSet::distribution(const std::string &name) const
-{
-    auto it = distributions_.find(name);
-    panicIf(it == distributions_.end(), "unknown distribution: ", name);
-    return it->second;
-}
-
 const Histogram &
 StatSet::histogram(const std::string &name) const
 {
     auto it = histograms_.find(name);
     panicIf(it == histograms_.end(), "unknown histogram: ", name);
     return it->second;
-}
-
-void
-StatSet::mergeInto(const StatSet &other, const std::string &prefix)
-{
-    for (const auto &[name, value] : other.counters_)
-        counters_[prefix + name] += value;
-    for (const auto &[name, value] : other.scalars_)
-        scalars_[prefix + name] = value;
-    for (const auto &[name, dist] : other.distributions_) {
-        Distribution &mine = distributions_[prefix + name];
-        // Merging loses per-sample detail; fold in the aggregate moments.
-        if (dist.count() > 0) {
-            mine.sample(dist.min());
-            if (dist.count() > 1)
-                mine.sample(dist.max());
-        }
-    }
-    for (const auto &[name, hist] : other.histograms_)
-        histograms_[prefix + name].merge(hist);
-}
-
-void
-StatSet::merge(const StatSet &other)
-{
-    mergeInto(other, "");
-}
-
-void
-StatSet::mergeScoped(const StatSet &other, const std::string &prefix)
-{
-    mergeInto(other, prefix);
-}
-
-StatScope
-StatSet::scoped(std::string prefix)
-{
-    return StatScope(*this, std::move(prefix));
 }
 
 std::string
@@ -188,12 +170,6 @@ StatSet::render() const
         os << name << " " << value << "\n";
     for (const auto &[name, value] : scalars_)
         os << name << " " << fixed(value, 4) << "\n";
-    for (const auto &[name, dist] : distributions_) {
-        os << name << " count=" << dist.count()
-           << " min=" << fixed(dist.min(), 3)
-           << " max=" << fixed(dist.max(), 3)
-           << " mean=" << fixed(dist.mean(), 3) << "\n";
-    }
     for (const auto &[name, hist] : histograms_) {
         os << name << " count=" << hist.count() << " sum=" << hist.sum()
            << " min=" << hist.min() << " max=" << hist.max()
@@ -237,16 +213,6 @@ renderPrometheus(const StatSet &stats, const std::string &prefix)
         std::string metric = promName(prefix, name);
         os << "# TYPE " << metric << " gauge\n"
            << metric << " " << fixed(value, 6) << "\n";
-    }
-    for (const auto &[name, dist] : stats.distributionMap()) {
-        std::string metric = promName(prefix, name);
-        os << "# TYPE " << metric << " summary\n"
-           << metric << "_count " << dist.count() << "\n"
-           << metric << "_sum " << fixed(dist.sum(), 6) << "\n"
-           << "# TYPE " << metric << "_min gauge\n"
-           << metric << "_min " << fixed(dist.min(), 6) << "\n"
-           << "# TYPE " << metric << "_max gauge\n"
-           << metric << "_max " << fixed(dist.max(), 6) << "\n";
     }
     for (const auto &[name, hist] : stats.histogramMap()) {
         std::string metric = promName(prefix, name);

@@ -3,10 +3,12 @@
  * Simple named-statistic registry used throughout the simulator.
  *
  * Mirrors the role of the thesis simulator's per-run statistics tables
- * (Tables 6.2-6.5): counters (events), scalars (measured quantities),
- * distributions (min/max/mean over samples), and fixed-bucket log2
- * histograms (exact count/sum plus percentile estimates) for the
- * latency and occupancy metrics the aggregate tables hide.
+ * (Tables 6.2-6.5): counters (events), scalars (measured quantities)
+ * and fixed-bucket log2 histograms (exact count/sum plus percentile
+ * estimates) for the latency and occupancy metrics the aggregate
+ * tables hide. The simulator records into catalog-indexed blocks
+ * (support/metric_catalog.hpp); StatSet is the name-keyed form they
+ * fold into, which every report, renderer and file reads.
  */
 #pragma once
 
@@ -14,50 +16,10 @@
 #include <bit>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
-#include <vector>
 
 namespace qm {
-
-/** Accumulates samples and reports count/min/max/mean. */
-class Distribution
-{
-  public:
-    void
-    sample(double value)
-    {
-        if (count_ == 0 || value < min_)
-            min_ = value;
-        if (count_ == 0 || value > max_)
-            max_ = value;
-        sum_ += value;
-        ++count_;
-    }
-
-    std::uint64_t count() const { return count_; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double sum() const { return sum_; }
-
-    /** Rebuild from persisted raw moments (durable checkpoints). */
-    static Distribution
-    fromRaw(std::uint64_t count, double min, double max, double sum)
-    {
-        Distribution d;
-        d.count_ = count;
-        d.min_ = min;
-        d.max_ = max;
-        d.sum_ = sum;
-        return d;
-    }
-
-  private:
-    std::uint64_t count_ = 0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    double sum_ = 0.0;
-};
 
 /**
  * Fixed-bucket log2 histogram over non-negative integer samples
@@ -148,20 +110,17 @@ class Histogram
     /** Bucket-wise exact merge. */
     void merge(const Histogram &other);
 
-    /** Rebuild from persisted raw fields (durable checkpoints). */
-    static Histogram
+    /**
+     * Rebuild from persisted raw fields (durable checkpoints), or
+     * nullopt when no samples and merges could produce them: count is
+     * not the saturating sum of the buckets, an empty histogram has a
+     * non-zero sum, min or max, or min or max lies outside the first or
+     * last non-empty bucket (percentile() relies on min <= max).
+     */
+    static std::optional<Histogram>
     fromRaw(std::uint64_t count, std::uint64_t sum, std::uint64_t min,
             std::uint64_t max,
-            const std::array<std::uint64_t, kNumBuckets> &buckets)
-    {
-        Histogram h;
-        h.count_ = count;
-        h.sum_ = sum;
-        h.min_ = min;
-        h.max_ = max;
-        h.buckets_ = buckets;
-        return h;
-    }
+            const std::array<std::uint64_t, kNumBuckets> &buckets);
 
   private:
     std::uint64_t count_ = 0;
@@ -171,9 +130,7 @@ class Histogram
     std::array<std::uint64_t, kNumBuckets> buckets_{};
 };
 
-class StatScope;
-
-/** Registry of named counters and distributions for one simulated run. */
+/** Registry of named counters, scalars and histograms for one run. */
 class StatSet
 {
   public:
@@ -183,35 +140,14 @@ class StatSet
     /** Set a named scalar outright. */
     void set(const std::string &name, double value);
 
-    /** Add a sample to a named distribution. */
-    void sample(const std::string &name, double value);
-
     /** Add a sample to a named histogram (created on first use). */
     void record(const std::string &name, std::uint64_t value);
 
-    /**
-     * Reference to the named counter's map slot (created on first
-     * use, exactly like inc()). Hot emit sites cache the returned
-     * reference to skip the string lookup per event; the reference is
-     * stable until the whole StatSet is assigned over (checkpoint
-     * restore), at which point cached references must be dropped.
-     */
-    std::uint64_t &
-    counterRef(const std::string &name)
-    {
-        return counters_[name];
-    }
-
-    /** Histogram analogue of counterRef (created on first use). */
-    Histogram &
-    histogramRef(const std::string &name)
-    {
-        return histograms_[name];
-    }
+    /** Merge a whole histogram into the named one (created if absent). */
+    void merge(const std::string &name, const Histogram &hist);
 
     std::uint64_t counter(const std::string &name) const;
     double scalar(const std::string &name) const;
-    const Distribution &distribution(const std::string &name) const;
     const Histogram &histogram(const std::string &name) const;
     bool hasCounter(const std::string &name) const;
     bool hasHistogram(const std::string &name) const;
@@ -232,103 +168,26 @@ class StatSet
     {
         return histograms_;
     }
-    const std::map<std::string, Distribution> &
-    distributionMap() const
-    {
-        return distributions_;
-    }
-
-    /**
-     * Mutable slot for the named distribution (created on first use).
-     * Exists for checkpoint restore, which rebuilds registry entries
-     * from persisted raw moments.
-     */
-    Distribution &
-    distributionRef(const std::string &name)
-    {
-        return distributions_[name];
-    }
-
-    /**
-     * Merge another StatSet into this one (counters add, histograms
-     * merge exactly, distributions fold their aggregate moments).
-     */
-    void merge(const StatSet &other);
-
-    /** merge() with every incoming name prefixed by @p prefix. */
-    void mergeScoped(const StatSet &other, const std::string &prefix);
-
-    /** A prefixing view, e.g. `stats.scoped("pe3.")` (see StatScope). */
-    StatScope scoped(std::string prefix);
 
     /** Render all statistics as "name value" lines, sorted by name. */
     std::string render() const;
 
   private:
-    void mergeInto(const StatSet &other, const std::string &prefix);
-
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, double> scalars_;
-    std::map<std::string, Distribution> distributions_;
     std::map<std::string, Histogram> histograms_;
 };
 
 /**
- * Lightweight prefixing view over a StatSet: every name recorded
- * through the scope lands in the parent set as prefix+name. Used for
- * per-PE metric views ("pe0.ready_wait", ...) without the emit sites
- * having to assemble names themselves.
- */
-/**
  * Render a registry in the Prometheus text exposition format
  * (version 0.0.4): counters become `counter` samples, scalars
- * `gauge`s, distributions a _count/_sum pair plus min/max gauges, and
- * log2 histograms full `histogram` families with cumulative `le`
- * buckets (+Inf included). Metric names are `<prefix>_<name>` with
- * every character outside [a-zA-Z0-9_:] mapped to '_', so registry
- * names like "pe0.ready_wait" scrape cleanly. Deterministic: maps are
- * name-ordered and doubles are locale-pinned.
+ * `gauge`s, and log2 histograms full `histogram` families with
+ * cumulative `le` buckets (+Inf included). Metric names are
+ * `<prefix>_<name>` with every character outside [a-zA-Z0-9_:] mapped
+ * to '_', so registry names like "pe0.ready_wait" scrape cleanly.
+ * Deterministic: maps are name-ordered and doubles are locale-pinned.
  */
 std::string renderPrometheus(const StatSet &stats,
                              const std::string &prefix = "qm");
-
-class StatScope
-{
-  public:
-    StatScope(StatSet &set, std::string prefix)
-        : set_(&set), prefix_(std::move(prefix))
-    {
-    }
-
-    void
-    inc(const std::string &name, std::uint64_t delta = 1)
-    {
-        set_->inc(prefix_ + name, delta);
-    }
-
-    void
-    set(const std::string &name, double value)
-    {
-        set_->set(prefix_ + name, value);
-    }
-
-    void
-    sample(const std::string &name, double value)
-    {
-        set_->sample(prefix_ + name, value);
-    }
-
-    void
-    record(const std::string &name, std::uint64_t value)
-    {
-        set_->record(prefix_ + name, value);
-    }
-
-    const std::string &prefix() const { return prefix_; }
-
-  private:
-    StatSet *set_;
-    std::string prefix_;
-};
 
 } // namespace qm

@@ -324,7 +324,6 @@ TEST(Prometheus, RendersAllFourMetricFamilies)
     StatSet stats;
     stats.inc("pe.instructions", 42);
     stats.set("pe0.clock", 128.0);
-    stats.sample("host.ms", 2.5);
     stats.record("bus.latency", 0);
     stats.record("bus.latency", 3);
     stats.record("bus.latency", 3);
@@ -336,7 +335,6 @@ TEST(Prometheus, RendersAllFourMetricFamilies)
     EXPECT_NE(text.find("# TYPE qm_pe0_clock gauge\n"
                         "qm_pe0_clock 128.000000\n"),
               std::string::npos);
-    EXPECT_NE(text.find("qm_host_ms_count 1\n"), std::string::npos);
     // log2 histogram: the zeros bucket (le="0") holds the single 0;
     // [2,4) holds both 3s; cumulative counts, mandatory +Inf bucket.
     EXPECT_NE(text.find("qm_bus_latency_bucket{le=\"0\"} 1\n"),

@@ -14,8 +14,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <random>
 #include <string>
@@ -27,9 +30,11 @@
 #include "pe/memory.hpp"
 #include "persist/io.hpp"
 #include "persist/state_codec.hpp"
+#include "programs/benchmarks.hpp"
 #include "run_result_expect.hpp"
 #include "sim/experiment.hpp"
 #include "sim/journal.hpp"
+#include "sim/metrics.hpp"
 #include "support/diagnostics.hpp"
 #include "support/shutdown.hpp"
 #include "trace/export.hpp"
@@ -720,6 +725,252 @@ TEST(PersistCheckpointBytesTest, HostileChannelWaitersRefused)
     std::remove(path.c_str());
 }
 
+/** A StatSet as its wire fields, so a test can write what none holds. */
+struct RawStats
+{
+    struct Hist
+    {
+        std::string name;
+        std::uint64_t count = 0, sum = 0, min = 0, max = 0;
+        std::array<std::uint64_t, Histogram::kNumBuckets> buckets{};
+    };
+    std::vector<std::pair<std::string, std::uint64_t>> counters;
+    std::vector<std::pair<std::string, double>> scalars;
+    std::uint64_t distributions = 0;  ///< Written as that many records.
+    std::vector<Hist> histograms;
+
+    Hist &
+    histogram(const std::string &name)
+    {
+        for (Hist &h : histograms)
+            if (h.name == name)
+                return h;
+        ADD_FAILURE() << "no histogram " << name;
+        return histograms.front();
+    }
+
+    /** Add a counter where an ordered registry would list it. */
+    void
+    addCounter(const std::string &name, std::uint64_t value)
+    {
+        counters.emplace_back(name, value);
+        std::sort(counters.begin(), counters.end());
+    }
+};
+
+RawStats
+readRawStats(persist::Decoder &dec)
+{
+    RawStats raw;
+    for (std::uint64_t n = dec.u64(); n > 0 && dec.ok(); --n) {
+        std::string name = dec.str();
+        raw.counters.emplace_back(name, dec.u64());
+    }
+    for (std::uint64_t n = dec.u64(); n > 0 && dec.ok(); --n) {
+        std::string name = dec.str();
+        raw.scalars.emplace_back(name, dec.f64());
+    }
+    raw.distributions = dec.u64();
+    EXPECT_EQ(raw.distributions, 0u);
+    for (std::uint64_t n = dec.u64(); n > 0 && dec.ok(); --n) {
+        RawStats::Hist h;
+        h.name = dec.str();
+        h.count = dec.u64();
+        h.sum = dec.u64();
+        h.min = dec.u64();
+        h.max = dec.u64();
+        for (auto &bucket : h.buckets)
+            bucket = dec.u64();
+        raw.histograms.push_back(h);
+    }
+    EXPECT_TRUE(dec.ok()) << dec.error();
+    return raw;
+}
+
+void
+writeRawStats(persist::Encoder &enc, const RawStats &raw)
+{
+    enc.u64(raw.counters.size());
+    for (const auto &[name, value] : raw.counters) {
+        enc.str(name);
+        enc.u64(value);
+    }
+    enc.u64(raw.scalars.size());
+    for (const auto &[name, value] : raw.scalars) {
+        enc.str(name);
+        enc.f64(value);
+    }
+    enc.u64(raw.distributions);
+    for (std::uint64_t i = 0; i < raw.distributions; ++i) {
+        enc.str("queue_len");
+        enc.u64(1);
+        for (int moment = 0; moment < 3; ++moment)
+            enc.f64(4.0);
+    }
+    enc.u64(raw.histograms.size());
+    for (const RawStats::Hist &h : raw.histograms) {
+        enc.str(h.name);
+        for (std::uint64_t v : {h.count, h.sum, h.min, h.max})
+            enc.u64(v);
+        for (std::uint64_t bucket : h.buckets)
+            enc.u64(bucket);
+    }
+}
+
+/**
+ * Offset of the StatSet in a STAT, SLOT (the first PE's), CACH or BUSS
+ * payload: the bytes the other fields of that section take first.
+ */
+std::size_t
+statsOffset(const std::string &tag, const std::vector<std::uint8_t> &payload)
+{
+    persist::Decoder dec(payload);
+    auto skip = [&](std::uint64_t bytes) {
+        for (; bytes > 0; --bytes)
+            dec.u8();
+    };
+    if (tag == "SLOT") {
+        dec.u64();                   // PE count
+        skip(4 * 8 + 1);             // cycle fields, dead flag
+        skip(dec.u64() * (8 + 4));   // ready queue
+    } else if (tag == "CACH") {
+        for (std::uint64_t n = dec.u64(); n > 0; --n) {
+            skip(4 + 8);                            // channel, nextSeq
+            skip(dec.u64() * (4 + 1 + 8 + 4 + 8));  // tokens
+            skip(dec.u64() * 4);                    // send waiters
+            skip(dec.u64() * 4);                    // recv waiters
+        }
+    } else if (tag == "BUSS") {
+        for (int pool = 0; pool < 3; ++pool)
+            skip(dec.u64() * 8);
+    }
+    EXPECT_TRUE(dec.ok()) << dec.error();
+    return payload.size() - dec.remaining();
+}
+
+TEST(PersistCheckpointBytesTest, HostileStatisticsRefused)
+{
+    // Every section's statistics are decoded from a StatSet, then
+    // placed by catalog name. Bytes no registry could have written -
+    // a histogram whose min lies above its max would abort
+    // Histogram::percentile in the resumed run's report - and names
+    // the catalog does not give that section are refused at load.
+    // Each case patches one real checkpoint section; the container
+    // re-seals the CRC.
+    std::string path = tempPath("hostile_stats.qmc");
+    mp::SystemConfig config = baseConfig(4);
+    runSaving(config, path, 2);
+    std::vector<persist::Section> sections = readSections(path);
+    using Patch = std::function<void(RawStats &)>;
+    struct Case
+    {
+        const char *name;
+        const char *tag;
+        Patch patch;
+        const char *needle;
+    };
+    const Case cases[] = {
+        {"histogram min above its max", "STAT",
+         [](RawStats &s) {
+             RawStats::Hist &h = s.histogram("pe1.ready_wait");
+             h.min = h.max + 1000;
+         },
+         "histogram pe1.ready_wait (count"},
+        {"histogram count off its buckets", "STAT",
+         [](RawStats &s) { ++s.histogram("sys.ready_wait").count; },
+         "histogram sys.ready_wait (count"},
+        {"empty histogram with a sum", "STAT",
+         [](RawStats &s) {
+             RawStats::Hist &h = s.histogram("sys.residency");
+             h.count = 0;
+             h.buckets.fill(0);
+         },
+         "histogram sys.residency (count 0"},
+        {"histogram min below its first bucket", "STAT",
+         [](RawStats &s) {
+             RawStats::Hist &h = s.histogram("sys.residency");
+             ASSERT_GE(h.min, 2u);
+             h.min = 1;
+         },
+         "histogram sys.residency (count"},
+        {"histogram max past its last bucket", "STAT",
+         [](RawStats &s) {
+             RawStats::Hist &h = s.histogram("sys.residency");
+             h.max = 4 * h.max + 4;
+         },
+         "histogram sys.residency (count"},
+        {"counter listed twice", "STAT",
+         [](RawStats &s) { s.counters.push_back(s.counters.back()); },
+         "does not ascend"},
+        {"counters out of order", "STAT",
+         [](RawStats &s) { std::swap(s.counters[0], s.counters[1]); },
+         "does not ascend"},
+        {"a distribution", "STAT",
+         [](RawStats &s) { s.distributions = 1; }, "distribution"},
+        {"a name outside the catalog", "STAT",
+         [](RawStats &s) { s.addCounter("sys.bogus", 1); },
+         "counter sys.bogus is not one of this section's"},
+        {"a histogram's name on a counter", "STAT",
+         [](RawStats &s) { s.addCounter("sys.ready_wait", 1); },
+         "counter sys.ready_wait is not one of this section's"},
+        {"a PE's counter in the kernel's section", "STAT",
+         [](RawStats &s) { s.addCounter("pe.instructions", 1); },
+         "counter pe.instructions is not one of this section's"},
+        {"a per-PE view of a PE the machine lacks", "STAT",
+         [](RawStats &s) {
+             RawStats::Hist h = s.histogram("pe1.ready_wait");
+             h.name = "pe4.ready_wait";
+             s.histograms.push_back(h);
+             std::sort(s.histograms.begin(), s.histograms.end(),
+                       [](const auto &a, const auto &b) {
+                           return a.name < b.name;
+                       });
+         },
+         "histogram pe4.ready_wait is not one of this section's"},
+        {"a kernel counter in a PE's statistics", "SLOT",
+         [](RawStats &s) { s.addCounter("sys.evictions", 1); },
+         "counter sys.evictions is not one of this section's"},
+        {"a bus counter in the cache's statistics", "CACH",
+         [](RawStats &s) { s.addCounter("bus.hop_count", 1); },
+         "counter bus.hop_count is not one of this section's"},
+        {"bus histogram min above its max", "BUSS",
+         [](RawStats &s) {
+             RawStats::Hist &h = s.histogram("bus.latency");
+             h.min = h.max + 1;
+         },
+         "histogram bus.latency (count"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        std::vector<persist::Section> bad = sections;
+        std::vector<std::uint8_t> &payload = payloadOf(bad, c.tag);
+        std::size_t at = statsOffset(c.tag, payload);
+        persist::Decoder dec(payload.data() + at, payload.size() - at);
+        RawStats raw = readRawStats(dec);
+        std::size_t end = payload.size() - dec.remaining();
+        c.patch(raw);
+        persist::Encoder enc;
+        writeRawStats(enc, raw);
+        std::vector<std::uint8_t> patched(payload.begin(),
+                                          payload.begin() +
+                                              static_cast<std::ptrdiff_t>(at));
+        patched.insert(patched.end(), enc.bytes().begin(), enc.bytes().end());
+        patched.insert(patched.end(),
+                       payload.begin() + static_cast<std::ptrdiff_t>(end),
+                       payload.end());
+        payload = patched;
+        persist::Status st = loadSections(config, path, bad);
+        EXPECT_EQ(st.code, persist::ErrCode::BadFormat) << st.toString();
+        EXPECT_NE(st.message.find(cat("section ", c.tag, ": ")),
+                  std::string::npos)
+            << st.toString();
+        EXPECT_NE(st.message.find(c.needle), std::string::npos)
+            << st.toString();
+    }
+    EXPECT_TRUE(loadSections(config, path, sections).ok());
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Format pins: the checkpoint and journal bytes across commits.
 // ---------------------------------------------------------------------------
@@ -816,7 +1067,6 @@ distinctReport()
     r.hostAborted = true;
     r.stats.inc("sys.checkpoints", 6);
     r.stats.set("sys.share", 0.5);
-    r.stats.sample("bus.latency", 7.0);
     r.stats.record("queue.depth", 9);
     r.hostWallMs = 12.5;
     r.simCyclesPerSec = 8.25;
@@ -832,10 +1082,78 @@ TEST(PersistFormatPinTest, JournalRowKeepsItsBytes)
     persist::Encoder enc;
     sim::encodeRunReport(enc, distinctReport());
     EXPECT_EQ(hex32(persist::crc32(enc.bytes().data(), enc.bytes().size())),
-              hex32(0x4fdd7417))
+              hex32(0x4e167570))
         << "the journal row encoding changed its bytes; a deliberate "
            "format change bumps the QMSWJNL magic and re-pins this CRC "
            "in CHANGES.md";
+}
+
+/**
+ * The four rendered forms of a run's statistics registry, pinned across
+ * commits: both cores record through one path now, so the core
+ * differential tests cannot see a change in what the registry holds.
+ */
+TEST(StatsSurfacePinTest, RegistrySurfacesKeepTheirBytes)
+{
+    static const occam::CompiledProgram matmul =
+        occam::compileOccam(programs::thesisBenchmarks()[0].source);
+    mp::SystemConfig faulty;
+    faulty.recovery.enabled = true;
+    faulty.recovery.checkpointEvery = 200;
+    faulty.faultPlan = fault::parseFaultPlan(
+        "seed=7,rate=0.02,kinds=drop+dup+corrupt+stall+pekill,killat=400");
+    mp::SystemConfig rings;
+    rings.setTopology(mp::parseTopology("rings:2x2"));
+    struct Case
+    {
+        const char *name;
+        const occam::CompiledProgram *program;
+        const char *resultArray;
+        int pes;
+        mp::SystemConfig config;
+        std::array<std::uint32_t, 4> crcs;
+    };
+    const Case cases[] = {
+        {"pipeline flat 4-PE faulty", &pipelineProgram(), "results", 4,
+         faulty, {0x1b317626, 0x9efac797, 0x30900333, 0x9cc1abf3}},
+        {"pipeline rings:2x2", &pipelineProgram(), "results", 8, rings,
+         {0xe4513956, 0xd747b892, 0xd51e3f59, 0x8f418e4b}},
+        {"matmul 8-PE", &matmul, "c", 8, {},
+         {0x6a69d12a, 0x027e3433, 0x62c2a8f4, 0xd428a56c}},
+    };
+    std::string path = tempPath("stats_pin.json");
+    for (const Case &c : cases) {
+        mp::SystemConfig config = c.config;
+        config.telemetryEvery = 100;
+        config.telemetryLabel = c.name;
+        sim::RunReport report =
+            sim::runOnce(*c.program, c.resultArray, {}, c.pes, config);
+        ASSERT_TRUE(report.completed) << c.name << ": "
+                                      << report.failureReason;
+        if (c.config.faultPlan.enabled()) {
+            // Drop, dup, corrupt, stall and the planned pekill all fired.
+            for (std::size_t kind : {0, 1, 3, 4, 5})
+                EXPECT_GT(report.faultKinds[kind].injected, 0u) << kind;
+        }
+        sim::writeMetricsJson("pin", {{c.name, {report}}}, path);
+        std::ifstream in(path);
+        std::string metrics((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+        const std::pair<const char *, std::string> surfaces[] = {
+            {"stats().render()", report.stats.render()},
+            {"qm.metrics.v1 document", metrics},
+            {"telemetry stream", report.telemetry},
+            {"renderPrometheus(stats())", renderPrometheus(report.stats)},
+        };
+        for (std::size_t i = 0; i < c.crcs.size(); ++i) {
+            const std::string &bytes = surfaces[i].second;
+            EXPECT_EQ(hex32(persist::crc32(bytes.data(), bytes.size())),
+                      hex32(c.crcs[i]))
+                << "the " << surfaces[i].first << " of the " << c.name
+                << " run changed its bytes";
+        }
+    }
+    std::remove(path.c_str());
 }
 
 TEST(CorruptCheckpointTest, MissingFileIsIoError)
@@ -888,6 +1206,53 @@ TEST(SweepJournalTest, RunReportCodecRoundTrips)
     EXPECT_EQ(back.simCyclesPerSec, report.simCyclesPerSec);
     EXPECT_EQ(back.telemetry, report.telemetry);
     EXPECT_EQ(back.flightDumpPath, report.flightDumpPath);
+}
+
+TEST(SweepJournalTest, HostileHistogramRowIsRerun)
+{
+    // Rows decode through the checkpoint StatSet decoder: a histogram
+    // whose min lies above its max, which would abort
+    // Histogram::percentile when --metrics renders the row, makes the
+    // row unreadable, so its run is simulated again.
+    std::string path = tempPath("journal_hostile.journal");
+    std::remove(path.c_str());
+    std::vector<sim::RunSpec> specs = journalSpecs(2);
+    sim::RunReport report;
+    report.pes = 1;
+    report.completed = true;
+    report.stats.record("h", 5);
+    {
+        sim::SweepJournal journal;
+        ASSERT_TRUE(journal.open(path, "hostile", specs).ok());
+        ASSERT_TRUE(journal.record(0, report).ok());
+        ASSERT_TRUE(journal.record(1, report).ok());
+    }
+    const char *magic = "QMSWJNL2";
+    std::string fingerprint = sim::sweepFingerprint("hostile", specs);
+    std::vector<std::vector<std::uint8_t>> rows;
+    ASSERT_TRUE(persist::readJournal(path, magic, fingerprint, rows).ok());
+    ASSERT_EQ(rows.size(), 2u);
+    // Row 1's histogram reads count 1, sum 5, min 5, max 5: raise min.
+    persist::Encoder fields;
+    for (std::uint64_t v : {1, 5, 5, 5})
+        fields.u64(v);
+    std::vector<std::uint8_t> &row = rows[1];
+    auto at = std::search(row.begin(), row.end(), fields.bytes().begin(),
+                          fields.bytes().end());
+    ASSERT_NE(at, row.end());
+    at[16] = 9;
+    {
+        persist::JournalWriter writer;
+        ASSERT_TRUE(writer.open(path, magic, fingerprint, true).ok());
+        for (const auto &r : rows) {
+            ASSERT_TRUE(writer.append(r).ok());
+        }
+    }
+    sim::SweepJournal journal;
+    ASSERT_TRUE(journal.open(path, "hostile", specs).ok());
+    EXPECT_TRUE(journal.has(0));
+    EXPECT_FALSE(journal.has(1));
+    std::remove(path.c_str());
 }
 
 TEST(SweepJournalTest, RecordsSurviveReopen)

@@ -13,6 +13,7 @@
 #include "support/diagnostics.hpp"
 #include "support/json.hpp"
 #include "support/json_parse.hpp"
+#include "support/metric_catalog.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -69,28 +70,17 @@ TEST(Stats, ScalarsOverwrite)
     EXPECT_DOUBLE_EQ(stats.scalar("speedup"), 2.5);
 }
 
-TEST(Stats, DistributionTracksMoments)
-{
-    StatSet stats;
-    stats.sample("queue_len", 4);
-    stats.sample("queue_len", 2);
-    stats.sample("queue_len", 6);
-    const Distribution &d = stats.distribution("queue_len");
-    EXPECT_EQ(d.count(), 3u);
-    EXPECT_DOUBLE_EQ(d.min(), 2);
-    EXPECT_DOUBLE_EQ(d.max(), 6);
-    EXPECT_DOUBLE_EQ(d.mean(), 4);
-}
-
 TEST(Stats, MergeAddsCounters)
 {
-    StatSet a, b;
-    a.inc("ops", 3);
-    b.inc("ops", 4);
-    b.inc("msgs", 1);
-    a.merge(b);
-    EXPECT_EQ(a.counter("ops"), 7u);
-    EXPECT_EQ(a.counter("msgs"), 1u);
+    // Folding a block into a registry adds to the counters it holds.
+    StatBlock<metric::Owner::Cache> cache;
+    cache.inc(metric::MsgRendezvous, 4);
+    cache.inc(metric::MsgSendRequests);
+    StatSet a;
+    a.inc("msg.rendezvous", 3);
+    cache.foldInto(a);
+    EXPECT_EQ(a.counter("msg.rendezvous"), 7u);
+    EXPECT_EQ(a.counter("msg.send_requests"), 1u);
 }
 
 TEST(Stats, RenderListsEverything)
@@ -247,8 +237,10 @@ TEST(Histogram, MergeSaturatesInsteadOfWrapping)
     std::array<std::uint64_t, Histogram::kNumBuckets> buckets{};
     std::uint64_t near_max = ~std::uint64_t{0} - 1;
     buckets[1] = near_max;  // all samples were 1
-    Histogram big =
+    std::optional<Histogram> raw =
         Histogram::fromRaw(near_max, near_max, 1, 1, buckets);
+    ASSERT_TRUE(raw);
+    Histogram big = *raw;
     Histogram small;
     small.sample(1);
     small.sample(1);
@@ -275,39 +267,56 @@ TEST(Stats, HistogramsRegisterAndRender)
     EXPECT_NE(text.find("msg.latency"), std::string::npos);
 }
 
-TEST(Stats, ScopedViewPrefixesEveryKind)
+TEST(StatBlock, FoldPrefixesEveryKind)
 {
+    // A per-PE view folds each touched entry under "pe<N>.".
+    StatBlock<metric::Owner::PeView> view;
+    view.set(metric::ViewClock, 99.0);
+    view.record(metric::ViewReadyWait, 7);
     StatSet stats;
-    StatScope pe = stats.scoped("pe3.");
-    pe.inc("traps", 2);
-    pe.set("clock", 99.0);
-    pe.record("ready_wait", 7);
-    EXPECT_EQ(stats.counter("pe3.traps"), 2u);
+    view.foldInto(stats, metric::pePrefix(3));
     EXPECT_DOUBLE_EQ(stats.scalar("pe3.clock"), 99.0);
-    EXPECT_TRUE(stats.hasHistogram("pe3.ready_wait"));
     EXPECT_EQ(stats.histogram("pe3.ready_wait").count(), 1u);
+    EXPECT_FALSE(stats.hasHistogram("pe3.residency"));
+    EXPECT_EQ(stats.scalarMap().size(), 1u);
 }
 
-TEST(Stats, MergeScopedPrefixesIncomingNames)
+TEST(StatBlock, FoldCreatesOnlyTouchedEntries)
 {
-    StatSet total, pe;
-    pe.inc("instructions", 5);
-    pe.record("trap_service", 30);
-    total.inc("instructions", 1);
-    total.mergeScoped(pe, "pe1.");
-    EXPECT_EQ(total.counter("pe1.instructions"), 5u);
-    EXPECT_EQ(total.counter("instructions"), 1u);  // untouched
-    EXPECT_TRUE(total.hasHistogram("pe1.trap_service"));
-    EXPECT_FALSE(total.hasHistogram("trap_service"));
+    StatBlock<metric::Owner::Pe> pe;
+    pe.inc(metric::PeInstructions, 5);
+    pe.inc(metric::FaultPeStallCycles, 0);  // touched, so it shows
+    pe.record(metric::PeTrapService, 30);
+    StatSet total;
+    total.inc("pe.instructions", 1);
+    pe.foldInto(total);
+    pe.foldInto(total, "pe1.");
+    EXPECT_EQ(total.counter("pe.instructions"), 6u);
+    EXPECT_EQ(total.counter("pe1.pe.instructions"), 5u);
+    EXPECT_TRUE(total.hasCounter("pe1.fault.pe_stall_cycles"));
+    EXPECT_FALSE(total.hasCounter("pe.traps"));
+    EXPECT_EQ(total.counterMap().size(), 4u);
+    EXPECT_EQ(total.histogram("pe1.pe.trap_service").sum(), 30u);
+    EXPECT_EQ(total.histogram("pe.trap_service").count(), 1u);
+}
+
+TEST(StatBlock, RecordingAnotherBlocksEntryPanics)
+{
+    StatBlock<metric::Owner::Bus> bus;
+    EXPECT_THROW(bus.inc(metric::PeInstructions), PanicError);
+    EXPECT_THROW(bus.record(metric::BusHopCount, 1), PanicError);
+    EXPECT_EQ(bus.counter(metric::BusHopCount), 0u);
+    EXPECT_TRUE(bus.folded().counterMap().empty());  // nothing touched
 }
 
 TEST(Stats, MergeFoldsHistogramsExactly)
 {
-    StatSet a, b;
+    StatSet a;
+    Histogram b;
     a.record("bus.hops", 1);
-    b.record("bus.hops", 3);
-    b.record("bus.hops", 3);
-    a.merge(b);
+    b.sample(3);
+    b.sample(3);
+    a.merge("bus.hops", b);
     EXPECT_EQ(a.histogram("bus.hops").count(), 3u);
     EXPECT_EQ(a.histogram("bus.hops").sum(), 7u);
 }
