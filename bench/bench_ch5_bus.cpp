@@ -45,10 +45,7 @@ main(int argc, char **argv)
         spec.expected = bench.expected;
         spec.pes = pes;
         spec.config.busPartitions = partitions;
-        spec.config.faultPlan = args.faults;
-        spec.config.recovery = args.recovery;
-        spec.config.core = args.core;
-        args.applyTelemetry(spec.config);
+        args.applyTo(spec.config);
         // The sweep varies partitions at one PE count, so the label
         // is what distinguishes the runs' telemetry lines.
         spec.config.telemetryLabel = cat("ch5_bus:p", partitions);
@@ -63,10 +60,8 @@ main(int argc, char **argv)
         }
         specs.push_back(std::move(spec));
     }
-    sim::RunPolicy policy = args.runPolicy();
-    policy.journalLabel = "ch5_bus";
     std::vector<sim::RunReport> reports =
-        sim::runAll(specs, args.jobs, policy);
+        sim::runAll(specs, args.jobs, args.runPolicy("ch5_bus"));
 
     std::cout << "Ring-bus partition sweep (Fig 5.18 axis): "
               << bench.name << " at " << pes << " PEs\n";
@@ -110,12 +105,6 @@ main(int argc, char **argv)
                       << partition_counts[&report - reports.data()]
                       << " recovered after " << report.replays
                       << " checkpoint replay(s)\n";
-    for (const sim::RunReport &report : reports)
-        if (report.quarantined)
-            std::cout << "  partitions="
-                      << partition_counts[&report - reports.data()]
-                      << " quarantined after " << report.attempts
-                      << " attempt(s)\n";
     for (const sim::RunReport &report : reports)
         if (report.traceDropped > 0)
             std::cout << "  partitions="

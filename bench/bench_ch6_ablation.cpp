@@ -83,10 +83,7 @@ main(int argc, char **argv)
             spec.resultArray = bench.resultArray;
             spec.expected = bench.expected;
             spec.pes = pes;
-            spec.config.faultPlan = args.faults;
-            spec.config.recovery = args.recovery;
-            spec.config.core = args.core;
-            args.applyTelemetry(spec.config);
+            args.applyTo(spec.config);
             // The grid varies compile options at one PE count; the
             // variant index distinguishes the telemetry lines.
             spec.config.telemetryLabel = cat(bench.name, ":v", v);
@@ -102,10 +99,8 @@ main(int argc, char **argv)
             specs.push_back(std::move(spec));
         }
     }
-    sim::RunPolicy policy = args.runPolicy();
-    policy.journalLabel = "ch6_ablation";
     std::vector<sim::RunReport> reports =
-        sim::runAll(specs, args.jobs, policy);
+        sim::runAll(specs, args.jobs, args.runPolicy("ch6_ablation"));
 
     TextTable table({"program", "baseline cycles", "live-value",
                      "input-seq", "priority-sched", "all off"});
@@ -138,12 +133,6 @@ main(int argc, char **argv)
                       << " variant " << i % variants.size()
                       << " recovered after " << reports[i].replays
                       << " checkpoint replay(s)\n";
-    for (std::size_t i = 0; i < reports.size(); ++i)
-        if (reports[i].quarantined)
-            std::cout << "  " << benches[i / variants.size()].name
-                      << " variant " << i % variants.size()
-                      << " quarantined after " << reports[i].attempts
-                      << " attempt(s)\n";
     for (std::size_t i = 0; i < reports.size(); ++i)
         if (reports[i].traceDropped > 0)
             std::cout << "  " << benches[i / variants.size()].name

@@ -73,10 +73,6 @@ reportSeries(const sim::SpeedupSeries &series,
             std::cout << "  PEs=" << run.pes << " recovered after "
                       << run.replays << " checkpoint replay(s)\n";
     for (const sim::RunReport &run : series.runs)
-        if (run.quarantined)
-            std::cout << "  PEs=" << run.pes << " quarantined after "
-                      << run.attempts << " attempt(s)\n";
-    for (const sim::RunReport &run : series.runs)
         if (run.traceDropped > 0)
             std::cout << "  PEs=" << run.pes
                       << " WARNING: trace truncated ("
@@ -95,10 +91,7 @@ main(int argc, char **argv)
     if (!args.ok)
         return 2;
     mp::SystemConfig base_config;
-    base_config.faultPlan = args.faults;
-    base_config.recovery = args.recovery;
-    base_config.core = args.core;
-    args.applyTelemetry(base_config);
+    args.applyTo(base_config);
     const sim::RunPolicy policy = args.runPolicy();
     const std::vector<int> pe_counts = {1, 2, 3, 4, 5, 6, 7, 8};
 

@@ -41,11 +41,6 @@
  * `--deadline-ms N` bounds each run's host wall-clock time; a run
  * that exceeds it becomes a structured `deadline:` failed row instead
  * of wedging the sweep.
- * `--retries N` re-drives a failed run up to N extra times (host-side
- * transients only - simulated failures are deterministic), with
- * `--backoff-ms M` deterministic exponential backoff between
- * attempts; a spec still failing after the budget is quarantined as
- * a structured failed row.
  * `--telemetry FILE` streams every run's live qm.telemetry.v1 NDJSON
  * snapshots (one line every `--telemetry-every N` simulated cycles,
  * default 1000) into FILE. Runs buffer their lines and the bench
@@ -55,8 +50,7 @@
  * With `--resume-dir DIR` the flight recorder also lands per-run
  * black boxes in DIR: a run-start marker before each simulation and
  * a full qm.flight.v1 dump on any structured failure, so a killed or
- * quarantined sweep leaves machine-readable evidence next to its
- * journal.
+ * failing sweep leaves machine-readable evidence next to its journal.
  * Benches install a SIGINT/SIGTERM handler: on the first signal the
  * running simulations wind down, finished rows are already durable in
  * the journal, and the bench exits 128+signo after flushing.
@@ -66,6 +60,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -92,29 +87,30 @@ struct BenchArgs
     int maxPes = 0;                 ///< 0 = no cap on sweep points.
     std::string resumeDir;          ///< Empty = no completion journal.
     long deadlineMs = 0;            ///< 0 = no per-run deadline.
-    int retries = 0;                ///< Extra attempts per failed run.
-    int backoffMs = 0;              ///< Base backoff between attempts.
     std::string telemetryPath;      ///< Empty = no telemetry stream.
     long telemetryEvery = 1000;     ///< Cycles between snapshots.
 
-    /** The self-healing policy these flags select (see sim::RunPolicy). */
+    /**
+     * Where the sweep labelled @p label keeps its journal and flight
+     * black boxes (see sim::RunPolicy): both land in --resume-dir.
+     */
     sim::RunPolicy
-    runPolicy() const
+    runPolicy(std::string label = "") const
     {
-        sim::RunPolicy policy;
-        policy.journalDir = resumeDir;
-        // Black boxes land next to the journal they explain.
-        policy.flightDir = resumeDir;
-        policy.deadlineMs = deadlineMs;
-        policy.maxAttempts = 1 + retries;
-        policy.backoffMs = backoffMs;
-        return policy;
+        return {resumeDir, std::move(label)};
     }
 
-    /** Fold the telemetry cadence into a sweep's base config. */
+    /**
+     * Fold the flags every run of the sweep shares (faults, recovery,
+     * core, deadline, telemetry cadence) into @p config.
+     */
     void
-    applyTelemetry(mp::SystemConfig &config) const
+    applyTo(mp::SystemConfig &config) const
     {
+        config.faultPlan = faults;
+        config.recovery = recovery;
+        config.core = core;
+        config.hostDeadlineMs = deadlineMs;
         if (!telemetryPath.empty())
             config.telemetryEvery = telemetryEvery;
     }
@@ -159,12 +155,9 @@ benchExitCode()
 }
 
 /**
- * Parse argv for
- * `[--jobs N] [--faults SPEC] [--recover] [--checkpoint-every N]
- *  [--metrics FILE] [--trace-dir DIR] [--core tick|event]
- *  [--topology SPEC] [--max-pes N] [--host-time]`.
- * On malformed or unknown arguments prints a usage error and returns
- * ok=false.
+ * Parse argv for the flags listed in the file comment. On malformed or
+ * unknown arguments prints a one-line diagnostic (a usage line for an
+ * unknown flag) and returns ok=false.
  */
 inline BenchArgs
 parseBenchArgs(int argc, char **argv, const char *bench_name)
@@ -172,130 +165,71 @@ parseBenchArgs(int argc, char **argv, const char *bench_name)
     // First signal = wind down and flush; second = die immediately.
     support::installShutdownSignals();
     BenchArgs args;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--jobs" && i + 1 < argc) {
-            try {
+    try {
+        for (int i = 1; i < argc; ++i) {
+            std::string arg = argv[i];
+            if (arg == "--jobs" && i + 1 < argc) {
                 args.jobs = parsePositiveIntArg(argv[++i], "--jobs",
                                                 /*max=*/1024);
-            } catch (const FatalError &e) {
-                std::cerr << bench_name << ": " << e.what() << "\n";
-                args.ok = false;
-                return args;
-            }
-        } else if (arg == "--faults" && i + 1 < argc) {
-            try {
+            } else if (arg == "--faults" && i + 1 < argc) {
                 args.faults = fault::parseFaultPlan(argv[++i]);
-            } catch (const FatalError &e) {
-                std::cerr << bench_name << ": " << e.what() << "\n";
-                args.ok = false;
-                return args;
-            }
-        } else if (arg == "--metrics" && i + 1 < argc) {
-            args.metricsPath = argv[++i];
-        } else if (arg == "--trace-dir" && i + 1 < argc) {
-            args.traceDir = argv[++i];
-        } else if (arg == "--recover") {
-            args.recovery.enabled = true;
-        } else if (arg == "--core" && i + 1 < argc) {
-            std::string core = argv[++i];
-            if (core == "tick") {
-                args.core = mp::SimCore::Tick;
-            } else if (core == "event") {
-                args.core = mp::SimCore::Event;
-            } else {
-                std::cerr << bench_name << ": --core expects 'tick' or "
-                             "'event', got '" << core << "'\n";
-                args.ok = false;
-                return args;
-            }
-        } else if (arg == "--host-time") {
-            args.hostTime = true;
-        } else if (arg == "--topology" && i + 1 < argc) {
-            try {
+            } else if (arg == "--metrics" && i + 1 < argc) {
+                args.metricsPath = argv[++i];
+            } else if (arg == "--trace-dir" && i + 1 < argc) {
+                args.traceDir = argv[++i];
+            } else if (arg == "--recover") {
+                args.recovery.enabled = true;
+            } else if (arg == "--core" && i + 1 < argc) {
+                std::string core = argv[++i];
+                if (core == "tick") {
+                    args.core = mp::SimCore::Tick;
+                } else if (core == "event") {
+                    args.core = mp::SimCore::Event;
+                } else {
+                    std::cerr << bench_name << ": --core expects 'tick' "
+                                 "or 'event', got '" << core << "'\n";
+                    args.ok = false;
+                    return args;
+                }
+            } else if (arg == "--host-time") {
+                args.hostTime = true;
+            } else if (arg == "--topology" && i + 1 < argc) {
                 args.topology = mp::parseTopology(argv[++i]);
                 args.topologyGiven = true;
-            } catch (const FatalError &e) {
-                std::cerr << bench_name << ": " << e.what() << "\n";
-                args.ok = false;
-                return args;
-            }
-        } else if (arg == "--max-pes" && i + 1 < argc) {
-            try {
-                args.maxPes = parsePositiveIntArg(argv[++i],
-                                                  "--max-pes",
+            } else if (arg == "--max-pes" && i + 1 < argc) {
+                args.maxPes = parsePositiveIntArg(argv[++i], "--max-pes",
                                                   /*max=*/4096);
-            } catch (const FatalError &e) {
-                std::cerr << bench_name << ": " << e.what() << "\n";
-                args.ok = false;
-                return args;
-            }
-        } else if (arg == "--resume-dir" && i + 1 < argc) {
-            args.resumeDir = argv[++i];
-        } else if (arg == "--deadline-ms" && i + 1 < argc) {
-            try {
+            } else if (arg == "--resume-dir" && i + 1 < argc) {
+                args.resumeDir = argv[++i];
+            } else if (arg == "--deadline-ms" && i + 1 < argc) {
                 args.deadlineMs = parsePositiveIntArg(
                     argv[++i], "--deadline-ms", /*max=*/1'000'000'000);
-            } catch (const FatalError &e) {
-                std::cerr << bench_name << ": " << e.what() << "\n";
-                args.ok = false;
-                return args;
-            }
-        } else if (arg == "--retries" && i + 1 < argc) {
-            try {
-                args.retries = parsePositiveIntArg(argv[++i],
-                                                   "--retries",
-                                                   /*max=*/100);
-            } catch (const FatalError &e) {
-                std::cerr << bench_name << ": " << e.what() << "\n";
-                args.ok = false;
-                return args;
-            }
-        } else if (arg == "--backoff-ms" && i + 1 < argc) {
-            try {
-                args.backoffMs = parsePositiveIntArg(
-                    argv[++i], "--backoff-ms", /*max=*/60'000);
-            } catch (const FatalError &e) {
-                std::cerr << bench_name << ": " << e.what() << "\n";
-                args.ok = false;
-                return args;
-            }
-        } else if (arg == "--telemetry" && i + 1 < argc) {
-            args.telemetryPath = argv[++i];
-        } else if (arg == "--telemetry-every" && i + 1 < argc) {
-            try {
+            } else if (arg == "--telemetry" && i + 1 < argc) {
+                args.telemetryPath = argv[++i];
+            } else if (arg == "--telemetry-every" && i + 1 < argc) {
                 args.telemetryEvery = parsePositiveIntArg(
-                    argv[++i], "--telemetry-every",
-                    /*max=*/1'000'000'000);
-            } catch (const FatalError &e) {
-                std::cerr << bench_name << ": " << e.what() << "\n";
-                args.ok = false;
-                return args;
-            }
-        } else if (arg == "--checkpoint-every" && i + 1 < argc) {
-            try {
+                    argv[++i], "--telemetry-every", /*max=*/1'000'000'000);
+            } else if (arg == "--checkpoint-every" && i + 1 < argc) {
                 args.recovery.checkpointEvery = parsePositiveIntArg(
                     argv[++i], "--checkpoint-every",
                     /*max=*/1'000'000'000);
                 args.recovery.enabled = true;
-            } catch (const FatalError &e) {
-                std::cerr << bench_name << ": " << e.what() << "\n";
+            } else {
+                std::cerr << "usage: " << bench_name
+                          << " [--jobs N] [--faults SPEC] [--recover] "
+                             "[--checkpoint-every N] [--metrics FILE] "
+                             "[--trace-dir DIR] [--core tick|event] "
+                             "[--topology SPEC] [--max-pes N] "
+                             "[--host-time] "
+                             "[--resume-dir DIR] [--deadline-ms N] "
+                             "[--telemetry FILE] [--telemetry-every N]\n";
                 args.ok = false;
                 return args;
             }
-        } else {
-            std::cerr << "usage: " << bench_name
-                      << " [--jobs N] [--faults SPEC] [--recover] "
-                         "[--checkpoint-every N] [--metrics FILE] "
-                         "[--trace-dir DIR] [--core tick|event] "
-                         "[--topology SPEC] [--max-pes N] "
-                         "[--host-time] "
-                         "[--resume-dir DIR] [--deadline-ms N] "
-                         "[--retries N] [--backoff-ms N] "
-                         "[--telemetry FILE] [--telemetry-every N]\n";
-            args.ok = false;
-            return args;
         }
+    } catch (const FatalError &e) {
+        std::cerr << bench_name << ": " << e.what() << "\n";
+        args.ok = false;
     }
     return args;
 }

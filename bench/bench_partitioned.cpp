@@ -120,10 +120,6 @@ reportSeries(const sim::SpeedupSeries &series)
         if (!run.failureReason.empty())
             std::cout << "  PEs=" << run.pes
                       << " failed: " << run.failureReason << "\n";
-    for (const sim::RunReport &run : series.runs)
-        if (run.quarantined)
-            std::cout << "  PEs=" << run.pes << " quarantined after "
-                      << run.attempts << " attempt(s)\n";
     std::cout << "\n";
 }
 
@@ -138,10 +134,7 @@ main(int argc, char **argv)
         return 2;
 
     mp::SystemConfig base_config;
-    base_config.faultPlan = args.faults;
-    base_config.recovery = args.recovery;
-    base_config.core = args.core;
-    args.applyTelemetry(base_config);
+    args.applyTo(base_config);
 
     std::vector<mp::RingTopology> topologies;
     if (args.topologyGiven) {
@@ -225,9 +218,8 @@ main(int argc, char **argv)
                 }
                 specs.push_back(std::move(spec));
             }
-            sim::RunPolicy policy = args.runPolicy();
-            policy.journalLabel = series.name;
-            series.runs = sim::runAll(specs, args.jobs, policy);
+            series.runs = sim::runAll(specs, args.jobs,
+                                      args.runPolicy(series.name));
             reportSeries(series);
             all.push_back(std::move(series));
         }

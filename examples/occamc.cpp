@@ -137,103 +137,77 @@ main(int argc, char **argv)
     long telemetry_every = 1000;
     std::string path, trace_path, metrics_path, checkpoint_file,
         resume_file, flight_arg, telemetry_path;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--asm") {
-            show_asm = true;
-        } else if (arg == "--dot") {
-            show_dot = true;
-        } else if (arg == "--run") {
-            run = true;
-        } else if (arg == "--interp") {
-            interp_mode = true;
-        } else if (arg == "--stats") {
-            stats = true;
-        } else if (arg == "--pes" && i + 1 < argc) {
-            // stoi would throw an uncaught std::invalid_argument on
-            // "--pes foo"; validate and report a usage error instead.
-            try {
+    // Malformed flag values are usage errors, never uncaught throws.
+    try {
+        for (int i = 1; i < argc; ++i) {
+            std::string arg = argv[i];
+            if (arg == "--asm") {
+                show_asm = true;
+            } else if (arg == "--dot") {
+                show_dot = true;
+            } else if (arg == "--run") {
+                run = true;
+            } else if (arg == "--interp") {
+                interp_mode = true;
+            } else if (arg == "--stats") {
+                stats = true;
+            } else if (arg == "--pes" && i + 1 < argc) {
                 pes = qm::parsePositiveIntArg(argv[++i], "--pes",
                                               /*max=*/4096);
-            } catch (const qm::FatalError &e) {
-                std::cerr << "occamc: " << e.what() << "\n";
-                return usage();
-            }
-        } else if (arg == "--topology" && i + 1 < argc) {
-            try {
+            } else if (arg == "--topology" && i + 1 < argc) {
                 topology = qm::mp::parseTopology(argv[++i]);
-            } catch (const qm::FatalError &e) {
-                std::cerr << "occamc: " << e.what() << "\n";
-                return usage();
-            }
-            topology_given = true;
-            run = true;  // a topology only matters for a run
-        } else if (arg == "--trace" && i + 1 < argc) {
-            trace_path = argv[++i];
-            run = true;  // tracing implies running
-        } else if (arg == "--metrics" && i + 1 < argc) {
-            metrics_path = argv[++i];
-            run = true;  // metrics imply running
-        } else if (arg == "--faults" && i + 1 < argc) {
-            try {
+                topology_given = true;
+                run = true;  // a topology only matters for a run
+            } else if (arg == "--trace" && i + 1 < argc) {
+                trace_path = argv[++i];
+                run = true;  // tracing implies running
+            } else if (arg == "--metrics" && i + 1 < argc) {
+                metrics_path = argv[++i];
+                run = true;  // metrics imply running
+            } else if (arg == "--faults" && i + 1 < argc) {
                 faults = qm::fault::parseFaultPlan(argv[++i]);
-            } catch (const qm::FatalError &e) {
-                std::cerr << "occamc: " << e.what() << "\n";
-                return usage();
-            }
-            run = true;  // fault injection implies running
-        } else if (arg == "--recover") {
-            recovery.enabled = true;
-            run = true;  // recovery implies running
-        } else if (arg == "--checkpoint-every" && i + 1 < argc) {
-            try {
+                run = true;  // fault injection implies running
+            } else if (arg == "--recover") {
+                recovery.enabled = true;
+                run = true;  // recovery implies running
+            } else if (arg == "--checkpoint-every" && i + 1 < argc) {
                 recovery.checkpointEvery = qm::parsePositiveIntArg(
                     argv[++i], "--checkpoint-every",
                     /*max=*/1'000'000'000);
-            } catch (const qm::FatalError &e) {
-                std::cerr << "occamc: " << e.what() << "\n";
-                return usage();
-            }
-            recovery.enabled = true;
-            run = true;
-        } else if (arg == "--checkpoint-file" && i + 1 < argc) {
-            checkpoint_file = argv[++i];
-            recovery.enabled = true;  // checkpoints require snapshots
-            run = true;
-        } else if (arg == "--resume" && i + 1 < argc) {
-            resume_file = argv[++i];
-            recovery.enabled = true;
-            run = true;
-        } else if (arg == "--deadline-ms" && i + 1 < argc) {
-            try {
+                recovery.enabled = true;
+                run = true;
+            } else if (arg == "--checkpoint-file" && i + 1 < argc) {
+                checkpoint_file = argv[++i];
+                recovery.enabled = true;  // checkpoints require snapshots
+                run = true;
+            } else if (arg == "--resume" && i + 1 < argc) {
+                resume_file = argv[++i];
+                recovery.enabled = true;
+                run = true;
+            } else if (arg == "--deadline-ms" && i + 1 < argc) {
                 deadline_ms = qm::parsePositiveIntArg(
                     argv[++i], "--deadline-ms", /*max=*/1'000'000'000);
-            } catch (const qm::FatalError &e) {
-                std::cerr << "occamc: " << e.what() << "\n";
-                return usage();
-            }
-            run = true;
-        } else if (arg == "--flight" && i + 1 < argc) {
-            flight_arg = argv[++i];
-            run = true;  // the black box only matters for a run
-        } else if (arg == "--telemetry" && i + 1 < argc) {
-            telemetry_path = argv[++i];
-            run = true;  // telemetry implies running
-        } else if (arg == "--telemetry-every" && i + 1 < argc) {
-            try {
+                run = true;
+            } else if (arg == "--flight" && i + 1 < argc) {
+                flight_arg = argv[++i];
+                run = true;  // the black box only matters for a run
+            } else if (arg == "--telemetry" && i + 1 < argc) {
+                telemetry_path = argv[++i];
+                run = true;  // telemetry implies running
+            } else if (arg == "--telemetry-every" && i + 1 < argc) {
                 telemetry_every = qm::parsePositiveIntArg(
                     argv[++i], "--telemetry-every",
                     /*max=*/1'000'000'000);
-            } catch (const qm::FatalError &e) {
-                std::cerr << "occamc: " << e.what() << "\n";
+                run = true;
+            } else if (!arg.empty() && arg[0] != '-') {
+                path = arg;
+            } else {
                 return usage();
             }
-            run = true;
-        } else if (!arg.empty() && arg[0] != '-') {
-            path = arg;
-        } else {
-            return usage();
         }
+    } catch (const qm::FatalError &e) {
+        std::cerr << "occamc: " << e.what() << "\n";
+        return usage();
     }
     if (path.empty())
         return usage();
@@ -358,17 +332,9 @@ main(int argc, char **argv)
                 }
             }
             qm::mp::RunResult result;
-            int replays = 0;
             try {
                 result = resumed ? system.resume()
                                  : system.run(program.mainLabel);
-                while (!result.completed && recovery.enabled &&
-                       system.replayable() && system.canRestore() &&
-                       replays < recovery.maxReplays) {
-                    system.restore();
-                    ++replays;
-                    result = system.resume();
-                }
             } catch (const std::exception &e) {
                 // A kernel panic / fatal error unwinds past the run
                 // loop's own dump sites, so write the black box here
@@ -394,8 +360,8 @@ main(int argc, char **argv)
                           << " recoveries=" << result.faultRecoveries
                           << " watchdog=" << result.watchdogTripped
                           << "\n";
-            if (replays > 0)
-                std::cout << "recovery: " << replays
+            if (result.replays > 0)
+                std::cout << "recovery: " << result.replays
                           << " checkpoint replay(s), "
                           << (result.completed ? "run recovered"
                                                : "run still failed")

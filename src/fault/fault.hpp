@@ -150,7 +150,7 @@ struct RecoveryPlan
     Cycle nackPenalty = 16;
     /** Periodic System::snapshot() interval (0 = boot snapshot only). */
     Cycle checkpointEvery = 0;
-    /** Bounded retry-from-checkpoint attempts in sim::runOnce. */
+    /** Checkpoint replays mp::System::run allows a failed run. */
     int maxReplays = 2;
     /** Host-op log bound per run span; overflow forbids span restart. */
     std::size_t maxLogOps = 4096;

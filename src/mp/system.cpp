@@ -2,22 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <iostream>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 #include "persist/state_codec.hpp"
-#include "support/shutdown.hpp"
-
-namespace {
-bool traceEnabled() {
-    static bool on = std::getenv("QM_TRACE") != nullptr;
-    return on;
-}
-}
-
 #include "support/diagnostics.hpp"
+#include "support/shutdown.hpp"
 
 namespace qm::mp {
 
@@ -126,6 +117,16 @@ struct System::PeSlot : SlotState
     std::size_t logCursor = 0;
     bool logOverflow = false;
     pe::UndoLog undoLog;
+
+    /** Start an empty span journal, or one that replays @p log. */
+    void
+    resetSpan(std::vector<HostOp> log = {})
+    {
+        hostLog = std::move(log);
+        logCursor = 0;
+        logOverflow = false;
+        undoLog.clear();
+    }
 
     /** Journal one completed host op (bounded; overflow is sticky). */
     void
@@ -312,44 +313,10 @@ System::pushReady(PeSlot &slot, Cycle readyAt, CtxId ctx)
 int
 System::placeContext(int forkingPe, int preferredShard)
 {
-    switch (config_.placement) {
-      case Placement::Local:
-        return forkingPe;  // The forking PE is alive by construction.
-      case Placement::RoundRobin: {
-        // Skip fail-stopped PEs; with none dead this is the plain
-        // cyclic cursor.
-        for (int i = 0; i < config_.numPes; ++i) {
-            int target = (rrNext + i) % config_.numPes;
-            if (slots[static_cast<size_t>(target)]->dead)
-                continue;
-            rrNext = (target + 1) % config_.numPes;
-            return target;
-        }
-        panic("round-robin placement: no live PE");
-      }
-      case Placement::LeastLoaded:
-        if (numShards() > 1)
-            return placeSharded(preferredShard >= 0
-                                    ? preferredShard
-                                    : shardOfPe(forkingPe));
-        return placeSurvivor();
-    }
-    panic("unreachable placement policy");
-}
-
-std::size_t
-System::shardLoad(int shard) const
-{
-    std::size_t load = 0;
-    int base = bus.ringBase(shard);
-    int size = bus.ringSize(shard);
-    for (int i = 0; i < size; ++i) {
-        const PeSlot &slot = *slots[static_cast<size_t>(base + i)];
-        if (slot.dead)
-            continue;
-        load += slot.load();
-    }
-    return load;
+    if (numShards() > 1)
+        return placeSharded(preferredShard >= 0 ? preferredShard
+                                                : shardOfPe(forkingPe));
+    return placeSurvivor();
 }
 
 int
@@ -406,8 +373,8 @@ System::placeSurvivor()
 {
     // Emptiest runnable queue among live PEs wins; ties rotate around
     // the ring so independent forks still spread out. This is the
-    // historical LeastLoaded policy plus the dead-PE skip, and also
-    // where recoverDeadPe re-homes a fail-stopped PE's contexts.
+    // flat-ring placement policy, with a dead-PE skip, and also where
+    // recoverDeadPe re-homes a fail-stopped PE's contexts.
     int best = -1;
     std::size_t best_load = 0;
     for (int i = 0; i < config_.numPes; ++i) {
@@ -467,22 +434,29 @@ System::createContext(Word codeAddr, Word inChan, Word outChan,
         }
     }
 
-    if (shipped.delivered) {
-        pushReady(*slots[static_cast<size_t>(ctx.homePe)], ctx.readyAt,
-                  ctx.id);
-        if (shipped.duplicated)
-            // Duplicate descriptor delivery: a second ready-queue
-            // entry for the same context, skipped as stale once the
-            // first one dispatches (idempotent delivery).
-            pushReady(*slots[static_cast<size_t>(ctx.homePe)],
-                      shipped.duplicateAt, ctx.id);
-    } else {
+    enqueueShipped(ctx.id, shipped);
+    return ctx.id;
+}
+
+void
+System::enqueueShipped(CtxId id, const BusDelivery &shipped)
+{
+    if (!shipped.delivered) {
         // The descriptor was lost beyond the retry bound: the context
         // exists but can never start. The watchdog/starvation exit
         // reports the resulting stall as a clean failure.
         stats_.inc(metric::FaultCtxShipLost);
+        return;
     }
-    return ctx.id;
+    Context &ctx = contexts[id];
+    ctx.readyAt = std::max(ctx.readyAt, shipped.at);
+    PeSlot &home = *slots[static_cast<size_t>(ctx.homePe)];
+    pushReady(home, ctx.readyAt, id);
+    if (shipped.duplicated)
+        // Duplicate descriptor delivery: a second ready-queue entry
+        // for the same context, skipped as stale once the first one
+        // dispatches (idempotent delivery).
+        pushReady(home, shipped.duplicateAt, id);
 }
 
 void
@@ -498,39 +472,45 @@ System::wakeContext(CtxId id, Cycle at)
               ctx.id);
 }
 
+void
+System::wakePeers(int pe_idx, Cycle at, const std::vector<CtxId> &peers)
+{
+    for (CtxId peer_id : peers) {
+        BusDelivery wake = bus.deliver(pe_idx, contexts[peer_id].homePe, at);
+        if (!wake.delivered)
+            continue;  // lost wake; watchdog reports the stall
+        wakeContext(peer_id, wake.at);
+        if (wake.duplicated)
+            wakeContext(peer_id, wake.duplicateAt);
+    }
+}
+
+const HostOp *
+System::replayedOp(PeSlot &slot, HostOp::Kind kind, Word arg)
+{
+    if (!recoveryOn_ || !slot.replaying())
+        return nullptr;
+    static const char *const kOpNames[] = {"send", "recv", "trap"};
+    const HostOp &logged = slot.hostLog[slot.logCursor++];
+    panicIf(logged.kind != kind || logged.arg != arg,
+            "host-op replay divergence on ",
+            kOpNames[static_cast<int>(kind)],
+            " (restarted span took a different path)");
+    return &logged;
+}
+
 HostStatus
 System::hostSend(int pe_idx, Word channel, Word value)
 {
     PeSlot &slot = *slots[static_cast<size_t>(pe_idx)];
-    CtxId self = slot.running;
-    if (recoveryOn_ && slot.replaying()) {
-        // Restarted span: this send already happened before the PE
-        // died; its token is in the cache and its wakes were
-        // delivered. Replay the outcome with no side effects.
-        const HostOp &logged = slot.hostLog[slot.logCursor++];
-        panicIf(logged.kind != HostOp::Kind::Send ||
-                    logged.arg != channel,
-                "host-op replay divergence on send (restarted span "
-                "took a different path)");
+    // Restarted span: this send already happened before the PE died;
+    // its token is in the cache and its wakes were delivered. Replay
+    // the outcome with no side effects.
+    if (replayedOp(slot, HostOp::Kind::Send, channel))
         return HostStatus::Done;
-    }
-    msg::ChannelOp op = cache.send(channel, self, value, slot.clock);
-    if (traceEnabled())
-        std::cerr << "[t=" << slot.clock << " pe" << pe_idx << " ctx"
-                  << self << "] send ch" << channel << " val="
-                  << static_cast<std::int32_t>(value)
-                  << (op.completed ? " done" : " blocked") << "\n";
+    msg::ChannelOp op = cache.send(channel, slot.running, value, slot.clock);
     if (op.completed) {
-        for (CtxId peer_id : op.wakes) {
-            Context &peer = contexts[peer_id];
-            BusDelivery wake =
-                bus.deliver(pe_idx, peer.homePe, slot.clock);
-            if (!wake.delivered)
-                continue;  // lost wake; watchdog reports the stall
-            wakeContext(peer_id, wake.at);
-            if (wake.duplicated)
-                wakeContext(peer_id, wake.duplicateAt);
-        }
+        wakePeers(pe_idx, slot.clock, op.wakes);
         if (recoveryOn_)
             slot.appendOp({HostOp::Kind::Send, channel, 0, 0},
                           config_.recovery.maxLogOps);
@@ -545,27 +525,14 @@ HostStatus
 System::hostRecv(int pe_idx, Word channel, Word &value)
 {
     PeSlot &slot = *slots[static_cast<size_t>(pe_idx)];
-    CtxId self = slot.running;
-    if (recoveryOn_ && slot.replaying()) {
-        // Restarted span: the token was already consumed before the PE
-        // died; hand back the logged value without touching the cache.
-        const HostOp &logged = slot.hostLog[slot.logCursor++];
-        panicIf(logged.kind != HostOp::Kind::Recv ||
-                    logged.arg != channel,
-                "host-op replay divergence on recv (restarted span "
-                "took a different path)");
-        value = logged.result;
+    // Restarted span: the token was already consumed before the PE
+    // died; hand back the logged value without touching the cache.
+    if (const HostOp *logged =
+            replayedOp(slot, HostOp::Kind::Recv, channel)) {
+        value = logged->result;
         return HostStatus::Done;
     }
-    msg::ChannelOp op = cache.recv(channel, self, slot.clock);
-    if (traceEnabled())
-        std::cerr << "[t=" << slot.clock << " pe" << pe_idx << " ctx"
-                  << self << "] recv ch" << channel
-                  << (op.completed ? " done val=" +
-                          std::to_string(static_cast<std::int32_t>(
-                              *op.value))
-                                   : " blocked")
-                  << "\n";
+    msg::ChannelOp op = cache.recv(channel, slot.running, slot.clock);
     if (op.completed) {
         value = *op.value;
         if (op.healed) {
@@ -584,16 +551,7 @@ System::hostRecv(int pe_idx, Word channel, Word &value)
                 cat("message corruption detected on channel ", channel,
                     " (checksum mismatch at cycle ", slot.clock, ")");
         }
-        for (CtxId peer_id : op.wakes) {
-            Context &peer = contexts[peer_id];
-            BusDelivery notify =
-                bus.deliver(pe_idx, peer.homePe, slot.clock);
-            if (!notify.delivered)
-                continue;  // lost wake; watchdog reports the stall
-            wakeContext(peer_id, notify.at);
-            if (notify.duplicated)
-                wakeContext(peer_id, notify.duplicateAt);
-        }
+        wakePeers(pe_idx, slot.clock, op.wakes);
         if (recoveryOn_)
             slot.appendOp({HostOp::Kind::Recv, channel, value, 0},
                           config_.recovery.maxLogOps);
@@ -606,20 +564,16 @@ TrapOutcome
 System::hostTrap(int pe_idx, Word number, Word argument)
 {
     PeSlot &slot = *slots[static_cast<size_t>(pe_idx)];
-    if (recoveryOn_ && slot.replaying()) {
-        // Restarted span: the trap already ran before the PE died
-        // (forks forked, channels allocated). Replay the logged
-        // outcome with no side effects; the charge is re-booked
-        // because clocks were not rolled back past the span start.
-        const HostOp &logged = slot.hostLog[slot.logCursor++];
-        panicIf(logged.kind != HostOp::Kind::Trap ||
-                    logged.arg != number,
-                "host-op replay divergence on trap (restarted span "
-                "took a different path)");
+    // Restarted span: the trap already ran before the PE died (forks
+    // forked, channels allocated). Replay the logged outcome with no
+    // side effects; the charge is re-booked because clocks were not
+    // rolled back past the span start.
+    if (const HostOp *logged =
+            replayedOp(slot, HostOp::Kind::Trap, number)) {
         TrapOutcome outcome;
-        if (logged.hasResult)
-            outcome.result = logged.result;
-        outcome.kernelCycles = logged.kernelCycles;
+        if (logged->hasResult)
+            outcome.result = logged->result;
+        outcome.kernelCycles = logged->kernelCycles;
         slot.kernelCycles += outcome.kernelCycles;
         return outcome;
     }
@@ -764,11 +718,7 @@ System::dispatch(PeSlot &slot)
         // Fresh span: from here until the next commit, ctx.regs stays
         // the restart image. A context handed over from a dead PE
         // brings the journal of its interrupted span along for replay.
-        slot.hostLog = std::move(ctx.pendingReplay);
-        ctx.pendingReplay.clear();
-        slot.logCursor = 0;
-        slot.logOverflow = false;
-        slot.undoLog.clear();
+        slot.resetSpan(std::exchange(ctx.pendingReplay, {}));
     }
     ++switches;
     tracer_.ctxDispatch(slot.clock, slot.index, ctx.id);
@@ -840,12 +790,8 @@ System::commitSpan(PeSlot &slot)
     // The span's registers are safely stored (saveContext or context
     // end), so a restart can never reach back before this point: drop
     // the journal.
-    if (!recoveryOn_)
-        return;
-    slot.hostLog.clear();
-    slot.logCursor = 0;
-    slot.logOverflow = false;
-    slot.undoLog.clear();
+    if (recoveryOn_)
+        slot.resetSpan();
 }
 
 void
@@ -880,20 +826,40 @@ System::run(const std::string &entry, Cycle max_cycles)
         // run can always be replayed from the start.
         snapshot();
     }
-    return runLoop(max_cycles);
+    return runReplaying(max_cycles);
 }
 
 RunResult
 System::resume(Cycle max_cycles)
 {
     panicIf(!booted, "System::resume before run()");
-    return runLoop(max_cycles);
+    return runReplaying(max_cycles);
+}
+
+RunResult
+System::runReplaying(Cycle max_cycles)
+{
+    RunResult result = runLoop(max_cycles);
+    // Bounded retry-from-checkpoint. The injector draws a fresh (still
+    // deterministic) fault schedule each replay, because restore()
+    // does not rewind it, so a replay is not a futile re-execution of
+    // the same loss.
+    int replays = 0;
+    while (!result.completed && recoveryOn_ && replayable_ && checkpoint_ &&
+           replays < config_.recovery.maxReplays) {
+        restore();
+        ++replays;
+        result = runLoop(max_cycles);
+    }
+    result.replays = replays;
+    result.recovered = result.completed && replays > 0;
+    return result;
 }
 
 RunResult
 System::runLoop(Cycle max_cycles)
 {
-    // The host deadline budget covers one loop entry (run or resume).
+    // The host deadline budget covers one pass (a run or a replay).
     runStart_ = std::chrono::steady_clock::now();
     hostGuardTick_ = 0;
     const bool tick = config_.core == SimCore::Tick;
@@ -948,15 +914,12 @@ System::runLoop(Cycle max_cycles)
             // message was lost beyond the retry bound), reported as a
             // clean failure; without faults it is a genuine deadlock
             // in the program, still a hard error.
-            if (faults_) {
-                if (traceEnabled())
-                    std::cerr << dumpState();
+            if (faults_)
                 return failRun(
                     cat("deadlock: ", liveContexts,
                         " live contexts, none runnable (message lost "
                         "beyond the retry bound?)"),
                     /*watchdog=*/true);
-            }
             fatal("deadlock: ", liveContexts,
                   " live contexts, none runnable\n", dumpState());
         }
@@ -1153,8 +1116,6 @@ System::injectPeKill(Cycle at)
     if (faults_)
         faults_->notePlanned(fault::kPeKill);
     stats_.inc(metric::FaultPeKill);
-    if (traceEnabled())
-        std::cerr << "[t=" << at << "] KILL pe" << victim << "\n";
     tracer_.faultInject(at, victim, fault::kPeKill,
                         static_cast<std::uint64_t>(at));
     if (recoveryOn_) {
@@ -1172,11 +1133,6 @@ System::recoverDeadPe(Cycle at)
     pendingDeadPe_ = -1;
     PeSlot &slot = *slots[static_cast<size_t>(dead_pe)];
     stats_.inc(metric::FaultPekillDetected);
-    if (traceEnabled())
-        std::cerr << "[t=" << at << "] RECOVER-DEAD pe" << dead_pe
-                  << " running=" << static_cast<long>(slot.running)
-                  << " resident="
-                  << static_cast<long>(slot.residentBlocked) << "\n";
 
     int alive = 0;
     for (auto &s : slots)
@@ -1246,19 +1202,9 @@ System::recoverDeadPe(Cycle at)
             }
         }
         ++moved;
-        if (ctx.status != CtxStatus::Ready)
-            continue;  // Blocked: its wake lands on the new home.
-        BusDelivery shipped = bus.deliver(dead_pe, target, at);
-        if (!shipped.delivered) {
-            stats_.inc(metric::FaultCtxShipLost);
-            continue;
-        }
-        ctx.readyAt = std::max(ctx.readyAt, shipped.at);
-        pushReady(*slots[static_cast<size_t>(target)], ctx.readyAt,
-                  ctx.id);
-        if (shipped.duplicated)
-            pushReady(*slots[static_cast<size_t>(target)],
-                      shipped.duplicateAt, ctx.id);
+        // Blocked contexts stay put: their wake lands on the new home.
+        if (ctx.status == CtxStatus::Ready)
+            enqueueShipped(ctx.id, bus.deliver(dead_pe, target, at));
     }
     if (moved > 0)
         stats_.inc(metric::FaultPekillRecovered, moved);
@@ -1283,9 +1229,6 @@ System::snapshot()
             evictResident(*slot);
     }
     stats_.inc(metric::SysCheckpoints);
-    if (traceEnabled())
-        std::cerr << "[t=" << frontier() << "] SNAPSHOT live="
-                  << liveContexts << "\n";
     auto cp = std::make_unique<Checkpoint>();
     cp->memory = memory_->snapshot();
     cp->kernel = *this;
@@ -1319,8 +1262,6 @@ void
 System::restore()
 {
     panicIf(!checkpoint_, "restore() without a prior snapshot()");
-    if (traceEnabled())
-        std::cerr << "RESTORE\n";
     const Checkpoint &cp = *checkpoint_;
     memory_->restore(cp.memory);
     static_cast<KernelState &>(*this) = cp.kernel;
@@ -1335,10 +1276,7 @@ System::restore()
         slot.running = msg::kNoCtx;
         slot.residentBlocked = msg::kNoCtx;
         slot.blockUntil.reset();
-        slot.hostLog.clear();
-        slot.logCursor = 0;
-        slot.logOverflow = false;
-        slot.undoLog.clear();
+        slot.resetSpan();
     }
     pendingFailure_.clear();
     replayable_ = false;
@@ -1467,7 +1405,10 @@ configFingerprint(const SystemConfig &c)
         "pes=", c.numPes, ";rings=", c.busRings, ";parts=", c.busPartitions,
         ";topoexp=", int(c.busTopologyExplicit), ";mem=", c.memoryBytes,
         ";page=", c.pageWords, ";live=", c.maxLiveContexts,
-        ";depth=", c.channelDepth, ";place=", int(c.placement),
+        // ";place=0" is the slot of a retired placement knob, kept so
+        // checkpoint META and sweep journal fingerprints keep their
+        // bytes.
+        ";depth=", c.channelDepth, ";place=0",
         ";fork=", c.forkCycles, ";exit=", c.exitCycles,
         ";query=", c.queryCycles, ";alloc=", c.allocCycles,
         ";cload=", c.contextLoadCycles, ";csave=", c.contextSaveCycles,

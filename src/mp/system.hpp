@@ -46,14 +46,6 @@ using isa::Addr;
 using isa::Word;
 using msg::CtxId;
 
-/** Where a forked context is placed (thesis scheduling policy knob). */
-enum class Placement
-{
-    LeastLoaded, ///< Emptiest runnable queue, cyclic tie-break (default).
-    RoundRobin,  ///< Cyclic over the ring.
-    Local,       ///< Always on the forking PE (degenerate baseline).
-};
-
 /**
  * Simulation core (see DESIGN.md "Event-driven simulation core"). Both
  * cores run the same System::runLoop and PE step and record the same
@@ -105,7 +97,6 @@ struct SystemConfig
     int pageWords = 256;         ///< Operand-queue page size per context.
     int maxLiveContexts = 2048;  ///< Queue-page pool size.
     int channelDepth = 8;        ///< Message-cache tokens per channel.
-    Placement placement = Placement::LeastLoaded;
     SimCore core = SimCore::Event;  ///< Inner-loop implementation.
 
     // Kernel service costs in cycles (trap entry cost is charged by the
@@ -164,13 +155,14 @@ struct SystemConfig
     Cycle watchdogCycles = 0;
 
     /**
-     * Host wall-clock deadline for one run-loop entry (run() or
-     * resume()), in milliseconds. 0 = no deadline. When the budget is
-     * exhausted the run ends with a structured `deadline:` failure
-     * (hostAborted set) instead of wedging a sweep forever. Checked
-     * coarsely (every ~1k scheduling rounds) so the fault-free hot
-     * path pays nothing measurable. Host-side only: never part of the
-     * simulated timeline or the checkpoint fingerprint.
+     * Host wall-clock deadline for one pass of the run loop (run(),
+     * resume() or a checkpoint replay), in milliseconds. 0 = no
+     * deadline. When the budget is exhausted the run ends with a
+     * structured `deadline:` failure (hostAborted set) instead of
+     * wedging a sweep forever. Checked coarsely (every ~1k scheduling
+     * rounds) so the fault-free hot path pays nothing measurable.
+     * Host-side only: never part of the simulated timeline or the
+     * checkpoint fingerprint.
      */
     long hostDeadlineMs = 0;
 
@@ -307,6 +299,14 @@ struct RunResult
      * sweep runner and never worth a checkpoint replay.
      */
     bool hostAborted = false;
+    /**
+     * Checkpoint replays the run consumed: with recovery enabled, a
+     * failure worth replaying rolls the machine back to its last
+     * snapshot and re-runs it, up to RecoveryPlan::maxReplays times.
+     */
+    int replays = 0;
+    /** Completed only thanks to at least one such replay. */
+    bool recovered = false;
     /** Unified per-kind accounting, indexed by FaultKind bit index. */
     struct FaultKindCounts
     {
@@ -328,7 +328,7 @@ struct KernelState
     std::vector<Addr> freePages;
     Word nextChannel = 2;  ///< 0 reserved, allocate pairs from 2.
     Addr heapNext = kHeapBase;
-    int rrNext = 0;        ///< Round-robin placement cursor.
+    int rrNext = 0;        ///< Least-loaded placement tie cursor.
 
     // Sharded-kernel state (sized/maintained only when numShards() > 1
     // so flat-ring runs stay byte-identical on every surface).
@@ -375,8 +375,11 @@ class System : private KernelState
      * Boot a context at @p entry and simulate until every context has
      * terminated or @p max_cycles elapses on some PE. With recovery
      * enabled a boot snapshot is taken first (and periodic ones every
-     * recovery.checkpointEvery cycles), so a failed run can be rolled
-     * back with restore() and re-driven with resume().
+     * recovery.checkpointEvery cycles), and a failure worth replaying
+     * (watchdog, starvation, detected corruption - not an exhausted
+     * cycle budget or a host abort) is rolled back to the last
+     * snapshot and re-run, up to recovery.maxReplays times; the
+     * result's `replays` and `recovered` say how that went.
      */
     RunResult run(const std::string &entry,
                   Cycle max_cycles = 500'000'000);
@@ -402,17 +405,11 @@ class System : private KernelState
     void restore();
 
     /**
-     * Re-enter the simulation loop after restore(). Only valid on a
-     * booted system.
+     * Re-enter the simulation loop after restore() or loadCheckpoint(),
+     * replaying from checkpoints like run(). Only valid on a booted
+     * system.
      */
     RunResult resume(Cycle max_cycles = 500'000'000);
-
-    /**
-     * The last run ended with a failure worth replaying from the
-     * checkpoint (watchdog, starvation, detected corruption - but not
-     * an exhausted cycle budget, which a replay would only re-spend).
-     */
-    bool replayable() const { return replayable_; }
 
     // --- Durable checkpoints (see DESIGN.md "Durable checkpoints") -------
 
@@ -533,8 +530,13 @@ class System : private KernelState
      * every PE of the shard is busier than the global minimum.
      */
     int placeSharded(int shard);
-    /** Sum of ready-queue depths + running flags over a shard's PEs. */
-    std::size_t shardLoad(int shard) const;
+
+    /**
+     * Queue context @p id on its home PE once its shipped descriptor
+     * arrives (twice when @p shipped duplicated it), or count the
+     * descriptor as lost.
+     */
+    void enqueueShipped(CtxId id, const BusDelivery &shipped);
 
     // Host operations, invoked from the PE mid-step.
     pe::HostStatus hostSend(int pe, Word channel, Word value);
@@ -542,6 +544,13 @@ class System : private KernelState
     pe::TrapOutcome hostTrap(int pe, Word number, Word argument);
     pe::TrapOutcome trapService(PeSlot &slot, Word number,
                                 Word argument);
+    /**
+     * In a restarted span, the next logged host op, which must be a
+     * @p kind on @p arg (a divergence panics); null otherwise.
+     */
+    const HostOp *replayedOp(PeSlot &slot, HostOp::Kind kind, Word arg);
+    /** Deliver a completed rendezvous's wakes from @p pe to each peer. */
+    void wakePeers(int pe, Cycle at, const std::vector<CtxId> &peers);
 
     // --- Scheduling ------------------------------------------------------
     bool dispatch(PeSlot &slot);   ///< Load next ready context if idle.
@@ -575,7 +584,13 @@ class System : private KernelState
 
     // --- The run loop (see DESIGN.md "Event-driven simulation core") ---
     /**
-     * The one scheduler loop behind run() and resume(): pick the slot
+     * runLoop, then bounded checkpoint replay while the run ends in a
+     * replayable failure (see run()). Behind run() and resume().
+     */
+    RunResult runReplaying(Cycle max_cycles);
+    /**
+     * The one scheduler loop, entered once per pass (the first run and
+     * every checkpoint replay): pick the slot
      * able to act soonest, evaluate the guard sequence, then dispatch
      * and run one batch on it. The two cores differ only in the picker
      * (pickScan or pickCalendar).
@@ -687,6 +702,7 @@ class System : private KernelState
 
     // Recovery state (all inert unless config_.recovery.enabled).
     bool recoveryOn_ = false;
+    /** The last pass ended in a failure worth a checkpoint replay. */
     bool replayable_ = false;
     struct Checkpoint;
     std::unique_ptr<Checkpoint> checkpoint_;

@@ -178,7 +178,6 @@ class ProcessingElement
 
     // Architectural state access (for the kernel and for tests).
     Word pc() const { return pc_; }
-    void setPc(Word pc) { pc_ = pc; }
     Word qp() const { return qp_; }
     void setQp(Word qp) { qp_ = qp; }
     Word pom() const { return pom_; }

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <iostream>
 #include <set>
-#include <thread>
 
 #include "obs/flight.hpp"
 #include "sim/journal.hpp"
@@ -66,44 +65,27 @@ runOnce(const occam::CompiledProgram &program,
                                                   sys.statsSnapshot());
             });
     }
-    mp::RunResult result;
+    // A run that dies (e.g. kernel deadlock panic) still yields a
+    // report row: the sweep survives and records the failure. The
+    // System outlives the try block precisely so the flight recorder's
+    // last-moments evidence survives the unwinding.
+    auto died = [&](std::string reason) {
+        report.failureReason = std::move(reason);
+        if (!config.flightPath.empty() &&
+            system.writeFlightDump(config.flightPath,
+                                   report.failureReason).ok())
+            report.flightDumpPath = config.flightPath;
+        stamp_host(report);
+        return report;
+    };
     try {
-        result = system.run(program.mainLabel);
-        // Bounded retry-from-checkpoint: a structured failure under an
-        // enabled recovery plan rolls the machine back to its last
-        // snapshot and re-drives it (the injector draws a fresh
-        // deterministic fault schedule each replay, so this is not a
-        // futile re-execution of the same loss).
-        while (!result.completed && config.recovery.enabled &&
-               system.replayable() && system.canRestore() &&
-               report.replays < config.recovery.maxReplays) {
-            system.restore();
-            ++report.replays;
-            result = system.resume();
-        }
-        report.recovered = result.completed && report.replays > 0;
+        static_cast<mp::RunResult &>(report) =
+            system.run(program.mainLabel);
     } catch (const FatalError &e) {
-        // A run that dies (e.g. kernel deadlock panic) still yields a
-        // report row: the sweep survives and records the failure. The
-        // System outlives the try block precisely so the flight
-        // recorder's last-moments evidence survives the unwinding.
-        report.failureReason = cat("fatal: ", e.what());
-        if (!config.flightPath.empty() &&
-            system.writeFlightDump(config.flightPath,
-                                   report.failureReason).ok())
-            report.flightDumpPath = config.flightPath;
-        stamp_host(report);
-        return report;
+        return died(cat("fatal: ", e.what()));
     } catch (const PanicError &e) {
-        report.failureReason = cat("panic: ", e.what());
-        if (!config.flightPath.empty() &&
-            system.writeFlightDump(config.flightPath,
-                                   report.failureReason).ok())
-            report.flightDumpPath = config.flightPath;
-        stamp_host(report);
-        return report;
+        return died(cat("panic: ", e.what()));
     }
-    static_cast<mp::RunResult &>(report) = result;
     // Structured failures (watchdog, deadline, corruption, signal,
     // cycle limit) already dumped the black box inside System; the
     // report just records where it landed.
@@ -111,7 +93,7 @@ runOnce(const occam::CompiledProgram &program,
         report.flightDumpPath = config.flightPath;
     stamp_host(report);
     report.stats = system.stats();
-    report.verified = result.completed;
+    report.verified = report.completed;
     if (report.verified && !expected.empty()) {
         isa::Addr base = program.arrayAddress(result_array);
         for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -128,16 +110,6 @@ runOnce(const occam::CompiledProgram &program,
         trace::writeChromeTraceFile(config.traceConfig.chromeJsonPath,
                                     system.tracer());
     return report;
-}
-
-std::string
-RunPolicy::resolvedJournalPath(const std::string &label) const
-{
-    if (!journalPath.empty())
-        return journalPath;
-    if (!journalDir.empty())
-        return cat(journalDir, "/", sanitizeFileStem(label), ".journal");
-    return "";
 }
 
 std::vector<RunReport>
@@ -164,12 +136,12 @@ runAll(const std::vector<RunSpec> &specs, int jobs,
         }
     }
 
-    std::string journal_path =
-        policy.resolvedJournalPath(policy.journalLabel);
+    std::string journal_path;
     SweepJournal journal;
-    if (!journal_path.empty()) {
-        persist::Status st =
-            journal.open(journal_path, policy.journalLabel, specs);
+    if (!policy.dir.empty()) {
+        journal_path = cat(policy.dir, "/", sanitizeFileStem(policy.label),
+                           ".journal");
+        persist::Status st = journal.open(journal_path, policy.label, specs);
         // A valid journal for a *different* sweep means the caller
         // pointed --resume-dir at stale results; replaying them would
         // be silently wrong, so refuse loudly.
@@ -183,7 +155,6 @@ runAll(const std::vector<RunSpec> &specs, int jobs,
                       << journal.completedCount() << "/" << specs.size()
                       << " completed runs\n";
     }
-    int max_attempts = std::max(1, policy.maxAttempts);
 
     std::vector<RunReport> reports(specs.size());
     parallelFor(specs.size(), workers, [&](std::size_t i) {
@@ -199,7 +170,6 @@ runAll(const std::vector<RunSpec> &specs, int jobs,
             RunReport report;
             report.pes = spec.pes;
             report.hostAborted = true;
-            report.attempts = 0;
             report.failureReason =
                 cat("interrupted: ", support::shutdownSignalName(),
                     " received before this run started");
@@ -207,46 +177,24 @@ runAll(const std::vector<RunSpec> &specs, int jobs,
             return;
         }
         mp::SystemConfig config = spec.config;
-        if (policy.deadlineMs > 0)
-            config.hostDeadlineMs = policy.deadlineMs;
-        if (!policy.flightDir.empty() && config.flightPath.empty()) {
-            std::string stem = policy.journalLabel.empty()
-                                   ? std::string("run")
-                                   : policy.journalLabel;
+        if (!policy.dir.empty() && config.flightPath.empty()) {
+            std::string stem =
+                policy.label.empty() ? std::string("run") : policy.label;
             // The spec index keeps paths unique even when a sweep
             // varies something other than the PE count (ablation
             // variants, bus partitions).
             config.flightPath =
-                cat(policy.flightDir, "/", sanitizeFileStem(stem), "-r",
-                    i, "-pe", spec.pes, ".flight.json");
+                cat(policy.dir, "/", sanitizeFileStem(stem), "-r", i,
+                    "-pe", spec.pes, ".flight.json");
             // Drop a minimal marker before the run starts: a kill -9
             // that lands mid-simulation still leaves a parseable
             // qm.flight.v1 document saying a run began here. A
             // structured failure overwrites it with the full dump.
             obs::writeFlightMarker(config.flightPath, "run-start");
         }
-        RunReport report;
-        for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-            report = runOnce(*spec.program, spec.resultArray,
-                             spec.expected, spec.pes, config);
-            report.attempts = attempt;
-            if (report.completed && report.verified)
-                break;
-            // Retries exist for host-side transients; once the host
-            // itself is shutting down there is nothing to heal.
-            if (support::shutdownRequested())
-                break;
-            if (attempt < max_attempts && policy.backoffMs > 0)
-                std::this_thread::sleep_for(std::chrono::milliseconds(
-                    static_cast<long>(policy.backoffMs) << (attempt - 1)));
-        }
-        bool failed = !(report.completed && report.verified);
-        bool interrupted = report.hostAborted && support::shutdownRequested();
-        // Quarantine = the retry budget existed, was spent, and the
-        // spec still failed: the row is set aside as a structured
-        // failure instead of poisoning the sweep.
-        report.quarantined = failed && !interrupted && max_attempts > 1;
-        reports[i] = report;
+        const RunReport &report = reports[i] =
+            runOnce(*spec.program, spec.resultArray, spec.expected,
+                    spec.pes, config);
         // Host-aborted rows are wall-clock artifacts, not results;
         // journaling one would replay a non-deterministic outcome.
         if (journal.isOpen() && !report.hostAborted) {
@@ -315,8 +263,8 @@ runSpeedupSweep(const std::string &name, const std::string &source,
     SpeedupSeries series;
     series.name = name;
     RunPolicy run_policy = policy;
-    if (run_policy.journalLabel.empty())
-        run_policy.journalLabel = name;
+    if (run_policy.label.empty())
+        run_policy.label = name;
     series.runs = runAll(specs, jobs, run_policy);
     return series;
 }

@@ -27,27 +27,12 @@ struct RunReport : mp::RunResult
     int pes = 0;
     bool verified = false;   ///< Completed AND produced the reference.
 
-    // Recovery reporting (see mp::SystemConfig::recovery): a failed
-    // run may be replayed from the last checkpoint up to
-    // RecoveryPlan::maxReplays times; `recovered` marks a run that
-    // completed only thanks to at least one such replay. A run that
-    // dies outright (e.g. a kernel panic) still yields a report row,
-    // with failureReason set, instead of aborting the whole sweep.
-    bool recovered = false;
-    int replays = 0;            ///< Checkpoint replays consumed.
-
-    // Self-healing runner bookkeeping (see RunPolicy). `attempts` is
-    // how many times the spec was driven end to end (1 unless retries
-    // were requested and needed); `quarantined` marks a spec that
-    // exhausted its retry budget without a verified completion and was
-    // set aside as a structured failed row instead of aborting the
-    // sweep; host-aborted rows (deadline or SIGINT/SIGTERM) are never
-    // journaled, because the abort point is wall-clock-dependent, not
-    // deterministic; `journalReplayed` marks a row served from a
-    // previous attempt's completion journal instead of being
-    // re-simulated.
-    int attempts = 1;
-    bool quarantined = false;
+    /**
+     * Served from a previous sweep's completion journal instead of
+     * being re-simulated (see RunPolicy). Host-aborted rows (deadline
+     * or SIGINT/SIGTERM) are never journaled, because the abort point
+     * depends on the wall clock, not on the simulation.
+     */
     bool journalReplayed = false;
 
     /**
@@ -59,7 +44,7 @@ struct RunReport : mp::RunResult
     StatSet stats;
 
     // Host-side simulator performance: wall-clock time for this run
-    // (System construction + run + any checkpoint replays, measured on
+    // (System construction + run, checkpoint replays included, on
     // a steady clock) and the derived simulated-cycles-per-host-second
     // rate. These describe the simulator, not the simulated machine -
     // they are machine-dependent and excluded from every determinism
@@ -112,70 +97,29 @@ struct RunSpec
 };
 
 /**
- * Run-level robustness policy for runAll: completion journaling (for
- * crash-safe resumable sweeps), per-run host wall-clock deadlines,
- * and bounded deterministic retry with quarantine. All-default means
- * the historical behavior: no journal, no deadline, one attempt.
+ * Where runAll keeps a sweep's crash-safety files. All-default means
+ * no journal and no flight-recorder files.
  */
 struct RunPolicy
 {
     /**
-     * Completion journal file (see sim::SweepJournal). Empty disables
-     * journaling. Rows already journaled by a previous attempt are
-     * replayed byte-identically instead of re-simulated; a valid
-     * journal for a *different* sweep is refused (fatal), a corrupt
-     * one is recreated from scratch with a stderr notice.
+     * Directory for the sweep's files (empty disables both):
+     * - the completion journal <dir>/<sanitized-label>.journal (see
+     *   sim::SweepJournal). Rows a previous sweep already journaled
+     *   are replayed byte-identically instead of re-simulated; a valid
+     *   journal for a *different* sweep is refused (fatal), a corrupt
+     *   one is recreated from scratch with a stderr notice;
+     * - one flight-recorder black box per executed spec,
+     *   <dir>/<sanitized-label>-r<index>-pe<N>.flight.json: a minimal
+     *   "run-start" marker is written before the run (so a kill -9
+     *   that lands mid-run still leaves a parseable qm.flight.v1
+     *   document), and the run overwrites it with a full dump on any
+     *   structured failure.
      */
-    std::string journalPath;
+    std::string dir;
 
-    /**
-     * Directory for auto-named journals: sweeps derive
-     * <journalDir>/<sanitized-label>.journal when journalPath is
-     * empty. Empty disables.
-     */
-    std::string journalDir;
-
-    /** Human label folded into the journal fingerprint. */
-    std::string journalLabel;
-
-    /**
-     * Per-attempt host wall-clock budget in milliseconds (0 = none).
-     * A run that exceeds it ends as a structured `deadline:` failed
-     * row (RunReport::hostAborted) instead of wedging the sweep.
-     */
-    long deadlineMs = 0;
-
-    /**
-     * Total attempts per spec (minimum 1). The simulator is
-     * deterministic, so retries exist for *host*-side transients
-     * (deadline trips on a loaded machine, resource exhaustion
-     * surfacing as fatal rows) - a deterministic simulated failure
-     * fails identically every attempt and is quarantined after the
-     * budget without having wasted more than maxAttempts runs.
-     */
-    int maxAttempts = 1;
-
-    /**
-     * Base backoff between attempts in milliseconds; attempt k sleeps
-     * backoffMs * 2^(k-1) (deterministic exponential schedule, no
-     * jitter - there is no thundering herd to avoid, only a host to
-     * let recover).
-     */
-    int backoffMs = 0;
-
-    /**
-     * Directory for per-run flight-recorder black boxes. When set,
-     * every executed spec gets
-     * <flightDir>/<sanitized-label>-pe<N>.flight.json: a minimal
-     * "run-start" marker is written before the run (so a kill -9 that
-     * lands mid-run still leaves a parseable qm.flight.v1 document),
-     * and the run overwrites it with a full dump on any structured
-     * failure. Empty disables.
-     */
-    std::string flightDir;
-
-    /** Journal path for @p label, honoring journalPath > journalDir. */
-    std::string resolvedJournalPath(const std::string &label) const;
+    /** Names those files; folded into the journal fingerprint. */
+    std::string label;
 };
 
 /**
@@ -188,7 +132,7 @@ struct RunPolicy
  * Chrome trace output path (they would race on it); duplicate paths
  * are refused when workers > 1.
  *
- * With a journaling @p policy, finished rows are appended to the
+ * With a @p policy directory, finished rows are appended to the
  * completion journal as they complete and previously-journaled rows
  * are replayed without re-simulation, so a sweep killed mid-flight
  * resumes where it left off yet emits byte-identical reports. After

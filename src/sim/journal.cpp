@@ -19,6 +19,12 @@ template <class Ar, class R>
 void
 fields(Ar &ar, R &r)
 {
+    // Two retired slots, from a whole-run retry layer: the attempt
+    // count, always 1, and the quarantine flag, always 0. Rows keep
+    // their bytes; a row holding anything else is refused.
+    std::int64_t attempts = 1;
+    bool quarantined = false;
+
     ar.i64(r.pes);
     ar.u8(r.completed);
     ar.u8(r.verified);
@@ -46,8 +52,8 @@ fields(Ar &ar, R &r)
         ar.u64(k.recovered);
     }
     ar.u64(r.traceDropped);
-    ar.i64(r.attempts);
-    ar.u8(r.quarantined);
+    ar.i64(attempts, 1, 1, "retired attempts slot");
+    ar.u8(quarantined, false, "retired quarantine slot");
     ar.u8(r.hostAborted);
     persist::statSet(ar, r.stats);
     // Host performance figures ride along so --host-time output is

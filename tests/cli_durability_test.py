@@ -271,6 +271,27 @@ def main():
           flight is not None and flight.get("schema") == "qm.flight.v1"
           and flight.get("reason") == "checkpoint")
 
+    # --- checkpoint replay ---------------------------------------------
+    # Boot-checkpoint replay with link-layer retries off: the first plan
+    # is rescued by one replay, the second spends all maxReplays (2).
+    replay_dir = path("replay")
+    os.mkdir(replay_dir)
+    lossy = [occamc, "--pes", "4", "--recover", "--faults"]
+    p = run(lossy + ["seed=8,rate=0.7,kinds=drop,retries=0", pipeline],
+            cwd=replay_dir)
+    check_rc("run rescued by a checkpoint replay exits 0", p, 0)
+    check("rescued run reports one replay",
+          "completed=1 cycles=22828 " in p.stdout and
+          "recovery: 1 checkpoint replay(s), run recovered\n" in p.stdout,
+          p.stdout[-300:])
+    p = run(lossy + ["seed=2,rate=0.75,kinds=drop,retries=0", pipeline],
+            cwd=replay_dir)
+    check_rc("run that spends its replays exits 4 (watchdog class)", p, 4)
+    check("spent replays are reported",
+          "recovery: 2 checkpoint replay(s), run still failed\n"
+          in p.stdout and "failure: deadlock:" in p.stdout,
+          p.stdout[-300:])
+
     # --- metrics byte-identity across resume --------------------------
     metrics = path("metrics.json")
     ckpt2 = path("metrics.qmc")

@@ -49,7 +49,6 @@ using fuzz::ProgramGen;
 struct CoreRun
 {
     mp::RunResult result;
-    int replays = 0;
     std::string stats;           ///< StatSet::render() of the system.
     std::string trace;           ///< Chrome trace JSON, full stream.
     std::vector<std::uint8_t> memory;
@@ -96,13 +95,6 @@ runCore(const isa::ObjectCode &object, const std::string &main_label,
                     .ok());
         });
     run.result = system.run(main_label);
-    while (!run.result.completed && config.recovery.enabled &&
-           system.replayable() && system.canRestore() &&
-           run.replays < config.recovery.maxReplays) {
-        system.restore();
-        ++run.replays;
-        run.result = system.resume();
-    }
     if (!checkpoint_path.empty())
         std::remove(checkpoint_path.c_str());
     run.stats = system.stats().render();
@@ -116,7 +108,6 @@ void
 expectIdentical(const CoreRun &tick, const CoreRun &event)
 {
     testutil::expectSameRunResult(tick.result, event.result);
-    EXPECT_EQ(tick.replays, event.replays);
     EXPECT_EQ(tick.stats, event.stats);
     EXPECT_EQ(tick.trace, event.trace);
     EXPECT_EQ(tick.memory, event.memory);

@@ -94,14 +94,6 @@ expectCorpusAgrees(int idx, mp::SystemConfig config)
     config.numPes = 1 + idx % 4;
     mp::System system(dual.object, config);
     mp::RunResult result = system.run(dual.contexts.mainLabel);
-    for (int replays = 0;
-         !result.completed && config.recovery.enabled &&
-         system.replayable() && system.canRestore() &&
-         replays < config.recovery.maxReplays;
-         ++replays) {
-        system.restore();
-        result = system.resume();
-    }
     if (!result.completed) {
         ASSERT_TRUE(config.faultPlan.enabled()) << result.failureReason;
         EXPECT_FALSE(result.failureReason.empty());

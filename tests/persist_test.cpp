@@ -18,6 +18,7 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <random>
@@ -1062,8 +1063,6 @@ distinctReport()
     for (std::uint64_t k = 0; k < r.faultKinds.size(); ++k)
         r.faultKinds[k] = {200 + 3 * k, 201 + 3 * k, 202 + 3 * k};
     r.traceDropped = 112;
-    r.attempts = 5;
-    r.quarantined = true;
     r.hostAborted = true;
     r.stats.inc("sys.checkpoints", 6);
     r.stats.set("sys.share", 0.5);
@@ -1082,7 +1081,7 @@ TEST(PersistFormatPinTest, JournalRowKeepsItsBytes)
     persist::Encoder enc;
     sim::encodeRunReport(enc, distinctReport());
     EXPECT_EQ(hex32(persist::crc32(enc.bytes().data(), enc.bytes().size())),
-              hex32(0x4e167570))
+              hex32(0x301c24ba))
         << "the journal row encoding changed its bytes; a deliberate "
            "format change bumps the QMSWJNL magic and re-pins this CRC "
            "in CHANGES.md";
@@ -1197,15 +1196,39 @@ TEST(SweepJournalTest, RunReportCodecRoundTrips)
     testutil::expectSameRunResult(back, report);
     EXPECT_EQ(back.pes, report.pes);
     EXPECT_EQ(back.verified, report.verified);
-    EXPECT_EQ(back.recovered, report.recovered);
-    EXPECT_EQ(back.replays, report.replays);
-    EXPECT_EQ(back.attempts, report.attempts);
-    EXPECT_EQ(back.quarantined, report.quarantined);
     EXPECT_EQ(back.stats.render(), report.stats.render());
     EXPECT_EQ(back.hostWallMs, report.hostWallMs);
     EXPECT_EQ(back.simCyclesPerSec, report.simCyclesPerSec);
     EXPECT_EQ(back.telemetry, report.telemetry);
     EXPECT_EQ(back.flightDumpPath, report.flightDumpPath);
+}
+
+TEST(SweepJournalTest, RetiredSlotsRefuseAnyOtherValue)
+{
+    // The attempts and quarantine slots of a row are retired: always
+    // written as 1 and 0, and a row holding anything else is refused.
+    persist::Encoder enc;
+    sim::encodeRunReport(enc, distinctReport());
+    const std::vector<std::uint8_t> &row = enc.bytes();
+    // traceDropped (112), the two slots, then hostAborted (1).
+    persist::Encoder around;
+    around.u64(112);
+    around.i64(1);
+    around.u8(0);
+    around.u8(1);
+    auto at = std::search(row.begin(), row.end(), around.bytes().begin(),
+                          around.bytes().end());
+    ASSERT_NE(at, row.end());
+    auto attempts = static_cast<std::size_t>(at - row.begin()) + 8;
+    for (std::size_t offset : {attempts, attempts + 8}) {
+        std::vector<std::uint8_t> bad = row;
+        bad[offset] = 2;
+        persist::Decoder dec(bad);
+        sim::decodeRunReport(dec);
+        EXPECT_FALSE(dec.ok()) << "byte " << offset;
+        EXPECT_NE(dec.error().find("retired"), std::string::npos)
+            << dec.error();
+    }
 }
 
 TEST(SweepJournalTest, HostileHistogramRowIsRerun)
@@ -1361,10 +1384,9 @@ TEST(SweepJournalTest, RunAllReplaysJournaledRows)
 {
     std::string dir = ::testing::TempDir();
     std::vector<sim::RunSpec> specs = journalSpecs(3);
-    sim::RunPolicy policy;
-    policy.journalPath = dir + "persist_test_runall.journal";
-    policy.journalLabel = "runall";
-    std::remove(policy.journalPath.c_str());
+    sim::RunPolicy policy{dir + "persist_test_runall", "runall"};
+    std::filesystem::remove_all(policy.dir);
+    std::filesystem::create_directory(policy.dir);
 
     std::vector<sim::RunReport> first = sim::runAll(specs, 1, policy);
     ASSERT_EQ(first.size(), 3u);
@@ -1378,7 +1400,7 @@ TEST(SweepJournalTest, RunAllReplaysJournaledRows)
         EXPECT_EQ(second[i].cycles, first[i].cycles);
         EXPECT_EQ(second[i].stats.render(), first[i].stats.render());
     }
-    std::remove(policy.journalPath.c_str());
+    std::filesystem::remove_all(policy.dir);
 }
 
 TEST(SweepJournalTest, ShutdownMarksRemainingSpecsInterrupted)
@@ -1442,6 +1464,70 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<RestoreCase> &info) {
         return info.param.name;
     });
+
+// ---------------------------------------------------------------------------
+// Checkpoint replay: with recovery on, System::run rolls a failed run
+// back to its last snapshot and re-runs it. A periodic checkpoint can
+// already postdate the lost message, so both pinned plans take the
+// boot snapshot alone. occamc prints the same two cases for
+// examples/pipeline.occ on 4 PEs.
+// ---------------------------------------------------------------------------
+
+/** 4 PEs, recovery on, bus drops at @p seed_rate with no link retry. */
+mp::SystemConfig
+lossyConfig(const std::string &seed_rate)
+{
+    mp::SystemConfig config;
+    config.numPes = 4;
+    config.recovery.enabled = true;
+    config.faultPlan =
+        fault::parseFaultPlan(seed_rate + ",kinds=drop,retries=0");
+    return config;
+}
+
+TEST(CheckpointReplayTest, OneBootReplayRescuesTheRun)
+{
+    sim::RunReport report =
+        sim::runOnce(pipelineProgram(), "results", {1496, 16}, 4,
+                     lossyConfig("seed=8,rate=0.7"));
+    EXPECT_TRUE(report.completed) << report.failureReason;
+    EXPECT_TRUE(report.verified);
+    EXPECT_EQ(report.replays, 1);
+    EXPECT_TRUE(report.recovered);
+    EXPECT_EQ(report.cycles, 22828);
+}
+
+TEST(CheckpointReplayTest, ReplaysRunOutAndTheRunStillFails)
+{
+    sim::RunReport report = sim::runOnce(
+        pipelineProgram(), "results", {}, 4, lossyConfig("seed=2,rate=0.75"));
+    EXPECT_FALSE(report.completed);
+    EXPECT_EQ(report.replays, fault::RecoveryPlan{}.maxReplays);
+    EXPECT_FALSE(report.recovered);
+    EXPECT_NE(report.failureReason.find("deadlock:"), std::string::npos)
+        << report.failureReason;
+}
+
+TEST(CheckpointReplayTest, SystemRunReportsItsReplays)
+{
+    const occam::CompiledProgram &program = pipelineProgram();
+    mp::SystemConfig config = lossyConfig("seed=8,rate=0.7");
+    mp::System system(program.object, config);
+    mp::RunResult result = system.run(program.mainLabel);
+    EXPECT_TRUE(result.completed) << result.failureReason;
+    EXPECT_EQ(result.replays, 1);
+    EXPECT_TRUE(result.recovered);
+
+    // With no replays allowed the same plan ends in the failure the
+    // replay rescued.
+    config.recovery.maxReplays = 0;
+    mp::System bare(program.object, config);
+    mp::RunResult failed = bare.run(program.mainLabel);
+    EXPECT_FALSE(failed.completed);
+    EXPECT_TRUE(failed.watchdogTripped);
+    EXPECT_EQ(failed.replays, 0);
+    EXPECT_FALSE(failed.recovered);
+}
 
 // ---------------------------------------------------------------------------
 // Page snapshots against a flat oracle. Both cores share pe::Memory, so

@@ -35,6 +35,8 @@ expectSameRunResult(const mp::RunResult &a, const mp::RunResult &b,
     EXPECT_EQ(a.faultRecoveries, b.faultRecoveries) << label;
     EXPECT_EQ(a.traceDropped, b.traceDropped) << label;
     EXPECT_EQ(a.hostAborted, b.hostAborted) << label;
+    EXPECT_EQ(a.replays, b.replays) << label;
+    EXPECT_EQ(a.recovered, b.recovered) << label;
     for (std::size_t k = 0; k < a.faultKinds.size(); ++k) {
         EXPECT_EQ(a.faultKinds[k].injected, b.faultKinds[k].injected)
             << label << " faultKinds[" << k << "]";

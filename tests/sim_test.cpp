@@ -130,22 +130,6 @@ TEST(Experiment, VerificationCatchesWrongExpectations)
     EXPECT_FALSE(report.verified);
 }
 
-TEST(Experiment, PlacementPoliciesAllComplete)
-{
-    programs::Benchmark bench = programs::thesisBenchmarks()[1];
-    occam::CompiledProgram program =
-        occam::compileOccam(bench.source);
-    for (mp::Placement policy :
-         {mp::Placement::LeastLoaded, mp::Placement::RoundRobin,
-          mp::Placement::Local}) {
-        mp::SystemConfig config;
-        config.placement = policy;
-        RunReport report = runOnce(program, bench.resultArray,
-                                   bench.expected, 4, config);
-        EXPECT_TRUE(report.verified);
-    }
-}
-
 TEST(Experiment, BusPartitionCountAffectsOnlyTiming)
 {
     programs::Benchmark bench = programs::thesisBenchmarks()[1];
