@@ -65,17 +65,7 @@ main(int argc, char **argv)
 
     std::cout << "Ring-bus partition sweep (Fig 5.18 axis): "
               << bench.name << " at " << pes << " PEs\n";
-    if (args.faults.enabled())
-        std::cout << "fault injection: " << fault::toString(args.faults)
-                  << "\n";
-    if (args.recovery.enabled) {
-        std::cout << "recovery: enabled";
-        if (args.recovery.checkpointEvery > 0)
-            std::cout << " (checkpoint every "
-                      << args.recovery.checkpointEvery << " cycles)";
-        std::cout << "\n";
-    }
-    std::cout << "\n";
+    std::cout << fault::runBanner(args.faults, args.recovery) << "\n";
     TextTable table({"partitions", "cycles", "vs 1 partition", "ok"});
     mp::Cycle base = reports.front().cycles;
     sim::SpeedupSeries series;

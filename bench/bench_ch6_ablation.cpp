@@ -40,17 +40,7 @@ main(int argc, char **argv)
                  "(4 PEs)\n"
                  "factor = cycles with the optimization disabled / "
                  "cycles with all optimizations on\n";
-    if (args.faults.enabled())
-        std::cout << "fault injection: " << fault::toString(args.faults)
-                  << "\n";
-    if (args.recovery.enabled) {
-        std::cout << "recovery: enabled";
-        if (args.recovery.checkpointEvery > 0)
-            std::cout << " (checkpoint every "
-                      << args.recovery.checkpointEvery << " cycles)";
-        std::cout << "\n";
-    }
-    std::cout << "\n";
+    std::cout << fault::runBanner(args.faults, args.recovery) << "\n";
 
     // The five option sets per benchmark, in JSON run order.
     occam::CompileOptions all_on;

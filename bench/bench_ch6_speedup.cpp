@@ -98,17 +98,7 @@ main(int argc, char **argv)
     std::cout << "Queue-machine multiprocessor simulation study "
                  "(thesis Chapter 6)\n"
               << "Throughput ratio = cycles(1 PE) / cycles(N PEs)\n";
-    if (args.faults.enabled())
-        std::cout << "fault injection: "
-                  << fault::toString(args.faults) << "\n";
-    if (args.recovery.enabled) {
-        std::cout << "recovery: enabled";
-        if (args.recovery.checkpointEvery > 0)
-            std::cout << " (checkpoint every "
-                      << args.recovery.checkpointEvery << " cycles)";
-        std::cout << "\n";
-    }
-    std::cout << "\n";
+    std::cout << fault::runBanner(args.faults, args.recovery) << "\n";
 
     std::vector<sim::SpeedupSeries> all;
     for (const programs::Benchmark &bench :

@@ -165,10 +165,7 @@ main(int argc, char **argv)
                  "hierarchical rings:KxM)\n"
               << "Throughput ratio = cycles(1 PE) / cycles(N PEs); "
                  "blocked = share of PE-cycles parked\n";
-    if (args.faults.enabled())
-        std::cout << "fault injection: " << fault::toString(args.faults)
-                  << "\n";
-    std::cout << "\n";
+    std::cout << fault::runBanner(args.faults, args.recovery) << "\n";
 
     const std::vector<ScaleProgram> benches = {
         {"matmul", programs::matmulSource(), "c",

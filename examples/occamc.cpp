@@ -81,7 +81,7 @@
 namespace {
 
 // Structured exit codes, one per failure class (documented above and
-// asserted by tests/occamc_cli_test.py).
+// asserted by tests/cli_durability_test.py).
 constexpr int kExitOk = 0;
 constexpr int kExitUsage = 2;
 constexpr int kExitCompile = 3;
@@ -277,16 +277,7 @@ main(int argc, char **argv)
                 std::cout << "topology: "
                           << qm::mp::topologyName(topology) << "\n";
             }
-            if (faults.enabled())
-                std::cout << "fault injection: "
-                          << qm::fault::toString(faults) << "\n";
-            if (recovery.enabled) {
-                std::cout << "recovery: enabled";
-                if (recovery.checkpointEvery > 0)
-                    std::cout << " (checkpoint every "
-                              << recovery.checkpointEvery << " cycles)";
-                std::cout << "\n";
-            }
+            std::cout << qm::fault::runBanner(faults, recovery);
             qm::mp::System system(program.object, config);
             std::ofstream telemetry_out;
             if (!telemetry_path.empty()) {

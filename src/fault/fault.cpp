@@ -180,6 +180,22 @@ toString(const FaultPlan &plan)
     return os.str();
 }
 
+std::string
+runBanner(const FaultPlan &plan, const RecoveryPlan &recovery)
+{
+    std::ostringstream os;
+    if (plan.enabled())
+        os << "fault injection: " << toString(plan) << "\n";
+    if (recovery.enabled) {
+        os << "recovery: enabled";
+        if (recovery.checkpointEvery > 0)
+            os << " (checkpoint every " << recovery.checkpointEvery
+               << " cycles)";
+        os << "\n";
+    }
+    return os.str();
+}
+
 FaultInjector::FaultInjector(const FaultPlan &plan)
     : plan_(plan),
       streams_{SplitMix64(0), SplitMix64(0), SplitMix64(0),

@@ -140,14 +140,12 @@ struct FaultPlan
 struct RecoveryPlan
 {
     bool enabled = false;
-    /** End-to-end retransmissions after the link-layer retry bound. */
+    /**
+     * End-to-end retransmissions after the link-layer retry bound. The
+     * ack timeout, the PE lease and the NACK penalty are constants of
+     * the ring bus, the kernel and the message cache.
+     */
     int maxResends = 16;
-    /** Sender ack timeout before an end-to-end retransmission. */
-    Cycle ackTimeout = 64;
-    /** PE heartbeat lease; a fail-stop is detected when it expires. */
-    Cycle leaseCycles = 256;
-    /** Cycles charged for a NACK + pristine-copy resend on a heal. */
-    Cycle nackPenalty = 16;
     /** Periodic System::snapshot() interval (0 = boot snapshot only). */
     Cycle checkpointEvery = 0;
     /** Checkpoint replays mp::System::run allows a failed run. */
@@ -176,6 +174,14 @@ FaultPlan parseFaultPlan(const std::string &spec);
 
 /** Render a plan back to its canonical spec string. */
 std::string toString(const FaultPlan &plan);
+
+/**
+ * What a run prints about its fault and recovery settings: a
+ * "fault injection: <spec>" line when @p plan is enabled and a
+ * "recovery: enabled[ (checkpoint every N cycles)]" line when
+ * @p recovery is. Empty when neither is.
+ */
+std::string runBanner(const FaultPlan &plan, const RecoveryPlan &recovery);
 
 /**
  * The seeded decision engine. One instance per mp::System; decisions

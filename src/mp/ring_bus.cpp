@@ -9,6 +9,12 @@ namespace qm::mp {
 
 namespace {
 
+// Transfer costs in cycles (thesis section 5.6).
+constexpr Cycle kHopCycles = 4;          ///< Crossing one partition segment.
+constexpr Cycle kMessageOverhead = 2;    ///< Arbitration + header.
+constexpr Cycle kBridgeCycles = 1;       ///< Crossing an inter-ring bridge.
+constexpr Cycle kBackboneHopCycles = 1;  ///< One backbone segment hop.
+
 /**
  * Closed-form count of partition boundaries crossed walking upward
  * (with wraparound) from index @p src to @p dst over @p pes positions
@@ -186,7 +192,7 @@ RingBus::Attempt
 RingBus::occupyRing(int src, int dst, Cycle now)
 {
     Attempt attempt;
-    Cycle t = now + config_.messageOverhead;
+    Cycle t = now + kMessageOverhead;
     Cycle waited = 0;
     Cycle bridge_waited = 0;
     // Reserve one arbitrated resource (local segment, bridge, or
@@ -220,7 +226,7 @@ RingBus::occupyRing(int src, int dst, Cycle now)
         hops = partitionsCrossed(src, dst);
         for (int i = 0; i < hops; ++i)
             reserve(partitionFree, ring * parts + (first + i) % parts,
-                    config_.hopCycles, false);
+                    kHopCycles, false);
     } else {
         const int src_ring = ringOf(src);
         const int dst_ring = ringOf(dst);
@@ -231,15 +237,15 @@ RingBus::occupyRing(int src, int dst, Cycle now)
         for (int i = 0; i < exit_hops; ++i)
             reserve(partitionFree,
                     src_ring * parts + localPartitionOf(src) + i,
-                    config_.hopCycles, false);
-        reserve(bridgeFree, src_ring, config_.bridgeCycles, true);
+                    kHopCycles, false);
+        reserve(bridgeFree, src_ring, kBridgeCycles, true);
         for (int i = 0; i < backbone; ++i)
             reserve(backboneFree, (src_ring + i) % rings,
-                    config_.backboneHopCycles, true);
-        reserve(bridgeFree, dst_ring, config_.bridgeCycles, true);
+                    kBackboneHopCycles, true);
+        reserve(bridgeFree, dst_ring, kBridgeCycles, true);
         for (int i = 0; i < entry_hops; ++i)
             reserve(partitionFree, dst_ring * parts + i,
-                    config_.hopCycles, false);
+                    kHopCycles, false);
         hops = exit_hops + backbone + entry_hops;
         stats_.inc(metric::BusBridgeTransfers);
         stats_.inc(metric::BusBackboneHops,
@@ -277,7 +283,7 @@ RingBus::transfer(int src, int dst, Cycle now)
     if (src == dst) {
         // Intra-PE transfers stay inside the local message processor.
         stats_.inc(metric::BusLocalTransfers);
-        return now + config_.messageOverhead;
+        return now + kMessageOverhead;
     }
     Attempt attempt = occupyRing(src, dst, now);
     bookDelivered(attempt, now);
@@ -307,7 +313,7 @@ RingBus::deliver(int src, int dst, Cycle now)
     for (int resend = 0; resend <= max_resends && !delivered;
          ++resend) {
         if (resend > 0) {
-            depart += recovery_->ackTimeout;
+            depart += kAckTimeoutCycles;
             stats_.inc(metric::FaultBusResend);
             if (tracer_)
                 tracer_->faultRecover(

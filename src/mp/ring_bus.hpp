@@ -51,7 +51,13 @@ struct BusDelivery
     Cycle duplicateAt = 0;  ///< ...at this time.
 };
 
-/** Ring-bus configuration. */
+/**
+ * Sender ack timeout before an end-to-end retransmission (recovery
+ * only), in cycles. mp::configFingerprint records it.
+ */
+constexpr Cycle kAckTimeoutCycles = 64;
+
+/** Ring-bus shape; the per-hop costs are constants of ring_bus.cpp. */
 struct RingBusConfig
 {
     int numPes = 4;
@@ -61,19 +67,11 @@ struct RingBusConfig
      * (the M in "rings:KxM").
      */
     int numPartitions = 2;
-    /** Cycles to cross one partition segment. */
-    Cycle hopCycles = 4;
-    /** Fixed per-message overhead (arbitration + header). */
-    Cycle messageOverhead = 2;
     /**
      * Local rings (the K in "rings:KxM"). 1 = the flat single ring,
      * byte-identical to the pre-topology model.
      */
     int numRings = 1;
-    /** Cycles to cross one inter-ring bridge (hierarchical only). */
-    Cycle bridgeCycles = 1;
-    /** Cycles per backbone segment hop (hierarchical only). */
-    Cycle backboneHopCycles = 1;
 };
 
 /**

@@ -17,6 +17,21 @@ using pe::StepResult;
 using pe::StepStatus;
 using pe::TrapOutcome;
 
+namespace {
+
+// Kernel service costs in cycles, charged on top of the PE's trap
+// entry cost (pe::kTrapCycles).
+constexpr long kForkCycles = 12;        ///< rfork/ifork.
+constexpr long kExitCycles = 4;
+constexpr long kQueryCycles = 1;        ///< getin/getout/now/wait/chan.
+constexpr long kAllocCycles = 4;
+constexpr long kContextLoadCycles = 6;  ///< Dispatch + register load.
+constexpr long kContextSaveCycles = 4;  ///< On top of the roll-out.
+/** PE heartbeat lease: recovery notices a fail-stop when it expires. */
+constexpr Cycle kLeaseCycles = 256;
+
+} // namespace
+
 /** Adapts System kernel services to one PE's host interface. */
 class HostAdapter : public pe::PeHost
 {
@@ -197,10 +212,10 @@ struct System::Checkpoint
 System::System(const isa::ObjectCode &code, SystemConfig config)
     : code_(code), decoded_(code.words), config_(config),
       memory_(std::make_unique<pe::Memory>(
-          config.memoryBytes, config.core == SimCore::Event
-                                  ? pe::Memory::Alloc::Lazy
-                                  : pe::Memory::Alloc::Eager)),
-      bus(config.busConfig()), cache(config.channelDepth),
+          kMemoryBytes, config.core == SimCore::Event
+                            ? pe::Memory::Alloc::Lazy
+                            : pe::Memory::Alloc::Eager)),
+      bus(config.busConfig()), cache(msg::kChannelDepth),
       tracer_(config.traceConfig)
 {
     fatalIf(config_.numPes < 1, "system needs at least one PE");
@@ -236,7 +251,7 @@ System::System(const isa::ObjectCode &code, SystemConfig config)
         slot->undoLog.cap = config_.recovery.maxUndoWords;
         slot->host = std::make_unique<HostAdapter>(*this, i);
         slot->pe = std::make_unique<pe::ProcessingElement>(
-            *memory_, decoded_, *slot->host, config_.peTiming);
+            *memory_, decoded_, *slot->host);
         slot->pe->attachTrace(&tracer_, i, &slot->clock);
         slot->pe->setFaultInjector(faults_.get());
         slots.push_back(std::move(slot));
@@ -244,11 +259,11 @@ System::System(const isa::ObjectCode &code, SystemConfig config)
 
     // Queue page pool, top-down so page 0 is handed out last.
     Addr page_bytes = static_cast<Addr>(config_.pageWords) * 4;
-    for (int i = config_.maxLiveContexts - 1; i >= 0; --i)
+    for (int i = kMaxLiveContexts - 1; i >= 0; --i)
         freePages.push_back(kQueuePagePool +
                             static_cast<Addr>(i) * page_bytes);
     fatalIf(kQueuePagePool +
-                    static_cast<Addr>(config_.maxLiveContexts) *
+                    static_cast<Addr>(kMaxLiveContexts) *
                         page_bytes >
                 kDataBase,
             "queue page pool overlaps the data segment");
@@ -600,13 +615,13 @@ System::trapService(PeSlot &slot, Word number, Word argument)
     switch (number) {
       case isa::TrapExit:
         outcome.endContext = true;
-        outcome.kernelCycles = config_.exitCycles;
+        outcome.kernelCycles = kExitCycles;
         return outcome;
       case isa::TrapRfork: {
         Word in = allocChannelPair(slot.index);
         createContext(argument, in, in + 1, slot.index, slot.clock);
         outcome.result = in;
-        outcome.kernelCycles = config_.forkCycles;
+        outcome.kernelCycles = kForkCycles;
         stats_.inc(metric::SysRforks);
         return outcome;
       }
@@ -626,33 +641,33 @@ System::trapService(PeSlot &slot, Word number, Word argument)
         createContext(argument, in, self.outChan, slot.index,
                       slot.clock, preferred);
         outcome.result = in;
-        outcome.kernelCycles = config_.forkCycles;
+        outcome.kernelCycles = kForkCycles;
         stats_.inc(metric::SysIforks);
         return outcome;
       }
       case isa::TrapGetIn:
         outcome.result = self.inChan;
-        outcome.kernelCycles = config_.queryCycles;
+        outcome.kernelCycles = kQueryCycles;
         return outcome;
       case isa::TrapGetOut:
         outcome.result = self.outChan;
-        outcome.kernelCycles = config_.queryCycles;
+        outcome.kernelCycles = kQueryCycles;
         return outcome;
       case isa::TrapAlloc: {
         Addr base = heapNext;
         heapNext = (heapNext + argument + 3) & ~static_cast<Addr>(3);
         fatalIf(heapNext > memory_->size(), "kernel heap exhausted");
         outcome.result = base;
-        outcome.kernelCycles = config_.allocCycles;
+        outcome.kernelCycles = kAllocCycles;
         return outcome;
       }
       case isa::TrapNow:
         outcome.result = static_cast<Word>(slot.clock);
-        outcome.kernelCycles = config_.queryCycles;
+        outcome.kernelCycles = kQueryCycles;
         return outcome;
       case isa::TrapWait:
         if (slot.clock >= static_cast<Cycle>(argument)) {
-            outcome.kernelCycles = config_.queryCycles;
+            outcome.kernelCycles = kQueryCycles;
             return outcome;
         }
         slot.blockUntil = static_cast<Cycle>(argument);
@@ -660,7 +675,7 @@ System::trapService(PeSlot &slot, Word number, Word argument)
         return outcome;
       case isa::TrapChan:
         outcome.result = allocChannelPair(slot.index);
-        outcome.kernelCycles = config_.queryCycles;
+        outcome.kernelCycles = kQueryCycles;
         return outcome;
       default:
         fatal("unknown kernel trap ", number);
@@ -708,8 +723,8 @@ System::dispatch(PeSlot &slot)
         // Another context needs the PE: evict the resident one now,
         // paying the deferred save.
         evictResident(slot);
-    slot.clock += config_.contextLoadCycles;
-    slot.switchCycles += config_.contextLoadCycles;
+    slot.clock += kContextLoadCycles;
+    slot.switchCycles += kContextLoadCycles;
     ctx.status = CtxStatus::Running;
     slot.running = ctx.id;
     slot.spanStart = slot.clock;
@@ -744,7 +759,7 @@ System::park(PeSlot &slot, CtxStatus status)
     Context &ctx = contexts[slot.running];
     recordResidency(slot);
     tracer_.peBusy(slot.spanStart, slot.clock, slot.index, ctx.id);
-    Cycle cost = slot.pe->rollOut() + config_.contextSaveCycles;
+    Cycle cost = slot.pe->rollOut() + kContextSaveCycles;
     slot.clock += cost;
     slot.switchCycles += cost;
     ctx.regs = slot.pe->saveContext();
@@ -761,7 +776,7 @@ void
 System::evictResident(PeSlot &slot)
 {
     Context &resident = contexts[slot.residentBlocked];
-    Cycle cost = slot.pe->rollOut() + config_.contextSaveCycles;
+    Cycle cost = slot.pe->rollOut() + kContextSaveCycles;
     slot.clock += cost;
     slot.switchCycles += cost;
     resident.regs = slot.pe->saveContext();
@@ -1068,8 +1083,8 @@ System::runBatch(PeSlot &slot, Cycle max_cycles)
             continue;
         }
         if (step.status == StepStatus::ContextEnd) {
-            slot.clock += config_.exitCycles;
-            slot.switchCycles += config_.exitCycles;
+            slot.clock += kExitCycles;
+            slot.switchCycles += kExitCycles;
             finishContext(slot);
         } else if (step.status == StepStatus::Blocked) {
             if (slot.blockUntil) {
@@ -1120,7 +1135,7 @@ System::injectPeKill(Cycle at)
                         static_cast<std::uint64_t>(at));
     if (recoveryOn_) {
         pendingDeadPe_ = victim;
-        deadDetectAt_ = at + config_.recovery.leaseCycles;
+        deadDetectAt_ = at + kLeaseCycles;
     }
     // Without recovery the PE just falls silent; the starvation or
     // watchdog exit reports the resulting stall as a clean failure.
@@ -1399,26 +1414,28 @@ shardLiveCounts(const std::vector<Context> &contexts, const RingBus &bus,
 std::string
 configFingerprint(const SystemConfig &c)
 {
-    const pe::PeTiming &t = c.peTiming;
+    // The constant sizes and costs have slots too, so a build with other
+    // costs refuses this build's checkpoints and journals. ";place=0" is
+    // the slot of a retired placement knob, kept so checkpoint META and
+    // sweep journal fingerprints keep their bytes.
     const fault::RecoveryPlan &r = c.recovery;
     return cat(
         "pes=", c.numPes, ";rings=", c.busRings, ";parts=", c.busPartitions,
-        ";topoexp=", int(c.busTopologyExplicit), ";mem=", c.memoryBytes,
-        ";page=", c.pageWords, ";live=", c.maxLiveContexts,
-        // ";place=0" is the slot of a retired placement knob, kept so
-        // checkpoint META and sweep journal fingerprints keep their
-        // bytes.
-        ";depth=", c.channelDepth, ";place=0",
-        ";fork=", c.forkCycles, ";exit=", c.exitCycles,
-        ";query=", c.queryCycles, ";alloc=", c.allocCycles,
-        ";cload=", c.contextLoadCycles, ";csave=", c.contextSaveCycles,
-        ";tim=", t.simpleCycles, ",", t.immWordCycles, ",", t.memoryCycles,
-        ",", t.branchTakenCycles, ",", t.channelCycles, ",", t.trapCycles,
-        ",", t.rollOutCyclesPerReg, ";wd=", c.watchdogCycles,
+        ";topoexp=", int(c.busTopologyExplicit), ";mem=", kMemoryBytes,
+        ";page=", c.pageWords, ";live=", kMaxLiveContexts,
+        ";depth=", msg::kChannelDepth, ";place=0",
+        ";fork=", kForkCycles, ";exit=", kExitCycles,
+        ";query=", kQueryCycles, ";alloc=", kAllocCycles,
+        ";cload=", kContextLoadCycles, ";csave=", kContextSaveCycles,
+        ";tim=", pe::kSimpleCycles, ",", pe::kImmWordCycles, ",",
+        pe::kMemoryCycles, ",", pe::kBranchTakenCycles, ",",
+        pe::kChannelCycles, ",", pe::kTrapCycles, ",",
+        pe::kRollOutCyclesPerReg, ";wd=", c.watchdogCycles,
         ";faults=", fault::toString(c.faultPlan),
-        ";rec=", int(r.enabled), ",", r.maxResends, ",", r.ackTimeout, ",",
-        r.leaseCycles, ",", r.nackPenalty, ",", r.checkpointEvery, ",",
-        r.maxReplays, ",", r.maxLogOps, ",", r.maxUndoWords,
+        ";rec=", int(r.enabled), ",", r.maxResends, ",", kAckTimeoutCycles,
+        ",", kLeaseCycles, ",", msg::kNackPenaltyCycles, ",",
+        r.checkpointEvery, ",", r.maxReplays, ",", r.maxLogOps, ",",
+        r.maxUndoWords,
         ";trace=", int(c.traceConfig.enabled), ",", c.traceConfig.maxEvents);
 }
 
@@ -1603,7 +1620,7 @@ System::loadCheckpoint(const std::string &path)
         // Free queue pages: each a page of the pool, listed once, and
         // not the page of a live context - the next fork would hand
         // that context's operand queue to a second one.
-        auto pool_pages = static_cast<std::size_t>(config_.maxLiveContexts);
+        auto pool_pages = static_cast<std::size_t>(kMaxLiveContexts);
         Addr page_bytes = static_cast<Addr>(config_.pageWords) * 4;
         auto pool_index = [&](Addr page) -> std::size_t {
             if (page < kQueuePagePool ||

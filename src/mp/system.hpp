@@ -12,8 +12,8 @@
  *
  * Substitution note (see DESIGN.md): the kernel's logic runs in C++
  * rather than in queue-machine code, but it is entered through the same
- * trap numbers and charges configurable cycle costs, exactly as the
- * thesis's Concurrent Euclid simulation charged kernel overheads.
+ * trap numbers and charges fixed cycle costs per service, exactly as
+ * the thesis's Concurrent Euclid simulation charged kernel overheads.
  */
 #pragma once
 
@@ -76,8 +76,13 @@ enum class SimCore
 constexpr Addr kQueuePagePool = 0x0000'1000;  ///< Up to ~6 MB of pages.
 constexpr Addr kDataBase = 0x0060'0000;       ///< Compiler data segment.
 constexpr Addr kHeapBase = 0x0100'0000;       ///< TrapAlloc heap.
+constexpr std::size_t kMemoryBytes = 32u << 20;  ///< Data memory size.
+constexpr int kMaxLiveContexts = 2048;  ///< Queue-page pool size.
 
-/** System-wide configuration. */
+/**
+ * System-wide configuration. The machine's sizes and cycle costs are
+ * constants, not settings (DESIGN.md section 5 lists them).
+ */
 struct SystemConfig
 {
     int numPes = 1;
@@ -93,20 +98,8 @@ struct SystemConfig
     int busRings = 1;
     /** Set by --topology: skip the adaptive default clamp above. */
     bool busTopologyExplicit = false;
-    std::size_t memoryBytes = 32u << 20;
     int pageWords = 256;         ///< Operand-queue page size per context.
-    int maxLiveContexts = 2048;  ///< Queue-page pool size.
-    int channelDepth = 8;        ///< Message-cache tokens per channel.
     SimCore core = SimCore::Event;  ///< Inner-loop implementation.
-
-    // Kernel service costs in cycles (trap entry cost is charged by the
-    // PE's own timing on top of these).
-    long forkCycles = 12;
-    long exitCycles = 4;
-    long queryCycles = 1;   ///< getin/getout/now/chan.
-    long allocCycles = 4;
-    long contextLoadCycles = 6;  ///< Scheduler dispatch + register load.
-    long contextSaveCycles = 4;  ///< On top of per-register roll-out.
 
     RingBusConfig
     busConfig() const
@@ -128,8 +121,6 @@ struct SystemConfig
         busPartitions = topology.partitions;
         busTopologyExplicit = true;
     }
-
-    pe::PeTiming peTiming{};
 
     /** Cycle-level event recording (off by default; see src/trace). */
     trace::TraceConfig traceConfig{};
@@ -194,9 +185,10 @@ struct SystemConfig
 
 /**
  * Deterministic textual digest of every simulation-relevant field of
- * @p config: machine shape, kernel costs, timing, fault/recovery
- * plans, and trace enablement. Host-side choices that are byte-inert
- * by invariant (SimCore, hostDeadlineMs) are deliberately excluded.
+ * @p config (machine shape, fault/recovery plans, trace enablement)
+ * and of the machine's constant sizes and cycle costs, all but the
+ * ring-bus hop costs. Host-side choices that are byte-inert by
+ * invariant (SimCore, hostDeadlineMs) are deliberately excluded.
  * System::configFingerprint() extends this with a CRC of the loaded
  * object code; the sweep journal combines it with per-spec
  * program/verification digests.

@@ -105,7 +105,7 @@ MessageCache::recv(Word channel, CtxId ctx, trace::Cycle now)
             // bounded protocol cycles instead of the whole run.
             op.value = token.pristine;
             op.healed = true;
-            op.penalty = recovery_->nackPenalty;
+            op.penalty = kNackPenaltyCycles;
             stats_.inc(metric::FaultCorruptRecovered);
             stats_.inc(metric::FaultNackPenaltyCycles,
                        static_cast<std::uint64_t>(op.penalty));

@@ -54,6 +54,15 @@ std::string toString(ChannelState state);
 using CtxId = std::uint32_t;
 constexpr CtxId kNoCtx = 0xFFFFFFFFu;
 
+/** Tokens a channel entry of mp::System's cache holds before senders park. */
+constexpr int kChannelDepth = 8;
+
+/**
+ * Cycles charged for a NACK + pristine-copy resend when recovery heals
+ * a corrupted token. mp::configFingerprint records it.
+ */
+constexpr fault::Cycle kNackPenaltyCycles = 16;
+
 /** Outcome of presenting a send or receive request to the cache. */
 struct ChannelOp
 {
@@ -119,7 +128,7 @@ class MessageCache : private MessageCacheState
 {
   public:
     /** @p capacity = tokens one entry can hold before senders park. */
-    explicit MessageCache(int capacity = 8);
+    explicit MessageCache(int capacity = kChannelDepth);
 
     /**
      * Present a send request from context @p ctx: deposit into the

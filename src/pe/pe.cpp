@@ -54,8 +54,8 @@ pageWordsForPom(Word pom)
 
 ProcessingElement::ProcessingElement(Memory &memory,
                                      isa::DecodedProgram &code,
-                                     PeHost &host, PeTiming timing)
-    : memory_(memory), code_(code), host_(&host), timing_(timing)
+                                     PeHost &host)
+    : memory_(memory), code_(code), host_(&host)
 {
     globals_[RegPom - 16] = pomForPageWords(64);
     pom_ = globals_[RegPom - 16];
@@ -101,7 +101,7 @@ ProcessingElement::rollOut()
             memory_.writeWord(windowAddress(n),
                               window_[static_cast<size_t>(phys)]);
             presence_[static_cast<size_t>(phys)] = false;
-            cycles += timing_.rollOutCyclesPerReg;
+            cycles += kRollOutCyclesPerReg;
             stats_.inc(metric::PeRolloutRegs);
         }
     }
@@ -154,7 +154,7 @@ ProcessingElement::readSrc(const Src &src, long &cycles)
             return window_[static_cast<size_t>(phys)];
         }
         stats_.inc(metric::PeWindowMisses);
-        cycles += timing_.memoryCycles;
+        cycles += kMemoryCycles;
         return memory_.readWord(windowAddress(src.reg));
       }
       case SrcKind::GlobalReg:
@@ -287,8 +287,7 @@ ProcessingElement::step()
     const Instruction &instr = op.instr;
     Word next_pc = op.nextPc;
 
-    long cycles = timing_.simpleCycles +
-                  timing_.immWordCycles * (op.sizeWords - 1);
+    long cycles = kSimpleCycles + kImmWordCycles * (op.sizeWords - 1);
     stats_.inc(metric::PeInstructions);
     pcWritten_ = false;
     // A produced value fans out to dst1 and dst2 and feeds dup.
@@ -302,11 +301,11 @@ ProcessingElement::step()
         // dup writes go to the memory-resident operand queue, never to
         // the window registers (section 5.3.3).
         memory_.writeWord(windowAddress(instr.dupDst1), lastResult_);
-        cycles += timing_.memoryCycles;
+        cycles += kMemoryCycles;
         if (instr.op == Opcode::Dup2 &&
             instr.dupDst2 != instr.dupDst1) {
             memory_.writeWord(windowAddress(instr.dupDst2), lastResult_);
-            cycles += timing_.memoryCycles;
+            cycles += kMemoryCycles;
         }
         stats_.inc(metric::PeDups);
         pc_ = next_pc;
@@ -317,7 +316,7 @@ ProcessingElement::step()
       case Opcode::Send: {
         Word channel = readSrc(instr.src1, cycles);
         Word value = readSrc(instr.src2, cycles);
-        cycles += timing_.channelCycles;
+        cycles += kChannelCycles;
         if (host_->send(channel, value) == HostStatus::Blocked)
             return {StepStatus::Blocked, cycles};  // retried later
         bumpQp(instr.qpInc);
@@ -327,7 +326,7 @@ ProcessingElement::step()
       case Opcode::Recv: {
         Word channel = readSrc(instr.src1, cycles);
         Word value = 0;
-        cycles += timing_.channelCycles;
+        cycles += kChannelCycles;
         if (host_->recv(channel, value) == HostStatus::Blocked)
             return {StepStatus::Blocked, cycles};
         bumpQp(instr.qpInc);
@@ -344,7 +343,7 @@ ProcessingElement::step()
             memory_.writeWord(addr, value);
         else
             memory_.writeByte(addr, static_cast<std::uint8_t>(value));
-        cycles += timing_.memoryCycles;
+        cycles += kMemoryCycles;
         stats_.inc(metric::PeStores);
         break;
       }
@@ -354,7 +353,7 @@ ProcessingElement::step()
         bumpQp(instr.qpInc);
         produce(instr.op == Opcode::Fetch ? memory_.readWord(addr)
                                           : memory_.readByte(addr));
-        cycles += timing_.memoryCycles;
+        cycles += kMemoryCycles;
         stats_.inc(metric::PeFetches);
         break;
       }
@@ -367,7 +366,7 @@ ProcessingElement::step()
                                                : control == 0;
         if (taken) {
             next_pc = next_pc + offset;  // wraps mod 2^32 for negatives
-            cycles += timing_.branchTakenCycles;
+            cycles += kBranchTakenCycles;
         }
         stats_.inc(metric::PeBranches);
         break;
@@ -376,7 +375,7 @@ ProcessingElement::step()
       case Opcode::Ftrap: {
         Word number = readSrc(instr.src1, cycles);
         Word argument = readSrc(instr.src2, cycles);
-        cycles += timing_.trapCycles;
+        cycles += kTrapCycles;
         TrapOutcome outcome = host_->trap(number, argument);
         if (outcome.status == HostStatus::Blocked)
             return {StepStatus::Blocked, cycles};

@@ -91,17 +91,16 @@ struct StepResult
     long cycles = 0;  ///< Cycles charged for this step.
 };
 
-/** Instruction timing parameters (Fig 5.9/5.10 classes). */
-struct PeTiming
-{
-    long simpleCycles = 1;     ///< ALU/logic/compare/dup issue cost.
-    long immWordCycles = 1;    ///< Extra fetch per immediate word.
-    long memoryCycles = 2;     ///< Extra cost of a data-memory access.
-    long branchTakenCycles = 1;///< Pipeline refill after a taken branch.
-    long channelCycles = 2;    ///< Local handoff to the message processor.
-    long trapCycles = 2;       ///< Trap entry overhead.
-    long rollOutCyclesPerReg = 2;  ///< Context-switch write-back cost.
-};
+// Instruction timing classes (Fig 5.9/5.10), in cycles. Part of the
+// modelled machine: mp::configFingerprint records them, so a checkpoint
+// saved by a build with other costs is refused.
+constexpr long kSimpleCycles = 1;        ///< ALU/logic/compare/dup issue.
+constexpr long kImmWordCycles = 1;       ///< Extra fetch per immediate word.
+constexpr long kMemoryCycles = 2;        ///< Extra cost of a memory access.
+constexpr long kBranchTakenCycles = 1;   ///< Refill after a taken branch.
+constexpr long kChannelCycles = 2;       ///< Handoff to the message processor.
+constexpr long kTrapCycles = 2;          ///< Trap entry overhead.
+constexpr long kRollOutCyclesPerReg = 2; ///< Context-switch write-back.
 
 /**
  * Saved architectural state of a context (window registers are rolled
@@ -134,7 +133,7 @@ class ProcessingElement
   public:
     /** Every fetch goes through @p code (shared by a System's PEs). */
     ProcessingElement(Memory &memory, isa::DecodedProgram &code,
-                      PeHost &host, PeTiming timing = {});
+                      PeHost &host);
 
     /**
      * Attach the system's event recorder. @p clock points at this PE's
@@ -210,7 +209,6 @@ class ProcessingElement
     Memory &memory_;
     isa::DecodedProgram &code_;
     PeHost *host_;
-    PeTiming timing_;
 
     // Trace attachment (null/zero when the PE runs standalone).
     trace::Tracer *tracer_ = nullptr;

@@ -116,7 +116,7 @@ std::vector<RunReport>
 runAll(const std::vector<RunSpec> &specs, int jobs,
        const RunPolicy &policy)
 {
-    unsigned workers = jobs < 1 ? ThreadPool::defaultWorkers()
+    unsigned workers = jobs < 1 ? defaultWorkers()
                                 : static_cast<unsigned>(jobs);
     if (workers > 1) {
         // Tracing and parallelism compose as long as no two traced

@@ -116,12 +116,6 @@ StatSet::set(const std::string &name, double value)
 }
 
 void
-StatSet::record(const std::string &name, std::uint64_t value)
-{
-    histograms_[name].sample(value);
-}
-
-void
 StatSet::merge(const std::string &name, const Histogram &hist)
 {
     histograms_[name].merge(hist);

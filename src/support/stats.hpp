@@ -140,9 +140,6 @@ class StatSet
     /** Set a named scalar outright. */
     void set(const std::string &name, double value);
 
-    /** Add a sample to a named histogram (created on first use). */
-    void record(const std::string &name, std::uint64_t value);
-
     /** Merge a whole histogram into the named one (created if absent). */
     void merge(const std::string &name, const Histogram &hist);
 

@@ -2,90 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <utility>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace qm {
 
 unsigned
-ThreadPool::defaultWorkers()
+defaultWorkers()
 {
     unsigned n = std::thread::hardware_concurrency();
     return n ? n : 1;
-}
-
-ThreadPool::ThreadPool(unsigned workers)
-{
-    if (workers == 0)
-        workers = defaultWorkers();
-    threads_.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i)
-        threads_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-        unfinished_ -= queue_.size();
-        queue_.clear();
-    }
-    workReady_.notify_all();
-    for (std::thread &thread : threads_)
-        thread.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        queue_.push_back(std::move(task));
-        ++unfinished_;
-    }
-    workReady_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    allDone_.wait(lock, [this] { return unfinished_ == 0; });
-    if (firstError_) {
-        std::exception_ptr error = std::exchange(firstError_, nullptr);
-        lock.unlock();
-        std::rethrow_exception(error);
-    }
-}
-
-void
-ThreadPool::workerLoop()
-{
-    for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            workReady_.wait(lock, [this] {
-                return stopping_ || !queue_.empty();
-            });
-            if (queue_.empty())
-                return;  // stopping, nothing left to run
-            task = std::move(queue_.front());
-            queue_.pop_front();
-        }
-        try {
-            task();
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (!firstError_)
-                firstError_ = std::current_exception();
-        }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (--unfinished_ == 0)
-                allDone_.notify_all();
-        }
-    }
 }
 
 void
@@ -99,18 +27,34 @@ parallelFor(std::size_t count, unsigned jobs,
             fn(i);
         return;
     }
-    ThreadPool pool(static_cast<unsigned>(
-        std::min<std::size_t>(jobs, count)));
     // Dynamic scheduling off one shared cursor: workers claim the next
-    // index as they free up, so uneven run times balance out.
+    // index as they free up, so uneven run times balance out. A worker
+    // whose index throws stops; the others drain the cursor.
     std::atomic<std::size_t> next{0};
-    for (unsigned w = 0; w < pool.workers(); ++w)
-        pool.submit([&] {
+    std::mutex error_mutex;
+    std::exception_ptr first_error;
+    auto work = [&] {
+        try {
             for (std::size_t i = next.fetch_add(1); i < count;
                  i = next.fetch_add(1))
                 fn(i);
-        });
-    pool.wait();
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(error_mutex);
+            if (!first_error)
+                first_error = std::current_exception();
+        }
+    };
+    {
+        // Declared after what the workers use, so it joins them (also
+        // when starting a later one throws) before those go away.
+        const std::size_t n = std::min<std::size_t>(jobs, count);
+        std::vector<std::jthread> workers;
+        workers.reserve(n);
+        for (std::size_t w = 0; w < n; ++w)
+            workers.emplace_back(work);
+    }
+    if (first_error)
+        std::rethrow_exception(first_error);
 }
 
 } // namespace qm

@@ -84,8 +84,8 @@ struct TraceConfig
     /** Hard cap on recorded events; beyond it events are dropped. */
     std::size_t maxEvents = 1u << 22;
     /**
-     * When non-empty, run drivers (sim::runOnce, occamc) write the
-     * Chrome trace_event JSON here after the run.
+     * When non-empty, sim::runOnce writes the Chrome trace_event JSON
+     * here after the run (occamc writes its own --trace path).
      */
     std::string chromeJsonPath;
 };

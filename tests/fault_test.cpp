@@ -179,7 +179,7 @@ TEST(FaultInjector, DroppedAttemptsStayOutOfDeliveredAccounting)
     FaultPlan plan = parseFaultPlan("seed=11,rate=0.4,kinds=drop");
     plan.maxRetries = 2;
     FaultInjector injector(plan);
-    mp::RingBus bus({4, 2, 4, 2});
+    mp::RingBus bus({4, 2});
     bus.setFaultInjector(&injector);
     std::uint64_t delivered = 0;
     for (int i = 0; i < 300; ++i) {

@@ -23,14 +23,14 @@ using namespace qm::mp;
 
 TEST(RingBus, LocalTransfersSkipTheRing)
 {
-    RingBus bus({4, 2, 4, 2});
+    RingBus bus({4, 2});
     EXPECT_EQ(bus.transfer(1, 1, 100), 102);
 }
 
 TEST(RingBus, RemoteTransferCrossesPartitions)
 {
     // 4 PEs, 2 partitions: PEs 0,1 on partition 0; PEs 2,3 on 1.
-    RingBus bus({4, 2, 4, 2});
+    RingBus bus({4, 2});
     EXPECT_EQ(bus.partitionOf(0), 0);
     EXPECT_EQ(bus.partitionOf(1), 0);
     EXPECT_EQ(bus.partitionOf(2), 1);
@@ -43,7 +43,7 @@ TEST(RingBus, RemoteTransferCrossesPartitions)
 
 TEST(RingBus, ContentionSerializesSharedPartitions)
 {
-    RingBus bus({4, 2, 4, 2});
+    RingBus bus({4, 2});
     Cycle first = bus.transfer(0, 1, 0);
     // Second message through the same partition at the same time waits.
     Cycle second = bus.transfer(1, 0, 0);
@@ -52,7 +52,7 @@ TEST(RingBus, ContentionSerializesSharedPartitions)
 
 TEST(RingBus, DisjointPartitionsProceedConcurrently)
 {
-    RingBus bus({4, 2, 4, 2});
+    RingBus bus({4, 2});
     Cycle a = bus.transfer(0, 1, 0);
     Cycle b = bus.transfer(2, 3, 0);
     EXPECT_EQ(a, b);  // no shared partition, no serialization
@@ -66,7 +66,7 @@ TEST(RingBus, ZeroRetryBudgetLosesOnTheFirstDrop)
         fault::parseFaultPlan("seed=1,rate=1.0,kinds=drop");
     plan.maxRetries = 0;
     fault::FaultInjector faults(plan);
-    RingBus bus({4, 2, 4, 2});
+    RingBus bus({4, 2});
     bus.setFaultInjector(&faults);
     BusDelivery d = bus.deliver(0, 2, 0);
     EXPECT_FALSE(d.delivered);
@@ -89,7 +89,7 @@ TEST(RingBus, CanSucceedExactlyAtTheLastAllowedAttempt)
     for (std::uint64_t seed = 1; seed <= 1000 && !found; ++seed) {
         plan.seed = seed;
         fault::FaultInjector faults(plan);
-        RingBus bus({4, 2, 4, 2});
+        RingBus bus({4, 2});
         bus.setFaultInjector(&faults);
         BusDelivery d = bus.deliver(0, 2, 0);
         if (!d.delivered || d.attempts != plan.maxRetries + 1)
@@ -116,7 +116,7 @@ TEST(RingBus, BackoffShiftSaturatesAtLargeRetryCounts)
         fault::parseFaultPlan("seed=7,rate=1.0,kinds=drop");
     plan.maxRetries = 20;
     fault::FaultInjector faults(plan);
-    RingBus bus({4, 2, 4, 2});
+    RingBus bus({4, 2});
     bus.setFaultInjector(&faults);
     BusDelivery d = bus.deliver(0, 2, 0);
     EXPECT_FALSE(d.delivered);
@@ -164,7 +164,7 @@ TEST(RingBus, ClosedFormCrossingsMatchTheReferenceWalk)
         for (int partitions : {1, 2, 3, 5, 7, 8, pes}) {
             if (partitions > pes)
                 continue;
-            RingBus bus({pes, partitions, 4, 2});
+            RingBus bus({pes, partitions});
             for (int src = 0; src < pes; ++src)
                 for (int dst = 0; dst < pes; ++dst)
                     ASSERT_EQ(bus.partitionsCrossed(src, dst),
@@ -180,16 +180,16 @@ TEST(RingBus, ConstructorRejectsImpossibleMachines)
 {
     // Flat ring with more partitions than PEs: used to be silently
     // clamped, now a hard configuration error.
-    EXPECT_THROW(RingBus({4, 8, 4, 2}), FatalError);
+    EXPECT_THROW(RingBus({4, 8}), FatalError);
     // More local rings than PEs.
-    EXPECT_THROW(RingBus({4, 1, 4, 2, /*rings=*/8}), FatalError);
+    EXPECT_THROW(RingBus({4, 1, /*rings=*/8}), FatalError);
     // 4 rings over 8 PEs leaves 2-PE rings: 3 partitions cannot seat.
-    EXPECT_THROW(RingBus({8, 3, 4, 2, /*rings=*/4}), FatalError);
-    EXPECT_THROW(RingBus({0, 1, 4, 2}), FatalError);
-    EXPECT_THROW(RingBus({4, 0, 4, 2}), FatalError);
+    EXPECT_THROW(RingBus({8, 3, /*rings=*/4}), FatalError);
+    EXPECT_THROW(RingBus({0, 1}), FatalError);
+    EXPECT_THROW(RingBus({4, 0}), FatalError);
     // The same shapes one PE bigger are all buildable.
-    EXPECT_NO_THROW(RingBus({8, 8, 4, 2}));
-    EXPECT_NO_THROW(RingBus({8, 2, 4, 2, /*rings=*/4}));
+    EXPECT_NO_THROW(RingBus({8, 8}));
+    EXPECT_NO_THROW(RingBus({8, 2, /*rings=*/4}));
 }
 
 TEST(RingBus, ParseTopologySpellings)
@@ -214,10 +214,10 @@ TEST(RingBus, ParseTopologySpellings)
 
 TEST(RingBus, HierarchicalGeometryAndCrossRingPath)
 {
-    // 8 PEs as 2 rings of 4, 2 partitions each; 1-cycle bridges and
-    // backbone hops to make the pinned arithmetic easy to audit.
-    RingBus bus({8, 2, 4, 2, /*rings=*/2, /*bridge=*/1,
-                 /*backbone=*/1});
+    // 8 PEs as 2 rings of 4, 2 partitions each; the model's 1-cycle
+    // bridges and backbone hops keep the pinned arithmetic easy to
+    // audit.
+    RingBus bus({8, 2, /*rings=*/2});
     EXPECT_EQ(bus.numRings(), 2);
     EXPECT_EQ(bus.ringOf(3), 0);
     EXPECT_EQ(bus.ringOf(4), 1);
@@ -239,8 +239,7 @@ TEST(RingBus, HierarchicalGeometryAndCrossRingPath)
 
 TEST(RingBus, BridgeSerializesCrossRingTraffic)
 {
-    RingBus bus({8, 2, 4, 2, /*rings=*/2, /*bridge=*/1,
-                 /*backbone=*/1});
+    RingBus bus({8, 2, /*rings=*/2});
     // Two messages out of different source partitions of ring 0 share
     // nothing locally but both need ring 0's bridge.
     Cycle a = bus.transfer(3, 4, 0);   // exit 1 segment, bridge at t=6
@@ -248,7 +247,7 @@ TEST(RingBus, BridgeSerializesCrossRingTraffic)
     EXPECT_GT(b, a);
     EXPECT_GT(bus.stats().counter("bus.contention_cycles"), 0u);
     // Traffic inside ring 1 never touches ring 0's segments or bridge.
-    RingBus quiet({8, 2, 4, 2, 2, 1, 1});
+    RingBus quiet({8, 2, /*rings=*/2});
     Cycle local0 = quiet.transfer(0, 3, 0);
     Cycle local1 = quiet.transfer(4, 7, 0);
     EXPECT_EQ(local0, local1);  // disjoint rings, no serialization
@@ -256,8 +255,7 @@ TEST(RingBus, BridgeSerializesCrossRingTraffic)
 
 TEST(RingBus, HierarchicalSnapshotRestoresTimingState)
 {
-    RingBus bus({8, 2, 4, 2, /*rings=*/2, /*bridge=*/1,
-                 /*backbone=*/1});
+    RingBus bus({8, 2, /*rings=*/2});
     bus.transfer(0, 4, 0);
     RingBus::Snapshot snap = bus.snapshot();
     Cycle contended = bus.transfer(0, 4, 0);

@@ -324,9 +324,10 @@ TEST(Prometheus, RendersAllFourMetricFamilies)
     StatSet stats;
     stats.inc("pe.instructions", 42);
     stats.set("pe0.clock", 128.0);
-    stats.record("bus.latency", 0);
-    stats.record("bus.latency", 3);
-    stats.record("bus.latency", 3);
+    Histogram latency;
+    for (std::uint64_t v : {0, 3, 3})
+        latency.sample(v);
+    stats.merge("bus.latency", latency);
     std::string text = renderPrometheus(stats);
 
     EXPECT_NE(text.find("# TYPE qm_pe_instructions counter\n"

@@ -431,7 +431,7 @@ TEST(PersistCheckpointBytesTest, HostileMemoryImagesRefused)
     mp::SystemConfig config = baseConfig(4);
     runSaving(config, path, 2);
     std::vector<persist::Section> sections = readSections(path);
-    const std::uint64_t size = config.memoryBytes;
+    const std::uint64_t size = mp::kMemoryBytes;
 
     struct Record
     {
@@ -540,7 +540,7 @@ TEST(PersistCheckpointBytesTest, FreePageListAliasingRefused)
          "queue pool"},
         {"a page past the pool",
          mp::kQueuePagePool +
-             static_cast<isa::Addr>(config.maxLiveContexts) * page_bytes,
+             static_cast<isa::Addr>(mp::kMaxLiveContexts) * page_bytes,
          "queue pool"},
     };
     for (const Case &c : cases) {
@@ -1066,7 +1066,9 @@ distinctReport()
     r.hostAborted = true;
     r.stats.inc("sys.checkpoints", 6);
     r.stats.set("sys.share", 0.5);
-    r.stats.record("queue.depth", 9);
+    Histogram depth;
+    depth.sample(9);
+    r.stats.merge("queue.depth", depth);
     r.hostWallMs = 12.5;
     r.simCyclesPerSec = 8.25;
     r.telemetry = "{\"cycle\":1}\n";
@@ -1243,7 +1245,9 @@ TEST(SweepJournalTest, HostileHistogramRowIsRerun)
     sim::RunReport report;
     report.pes = 1;
     report.completed = true;
-    report.stats.record("h", 5);
+    Histogram h;
+    h.sample(5);
+    report.stats.merge("h", h);
     {
         sim::SweepJournal journal;
         ASSERT_TRUE(journal.open(path, "hostile", specs).ok());
@@ -1388,7 +1392,9 @@ TEST(SweepJournalTest, RunAllReplaysJournaledRows)
     std::filesystem::remove_all(policy.dir);
     std::filesystem::create_directory(policy.dir);
 
-    std::vector<sim::RunReport> first = sim::runAll(specs, 1, policy);
+    // Three workers append to the journal at once, so a TSan build
+    // checks concurrent appends.
+    std::vector<sim::RunReport> first = sim::runAll(specs, 3, policy);
     ASSERT_EQ(first.size(), 3u);
     for (const sim::RunReport &r : first) {
         EXPECT_TRUE(r.verified);
@@ -1527,6 +1533,43 @@ TEST(CheckpointReplayTest, SystemRunReportsItsReplays)
     EXPECT_TRUE(failed.watchdogTripped);
     EXPECT_EQ(failed.replays, 0);
     EXPECT_FALSE(failed.recovered);
+}
+
+TEST(CheckpointReplayTest, SpanPastItsJournalBoundCannotRestart)
+{
+    // A fail-stopped PE's loaded span restarts on a survivor only while
+    // its host-op and undo journals stayed within their bounds. Past
+    // either bound the run fails; its replays die the same way,
+    // because restore() re-arms the planned kill.
+    const std::vector<std::int32_t> expected = {1496, 16};
+    constexpr std::size_t kPeKillIdx = 5;  // fault::kPeKill = 1u << 5
+    mp::SystemConfig config;
+    config.numPes = 4;
+    config.recovery.enabled = true;
+    config.faultPlan = fault::parseFaultPlan("kinds=pekill,killat=400");
+
+    sim::RunReport restarted =
+        sim::runOnce(pipelineProgram(), "results", expected, 4, config);
+    EXPECT_TRUE(restarted.verified) << restarted.failureReason;
+    EXPECT_EQ(restarted.faultKinds[kPeKillIdx].detected, 1u);
+    EXPECT_EQ(restarted.faultKinds[kPeKillIdx].recovered, 3u);
+    EXPECT_EQ(restarted.replays, 0);
+
+    for (bool ops : {true, false}) {
+        SCOPED_TRACE(ops ? "maxLogOps = 0" : "maxUndoWords = 0");
+        mp::SystemConfig bounded = config;
+        if (ops)
+            bounded.recovery.maxLogOps = 0;
+        else
+            bounded.recovery.maxUndoWords = 0;
+        sim::RunReport report =
+            sim::runOnce(pipelineProgram(), "results", expected, 4, bounded);
+        EXPECT_FALSE(report.completed);
+        EXPECT_EQ(report.replays, bounded.recovery.maxReplays);
+        EXPECT_EQ(report.failureReason,
+                  "pekill: context 11 ran past its span journal bound; "
+                  "span restart impossible");
+    }
 }
 
 // ---------------------------------------------------------------------------

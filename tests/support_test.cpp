@@ -257,8 +257,10 @@ TEST(Histogram, MergeSaturatesInsteadOfWrapping)
 TEST(Stats, HistogramsRegisterAndRender)
 {
     StatSet stats;
-    stats.record("msg.latency", 4);
-    stats.record("msg.latency", 12);
+    Histogram latency;
+    latency.sample(4);
+    latency.sample(12);
+    stats.merge("msg.latency", latency);
     EXPECT_TRUE(stats.hasHistogram("msg.latency"));
     EXPECT_FALSE(stats.hasHistogram("missing"));
     EXPECT_EQ(stats.histogram("msg.latency").count(), 2u);
@@ -312,8 +314,10 @@ TEST(StatBlock, RecordingAnotherBlocksEntryPanics)
 TEST(Stats, MergeFoldsHistogramsExactly)
 {
     StatSet a;
+    Histogram one;
+    one.sample(1);
+    a.merge("bus.hops", one);
     Histogram b;
-    a.record("bus.hops", 1);
     b.sample(3);
     b.sample(3);
     a.merge("bus.hops", b);

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the support thread pool behind the parallel experiment
- * runner: task completion, exception propagation, pool reuse, and the
- * parallelFor index-coverage and serial-degeneration guarantees.
+ * Tests for the parallel loop behind the parallel experiment runner:
+ * the parallelFor index-coverage, exception-propagation and
+ * serial-degeneration guarantees.
  */
 #include <gtest/gtest.h>
 
@@ -18,44 +18,7 @@ using namespace qm;
 
 TEST(ThreadPool, DefaultWorkersIsPositive)
 {
-    EXPECT_GE(ThreadPool::defaultWorkers(), 1u);
-}
-
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.workers(), 4u);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&] { ran.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPool, WaitRethrowsFirstTaskException)
-{
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("task failed"); });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-}
-
-TEST(ThreadPool, SurvivesFailedTasksAndStaysUsable)
-{
-    ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 10; ++i)
-        pool.submit([&, i] {
-            if (i % 2 == 0)
-                throw std::runtime_error("even task failed");
-            ran.fetch_add(1);
-        });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    // Odd tasks still ran, and the pool accepts more work; the error
-    // was consumed by the first wait.
-    EXPECT_EQ(ran.load(), 5);
-    pool.submit([&] { ran.fetch_add(1); });
-    EXPECT_NO_THROW(pool.wait());
-    EXPECT_EQ(ran.load(), 6);
+    EXPECT_GE(defaultWorkers(), 1u);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce)
@@ -91,29 +54,6 @@ TEST(ParallelFor, PropagatesBodyException)
                                      throw std::logic_error("boom");
                              }),
                  std::logic_error);
-}
-
-TEST(ThreadPool, WaitOnEmptyPoolReturnsImmediately)
-{
-    // No submitted tasks: wait() must not block or throw.
-    ThreadPool pool(3);
-    EXPECT_NO_THROW(pool.wait());
-    // And stays usable afterwards.
-    std::atomic<int> ran{0};
-    pool.submit([&] { ran.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPool, MoreWorkersThanTasks)
-{
-    // Idle workers must neither steal nor duplicate the few tasks.
-    ThreadPool pool(8);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 3; ++i)
-        pool.submit([&] { ran.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(ran.load(), 3);
 }
 
 TEST(ParallelFor, MoreJobsThanItems)
