@@ -16,9 +16,7 @@
 
 #include "bench_cli.hpp"
 #include "programs/benchmarks.hpp"
-#include "sim/bench_json.hpp"
 #include "sim/experiment.hpp"
-#include "sim/metrics.hpp"
 #include "support/format.hpp"
 #include "support/table.hpp"
 
@@ -46,18 +44,11 @@ main(int argc, char **argv)
         spec.pes = pes;
         spec.config.busPartitions = partitions;
         args.applyTo(spec.config);
-        // The sweep varies partitions at one PE count, so the label
-        // is what distinguishes the runs' telemetry lines.
+        // The sweep varies partitions at one PE count, so the count
+        // names each run's telemetry lines and trace file.
         spec.config.telemetryLabel = cat("ch5_bus:p", partitions);
-        if (!args.traceDir.empty()) {
-            // The sweep varies partitions at a fixed PE count, so the
-            // partition count is what keeps the paths distinct.
-            spec.config.traceConfig.enabled = true;
-            spec.config.traceConfig.chromeJsonPath =
-                cat(args.traceDir, "/",
-                    sim::sanitizeFileStem(bench.name), "-p", partitions,
-                    "-pe", pes, ".json");
-        }
+        sim::traceRun(spec, args.traceDir, bench.name,
+                      cat("-p", partitions));
         specs.push_back(std::move(spec));
     }
     std::vector<sim::RunReport> reports =
@@ -84,39 +75,13 @@ main(int argc, char **argv)
                       report.verified ? "yes" : "NO"});
     }
     std::cout << table.render();
-    for (const sim::RunReport &report : reports)
-        if (!report.failureReason.empty())
-            std::cout << "  partitions="
-                      << partition_counts[&report - reports.data()]
-                      << " failed: " << report.failureReason << "\n";
-    for (const sim::RunReport &report : reports)
-        if (report.recovered)
-            std::cout << "  partitions="
-                      << partition_counts[&report - reports.data()]
-                      << " recovered after " << report.replays
-                      << " checkpoint replay(s)\n";
-    for (const sim::RunReport &report : reports)
-        if (report.traceDropped > 0)
-            std::cout << "  partitions="
-                      << partition_counts[&report - reports.data()]
-                      << " WARNING: trace truncated ("
-                      << report.traceDropped
-                      << " events dropped past the cap)\n";
+    benchcli::printRunNotes(reports, [&](std::size_t i) {
+        return cat("partitions=", partition_counts[i]);
+    });
     std::cout << "\n(partitioning trades per-message latency - each "
                  "segment crossed adds hop cycles - against segment "
                  "concurrency; at this message rate latency dominates, "
                  "matching the thesis choice of FEW partitions: 2 for "
                  "4 PEs in Fig 5.18)\n";
-    std::cout << "wrote "
-              << sim::writeBenchJson("ch5_bus", {series}, "",
-                                     args.hostTime)
-              << "\n";
-    if (!args.metricsPath.empty()) {
-        std::string where =
-            sim::writeMetricsJson("ch5_bus", {series}, args.metricsPath);
-        if (args.metricsPath != "-")
-            std::cout << "wrote " << where << "\n";
-    }
-    benchcli::writeTelemetryStream(args, "bench_ch5_bus", {series});
-    return benchcli::benchExitCode();
+    return benchcli::finishSweep(args, "ch5_bus", {series});
 }

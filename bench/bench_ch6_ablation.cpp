@@ -20,9 +20,7 @@
 
 #include "bench_cli.hpp"
 #include "programs/benchmarks.hpp"
-#include "sim/bench_json.hpp"
 #include "sim/experiment.hpp"
-#include "sim/metrics.hpp"
 #include "support/format.hpp"
 #include "support/table.hpp"
 
@@ -75,17 +73,9 @@ main(int argc, char **argv)
             spec.pes = pes;
             args.applyTo(spec.config);
             // The grid varies compile options at one PE count; the
-            // variant index distinguishes the telemetry lines.
+            // variant index names the telemetry lines and trace file.
             spec.config.telemetryLabel = cat(bench.name, ":v", v);
-            if (!args.traceDir.empty()) {
-                // The grid varies the compile options at a fixed PE
-                // count; the variant index keeps the paths distinct.
-                spec.config.traceConfig.enabled = true;
-                spec.config.traceConfig.chromeJsonPath =
-                    cat(args.traceDir, "/",
-                        sim::sanitizeFileStem(bench.name), "-v", v,
-                        "-pe", pes, ".json");
-            }
+            sim::traceRun(spec, args.traceDir, bench.name, cat("-v", v));
             specs.push_back(std::move(spec));
         }
     }
@@ -117,33 +107,13 @@ main(int argc, char **argv)
         all.push_back(series);
     }
     std::cout << table.render();
-    for (std::size_t i = 0; i < reports.size(); ++i)
-        if (reports[i].recovered)
-            std::cout << "  " << benches[i / variants.size()].name
-                      << " variant " << i % variants.size()
-                      << " recovered after " << reports[i].replays
-                      << " checkpoint replay(s)\n";
-    for (std::size_t i = 0; i < reports.size(); ++i)
-        if (reports[i].traceDropped > 0)
-            std::cout << "  " << benches[i / variants.size()].name
-                      << " variant " << i % variants.size()
-                      << " WARNING: trace truncated ("
-                      << reports[i].traceDropped
-                      << " events dropped past the cap)\n";
+    benchcli::printRunNotes(reports, [&](std::size_t i) {
+        return cat(benches[i / variants.size()].name, " variant ",
+                   i % variants.size());
+    });
     std::cout << "\n(values > 1.0 mean the optimization saves cycles; "
                  "all runs verified against reference results)\n"
               << "(JSON runs order: all-on, no live-value, no "
                  "input-seq, no priority-sched, all off)\n";
-    std::cout << "wrote "
-              << sim::writeBenchJson("ch6_ablation", all, "",
-                                     args.hostTime)
-              << "\n";
-    if (!args.metricsPath.empty()) {
-        std::string where = sim::writeMetricsJson("ch6_ablation", all,
-                                                  args.metricsPath);
-        if (args.metricsPath != "-")
-            std::cout << "wrote " << where << "\n";
-    }
-    benchcli::writeTelemetryStream(args, "bench_ch6_ablation", all);
-    return benchcli::benchExitCode();
+    return benchcli::finishSweep(args, "ch6_ablation", all);
 }

@@ -17,9 +17,7 @@
 
 #include "bench_cli.hpp"
 #include "programs/benchmarks.hpp"
-#include "sim/bench_json.hpp"
 #include "sim/experiment.hpp"
-#include "sim/metrics.hpp"
 #include "support/format.hpp"
 #include "support/table.hpp"
 
@@ -64,20 +62,9 @@ reportSeries(const sim::SpeedupSeries &series,
                       run.verified ? "yes" : "NO"});
     }
     std::cout << table.render();
-    for (const sim::RunReport &run : series.runs)
-        if (!run.failureReason.empty())
-            std::cout << "  PEs=" << run.pes
-                      << " failed: " << run.failureReason << "\n";
-    for (const sim::RunReport &run : series.runs)
-        if (run.recovered)
-            std::cout << "  PEs=" << run.pes << " recovered after "
-                      << run.replays << " checkpoint replay(s)\n";
-    for (const sim::RunReport &run : series.runs)
-        if (run.traceDropped > 0)
-            std::cout << "  PEs=" << run.pes
-                      << " WARNING: trace truncated ("
-                      << run.traceDropped
-                      << " events dropped past the cap)\n";
+    benchcli::printRunNotes(series.runs, [&](std::size_t i) {
+        return cat("PEs=", series.runs[i].pes);
+    });
     std::cout << "\n";
 }
 
@@ -100,41 +87,24 @@ main(int argc, char **argv)
               << "Throughput ratio = cycles(1 PE) / cycles(N PEs)\n";
     std::cout << fault::runBanner(args.faults, args.recovery) << "\n";
 
+    // The four thesis benchmarks, then Fig 6.9: recursive vs
+    // non-recursive fan-out.
+    std::vector<programs::Benchmark> benches = programs::thesisBenchmarks();
+    benches.push_back({"binary fan-out (recursive)", "Fig 6.9 recursive",
+                       programs::binaryFanRecursiveSource(), "v",
+                       programs::expectedBinaryFan()});
+    benches.push_back({"binary fan-out (iterative)",
+                       "Fig 6.9 non-recursive",
+                       programs::binaryFanIterativeSource(), "v",
+                       programs::expectedBinaryFan()});
     std::vector<sim::SpeedupSeries> all;
-    for (const programs::Benchmark &bench :
-         programs::thesisBenchmarks()) {
-        sim::SpeedupSeries series = sim::runSpeedupSweep(
+    for (const programs::Benchmark &bench : benches) {
+        all.push_back(sim::runSpeedupSweep(
             bench.name, bench.source, bench.resultArray, bench.expected,
             pe_counts, {}, base_config, args.jobs, args.traceDir,
-            policy);
-        reportSeries(series, bench.thesisFigure);
-        all.push_back(series);
+            policy));
+        reportSeries(all.back(), bench.thesisFigure);
     }
 
-    // Fig 6.9: recursive vs non-recursive fan-out.
-    sim::SpeedupSeries recursive = sim::runSpeedupSweep(
-        "binary fan-out (recursive)", programs::binaryFanRecursiveSource(),
-        "v", programs::expectedBinaryFan(), pe_counts, {}, base_config,
-        args.jobs, args.traceDir, policy);
-    reportSeries(recursive, "Fig 6.9 recursive");
-    all.push_back(recursive);
-    sim::SpeedupSeries iterative = sim::runSpeedupSweep(
-        "binary fan-out (iterative)", programs::binaryFanIterativeSource(),
-        "v", programs::expectedBinaryFan(), pe_counts, {}, base_config,
-        args.jobs, args.traceDir, policy);
-    reportSeries(iterative, "Fig 6.9 non-recursive");
-    all.push_back(iterative);
-
-    std::cout << "wrote "
-              << sim::writeBenchJson("ch6_speedup", all, "",
-                                     args.hostTime)
-              << "\n";
-    if (!args.metricsPath.empty()) {
-        std::string where = sim::writeMetricsJson("ch6_speedup", all,
-                                                  args.metricsPath);
-        if (args.metricsPath != "-")
-            std::cout << "wrote " << where << "\n";
-    }
-    benchcli::writeTelemetryStream(args, "bench_ch6_speedup", all);
-    return benchcli::benchExitCode();
+    return benchcli::finishSweep(args, "ch6_speedup", all);
 }

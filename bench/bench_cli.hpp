@@ -1,10 +1,12 @@
 /**
  * @file
- * Command line shared by the sweep benches (ch5 bus, ch6 speedup, ch6
- * ablation): `--jobs N` fans the independent simulations of a sweep
- * over N worker threads. The default (0) uses all hardware threads;
- * `--jobs 1` reproduces the historical serial run exactly. Reports in
- * either mode are identical - parallelism only changes wall-clock.
+ * Command line and report tail shared by the four sweep benches (ch5
+ * bus, ch6 speedup, ch6 ablation, partitioned): `--jobs N` fans the
+ * independent simulations of a sweep over N worker threads. The
+ * default (0) uses all hardware threads; `--jobs 1` reproduces the
+ * historical serial run exactly. Reports in either mode are
+ * identical - parallelism only changes wall-clock.
+ * sim::RunFlags parses the run flags shared with occamc.
  * `--faults SPEC` (see fault::parseFaultPlan) runs the whole sweep
  * under seeded fault injection; the fault schedule depends only on
  * the spec, never on `--jobs`.
@@ -18,13 +20,12 @@
  * schema-versioned JSON document (see sim/metrics.hpp); the document
  * is byte-identical for any `--jobs` value.
  * `--trace-dir DIR` records a Chrome trace per run into
- * DIR/<name>-pe<N>.json (distinct paths, so it composes with
- * parallel sweeps; DIR must exist).
- * `--topology ring|ring:P|rings:KxM` overrides the ring-bus shape for
- * every run of the sweep (see mp::parseTopology); without it each
- * bench keeps its historical default.
- * `--max-pes N` drops sweep points above N PEs - the sanitizer CI leg
- * uses it to fit the partitioned sweep into its wall-clock budget.
+ * DIR/<name>[-<tag>]-pe<N>.json (see sim::traceRun: distinct paths,
+ * so it composes with parallel sweeps; DIR must exist).
+ * bench_partitioned alone takes `--topology ring|ring:P|rings:KxM`
+ * (one shape instead of its list, see mp::parseTopology) and
+ * `--max-pes N` (drops sweep points above N PEs, so the sanitizer CI
+ * leg fits the sweep into its wall-clock budget).
  * `--core tick|event` selects the simulation core: `event` (default)
  * is the next-event calendar scheduler, `tick` the unit-tick scan it
  * replaced. Both produce byte-identical reports; tick exists for the
@@ -49,7 +50,7 @@
  * journal resume.
  * With `--resume-dir DIR` the flight recorder also lands per-run
  * black boxes in DIR: a run-start marker before each simulation and
- * a full qm.flight.v1 dump on any structured failure, so a killed or
+ * a full qm.flight.v1 dump on any failure, so a killed or
  * failing sweep leaves machine-readable evidence next to its journal.
  * Benches install a SIGINT/SIGTERM handler: on the first signal the
  * running simulations wind down, finished rows are already durable in
@@ -63,22 +64,20 @@
 #include <utility>
 #include <vector>
 
-#include "fault/fault.hpp"
 #include "mp/system.hpp"
+#include "sim/bench_json.hpp"
 #include "sim/experiment.hpp"
+#include "sim/metrics.hpp"
 #include "support/cli.hpp"
 #include "support/shutdown.hpp"
 
 namespace qm::benchcli {
 
 /** Parsed sweep-bench command line. */
-struct BenchArgs
+struct BenchArgs : sim::RunFlags
 {
     bool ok = true;  ///< False after a usage error (exit 2).
     int jobs = 0;    ///< 0 = all hardware threads.
-    fault::FaultPlan faults{};      ///< Disabled unless --faults given.
-    fault::RecoveryPlan recovery{}; ///< Disabled unless --recover given.
-    std::string metricsPath;        ///< Empty = no metrics export.
     std::string traceDir;           ///< Empty = no per-run traces.
     mp::SimCore core = mp::SimCore::Event; ///< --core tick|event.
     bool hostTime = false;          ///< --host-time in BENCH JSON.
@@ -86,9 +85,6 @@ struct BenchArgs
     mp::RingTopology topology{};    ///< Parsed --topology value.
     int maxPes = 0;                 ///< 0 = no cap on sweep points.
     std::string resumeDir;          ///< Empty = no completion journal.
-    long deadlineMs = 0;            ///< 0 = no per-run deadline.
-    std::string telemetryPath;      ///< Empty = no telemetry stream.
-    long telemetryEvery = 1000;     ///< Cycles between snapshots.
 
     /**
      * Where the sweep labelled @p label keeps its journal and flight
@@ -100,67 +96,24 @@ struct BenchArgs
         return {resumeDir, std::move(label)};
     }
 
-    /**
-     * Fold the flags every run of the sweep shares (faults, recovery,
-     * core, deadline, telemetry cadence) into @p config.
-     */
+    /** Fold the run flags and --core into @p config. */
     void
     applyTo(mp::SystemConfig &config) const
     {
-        config.faultPlan = faults;
-        config.recovery = recovery;
+        RunFlags::applyTo(config);
         config.core = core;
-        config.hostDeadlineMs = deadlineMs;
-        if (!telemetryPath.empty())
-            config.telemetryEvery = telemetryEvery;
     }
 };
 
 /**
- * Write every run's buffered telemetry lines to --telemetry FILE in
- * spec order (byte-identical for any --jobs value). No-op without the
- * flag; prints the "wrote" breadcrumb on success, a stderr diagnostic
- * on an unwritable path (the sweep's results are already out, so a
- * bad telemetry path does not fail the bench).
- */
-inline void
-writeTelemetryStream(const BenchArgs &args, const char *bench_name,
-                     const std::vector<sim::SpeedupSeries> &all)
-{
-    if (args.telemetryPath.empty())
-        return;
-    std::ofstream out(args.telemetryPath,
-                      std::ios::out | std::ios::trunc);
-    if (!out) {
-        std::cerr << bench_name << ": cannot open telemetry file "
-                  << args.telemetryPath << "\n";
-        return;
-    }
-    for (const sim::SpeedupSeries &series : all)
-        for (const sim::RunReport &run : series.runs)
-            out << run.telemetry;
-    std::cout << "wrote " << args.telemetryPath << "\n";
-}
-
-/**
- * Exit status for a finished sweep: 128+signo when a shutdown signal
- * interrupted it (after flushing), otherwise 0. Call last, after every
- * report/JSON flush.
- */
-inline int
-benchExitCode()
-{
-    int sig = support::shutdownSignal();
-    return sig > 0 ? 128 + sig : 0;
-}
-
-/**
- * Parse argv for the flags listed in the file comment. On malformed or
- * unknown arguments prints a one-line diagnostic (a usage line for an
- * unknown flag) and returns ok=false.
+ * Parse argv for the flags listed in the file comment; --topology and
+ * --max-pes only when @p scale_study (bench_partitioned). On malformed
+ * or unknown arguments prints a one-line diagnostic (a usage line for
+ * an unknown flag) and returns ok=false.
  */
 inline BenchArgs
-parseBenchArgs(int argc, char **argv, const char *bench_name)
+parseBenchArgs(int argc, char **argv, const char *bench_name,
+               bool scale_study = false)
 {
     // First signal = wind down and flush; second = die immediately.
     support::installShutdownSignals();
@@ -168,17 +121,15 @@ parseBenchArgs(int argc, char **argv, const char *bench_name)
     try {
         for (int i = 1; i < argc; ++i) {
             std::string arg = argv[i];
+            if (args.parse(i, argc, argv))
+                continue;
+            if (!scale_study && (arg == "--topology" || arg == "--max-pes"))
+                fatal(arg, " applies only to bench_partitioned");
             if (arg == "--jobs" && i + 1 < argc) {
                 args.jobs = parsePositiveIntArg(argv[++i], "--jobs",
                                                 /*max=*/1024);
-            } else if (arg == "--faults" && i + 1 < argc) {
-                args.faults = fault::parseFaultPlan(argv[++i]);
-            } else if (arg == "--metrics" && i + 1 < argc) {
-                args.metricsPath = argv[++i];
             } else if (arg == "--trace-dir" && i + 1 < argc) {
                 args.traceDir = argv[++i];
-            } else if (arg == "--recover") {
-                args.recovery.enabled = true;
             } else if (arg == "--core" && i + 1 < argc) {
                 std::string core = argv[++i];
                 if (core == "tick") {
@@ -201,19 +152,6 @@ parseBenchArgs(int argc, char **argv, const char *bench_name)
                                                   /*max=*/4096);
             } else if (arg == "--resume-dir" && i + 1 < argc) {
                 args.resumeDir = argv[++i];
-            } else if (arg == "--deadline-ms" && i + 1 < argc) {
-                args.deadlineMs = parsePositiveIntArg(
-                    argv[++i], "--deadline-ms", /*max=*/1'000'000'000);
-            } else if (arg == "--telemetry" && i + 1 < argc) {
-                args.telemetryPath = argv[++i];
-            } else if (arg == "--telemetry-every" && i + 1 < argc) {
-                args.telemetryEvery = parsePositiveIntArg(
-                    argv[++i], "--telemetry-every", /*max=*/1'000'000'000);
-            } else if (arg == "--checkpoint-every" && i + 1 < argc) {
-                args.recovery.checkpointEvery = parsePositiveIntArg(
-                    argv[++i], "--checkpoint-every",
-                    /*max=*/1'000'000'000);
-                args.recovery.enabled = true;
             } else {
                 std::cerr << "usage: " << bench_name
                           << " [--jobs N] [--faults SPEC] [--recover] "
@@ -232,6 +170,66 @@ parseBenchArgs(int argc, char **argv, const char *bench_name)
         args.ok = false;
     }
     return args;
+}
+
+/**
+ * Print the notes under a sweep table: one line per failed run, then
+ * per recovered run, then per truncated trace; @p label(i) names
+ * runs[i] ("PEs=4").
+ */
+template <typename Label>
+void
+printRunNotes(const std::vector<sim::RunReport> &runs, Label label)
+{
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        if (!runs[i].failureReason.empty())
+            std::cout << "  " << label(i)
+                      << " failed: " << runs[i].failureReason << "\n";
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        if (runs[i].recovered)
+            std::cout << "  " << label(i) << " recovered after "
+                      << runs[i].replays << " checkpoint replay(s)\n";
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        if (runs[i].traceDropped > 0)
+            std::cout << "  " << label(i)
+                      << " WARNING: trace truncated ("
+                      << runs[i].traceDropped
+                      << " events dropped past the cap)\n";
+}
+
+/**
+ * End a sweep: write BENCH_<name>.json, --metrics and --telemetry,
+ * each with its "wrote" line (an unwritable telemetry path is only a
+ * stderr diagnostic). Returns 128+signo when a shutdown signal
+ * interrupted the sweep, otherwise 0.
+ */
+inline int
+finishSweep(const BenchArgs &args, const std::string &name,
+            const std::vector<sim::SpeedupSeries> &all)
+{
+    std::cout << "wrote "
+              << sim::writeBenchJson(name, all, "", args.hostTime)
+              << "\n";
+    if (!args.metricsPath.empty()) {
+        std::string where =
+            sim::writeMetricsJson(name, all, args.metricsPath);
+        if (args.metricsPath != "-")
+            std::cout << "wrote " << where << "\n";
+    }
+    if (!args.telemetryPath.empty()) {
+        std::ofstream out(args.telemetryPath,
+                          std::ios::out | std::ios::trunc);
+        for (const sim::SpeedupSeries &series : all)
+            for (const sim::RunReport &run : series.runs)
+                out << run.telemetry;
+        if (out)
+            std::cout << "wrote " << args.telemetryPath << "\n";
+        else
+            std::cerr << "bench_" << name << ": cannot open telemetry "
+                      << "file " << args.telemetryPath << "\n";
+    }
+    int sig = support::shutdownSignal();
+    return sig > 0 ? 128 + sig : 0;
 }
 
 } // namespace qm::benchcli

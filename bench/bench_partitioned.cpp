@@ -24,9 +24,7 @@
 
 #include "bench_cli.hpp"
 #include "programs/benchmarks.hpp"
-#include "sim/bench_json.hpp"
 #include "sim/experiment.hpp"
-#include "sim/metrics.hpp"
 #include "support/format.hpp"
 #include "support/table.hpp"
 
@@ -116,10 +114,9 @@ reportSeries(const sim::SpeedupSeries &series)
                       run.verified ? "yes" : "NO"});
     }
     std::cout << table.render();
-    for (const sim::RunReport &run : series.runs)
-        if (!run.failureReason.empty())
-            std::cout << "  PEs=" << run.pes
-                      << " failed: " << run.failureReason << "\n";
+    benchcli::printRunNotes(series.runs, [&](std::size_t i) {
+        return cat("PEs=", series.runs[i].pes);
+    });
     std::cout << "\n";
 }
 
@@ -129,7 +126,8 @@ int
 main(int argc, char **argv)
 {
     benchcli::BenchArgs args =
-        benchcli::parseBenchArgs(argc, argv, "bench_partitioned");
+        benchcli::parseBenchArgs(argc, argv, "bench_partitioned",
+                                 /*scale_study=*/true);
     if (!args.ok)
         return 2;
 
@@ -181,38 +179,24 @@ main(int argc, char **argv)
             sim::SpeedupSeries series;
             series.name =
                 cat(bench.name, " ", mp::topologyName(topology));
-            std::vector<sim::RunSpec> specs;
             // Shared 1-PE flat base row: the sequential machine is
             // the same regardless of topology, and every series
             // carrying it keeps ratios comparable across series.
-            {
-                sim::RunSpec base;
-                base.program = &program;
-                base.resultArray = bench.resultArray;
-                base.expected = bench.expected;
-                base.pes = 1;
-                base.config = base_config;
-                base.config.telemetryLabel = series.name;
-                specs.push_back(std::move(base));
-            }
+            sim::RunSpec base;
+            base.program = &program;
+            base.resultArray = bench.resultArray;
+            base.expected = bench.expected;
+            base.pes = 1;
+            base.config = base_config;
+            base.config.telemetryLabel = series.name;
+            std::vector<sim::RunSpec> specs = {base};
             for (int pes : pe_counts) {
                 if (!topologyFits(topology, pes))
                     continue;
-                sim::RunSpec spec;
-                spec.program = &program;
-                spec.resultArray = bench.resultArray;
-                spec.expected = bench.expected;
+                sim::RunSpec spec = base;
                 spec.pes = pes;
-                spec.config = base_config;
                 spec.config.setTopology(topology);
-                spec.config.telemetryLabel = series.name;
-                if (!args.traceDir.empty()) {
-                    spec.config.traceConfig.enabled = true;
-                    spec.config.traceConfig.chromeJsonPath =
-                        cat(args.traceDir, "/",
-                            sim::sanitizeFileStem(series.name), "-pe",
-                            pes, ".json");
-                }
+                sim::traceRun(spec, args.traceDir, series.name);
                 specs.push_back(std::move(spec));
             }
             series.runs = sim::runAll(specs, args.jobs,
@@ -271,16 +255,5 @@ main(int argc, char **argv)
                   << (beats ? "yes" : "no") << "\n";
     }
 
-    std::cout << "wrote "
-              << sim::writeBenchJson("partitioned", all, "",
-                                     args.hostTime)
-              << "\n";
-    if (!args.metricsPath.empty()) {
-        std::string where = sim::writeMetricsJson("partitioned", all,
-                                                  args.metricsPath);
-        if (args.metricsPath != "-")
-            std::cout << "wrote " << where << "\n";
-    }
-    benchcli::writeTelemetryStream(args, "bench_partitioned", all);
-    return benchcli::benchExitCode();
+    return benchcli::finishSweep(args, "partitioned", all);
 }

@@ -2,7 +2,7 @@
  * @file
  * occamc - the OCCAM queue-machine compiler driver (thesis Fig 4.21).
  *
- * Usage: occamc [--asm] [--dot] [--run] [--pes N] [--stats]
+ * Usage: occamc [--asm] [--dot] [--run] [--interp] [--pes N] [--stats]
  *               [--topology SPEC] [--trace out.json]
  *               [--metrics out.json] [--faults SPEC] [--recover]
  *               [--checkpoint-every N] [--checkpoint-file ckpt.qmc]
@@ -14,6 +14,8 @@
  * request, prints the generated assembly, dumps each context's data-flow
  * graph in Graphviz DOT form (the thesis draw/drawpic role), or runs the
  * program on the simulated multiprocessor and reports statistics.
+ * --interp also runs the context graphs on the abstract interpreter
+ * (no ISA), to tell a compiler-graph bug from a codegen bug.
  * --trace records a cycle-level event trace of the run and writes it as
  * Chrome trace_event JSON (open in chrome://tracing, Perfetto, or feed
  * it to the qmprof analyzer).
@@ -39,7 +41,8 @@
  * The flight recorder (src/obs) is always on: every run keeps ring
  * buffers of its most recent scheduling/bus/kernel/fault events, and
  * any failure (watchdog, deadline, structured run failure, fatal
- * error, SIGINT/SIGTERM) dumps them as a qm.flight.v1 JSON black box.
+ * error, kernel panic, SIGINT/SIGTERM) dumps them as a qm.flight.v1
+ * JSON black box; mp::System writes it.
  * --flight overrides where the dump lands (default: next to the
  * checkpoint/resume/metrics/trace file, else ./qm.flight.json);
  * "--flight off" suppresses the dump file (the in-memory recorder
@@ -69,6 +72,7 @@
 #include "mp/system.hpp"
 #include "occam/compiler.hpp"
 #include "persist/io.hpp"
+#include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
 #include "sim/telemetry.hpp"
 #include "support/cli.hpp"
@@ -131,17 +135,16 @@ main(int argc, char **argv)
     int pes = 1;
     bool topology_given = false;
     qm::mp::RingTopology topology;
-    qm::fault::FaultPlan faults;
-    qm::fault::RecoveryPlan recovery;
-    long deadline_ms = 0;
-    long telemetry_every = 1000;
-    std::string path, trace_path, metrics_path, checkpoint_file,
-        resume_file, flight_arg, telemetry_path;
+    qm::sim::RunFlags flags;
+    std::string path, trace_path, checkpoint_file, resume_file,
+        flight_arg;
     // Malformed flag values are usage errors, never uncaught throws.
     try {
         for (int i = 1; i < argc; ++i) {
             std::string arg = argv[i];
-            if (arg == "--asm") {
+            if (flags.parse(i, argc, argv)) {
+                run = true;  // every run flag implies running
+            } else if (arg == "--asm") {
                 show_asm = true;
             } else if (arg == "--dot") {
                 show_dot = true;
@@ -161,44 +164,17 @@ main(int argc, char **argv)
             } else if (arg == "--trace" && i + 1 < argc) {
                 trace_path = argv[++i];
                 run = true;  // tracing implies running
-            } else if (arg == "--metrics" && i + 1 < argc) {
-                metrics_path = argv[++i];
-                run = true;  // metrics imply running
-            } else if (arg == "--faults" && i + 1 < argc) {
-                faults = qm::fault::parseFaultPlan(argv[++i]);
-                run = true;  // fault injection implies running
-            } else if (arg == "--recover") {
-                recovery.enabled = true;
-                run = true;  // recovery implies running
-            } else if (arg == "--checkpoint-every" && i + 1 < argc) {
-                recovery.checkpointEvery = qm::parsePositiveIntArg(
-                    argv[++i], "--checkpoint-every",
-                    /*max=*/1'000'000'000);
-                recovery.enabled = true;
-                run = true;
             } else if (arg == "--checkpoint-file" && i + 1 < argc) {
                 checkpoint_file = argv[++i];
-                recovery.enabled = true;  // checkpoints require snapshots
+                flags.recovery.enabled = true;  // checkpoints need snapshots
                 run = true;
             } else if (arg == "--resume" && i + 1 < argc) {
                 resume_file = argv[++i];
-                recovery.enabled = true;
-                run = true;
-            } else if (arg == "--deadline-ms" && i + 1 < argc) {
-                deadline_ms = qm::parsePositiveIntArg(
-                    argv[++i], "--deadline-ms", /*max=*/1'000'000'000);
+                flags.recovery.enabled = true;
                 run = true;
             } else if (arg == "--flight" && i + 1 < argc) {
                 flight_arg = argv[++i];
                 run = true;  // the black box only matters for a run
-            } else if (arg == "--telemetry" && i + 1 < argc) {
-                telemetry_path = argv[++i];
-                run = true;  // telemetry implies running
-            } else if (arg == "--telemetry-every" && i + 1 < argc) {
-                telemetry_every = qm::parsePositiveIntArg(
-                    argv[++i], "--telemetry-every",
-                    /*max=*/1'000'000'000);
-                run = true;
             } else if (!arg.empty() && arg[0] != '-') {
                 path = arg;
             } else {
@@ -242,10 +218,8 @@ main(int argc, char **argv)
         if (run) {
             qm::mp::SystemConfig config;
             config.numPes = pes;
-            config.hostDeadlineMs = deadline_ms;
             config.traceConfig.enabled = !trace_path.empty();
-            config.faultPlan = faults;
-            config.recovery = recovery;
+            flags.applyTo(config);
             // Black-box dump destination: explicit --flight wins, else
             // land next to whichever artifact the run already writes,
             // else the cwd fallback (failure-only, so a clean run
@@ -257,8 +231,9 @@ main(int argc, char **argv)
                     flight_path = checkpoint_file + ".flight.json";
                 else if (!resume_file.empty())
                     flight_path = resume_file + ".flight.json";
-                else if (!metrics_path.empty() && metrics_path != "-")
-                    flight_path = metrics_path + ".flight.json";
+                else if (!flags.metricsPath.empty() &&
+                         flags.metricsPath != "-")
+                    flight_path = flags.metricsPath + ".flight.json";
                 else if (!trace_path.empty())
                     flight_path = trace_path + ".flight.json";
                 else
@@ -267,8 +242,6 @@ main(int argc, char **argv)
             if (flight_path == "off")
                 flight_path.clear();
             config.flightPath = flight_path;
-            if (!telemetry_path.empty())
-                config.telemetryEvery = telemetry_every;
             // One chance to flush trace/metrics on SIGINT/SIGTERM;
             // the run loop notices the flag and winds down.
             qm::support::installShutdownSignals();
@@ -277,15 +250,16 @@ main(int argc, char **argv)
                 std::cout << "topology: "
                           << qm::mp::topologyName(topology) << "\n";
             }
-            std::cout << qm::fault::runBanner(faults, recovery);
+            std::cout << qm::fault::runBanner(flags.faults,
+                                              flags.recovery);
             qm::mp::System system(program.object, config);
             std::ofstream telemetry_out;
-            if (!telemetry_path.empty()) {
-                telemetry_out.open(telemetry_path,
+            if (!flags.telemetryPath.empty()) {
+                telemetry_out.open(flags.telemetryPath,
                                    std::ios::out | std::ios::trunc);
                 if (!telemetry_out) {
                     std::cerr << "occamc: cannot open telemetry file "
-                              << telemetry_path << "\n";
+                              << flags.telemetryPath << "\n";
                     return kExitUsage;
                 }
                 // occamc streams live (one flushed line per boundary)
@@ -326,16 +300,11 @@ main(int argc, char **argv)
             try {
                 result = resumed ? system.resume()
                                  : system.run(program.mainLabel);
-            } catch (const std::exception &e) {
-                // A kernel panic / fatal error unwinds past the run
-                // loop's own dump sites, so write the black box here
-                // before the System goes out of scope, then let the
-                // outer handler report the error (exit code 6).
-                if (!flight_path.empty() &&
-                    system.writeFlightDump(
-                              flight_path,
-                              std::string("fatal: ") + e.what())
-                        .ok())
+            } catch (const std::exception &) {
+                // A fatal error or kernel panic: System wrote the black
+                // box before rethrowing; the outer handler reports the
+                // error (exit code 6).
+                if (!flight_path.empty())
                     std::cerr << "occamc: flight recorder dump -> "
                               << flight_path << "\n";
                 throw;
@@ -345,7 +314,7 @@ main(int argc, char **argv)
                       << " instructions=" << result.instructions
                       << " contexts=" << result.contexts
                       << " rendezvous=" << result.rendezvous << "\n";
-            if (faults.enabled())
+            if (flags.faults.enabled())
                 std::cout << "faults: injected="
                           << result.faultsInjected
                           << " recoveries=" << result.faultRecoveries
@@ -382,7 +351,7 @@ main(int argc, char **argv)
                               << " events dropped past the cap); "
                                  "trace-derived analyses undercount\n";
             }
-            if (!metrics_path.empty()) {
+            if (!flags.metricsPath.empty()) {
                 qm::sim::RunReport report;
                 report.pes = pes;
                 report.completed = result.completed;
@@ -394,9 +363,10 @@ main(int argc, char **argv)
                 series.name = path;
                 series.runs.push_back(std::move(report));
                 qm::sim::writeMetricsJson("occamc", {series},
-                                          metrics_path);
-                if (metrics_path != "-")
-                    std::cout << "metrics: -> " << metrics_path << "\n";
+                                          flags.metricsPath);
+                if (flags.metricsPath != "-")
+                    std::cout << "metrics: -> " << flags.metricsPath
+                              << "\n";
             }
             for (const auto &[name, addr] : program.dataMap) {
                 std::cout << name << "[0..3] =";

@@ -9,12 +9,6 @@ namespace qm::mp {
 
 namespace {
 
-// Transfer costs in cycles (thesis section 5.6).
-constexpr Cycle kHopCycles = 4;          ///< Crossing one partition segment.
-constexpr Cycle kMessageOverhead = 2;    ///< Arbitration + header.
-constexpr Cycle kBridgeCycles = 1;       ///< Crossing an inter-ring bridge.
-constexpr Cycle kBackboneHopCycles = 1;  ///< One backbone segment hop.
-
 /**
  * Closed-form count of partition boundaries crossed walking upward
  * (with wraparound) from index @p src to @p dst over @p pes positions

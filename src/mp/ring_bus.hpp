@@ -51,13 +51,20 @@ struct BusDelivery
     Cycle duplicateAt = 0;  ///< ...at this time.
 };
 
+// Transfer costs in cycles (thesis section 5.6).
+constexpr Cycle kHopCycles = 4;          ///< Crossing one partition segment.
+constexpr Cycle kMessageOverhead = 2;    ///< Arbitration + header.
+constexpr Cycle kBridgeCycles = 1;       ///< Crossing an inter-ring bridge.
+constexpr Cycle kBackboneHopCycles = 1;  ///< One backbone segment hop.
+
 /**
  * Sender ack timeout before an end-to-end retransmission (recovery
- * only), in cycles. mp::configFingerprint records it.
+ * only), in cycles. mp::configFingerprint records it, like the
+ * transfer costs above.
  */
 constexpr Cycle kAckTimeoutCycles = 64;
 
-/** Ring-bus shape; the per-hop costs are constants of ring_bus.cpp. */
+/** Ring-bus shape; the per-hop costs are the constants above. */
 struct RingBusConfig
 {
     int numPes = 4;

@@ -827,28 +827,54 @@ System::finishContext(PeSlot &slot)
 RunResult
 System::run(const std::string &entry, Cycle max_cycles)
 {
-    panicIf(booted, "System::run may only be called once per instance");
-    booted = true;
-    Addr entry_addr = code_.labelAddr(entry);
-    Word in = allocChannelPair(/*pe=*/0);
-    createContext(entry_addr, in, in + 1, /*forkingPe=*/0, /*now=*/0);
-    if (config_.telemetryEvery > 0)
-        nextTelemetryAt_ = config_.telemetryEvery;
-    if (recoveryOn_) {
-        if (config_.recovery.checkpointEvery > 0)
-            nextCheckpointAt_ = config_.recovery.checkpointEvery;
-        // Boot checkpoint: even without periodic snapshots, a failed
-        // run can always be replayed from the start.
-        snapshot();
+    try {
+        panicIf(booted,
+                "System::run may only be called once per instance");
+        booted = true;
+        Addr entry_addr = code_.labelAddr(entry);
+        Word in = allocChannelPair(/*pe=*/0);
+        createContext(entry_addr, in, in + 1, /*forkingPe=*/0, /*now=*/0);
+        if (config_.telemetryEvery > 0)
+            nextTelemetryAt_ = config_.telemetryEvery;
+        if (recoveryOn_) {
+            if (config_.recovery.checkpointEvery > 0)
+                nextCheckpointAt_ = config_.recovery.checkpointEvery;
+            // Boot checkpoint: even without periodic snapshots, a
+            // failed run can always be replayed from the start.
+            snapshot();
+        }
+        return runReplaying(max_cycles);
+    } catch (...) {
+        dumpThrown();
+        throw;
     }
-    return runReplaying(max_cycles);
 }
 
 RunResult
 System::resume(Cycle max_cycles)
 {
-    panicIf(!booted, "System::resume before run()");
-    return runReplaying(max_cycles);
+    try {
+        panicIf(!booted, "System::resume before run()");
+        return runReplaying(max_cycles);
+    } catch (...) {
+        dumpThrown();
+        throw;
+    }
+}
+
+void
+System::dumpThrown()
+{
+    if (config_.flightPath.empty())
+        return;
+    try {
+        throw;
+    } catch (const FatalError &e) {
+        writeFlightDump(config_.flightPath, cat("fatal: ", e.what()));
+    } catch (const PanicError &e) {
+        writeFlightDump(config_.flightPath, cat("panic: ", e.what()));
+    } catch (...) {
+    }
 }
 
 RunResult
@@ -898,7 +924,6 @@ System::runLoop(Cycle max_cycles)
                 calSchedule(*slot, *t);
         }
     }
-    RunResult result;
     while (liveContexts > 0) {
         if (!pendingFailure_.empty())
             return failRun(pendingFailure_, /*watchdog=*/false);
@@ -941,14 +966,10 @@ System::runLoop(Cycle max_cycles)
         if (best_time > max_cycles) {
             // Timed out: report everything the run did do. Not
             // replayable: a replay would only re-spend the budget.
-            result.completed = false;
-            result.failureReason =
-                cat("cycle limit reached (", max_cycles, ")");
+            RunResult result = failRun(
+                cat("cycle limit reached (", max_cycles, ")"),
+                /*watchdog=*/false);
             replayable_ = false;
-            finalizeRun(result);
-            if (!config_.flightPath.empty())
-                writeFlightDump(config_.flightPath,
-                                result.failureReason);
             return result;
         }
         if (watchdog > 0 && best_time - lastProgress_ > watchdog)
@@ -1003,6 +1024,7 @@ System::runLoop(Cycle max_cycles)
                 calSchedule(slot, *t);
     }
 
+    RunResult result;
     result.completed = true;
     replayable_ = false;
     finalizeRun(result);
@@ -1427,6 +1449,8 @@ configFingerprint(const SystemConfig &c)
         ";fork=", kForkCycles, ";exit=", kExitCycles,
         ";query=", kQueryCycles, ";alloc=", kAllocCycles,
         ";cload=", kContextLoadCycles, ";csave=", kContextSaveCycles,
+        ";bus=", kHopCycles, ",", kMessageOverhead, ",", kBridgeCycles,
+        ",", kBackboneHopCycles,
         ";tim=", pe::kSimpleCycles, ",", pe::kImmWordCycles, ",",
         pe::kMemoryCycles, ",", pe::kBranchTakenCycles, ",",
         pe::kChannelCycles, ",", pe::kTrapCycles, ",",

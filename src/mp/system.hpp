@@ -158,14 +158,14 @@ struct SystemConfig
     long hostDeadlineMs = 0;
 
     /**
-     * Where the always-on flight recorder (src/obs) auto-dumps its
-     * `qm.flight.v1` black box: written on every structured failure
-     * exit (watchdog, deadlock, deadline, shutdown signal, cycle
-     * budget) and refreshed at each checkpoint boundary so even a
-     * kill -9 leaves a post-mortem on disk. Empty = no automatic
-     * dumps (the recorder still records; drivers can dump manually
-     * via System::writeFlightDump). Host-side only: never part of
-     * the simulated timeline or the checkpoint fingerprint.
+     * Where the always-on flight recorder (src/obs) dumps its
+     * `qm.flight.v1` black box: written on every failure, structured
+     * (watchdog, deadlock, deadline, shutdown signal, cycle budget)
+     * or thrown (a fatal error or kernel panic escaping run() or
+     * resume()), and refreshed at each checkpoint boundary so even a
+     * kill -9 leaves a post-mortem on disk. Empty = no dumps (the
+     * recorder still records). Host-side only: never part of the
+     * simulated timeline or the checkpoint fingerprint.
      */
     std::string flightPath;
 
@@ -186,8 +186,8 @@ struct SystemConfig
 /**
  * Deterministic textual digest of every simulation-relevant field of
  * @p config (machine shape, fault/recovery plans, trace enablement)
- * and of the machine's constant sizes and cycle costs, all but the
- * ring-bus hop costs. Host-side choices that are byte-inert by
+ * and of the machine's constant sizes and cycle costs, the ring-bus
+ * transfer costs included. Host-side choices that are byte-inert by
  * invariant (SimCore, hostDeadlineMs) are deliberately excluded.
  * System::configFingerprint() extends this with a CRC of the loaded
  * object code; the sweep journal combines it with per-spec
@@ -371,7 +371,9 @@ class System : private KernelState
      * (watchdog, starvation, detected corruption - not an exhausted
      * cycle budget or a host abort) is rolled back to the last
      * snapshot and re-run, up to recovery.maxReplays times; the
-     * result's `replays` and `recovered` say how that went.
+     * result's `replays` and `recovered` say how that went. A
+     * FatalError or PanicError that escapes is rethrown after the
+     * black box is dumped to config.flightPath.
      */
     RunResult run(const std::string &entry,
                   Cycle max_cycles = 500'000'000);
@@ -398,8 +400,8 @@ class System : private KernelState
 
     /**
      * Re-enter the simulation loop after restore() or loadCheckpoint(),
-     * replaying from checkpoints like run(). Only valid on a booted
-     * system.
+     * replaying from checkpoints and dumping the black box on a
+     * thrown failure like run(). Only valid on a booted system.
      */
     RunResult resume(Cycle max_cycles = 500'000'000);
 
@@ -466,9 +468,9 @@ class System : private KernelState
      * Dump the flight recorder's black box to @p path with @p reason,
      * stamped with the current cycle high-water mark and live-context
      * count. No-op (ok Status) when QM_FLIGHT=0 disabled the
-     * recorder. Called automatically on failure exits when
-     * config.flightPath is set; public for drivers' fatal-error
-     * paths.
+     * recorder. System calls it on every failure exit, thrown ones
+     * included, and at each checkpoint boundary when
+     * config.flightPath is set; callers never need to.
      */
     persist::Status writeFlightDump(const std::string &path,
                                     const std::string &reason);
@@ -652,6 +654,11 @@ class System : private KernelState
     bool hostAbortDue(std::string &why);
     /** Structured host-abort exit (hostAborted set, not replayable). */
     RunResult abortRun(const std::string &reason);
+    /**
+     * In run()'s and resume()'s catch-all handler: dump the black box
+     * when the exception is a FatalError or PanicError.
+     */
+    void dumpThrown();
 
     const isa::ObjectCode &code_;
     /** Lazy decode cache every PE fetches through (pure code). */

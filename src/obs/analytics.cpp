@@ -12,6 +12,7 @@
 #include "support/diagnostics.hpp"
 #include "support/format.hpp"
 #include "support/json_parse.hpp"
+#include "trace/trace.hpp"
 
 namespace qm::obs {
 
@@ -421,8 +422,6 @@ analyzeFlight(const std::string &path, const FlightOptions &options,
             last_sched[event.intval("ctx")] = &event;
         }
     }
-    static const char *const kParkReasons[] = {"channel", "timer",
-                                               "resident"};
     std::vector<std::pair<long long, const JsonValue *>> blocked;
     for (const auto &[ctx, event] : last_sched)
         if (event->str("kind") == "ctx-park")
@@ -432,7 +431,9 @@ analyzeFlight(const std::string &path, const FlightOptions &options,
         for (const auto &[ctx, event] : blocked) {
             long long r = event->intval("a");
             const char *why =
-                (r >= 0 && r < 3) ? kParkReasons[r] : "?";
+                (r >= 0 && r < 3)
+                    ? trace::toString(static_cast<trace::ParkReason>(r))
+                    : "?";
             out << "    ctx " << ctx << ": parked (" << why
                 << ") on pe " << event->intval("pe") << " at cycle "
                 << event->intval("at") << "\n";

@@ -8,6 +8,7 @@
 #include "obs/flight.hpp"
 #include "sim/journal.hpp"
 #include "sim/telemetry.hpp"
+#include "support/cli.hpp"
 #include "support/diagnostics.hpp"
 #include "support/format.hpp"
 #include "support/shutdown.hpp"
@@ -39,15 +40,6 @@ runOnce(const occam::CompiledProgram &program,
     // zeroing the simulated memory is part of what the run costs the
     // host, so both cores are timed over the same span.
     auto host_start = std::chrono::steady_clock::now();
-    auto stamp_host = [&](RunReport &r) {
-        std::chrono::duration<double, std::milli> elapsed =
-            std::chrono::steady_clock::now() - host_start;
-        r.hostWallMs = elapsed.count();
-        if (r.hostWallMs > 0.0 && r.cycles > 0)
-            r.simCyclesPerSec = static_cast<double>(r.cycles) /
-                                (r.hostWallMs / 1000.0);
-    };
-
     mp::SystemConfig config = base_config;
     config.numPes = pes;
     mp::System system(program.object, config);
@@ -66,32 +58,29 @@ runOnce(const occam::CompiledProgram &program,
             });
     }
     // A run that dies (e.g. kernel deadlock panic) still yields a
-    // report row: the sweep survives and records the failure. The
-    // System outlives the try block precisely so the flight recorder's
-    // last-moments evidence survives the unwinding.
-    auto died = [&](std::string reason) {
-        report.failureReason = std::move(reason);
-        if (!config.flightPath.empty() &&
-            system.writeFlightDump(config.flightPath,
-                                   report.failureReason).ok())
-            report.flightDumpPath = config.flightPath;
-        stamp_host(report);
-        return report;
-    };
+    // report row: the sweep survives and records the failure.
+    bool died = true;
     try {
         static_cast<mp::RunResult &>(report) =
             system.run(program.mainLabel);
+        died = false;
     } catch (const FatalError &e) {
-        return died(cat("fatal: ", e.what()));
+        report.failureReason = cat("fatal: ", e.what());
     } catch (const PanicError &e) {
-        return died(cat("panic: ", e.what()));
+        report.failureReason = cat("panic: ", e.what());
     }
-    // Structured failures (watchdog, deadline, corruption, signal,
-    // cycle limit) already dumped the black box inside System; the
-    // report just records where it landed.
+    // System dumped the black box on every failure, thrown or
+    // structured; the report just records where it landed.
     if (!report.completed && !config.flightPath.empty())
         report.flightDumpPath = config.flightPath;
-    stamp_host(report);
+    std::chrono::duration<double, std::milli> elapsed =
+        std::chrono::steady_clock::now() - host_start;
+    report.hostWallMs = elapsed.count();
+    if (report.hostWallMs > 0.0 && report.cycles > 0)
+        report.simCyclesPerSec = static_cast<double>(report.cycles) /
+                                 (report.hostWallMs / 1000.0);
+    if (died)
+        return report;
     report.stats = system.stats();
     report.verified = report.completed;
     if (report.verified && !expected.empty()) {
@@ -230,6 +219,59 @@ sanitizeFileStem(const std::string &name)
     return stem.empty() ? "bench" : stem;
 }
 
+void
+traceRun(RunSpec &spec, const std::string &dir, const std::string &stem,
+         const std::string &tag)
+{
+    if (dir.empty())
+        return;
+    spec.config.traceConfig.enabled = true;
+    spec.config.traceConfig.chromeJsonPath = cat(
+        dir, "/", sanitizeFileStem(stem), tag, "-pe", spec.pes, ".json");
+}
+
+bool
+RunFlags::parse(int &i, int argc, char **argv)
+{
+    const std::string arg = argv[i];
+    if (arg == "--recover") {
+        recovery.enabled = true;
+        return true;
+    }
+    if (i + 1 >= argc)
+        return false;
+    const char *value = argv[i + 1];
+    constexpr long kMax = 1'000'000'000;
+    if (arg == "--faults") {
+        faults = fault::parseFaultPlan(value);
+    } else if (arg == "--checkpoint-every") {
+        recovery.checkpointEvery = parsePositiveIntArg(value, arg, kMax);
+        recovery.enabled = true;
+    } else if (arg == "--metrics") {
+        metricsPath = value;
+    } else if (arg == "--deadline-ms") {
+        deadlineMs = parsePositiveIntArg(value, arg, kMax);
+    } else if (arg == "--telemetry") {
+        telemetryPath = value;
+    } else if (arg == "--telemetry-every") {
+        telemetryEvery = parsePositiveIntArg(value, arg, kMax);
+    } else {
+        return false;
+    }
+    ++i;
+    return true;
+}
+
+void
+RunFlags::applyTo(mp::SystemConfig &config) const
+{
+    config.faultPlan = faults;
+    config.recovery = recovery;
+    config.hostDeadlineMs = deadlineMs;
+    if (!telemetryPath.empty())
+        config.telemetryEvery = telemetryEvery;
+}
+
 SpeedupSeries
 runSpeedupSweep(const std::string &name, const std::string &source,
                 const std::string &result_array,
@@ -252,12 +294,7 @@ runSpeedupSweep(const std::string &name, const std::string &source,
         if (spec.config.telemetryEvery > 0 &&
             spec.config.telemetryLabel.empty())
             spec.config.telemetryLabel = name;
-        if (!trace_dir.empty()) {
-            spec.config.traceConfig.enabled = true;
-            spec.config.traceConfig.chromeJsonPath =
-                cat(trace_dir, "/", sanitizeFileStem(name), "-pe", pes,
-                    ".json");
-        }
+        traceRun(spec, trace_dir, name);
         specs.push_back(std::move(spec));
     }
     SpeedupSeries series;

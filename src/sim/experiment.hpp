@@ -114,7 +114,7 @@ struct RunPolicy
      *   "run-start" marker is written before the run (so a kill -9
      *   that lands mid-run still leaves a parseable qm.flight.v1
      *   document), and the run overwrites it with a full dump on any
-     *   structured failure.
+     *   failure.
      */
     std::string dir;
 
@@ -148,15 +148,45 @@ std::vector<RunReport> runAll(const std::vector<RunSpec> &specs,
 std::string sanitizeFileStem(const std::string &name);
 
 /**
+ * Trace @p spec's run into <dir>/<sanitized stem><tag>-pe<N>.json
+ * (no-op when @p dir is empty); @p tag names what else the sweep
+ * varies, so each traced spec writes its own file.
+ */
+void traceRun(RunSpec &spec, const std::string &dir,
+              const std::string &stem, const std::string &tag = "");
+
+/**
+ * The run flags occamc and the sweep benches share: --faults,
+ * --recover, --checkpoint-every, --metrics, --deadline-ms,
+ * --telemetry and --telemetry-every.
+ */
+struct RunFlags
+{
+    fault::FaultPlan faults{};      ///< Disabled unless --faults given.
+    fault::RecoveryPlan recovery{}; ///< Disabled unless --recover given.
+    std::string metricsPath;        ///< Empty = no metrics export.
+    long deadlineMs = 0;            ///< 0 = no host deadline.
+    std::string telemetryPath;      ///< Empty = no telemetry stream.
+    long telemetryEvery = 1000;     ///< Cycles between snapshots.
+
+    /**
+     * Consume argv[i] (and its value, advancing @p i) if it is one of
+     * these flags; false otherwise. Throws FatalError on a bad value.
+     */
+    bool parse(int &i, int argc, char **argv);
+
+    /** Fold the flags into every run's @p config. */
+    void applyTo(mp::SystemConfig &config) const;
+};
+
+/**
  * Compile @p source once per configuration and run it at every PE
  * count in @p pe_counts, checking @p expected in @p result_array.
  * The independent runs are fanned over @p jobs threads (see runAll);
  * the resulting series is identical for any job count.
  *
  * When @p trace_dir is non-empty, every run records a full event
- * trace and exports it to <trace_dir>/<sanitized-name>-pe<N>.json.
- * The per-run paths are distinct, so this composes with jobs > 1
- * (unlike a single shared trace file).
+ * trace into its own file there (see traceRun).
  */
 SpeedupSeries
 runSpeedupSweep(const std::string &name, const std::string &source,

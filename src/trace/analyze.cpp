@@ -57,17 +57,6 @@ parseTrailingInt(const std::string &name)
         std::strtoull(name.c_str() + pos + 1, nullptr, 10));
 }
 
-const char *
-reasonWord(ParkReason reason)
-{
-    switch (reason) {
-      case ParkReason::Channel: return "channel";
-      case ParkReason::Timer: return "timer";
-      case ParkReason::Resident: return "resident";
-    }
-    return "channel";
-}
-
 /** Everything the analyses need to know about one context. */
 struct CtxInfo
 {
@@ -323,7 +312,7 @@ analyzeTrace(const std::vector<Event> &events,
                               : (info.created ? info.createAt : t);
             if (t > lower) {
                 std::string reason =
-                    idx > 0 ? reasonWord(gapReason(info, lower, t))
+                    idx > 0 ? toString(gapReason(info, lower, t))
                             : "startup";
                 profile.criticalPath.push_back(
                     {PathSegment::Kind::Blocked, cur, -1, lower, t,
@@ -441,7 +430,7 @@ analyzeTrace(const std::vector<Event> &events,
             if (!info.parks.empty() &&
                 info.parks.back().first >= last_dispatch)
                 row.lastState =
-                    cat("parked (", reasonWord(info.parks.back().second),
+                    cat("parked (", toString(info.parks.back().second),
                         ") at cycle ", info.parks.back().first);
             else
                 row.lastState = cat("running at trace end (dispatched "

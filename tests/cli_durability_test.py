@@ -17,9 +17,15 @@ Asserts:
   * --telemetry NDJSON streams are schema-tagged and cycle-monotone;
   * the removed intra-run threading flag is a usage error (exit 2),
     and so is a malformed prime_sieve PE count;
-  * qmprof flight exit codes and verdicts.
+  * qmprof flight exit codes and verdicts;
+  * the sweep benches' front end: one note line per failed and per
+    recovered BENCH row, and --topology refused (exit 2) by every
+    bench but bench_partitioned;
+  * occamc --interp agrees with the simulated run.
 
 Usage: cli_durability_test.py OCCAMC SOURCE_DIR QMPROF PRIME_SIEVE
+           BENCH_CH6_SPEEDUP BENCH_CH5_BUS BENCH_CH6_ABLATION
+           BENCH_PARTITIONED
 """
 
 import json
@@ -91,6 +97,8 @@ def main():
     # Absolute paths: several runs set cwd to scratch directories.
     occamc, srcdir, qmprof, prime_sieve = map(os.path.abspath,
                                               sys.argv[1:5])
+    speedup, bus, ablation, partitioned = map(os.path.abspath,
+                                              sys.argv[5:9])
     pipeline = os.path.join(srcdir, "examples", "pipeline.occ")
     tmp = tempfile.mkdtemp(prefix="cli_durability_")
 
@@ -405,6 +413,57 @@ def main():
 
     p = run([qmprof, "flight", good])
     check_rc("qmprof flight: non-flight JSON exits 2", p, 2)
+
+    # --- sweep bench front end ----------------------------------------
+    def bench_rows(bench_dir, name):
+        with open(os.path.join(bench_dir, f"BENCH_{name}.json")) as f:
+            return [r for s in json.load(f)["series"] for r in s["runs"]]
+
+    lossy_plan = ["--faults", "seed=8,rate=0.7,kinds=drop,retries=0"]
+    bench_dir = path("bench")
+    os.mkdir(bench_dir)
+    p = run([ablation, "--jobs", "2"] + lossy_plan, cwd=bench_dir)
+    failed = [r for r in bench_rows(bench_dir, "ch6_ablation")
+              if r.get("failure_reason")]
+    check("ablation prints one failed: note per failed row",
+          p.returncode == 0 and failed and
+          p.stdout.count(" failed: ") == len(failed),
+          f"rc={p.returncode} rows={len(failed)} "
+          f"notes={p.stdout.count(' failed: ')}")
+    p = run([partitioned, "--jobs", "2", "--max-pes", "16", "--recover"]
+            + lossy_plan, cwd=bench_dir)
+    recovered = [r for r in bench_rows(bench_dir, "partitioned")
+                 if r.get("recovered")]
+    check("bench_partitioned prints one note per recovered row",
+          p.returncode == 0 and recovered and
+          p.stdout.count("recovered after") == len(recovered),
+          f"rc={p.returncode} rows={len(recovered)} "
+          f"notes={p.stdout.count('recovered after')}")
+    for bench in (speedup, bus, ablation):
+        p = run([bench, "--topology", "ring"], cwd=bench_dir)
+        name = os.path.basename(bench)
+        check(f"{name} refuses --topology with a one-line diagnostic",
+              p.returncode == 2 and not p.stdout and
+              len(p.stderr.strip().splitlines()) == 1,
+              f"rc={p.returncode} {p.stderr[:200]}")
+    p = run([partitioned, "--jobs", "2", "--topology", "ring",
+             "--max-pes", "8"], cwd=bench_dir)
+    check_rc("bench_partitioned takes --topology and --max-pes", p, 0)
+
+    # --- occamc --interp ------------------------------------------------
+    p = run([occamc, "--run", "--interp", "--pes", "4", pipeline])
+    check_rc("occamc --interp exits 0", p, 0)
+    def counts(prefix):
+        """key=value fields of the stdout line starting with prefix."""
+        line = next((l for l in p.stdout.splitlines()
+                     if l.startswith(prefix)), "")
+        return dict(kv.split("=") for kv in line.split() if "=" in kv)
+    sim, interp = counts("completed="), counts("abstract:")
+    check("interpreter agrees with the simulated run",
+          p.stdout.count("results[0..3] = 1496 16 0 0\n") == 2 and
+          sim.get("contexts") == interp.get("contexts") == "106" and
+          sim.get("rendezvous") == interp.get("transfers") == "454",
+          p.stdout[-300:])
 
     if failures:
         print(f"{len(failures)} check(s) failed")

@@ -377,8 +377,12 @@ diffDocs(const std::string &baseline, const std::string &current,
          std::string *out_text = nullptr,
          const obs::DiffOptions &options = {})
 {
-    std::string base_path = tempPath("diff_base.json");
-    std::string cur_path = tempPath("diff_cur.json");
+    // ctest runs each case as its own process, so each case writes
+    // its own pair of files.
+    std::string test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::string base_path = tempPath(test + "_diff_base.json");
+    std::string cur_path = tempPath(test + "_diff_cur.json");
     writeFile(base_path, baseline);
     writeFile(cur_path, current);
     std::ostringstream out, err;

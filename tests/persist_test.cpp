@@ -1008,11 +1008,11 @@ TEST(PersistFormatPinTest, CheckpointSectionsKeepTheirBytes)
     rings.setTopology(mp::parseTopology("rings:2x2"));
     const Case cases[] = {
         {"flat 4-PE faulty", faulty,
-         {{"META", 0x8fde219f}, {"KERN", 0x3d54d247}, {"MEMS", 0xf47c0ec1},
+         {{"META", 0xde1f53db}, {"KERN", 0x3d54d247}, {"MEMS", 0xf47c0ec1},
           {"STAT", 0xa6d43fce}, {"CACH", 0x7a855ba3}, {"BUSS", 0x97fc16ca},
           {"SLOT", 0xfc28dfc7}, {"TRAC", 0x08e14073}, {"FALT", 0x49301c9a}}},
         {"rings:2x2", rings,
-         {{"META", 0xd77caece}, {"KERN", 0x2b4c8221}, {"MEMS", 0x86dfa309},
+         {{"META", 0xf21ee460}, {"KERN", 0x2b4c8221}, {"MEMS", 0x86dfa309},
           {"STAT", 0x05ce8dd4}, {"CACH", 0xb6b50047}, {"BUSS", 0xe6afa524},
           {"SLOT", 0xff2a8715}, {"TRAC", 0xfc7c40c3}, {"FALT", 0xd202ef8d}}},
     };
