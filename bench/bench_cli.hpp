@@ -26,10 +26,6 @@
  * (one shape instead of its list, see mp::parseTopology) and
  * `--max-pes N` (drops sweep points above N PEs, so the sanitizer CI
  * leg fits the sweep into its wall-clock budget).
- * `--core tick|event` selects the simulation core: `event` (default)
- * is the next-event calendar scheduler, `tick` the unit-tick scan it
- * replaced. Both produce byte-identical reports; tick exists for the
- * differential gate and for host-speed comparisons.
  * `--host-time` adds host_wall_ms / sim_cycles_per_sec to the BENCH
  * JSON. Off by default because those fields are machine-dependent and
  * the default document must stay byte-stable.
@@ -79,7 +75,6 @@ struct BenchArgs : sim::RunFlags
     bool ok = true;  ///< False after a usage error (exit 2).
     int jobs = 0;    ///< 0 = all hardware threads.
     std::string traceDir;           ///< Empty = no per-run traces.
-    mp::SimCore core = mp::SimCore::Event; ///< --core tick|event.
     bool hostTime = false;          ///< --host-time in BENCH JSON.
     bool topologyGiven = false;     ///< --topology present.
     mp::RingTopology topology{};    ///< Parsed --topology value.
@@ -94,14 +89,6 @@ struct BenchArgs : sim::RunFlags
     runPolicy(std::string label = "") const
     {
         return {resumeDir, std::move(label)};
-    }
-
-    /** Fold the run flags and --core into @p config. */
-    void
-    applyTo(mp::SystemConfig &config) const
-    {
-        RunFlags::applyTo(config);
-        config.core = core;
     }
 };
 
@@ -130,18 +117,6 @@ parseBenchArgs(int argc, char **argv, const char *bench_name,
                                                 /*max=*/1024);
             } else if (arg == "--trace-dir" && i + 1 < argc) {
                 args.traceDir = argv[++i];
-            } else if (arg == "--core" && i + 1 < argc) {
-                std::string core = argv[++i];
-                if (core == "tick") {
-                    args.core = mp::SimCore::Tick;
-                } else if (core == "event") {
-                    args.core = mp::SimCore::Event;
-                } else {
-                    std::cerr << bench_name << ": --core expects 'tick' "
-                                 "or 'event', got '" << core << "'\n";
-                    args.ok = false;
-                    return args;
-                }
             } else if (arg == "--host-time") {
                 args.hostTime = true;
             } else if (arg == "--topology" && i + 1 < argc) {
@@ -156,9 +131,11 @@ parseBenchArgs(int argc, char **argv, const char *bench_name,
                 std::cerr << "usage: " << bench_name
                           << " [--jobs N] [--faults SPEC] [--recover] "
                              "[--checkpoint-every N] [--metrics FILE] "
-                             "[--trace-dir DIR] [--core tick|event] "
-                             "[--topology SPEC] [--max-pes N] "
-                             "[--host-time] "
+                             "[--trace-dir DIR] "
+                          << (scale_study ? "[--topology SPEC] "
+                                            "[--max-pes N] "
+                                          : "")
+                          << "[--host-time] "
                              "[--resume-dir DIR] [--deadline-ms N] "
                              "[--telemetry FILE] [--telemetry-every N]\n";
                 args.ok = false;

@@ -48,7 +48,7 @@ BM_PeInstructionRate(benchmark::State &state)
             ++instructions;
     }
     // SetItemsProcessed takes the total over every iteration (see
-    // simCyclesRate).
+    // BM_SimCycles).
     state.SetItemsProcessed(instructions);
 }
 BENCHMARK(BM_PeInstructionRate)->Unit(benchmark::kMillisecond);
@@ -84,14 +84,11 @@ BENCHMARK(BM_SimulateMatmul)->Arg(1)->Arg(8)->Unit(
     benchmark::kMillisecond);
 
 /**
- * Core-vs-core host speed on the same workload: items processed is the
- * SIMULATED cycle count, so items/sec reads directly as simulated
- * cycles per host second - the number the calendar-queue rework is
- * meant to multiply. The two benchmarks run the identical matmul (the
- * cores are byte-identical in output), differing only in SimCore.
+ * Simulation rate: items processed is the SIMULATED cycle count, so
+ * items/sec reads directly as simulated cycles per host second.
  */
 void
-simCyclesRate(benchmark::State &state, mp::SimCore core)
+BM_SimCycles(benchmark::State &state)
 {
     occam::CompiledProgram program =
         occam::compileOccam(programs::matmulSource());
@@ -100,39 +97,23 @@ simCyclesRate(benchmark::State &state, mp::SimCore core)
     for (auto _ : state) {
         mp::SystemConfig config;
         config.numPes = pes;
-        config.core = core;
         mp::System system(program.object, config);
         mp::RunResult result = system.run(program.mainLabel);
         total_cycles += static_cast<std::int64_t>(result.cycles);
     }
     // Accumulated across iterations: SetItemsProcessed is the total
-    // for the whole run, so per-iteration counts would divide away
-    // the very speedup this benchmark exists to show.
+    // for the whole run, so per-iteration counts would divide the rate
+    // by the iteration count.
     state.SetItemsProcessed(total_cycles);
 }
-
-void
-BM_SimCyclesTick(benchmark::State &state)
-{
-    simCyclesRate(state, mp::SimCore::Tick);
-}
-BENCHMARK(BM_SimCyclesTick)->Arg(1)->Arg(8)->Unit(
-    benchmark::kMillisecond);
-
-void
-BM_SimCyclesEvent(benchmark::State &state)
-{
-    simCyclesRate(state, mp::SimCore::Event);
-}
-BENCHMARK(BM_SimCyclesEvent)->Arg(1)->Arg(8)->Unit(
-    benchmark::kMillisecond);
+BENCHMARK(BM_SimCycles)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
 
 /**
  * Persistence round trip: matmul on 8 PEs with a snapshot every 4000
  * cycles, each saved to a file by the checkpoint sink; a fresh System
  * then loads the last one and resumes to completion. Items processed
  * is the number of snapshots saved, accumulated across iterations as
- * in simCyclesRate.
+ * in BM_SimCycles.
  */
 void
 BM_CheckpointRoundTrip(benchmark::State &state)

@@ -49,8 +49,7 @@
  * stays on; set QM_FLIGHT=0 to disable recording entirely).
  * --telemetry streams periodic qm.telemetry.v1 NDJSON snapshots of
  * the statistics registry mid-run, one line every --telemetry-every
- * simulated cycles (default 1000); the stream is cycle-deterministic
- * (byte-identical across both simulation cores).
+ * simulated cycles (default 1000); the stream is cycle-deterministic.
  *
  * Exit codes are structured per failure class:
  *   0  success

@@ -5,8 +5,8 @@
  * Usage: qmprof [--top K] [--buckets N] trace.json
  *        qmprof [--top K] [--buckets N] --run file.occ [--pes N]
  *        qmprof diff [--tolerance F] [--host-tolerance F]
- *                    [--host-aggregate] [--min-host-speedup X]
- *                    [--quiet] baseline.json current.json
+ *                    [--host-aggregate] [--quiet]
+ *                    baseline.json current.json
  *        qmprof flight [--last N] dump.flight.json
  *
  * The first form re-ingests a Chrome trace_event JSON file written by
@@ -52,8 +52,7 @@ usage()
                  "       qmprof [--top K] [--buckets N] --run file.occ "
                  "[--pes N]\n"
                  "       qmprof diff [--tolerance F] "
-                 "[--host-tolerance F] [--host-aggregate] "
-                 "[--min-host-speedup X] [--quiet] "
+                 "[--host-tolerance F] [--host-aggregate] [--quiet] "
                  "baseline.json current.json\n"
                  "       qmprof flight [--last N] dump.flight.json\n";
     return 2;
@@ -78,10 +77,6 @@ mainDiff(int argc, char **argv)
                                                   "--host-tolerance");
             } else if (arg == "--host-aggregate") {
                 options.hostAggregate = true;
-            } else if (arg == "--min-host-speedup" && i + 1 < argc) {
-                options.minHostSpeedup =
-                    qm::parseNonNegativeDoubleArg(argv[++i],
-                                                  "--min-host-speedup");
             } else if (arg == "--quiet") {
                 options.showMetrics = false;
             } else if (!arg.empty() && arg[0] != '-') {

@@ -112,9 +112,8 @@ struct FaultPlan
 
     /**
      * A pekill is scheduled. The kill is timer-driven, not drawn from
-     * the decision stream, so both simulation cores (the unit-tick scan
-     * and the event calendar) arm it the same way: it fires the first
-     * time the next dispatch cycle reaches killAt.
+     * the decision stream: it fires the first time the next dispatch
+     * cycle reaches killAt.
      */
     bool
     killPlanned() const

@@ -95,9 +95,8 @@ struct DecodedOp
 
 /**
  * Lazily-built decode cache over one object-code image: a per-PC index
- * into an arena of DecodedOp entries. Every PE fetches through it, on
- * both simulation cores: each instruction is decoded once, on first
- * execution, and the cached form is replayed on every later visit.
+ * into an arena of DecodedOp entries. Every PE fetches through it:
+ * each instruction is decoded once, on first execution, and the cached form is replayed on every later visit.
  * Decoding stays lazy so a program whose cold path holds a truncated
  * or garbage instruction panics where execution reaches it, not at
  * load time (isa_test holds every entry to Instruction::decode).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
+#include <queue>
 #include <sstream>
 #include <utility>
 
@@ -112,17 +113,6 @@ struct System::PeSlot : SlotState
      */
     CtxId residentBlocked = msg::kNoCtx;
 
-    /**
-     * Time of this slot's live calendar entry (-1 = none). The event
-     * core keeps exactly one live entry per slot: a new registration
-     * only enters the heap when it improves on calAt, and a surfacing
-     * entry whose time differs from calAt is a superseded duplicate,
-     * dropped unexamined. Without this discipline every context wake
-     * would grow the heap and every stale entry would be re-corrected
-     * each scheduling round - quadratic churn on wake-heavy runs.
-     */
-    Cycle calAt = -1;
-
     // Span journal (populated only when recovery is enabled): the
     // completed host ops and the memory stores of the span currently
     // running on this PE. Committed (cleared) whenever the span's
@@ -211,10 +201,7 @@ struct System::Checkpoint
 
 System::System(const isa::ObjectCode &code, SystemConfig config)
     : code_(code), decoded_(code.words), config_(config),
-      memory_(std::make_unique<pe::Memory>(
-          kMemoryBytes, config.core == SimCore::Event
-                            ? pe::Memory::Alloc::Lazy
-                            : pe::Memory::Alloc::Eager)),
+      memory_(std::make_unique<pe::Memory>(kMemoryBytes)),
       bus(config.busConfig()), cache(msg::kChannelDepth),
       tracer_(config.traceConfig)
 {
@@ -301,28 +288,6 @@ void
 System::freeQueuePage(Addr page)
 {
     freePages.push_back(page);
-}
-
-void
-System::calSchedule(PeSlot &slot, Cycle at)
-{
-    if (slot.calAt >= 0 && at >= slot.calAt)
-        return;  // The live entry is already an equal-or-lower bound.
-    calendar_.push({at, slot.index});
-    slot.calAt = at;
-}
-
-void
-System::pushReady(PeSlot &slot, Cycle readyAt, CtxId ctx)
-{
-    slot.readyQ.push({readyAt, ctx});
-    if (config_.core == SimCore::Event)
-        // Register the wake as a lower bound. max() with the slot's
-        // clock saves one validation round-trip when the entry is
-        // already in the past; any remaining staleness (another queued
-        // context runs first, the clock advances during a quiesce) is
-        // corrected when the entry surfaces at the calendar top.
-        calSchedule(slot, std::max(slot.clock, readyAt));
 }
 
 int
@@ -466,12 +431,12 @@ System::enqueueShipped(CtxId id, const BusDelivery &shipped)
     Context &ctx = contexts[id];
     ctx.readyAt = std::max(ctx.readyAt, shipped.at);
     PeSlot &home = *slots[static_cast<size_t>(ctx.homePe)];
-    pushReady(home, ctx.readyAt, id);
+    home.readyQ.push({ctx.readyAt, id});
     if (shipped.duplicated)
         // Duplicate descriptor delivery: a second ready-queue entry
         // for the same context, skipped as stale once the first one
         // dispatches (idempotent delivery).
-        pushReady(home, shipped.duplicateAt, id);
+        home.readyQ.push({shipped.duplicateAt, id});
 }
 
 void
@@ -483,8 +448,8 @@ System::wakeContext(CtxId id, Cycle at)
         return;  // Peer is mid-step on its own PE; it will observe.
     ctx.status = CtxStatus::Ready;
     ctx.readyAt = std::max(ctx.readyAt, at);
-    pushReady(*slots[static_cast<size_t>(ctx.homePe)], ctx.readyAt,
-              ctx.id);
+    slots[static_cast<size_t>(ctx.homePe)]->readyQ.push(
+        {ctx.readyAt, ctx.id});
 }
 
 void
@@ -796,7 +761,7 @@ System::preemptRunning(PeSlot &slot)
     park(slot, CtxStatus::Ready);
     Context &ctx = contexts[id];
     ctx.readyAt = std::max(ctx.readyAt, slot.clock);
-    pushReady(slot, ctx.readyAt, id);
+    slot.readyQ.push({ctx.readyAt, id});
 }
 
 void
@@ -870,9 +835,9 @@ System::dumpThrown()
     try {
         throw;
     } catch (const FatalError &e) {
-        writeFlightDump(config_.flightPath, cat("fatal: ", e.what()));
+        writeFlightDump(config_.flightPath, e.what());
     } catch (const PanicError &e) {
-        writeFlightDump(config_.flightPath, cat("panic: ", e.what()));
+        writeFlightDump(config_.flightPath, e.what());
     } catch (...) {
     }
 }
@@ -903,7 +868,6 @@ System::runLoop(Cycle max_cycles)
     // The host deadline budget covers one pass (a run or a replay).
     runStart_ = std::chrono::steady_clock::now();
     hostGuardTick_ = 0;
-    const bool tick = config_.core == SimCore::Tick;
     // Watchdog bound: explicit, or 1M cycles automatically when fault
     // injection is active (fault-free runs keep the historical
     // behavior exactly).
@@ -911,29 +875,15 @@ System::runLoop(Cycle max_cycles)
         config_.watchdogCycles > 0 ? config_.watchdogCycles
         : faults_                  ? 1'000'000
                                    : 0;
-    if (!tick) {
-        // (Re)build the calendar from scratch: one entry per
-        // schedulable slot. run() enters here after boot pushes,
-        // resume() after a restore() reassigned every ready queue;
-        // leftovers from an earlier loop invocation are meaningless
-        // either way.
-        calendar_ = {};
-        for (auto &slot : slots) {
-            slot->calAt = -1;
-            if (auto t = slot->nextTime())
-                calSchedule(*slot, *t);
-        }
-    }
     while (liveContexts > 0) {
         if (!pendingFailure_.empty())
             return failRun(pendingFailure_, /*watchdog=*/false);
         if (std::string why; hostAbortDue(why))
             return abortRun(why);
-        // Pick the PE able to act soonest. Guards that `continue` leave
-        // the pick in place; the next iteration picks again.
+        // Pick the PE able to act soonest. A guard that `continue`s
+        // changes the machine; the next iteration picks again.
         Cycle best_time = 0;
-        PeSlot *best =
-            tick ? pickScan(best_time) : pickCalendar(best_time);
+        PeSlot *best = pickScan(best_time);
         // Planned fail-stop: fires once simulated time reaches killAt.
         if (killArmed_ && best &&
             best_time >= config_.faultPlan.killAt) {
@@ -1009,19 +959,8 @@ System::runLoop(Cycle max_cycles)
             pendingDeadPe_ < 0 && !replay_in_flight)
             emitTelemetry(best_time);
 
-        // Acting on the slot: the event core consumes its validated
-        // calendar entry now and re-registers its next wake (if any)
-        // after the batch.
-        PeSlot &slot = *best;
-        if (!tick) {
-            calendar_.pop();
-            slot.calAt = -1;
-        }
-        if (dispatch(slot))
-            runBatch(slot, max_cycles);
-        if (!tick)
-            if (auto t = slot.nextTime())
-                calSchedule(slot, *t);
+        if (dispatch(*best))
+            runBatch(*best, max_cycles);
     }
 
     RunResult result;
@@ -1043,42 +982,6 @@ System::pickScan(Cycle &at)
         }
     }
     return best;
-}
-
-System::PeSlot *
-System::pickCalendar(Cycle &at)
-{
-    // Drop entries whose slot is no longer schedulable, correct entries
-    // whose wake time moved, and stop at the first entry matching its
-    // slot's current nextTime(). Every entry is a lower bound on its
-    // slot's wake (pushReady), so the first match IS the global
-    // minimum, and the (cycle, index) heap order picks the lowest PE
-    // index among ties.
-    while (!calendar_.empty()) {
-        CalEntry top = calendar_.top();
-        PeSlot &cand = *slots[static_cast<size_t>(top.pe)];
-        if (top.at != cand.calAt) {
-            // Superseded duplicate: a lower registration (or an act)
-            // replaced this entry while it was buried.
-            calendar_.pop();
-            continue;
-        }
-        auto t = cand.nextTime();
-        if (!t) {
-            calendar_.pop();
-            cand.calAt = -1;
-            continue;
-        }
-        if (*t != top.at) {
-            calendar_.pop();
-            cand.calAt = -1;
-            calSchedule(cand, *t);
-            continue;
-        }
-        at = top.at;
-        return &cand;
-    }
-    return nullptr;
 }
 
 void
@@ -1115,7 +1018,7 @@ System::runBatch(PeSlot &slot, Cycle max_cycles)
                 CtxId id = slot.running;
                 park(slot, CtxStatus::BlockedTime);
                 contexts[id].status = CtxStatus::Ready;
-                pushReady(slot, contexts[id].readyAt, id);
+                slot.readyQ.push({contexts[id].readyAt, id});
                 slot.blockUntil.reset();
             } else if (slot.readyQ.empty()) {
                 // Nothing else to run: stay resident (lazy switch).

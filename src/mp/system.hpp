@@ -24,7 +24,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -45,32 +44,6 @@ namespace qm::mp {
 using isa::Addr;
 using isa::Word;
 using msg::CtxId;
-
-/**
- * Simulation core (see DESIGN.md "Event-driven simulation core"). Both
- * cores run the same System::runLoop and PE step and record the same
- * statistics the same way, so they produce byte-identical RunResult,
- * statistics, metrics, and trace output - the differential test suite
- * holds them to it across the fuzz/fault/recovery corpora. They differ
- * only in the slot picker and the memory allocation mode.
- */
-enum class SimCore
-{
-    /**
-     * The reference core: every iteration linearly scans all PE slots
-     * for the lowest-clock schedulable one, and memory is zeroed
-     * eagerly. Kept as the oracle for the event core and the
-     * host-performance baseline.
-     */
-    Tick,
-    /**
-     * Next-event calendar queue: each slot registers its next wake
-     * cycle in a min-heap keyed by (cycle, PE index) and the scheduler
-     * jumps straight to the earliest one, over lazily-zeroed memory.
-     * The default.
-     */
-    Event,
-};
 
 /** Memory map constants shared with the compiler. */
 constexpr Addr kQueuePagePool = 0x0000'1000;  ///< Up to ~6 MB of pages.
@@ -99,7 +72,6 @@ struct SystemConfig
     /** Set by --topology: skip the adaptive default clamp above. */
     bool busTopologyExplicit = false;
     int pageWords = 256;         ///< Operand-queue page size per context.
-    SimCore core = SimCore::Event;  ///< Inner-loop implementation.
 
     RingBusConfig
     busConfig() const
@@ -173,7 +145,7 @@ struct SystemConfig
      * Emit a telemetry snapshot every N simulated cycles (0 = off).
      * Snapshots fire at deterministic cycle boundaries evaluated at
      * the same guard points as periodic checkpoints, so the stream is
-     * byte-identical across cores and --jobs. Host-side only:
+     * byte-identical across --jobs. Host-side only:
      * excluded from the checkpoint fingerprint; an interrupted stream
      * re-aligns to the next boundary after the resume point.
      */
@@ -188,7 +160,7 @@ struct SystemConfig
  * @p config (machine shape, fault/recovery plans, trace enablement)
  * and of the machine's constant sizes and cycle costs, the ring-bus
  * transfer costs included. Host-side choices that are byte-inert by
- * invariant (SimCore, hostDeadlineMs) are deliberately excluded.
+ * invariant (hostDeadlineMs) are deliberately excluded.
  * System::configFingerprint() extends this with a CRC of the loaded
  * object code; the sweep journal combines it with per-spec
  * program/verification digests.
@@ -445,9 +417,7 @@ class System : private KernelState
      * checkpoint to be resumable on this system: machine shape,
      * kernel costs, timing, fault/recovery plans, trace enablement,
      * and a CRC of the object code. Host-side choices that are
-     * byte-inert by invariant (SimCore, deadline) are deliberately
-     * excluded, so a checkpoint saved under --core tick resumes under
-     * --core event and vice versa.
+     * byte-inert by invariant (the deadline) are deliberately excluded.
      */
     std::string configFingerprint() const;
 
@@ -558,25 +528,7 @@ class System : private KernelState
     /** End the current run span: clear its host-op and undo logs. */
     void commitSpan(PeSlot &slot);
 
-    /**
-     * Enqueue @p ctx on @p slot's ready queue and, on the event core,
-     * register the slot's wake in the calendar. Every ready-queue push
-     * must go through here (or be followed by an explicit calendar
-     * re-registration): the calendar invariant is that whenever a slot
-     * has a nextTime(), at least one calendar entry is <= it.
-     */
-    void pushReady(PeSlot &slot, Cycle readyAt, CtxId ctx);
-
-    /**
-     * Register @p slot in the calendar at time @p at, unless its live
-     * entry (PeSlot::calAt) is already an equal-or-lower bound. Keeps
-     * at most one live entry per slot; an improved registration turns
-     * the old entry into a duplicate that the scheduler drops when it
-     * surfaces.
-     */
-    void calSchedule(PeSlot &slot, Cycle at);
-
-    // --- The run loop (see DESIGN.md "Event-driven simulation core") ---
+    // --- The run loop (see DESIGN.md "One scheduler") ---
     /**
      * runLoop, then bounded checkpoint replay while the run ends in a
      * replayable failure (see run()). Behind run() and resume().
@@ -584,24 +536,16 @@ class System : private KernelState
     RunResult runReplaying(Cycle max_cycles);
     /**
      * The one scheduler loop, entered once per pass (the first run and
-     * every checkpoint replay): pick the slot
-     * able to act soonest, evaluate the guard sequence, then dispatch
-     * and run one batch on it. The two cores differ only in the picker
-     * (pickScan or pickCalendar).
+     * every checkpoint replay): pick the slot able to act soonest
+     * (pickScan), evaluate the guard sequence, then dispatch and run
+     * one batch on it.
      */
     RunResult runLoop(Cycle max_cycles);
     /**
-     * Tick-core picker: scan every slot for the lowest nextTime(),
-     * ties to the lowest index. Null (and @p at untouched) when no
-     * slot can act.
+     * Scan every slot for the lowest nextTime(), ties to the lowest
+     * index. Null (and @p at untouched) when no slot can act.
      */
     PeSlot *pickScan(Cycle &at);
-    /**
-     * Event-core picker: validated peek at the calendar top, returning
-     * decision-for-decision what pickScan would. The chosen entry stays
-     * in the calendar until runLoop acts on the slot.
-     */
-    PeSlot *pickCalendar(Cycle &at);
     /**
      * Run @p slot's dispatched context until it blocks, finishes, or a
      * 16-step batch elapses (keeps PE clocks loosely synchronized).
@@ -673,29 +617,6 @@ class System : private KernelState
     std::string pendingFailure_;
 
     std::vector<std::unique_ptr<PeSlot>> slots;
-
-    /**
-     * Event-core calendar: lower-bound wake registrations, one or more
-     * per schedulable slot. Entries are never eagerly removed when a
-     * slot's wake time moves; the scheduler validates the top against
-     * the slot's current nextTime() and corrects or drops stale
-     * entries as they surface (a lazy min-heap). Ordered by (cycle,
-     * PE index) so ties resolve to the lowest index, exactly like the
-     * tick core's linear scan.
-     */
-    struct CalEntry
-    {
-        Cycle at = 0;
-        int pe = 0;
-        bool operator>(const CalEntry &o) const
-        {
-            if (at != o.at)
-                return at > o.at;
-            return pe > o.pe;
-        }
-    };
-    std::priority_queue<CalEntry, std::vector<CalEntry>, std::greater<>>
-        calendar_;
 
     bool booted = false;
 

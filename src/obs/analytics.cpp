@@ -187,43 +187,6 @@ checkHostAggregate(const std::vector<Report> &base,
     return ok ? 0 : 1;
 }
 
-/**
- * Host speedup gate: summed over every series at the largest PE count
- * the reports share, the baseline's host_wall_ms must be at least
- * @p minimum times the current report's. Runs after the cell checks,
- * so every baseline cell is known to be in @p cur.
- */
-int
-checkHostSpeedup(const RunMap &base, const RunMap &cur, double minimum,
-                 std::ostream &out)
-{
-    int pes = 0;
-    for (const auto &[key, run] : base)
-        pes = std::max(pes, key.second);
-    double base_ms = 0.0;
-    double cur_ms = 0.0;
-    for (const auto &[key, run] : base) {
-        if (key.second != pes)
-            continue;
-        std::optional<double> b = hostMs(*run);
-        std::optional<double> c = hostMs(*cur.at(key));
-        if (!b || !c) {
-            out << "FAIL: " << cellName(key) << ": host_wall_ms missing "
-                << "(rerun both sweeps with --host-time)\n";
-            return 1;
-        }
-        base_ms += *b;
-        cur_ms += *c;
-    }
-    double speedup = base_ms / cur_ms;
-    bool ok = pes > 0 && speedup >= minimum;
-    out << (ok ? "" : "FAIL: ") << "aggregate host speedup at " << pes
-        << " PEs: " << fixed(base_ms, 2) << "ms -> " << fixed(cur_ms, 2)
-        << "ms (" << fixed(speedup, 2) << "x, floor " << fixed(minimum, 2)
-        << "x)\n";
-    return ok ? 0 : 1;
-}
-
 // ---------------------------------------------------------------------------
 // flight
 // ---------------------------------------------------------------------------
@@ -361,14 +324,10 @@ diffReports(const std::string &baselinePath,
     }
     out << "all " << base_runs.size()
         << " baseline cells within tolerance\n";
-    int verdict = 0;
     if (options.hostAggregate)
-        verdict |= checkHostAggregate(base_side, cur_side,
-                                      options.hostTolerance, out);
-    if (options.minHostSpeedup)
-        verdict |= checkHostSpeedup(base_runs, cur_runs,
-                                    *options.minHostSpeedup, out);
-    return verdict;
+        return checkHostAggregate(base_side, cur_side,
+                                  options.hostTolerance, out);
+    return 0;
 }
 
 int

@@ -24,7 +24,6 @@
  */
 #pragma once
 
-#include <optional>
 #include <ostream>
 #include <string>
 
@@ -43,11 +42,6 @@ struct DiffOptions
      * cycles must match their side's first report.
      */
     bool hostAggregate = false;
-    /**
-     * Baseline host_wall_ms over current, summed at the largest PE
-     * count both share, must be at least this.
-     */
-    std::optional<double> minHostSpeedup;
     /** Print per-counter deltas / histogram divergence for metrics. */
     bool showMetrics = true;
 };

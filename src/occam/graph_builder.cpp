@@ -214,6 +214,28 @@ class GraphBuilder
         chain.lastWrite = node;
     }
 
+    /**
+     * Order @p fork after the parent's pending accesses to the arrays
+     * its child touches: the last write of each array the child reads,
+     * and the last write and every read since of each array it writes.
+     * The fork registers as a reader of @p arrays_read; the join orders
+     * the parent's later accesses after the child's.
+     */
+    void
+    orderFork(int fork, const std::vector<int> &arrays_read,
+              const std::vector<int> &arrays_written)
+    {
+        for (int arr : arrays_written) {
+            const Ctx::ArrayChain &chain = cur().arrayChains[arr];
+            if (chain.lastWrite >= 0)
+                g().addOrderEdge(chain.lastWrite, fork);
+            for (int read : chain.readsSinceWrite)
+                g().addOrderEdge(read, fork);
+        }
+        for (int arr : arrays_read)
+            chainArrayRead(arr, fork);
+    }
+
     // ----- Expression emission ----------------------------------------------
 
     bool
@@ -473,10 +495,7 @@ class GraphBuilder
     {
         int claddr = g().addCodeAddr(child_label);
         int fork = g().addNode("rfork", {claddr});
-        // The child reads arrays only after the parent's earlier writes
-        // are ordered before the fork's first transfer.
-        for (int arr : arrays_read)
-            chainArrayRead(arr, fork);
+        orderFork(fork, arrays_read, arrays_written);
 
         int last_send = fork;
         for (int sym : send_symbols) {
@@ -771,8 +790,7 @@ class GraphBuilder
             target = selNode(cond, addr, target);
         }
         int fork = g().addNode("rfork", {target});
-        for (int arr : arrays_read)
-            chainArrayRead(arr, fork);
+        orderFork(fork, arrays_read, arrays_written);
         int last_send = fork;
         for (int sym : ins)
             last_send = sendOn(fork, envGetOrZero(sym));
@@ -850,8 +868,7 @@ class GraphBuilder
             comp.fork = g().addNode("rfork", {claddr});
             if (first_fork < 0)
                 first_fork = comp.fork;
-            for (int arr : comp.arraysRead)
-                chainArrayRead(arr, comp.fork);
+            orderFork(comp.fork, comp.arraysRead, comp.arraysWritten);
             int last_send = comp.fork;
             for (int sym : comp.ins)
                 last_send = sendOn(comp.fork, envGetOrZero(sym));
@@ -950,8 +967,7 @@ class GraphBuilder
         for (long k = 0; k < count; ++k) {
             int claddr = g().addCodeAddr(label);
             int fork = g().addNode("rfork", {claddr});
-            for (int arr : arrays_read)
-                chainArrayRead(arr, fork);
+            orderFork(fork, arrays_read, arrays_written);
             int index = binOp("+", base, g().addConst(k));
             int last_send = fork;
             for (int sym : order) {
@@ -1025,8 +1041,7 @@ class GraphBuilder
 
         int claddr = g().addCodeAddr(info.label);
         int fork = g().addNode("rfork", {claddr});
-        for (int arr : arrays_read)
-            chainArrayRead(arr, fork);
+        orderFork(fork, arrays_read, arrays_written);
         int last_send = fork;
         for (int sym : info.sendOrder)
             last_send = sendOn(fork, values.at(sym));

@@ -6,18 +6,12 @@
 
 namespace qm::pe {
 
-Memory::Memory(std::size_t bytes, Alloc alloc)
-    : size_(bytes), written_((bytes + kPageBytes - 1) / kPageBytes, 0)
+Memory::Memory(std::size_t bytes)
+    : data_(static_cast<std::uint8_t *>(std::calloc(bytes, 1))),
+      size_(bytes), written_((bytes + kPageBytes - 1) / kPageBytes, 0)
 {
-    if (alloc == Alloc::Eager) {
-        bytes_.assign(bytes, 0);
-        data_ = bytes_.data();
-    } else {
-        lazy_.reset(static_cast<std::uint8_t *>(std::calloc(bytes, 1)));
-        fatalIf(bytes > 0 && !lazy_,
-                "memory allocation of ", bytes, " bytes failed");
-        data_ = lazy_.get();
-    }
+    fatalIf(bytes > 0 && !data_,
+            "memory allocation of ", bytes, " bytes failed");
 }
 
 void
@@ -103,7 +97,7 @@ Memory::snapshot() const
     for (std::size_t k = 0; k < image.pages.size(); ++k) {
         std::size_t p = image.pages[k];
         std::memcpy(image.bytes.data() + k * kPageBytes,
-                    data_ + p * kPageBytes, pageLength(size_, p));
+                    data_.get() + p * kPageBytes, pageLength(size_, p));
     }
     return image;
 }
@@ -116,12 +110,13 @@ Memory::restore(const PageImage &image)
             "memory image does not fit this memory");
     for (std::size_t p = 0; p < written_.size(); ++p)
         if (written_[p])
-            std::memset(data_ + p * kPageBytes, 0, pageLength(size_, p));
+            std::memset(data_.get() + p * kPageBytes, 0,
+                        pageLength(size_, p));
     for (std::size_t k = 0; k < image.pages.size(); ++k) {
         std::size_t p = image.pages[k];
         panicIf(p >= written_.size(), "memory image page ", p,
                 " out of range");
-        std::memcpy(data_ + p * kPageBytes, image.page(k),
+        std::memcpy(data_.get() + p * kPageBytes, image.page(k),
                     pageLength(size_, p));
         written_[p] = 1;
     }

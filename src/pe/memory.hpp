@@ -100,26 +100,14 @@ struct PageImage
  * written flag per kPageBytes page. writeWord and writeByte are the
  * only write paths and both set the flag, so every unflagged page is
  * all zero; applyUndo rewrites only pages an earlier write flagged,
- * and nothing ever clears a flag.
+ * and nothing ever clears a flag. The store is calloc()ed, so pages
+ * never touched stay the kernel's shared zero page and constructing a
+ * 32 MiB memory costs next to nothing.
  */
 class Memory
 {
   public:
-    /**
-     * Backing-store strategy. Eager value-initializes the whole store
-     * up front (a 32 MB memset per System - the historical behavior,
-     * kept for the tick core so its host cost stays the reference
-     * point). Lazy calloc()s instead, so untouched pages stay as
-     * kernel zero-pages and construction is near-free; both read as
-     * all-zeroes and are observationally identical.
-     */
-    enum class Alloc
-    {
-        Eager,
-        Lazy,
-    };
-
-    explicit Memory(std::size_t bytes, Alloc alloc = Alloc::Eager);
+    explicit Memory(std::size_t bytes);
 
     std::size_t size() const { return size_; }
 
@@ -149,8 +137,8 @@ class Memory
      */
     void restore(const PageImage &image);
 
-    /** Raw backing store (tests/differential comparisons). */
-    const std::uint8_t *data() const { return data_; }
+    /** Raw backing store (tests comparing whole memory images). */
+    const std::uint8_t *data() const { return data_.get(); }
 
   private:
     struct FreeDeleter
@@ -160,9 +148,7 @@ class Memory
 
     void checkWord(Addr addr) const;
 
-    std::vector<std::uint8_t> bytes_;  ///< Eager backing store.
-    std::unique_ptr<std::uint8_t[], FreeDeleter> lazy_;  ///< Lazy store.
-    std::uint8_t *data_ = nullptr;  ///< Whichever store is active.
+    std::unique_ptr<std::uint8_t[], FreeDeleter> data_;
     std::size_t size_ = 0;
     std::vector<std::uint8_t> written_;  ///< One flag per page.
     UndoLog *undo_ = nullptr;  ///< Attached span log (see setUndoLog).

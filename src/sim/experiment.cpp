@@ -37,8 +37,8 @@ runOnce(const occam::CompiledProgram &program,
         const mp::SystemConfig &base_config)
 {
     // Host-side cost of the whole simulation, construction included:
-    // zeroing the simulated memory is part of what the run costs the
-    // host, so both cores are timed over the same span.
+    // allocating the simulated memory is part of what the run costs
+    // the host.
     auto host_start = std::chrono::steady_clock::now();
     mp::SystemConfig config = base_config;
     config.numPes = pes;
@@ -65,9 +65,9 @@ runOnce(const occam::CompiledProgram &program,
             system.run(program.mainLabel);
         died = false;
     } catch (const FatalError &e) {
-        report.failureReason = cat("fatal: ", e.what());
+        report.failureReason = e.what();
     } catch (const PanicError &e) {
-        report.failureReason = cat("panic: ", e.what());
+        report.failureReason = e.what();
     }
     // System dumped the black box on every failure, thrown or
     // structured; the report just records where it landed.

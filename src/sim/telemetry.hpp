@@ -18,8 +18,8 @@
  * Determinism contract: boundaries are evaluated at the same guard
  * points as periodic checkpoints, the registry fold is the same one
  * finalizeRun uses, and every map is name-ordered - so the stream is
- * byte-identical across cores and (with per-run buffering in
- * sim::runAll) --jobs. Counters are monotone along one timeline; a
+ * byte-identical across --jobs (with per-run buffering in
+ * sim::runAll). Counters are monotone along one timeline; a
  * checkpoint replay rewinds the registry with the machine, so a
  * faulted run's stream records the replayed timeline too (stamps can
  * repeat), which is the truthful account of what the machine did.

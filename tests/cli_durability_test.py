@@ -19,8 +19,9 @@ Asserts:
     and so is a malformed prime_sieve PE count;
   * qmprof flight exit codes and verdicts;
   * the sweep benches' front end: one note line per failed and per
-    recovered BENCH row, and --topology refused (exit 2) by every
-    bench but bench_partitioned;
+    recovered BENCH row, --topology refused (exit 2) by every bench
+    but bench_partitioned, and the usage line an unknown flag (the
+    removed simulation-core selector among them) prints;
   * occamc --interp agrees with the simulated run.
 
 Usage: cli_durability_test.py OCCAMC SOURCE_DIR QMPROF PRIME_SIEVE
@@ -392,19 +393,6 @@ def main():
     check_diff("--host-aggregate: repeats that disagree fail", 1,
                "first repetition", off, repeats("on", (9.5, 9.1), 61), *agg)
 
-    # --min-host-speedup: aggregated at the largest shared PE count
-    # (8 here; the current report's 16-PE cell has no baseline).
-    tick = report("BENCH_tick.json", [cell(1, 100, 50.0),
-                                      cell(8, 40, 100.0)])
-    def event(host8):
-        return report("BENCH_event.json", [
-            cell(1, 100, 10.0), cell(8, 40, host8), cell(16, 30, 1.0)])
-    check_diff("--min-host-speedup: 6.67x at 8 PEs passes", 0, "at 8 PEs",
-               tick, event(15.0), "--min-host-speedup", "5")
-    check_diff("--min-host-speedup: 3.33x at 8 PEs fails", 1,
-               "FAIL: aggregate host speedup at 8 PEs",
-               tick, event(30.0), "--min-host-speedup", "5")
-
     # --- qmprof flight ------------------------------------------------
     p = run([qmprof, "flight", fault_flight])
     check_rc("qmprof flight: post-mortem exits 0", p, 0)
@@ -449,6 +437,23 @@ def main():
     p = run([partitioned, "--jobs", "2", "--topology", "ring",
              "--max-pes", "8"], cwd=bench_dir)
     check_rc("bench_partitioned takes --topology and --max-pes", p, 0)
+    # An unknown flag, the removed simulation-core selector among them,
+    # prints the usage line; only bench_partitioned's lists --topology
+    # and --max-pes.
+    for bench in (speedup, bus, ablation, partitioned):
+        name = os.path.basename(bench)
+        usage = (f"usage: {name} [--jobs N] [--faults SPEC] [--recover] "
+                 "[--checkpoint-every N] [--metrics FILE] "
+                 "[--trace-dir DIR] "
+                 + ("[--topology SPEC] [--max-pes N] "
+                    if bench == partitioned else "")
+                 + "[--host-time] [--resume-dir DIR] [--deadline-ms N] "
+                 "[--telemetry FILE] [--telemetry-every N]\n")
+        for flags in (["--no-such-flag"], ["--core", "tick"]):
+            p = run([bench] + flags, cwd=bench_dir)
+            check(f"{name} {flags[0]} exits 2 with the usage line",
+                  p.returncode == 2 and not p.stdout and p.stderr == usage,
+                  f"rc={p.returncode} {p.stderr[:300]}")
 
     # --- occamc --interp ------------------------------------------------
     p = run([occamc, "--run", "--interp", "--pes", "4", pipeline])

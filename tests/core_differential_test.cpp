@@ -1,17 +1,25 @@
 /**
  * @file
- * Differential gate between the two simulation cores: the event-driven
- * calendar scheduler (SimCore::Event, the default) must be
- * BYTE-IDENTICAL to the unit-tick scan it replaced (SimCore::Tick) on
+ * Host-core differential gate: a simulation must be BYTE-IDENTICAL on
  * every observable surface - RunResult fields, the rendered statistics
  * registry, the Chrome trace stream, the full simulated memory image,
- * and the BENCH / metrics JSON documents - across the same corpora the
- * fuzz suites run: plain programs, seeded fault injection, the harsh
- * recovery mix with fail-stops and checkpoint replay, and fault-free
- * runs with periodic checkpoints.
+ * every saved checkpoint file, and the BENCH / metrics JSON documents -
+ * whether it runs alone on the calling thread or as one of two copies
+ * running at once on parallelFor workers, the host cores a sweep's
+ * --jobs spreads its runs over. Each mp::System owns all of its state,
+ * so neither the host core a run lands on, nor a run beside it, nor a
+ * run before it in the same process (whose freed pages a later calloc
+ * may reuse) may change a byte. The corpora are
+ * the ones the fuzz suites run: plain programs, seeded fault
+ * injection, the harsh recovery mix with fail-stops and checkpoint
+ * replay, fault-free runs with periodic checkpoints, and hierarchical
+ * multi-partition machines.
  *
- * Honors QM_FUZZ_ITERS like the fuzz suites (the nightly chaos job
- * widens every corpus).
+ * The test names date from when the suite held two simulation cores
+ * (the slot scan and an event calendar) to the same bytes; with one
+ * scheduler, the reference is that scheduler's serial run.
+ *
+ * Honors QM_FUZZ_ITERS like the fuzz suites.
  */
 #include <gtest/gtest.h>
 
@@ -34,6 +42,7 @@
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
 #include "support/format.hpp"
+#include "support/thread_pool.hpp"
 #include "trace/export.hpp"
 
 namespace {
@@ -45,7 +54,7 @@ using fuzz::corpusSeed;
 using fuzz::fuzzIters;
 using fuzz::ProgramGen;
 
-/** Everything one core produced that the other must reproduce. */
+/** Everything one run produced that every other run must reproduce. */
 struct CoreRun
 {
     mp::RunResult result;
@@ -70,16 +79,14 @@ compileCorpusProgram(int idx, std::string *main_label)
 }
 
 /**
- * Run @p object on @p core, replaying from checkpoints as the recovery
- * plan allows. With a @p checkpoint_path, every snapshot is saved there
- * and the file's bytes are kept in CoreRun::checkpoints.
+ * Run @p object under @p config, replaying from checkpoints as the
+ * recovery plan allows. With a @p checkpoint_path, every snapshot is
+ * saved there and the file's bytes are kept in CoreRun::checkpoints.
  */
 CoreRun
 runCore(const isa::ObjectCode &object, const std::string &main_label,
-        mp::SystemConfig config, mp::SimCore core,
-        const std::string &checkpoint_path = "")
+        mp::SystemConfig config, const std::string &checkpoint_path = "")
 {
-    config.core = core;
     // Record the full event stream so the comparison covers trace
     // emission order and timestamps, not just the end state.
     config.traceConfig.enabled = true;
@@ -105,16 +112,45 @@ runCore(const isa::ObjectCode &object, const std::string &main_label,
 }
 
 void
-expectIdentical(const CoreRun &tick, const CoreRun &event)
+expectIdentical(const CoreRun &reference, const CoreRun &run)
 {
-    testutil::expectSameRunResult(tick.result, event.result);
-    EXPECT_EQ(tick.stats, event.stats);
-    EXPECT_EQ(tick.trace, event.trace);
-    EXPECT_EQ(tick.memory, event.memory);
-    ASSERT_EQ(tick.checkpoints.size(), event.checkpoints.size());
-    for (std::size_t i = 0; i < tick.checkpoints.size(); ++i)
-        EXPECT_EQ(tick.checkpoints[i], event.checkpoints[i])
+    testutil::expectSameRunResult(reference.result, run.result);
+    EXPECT_EQ(reference.stats, run.stats);
+    EXPECT_EQ(reference.trace, run.trace);
+    EXPECT_EQ(reference.memory, run.memory);
+    ASSERT_EQ(reference.checkpoints.size(), run.checkpoints.size());
+    for (std::size_t i = 0; i < reference.checkpoints.size(); ++i)
+        EXPECT_EQ(reference.checkpoints[i], run.checkpoints[i])
             << "checkpoint file " << i;
+}
+
+/**
+ * Run @p object under @p config once on the calling thread, then as two
+ * copies at once on two parallelFor workers, and expect both copies
+ * byte-identical to the serial run, which is returned. With a
+ * @p checkpoint_stem, each run saves its snapshots to a file of its
+ * own under that stem.
+ */
+CoreRun
+runOnHostCores(const isa::ObjectCode &object, const std::string &main_label,
+               const mp::SystemConfig &config,
+               const std::string &checkpoint_stem = "")
+{
+    auto path = [&](std::size_t run) {
+        return checkpoint_stem.empty()
+                   ? std::string()
+                   : cat(checkpoint_stem, "_", run, ".qmc");
+    };
+    CoreRun serial = runCore(object, main_label, config, path(0));
+    std::vector<CoreRun> concurrent(2);
+    parallelFor(concurrent.size(), 2, [&](std::size_t i) {
+        concurrent[i] = runCore(object, main_label, config, path(i + 1));
+    });
+    for (std::size_t i = 0; i < concurrent.size(); ++i) {
+        SCOPED_TRACE(cat("concurrent copy ", i));
+        expectIdentical(serial, concurrent[i]);
+    }
+    return serial;
 }
 
 class FuzzCoreDifferentialTest : public ::testing::TestWithParam<int>
@@ -128,9 +164,7 @@ TEST_P(FuzzCoreDifferentialTest, PlainCorpusByteIdentical)
         compileCorpusProgram(GetParam(), &main_label);
     mp::SystemConfig config;
     config.numPes = corpusPes(GetParam());
-    expectIdentical(
-        runCore(object, main_label, config, mp::SimCore::Tick),
-        runCore(object, main_label, config, mp::SimCore::Event));
+    runOnHostCores(object, main_label, config);
 }
 
 INSTANTIATE_TEST_SUITE_P(PlainCorpus, FuzzCoreDifferentialTest,
@@ -143,9 +177,9 @@ class FuzzCoreFaultDifferentialTest
 
 TEST_P(FuzzCoreFaultDifferentialTest, FaultCorpusByteIdentical)
 {
-    // Same plans as FuzzFaultDifferentialTest: the injector's decision
-    // stream is consumed at the same sites in both cores, so even the
-    // injected fault schedule must line up event for event.
+    // Same plans as FuzzFaultDifferentialTest: each System owns its
+    // injector, so every copy must draw the same fault schedule event
+    // for event, whatever runs beside it.
     std::string main_label;
     isa::ObjectCode object =
         compileCorpusProgram(GetParam(), &main_label);
@@ -157,9 +191,7 @@ TEST_P(FuzzCoreFaultDifferentialTest, FaultCorpusByteIdentical)
     plan.kinds = fault::kBusDrop | fault::kBusDelay | fault::kPeStall;
     config.faultPlan = plan;
     config.watchdogCycles = 200'000;
-    expectIdentical(
-        runCore(object, main_label, config, mp::SimCore::Tick),
-        runCore(object, main_label, config, mp::SimCore::Event));
+    runOnHostCores(object, main_label, config);
 }
 
 INSTANTIATE_TEST_SUITE_P(FaultCorpus, FuzzCoreFaultDifferentialTest,
@@ -174,9 +206,9 @@ TEST_P(FuzzCoreRecoveryDifferentialTest, RecoveryCorpusByteIdentical)
 {
     // The harsh mix: loss past the retry bound, duplication,
     // corruption, periodic fail-stop, recovery on, periodic
-    // checkpoints, bounded replay. Exercises snapshot/restore under
-    // both cores - the stat-delta flush points must make checkpoint
-    // contents (and everything downstream) agree exactly.
+    // checkpoints, bounded replay. Exercises snapshot/restore and the
+    // replay loop on concurrent Systems: nothing a replay restores may
+    // come from anywhere but the run's own checkpoints.
     std::string main_label;
     isa::ObjectCode object =
         compileCorpusProgram(GetParam(), &main_label);
@@ -197,9 +229,7 @@ TEST_P(FuzzCoreRecoveryDifferentialTest, RecoveryCorpusByteIdentical)
     config.watchdogCycles = 200'000;
     config.recovery.enabled = true;
     config.recovery.checkpointEvery = 300;
-    expectIdentical(
-        runCore(object, main_label, config, mp::SimCore::Tick),
-        runCore(object, main_label, config, mp::SimCore::Event));
+    runOnHostCores(object, main_label, config);
 }
 
 INSTANTIATE_TEST_SUITE_P(RecoveryCorpus,
@@ -217,8 +247,8 @@ TEST_P(FuzzCoreCheckpointDifferentialTest, CheckpointCorpusByteIdentical)
     // snapshot quiesces the machine mid-run (preempting running and
     // resident contexts), so the checkpoint guard and the quiesce path
     // run many times per program with nothing else perturbing them.
-    // Every snapshot is also saved, and the two cores' checkpoint
-    // files must match byte for byte.
+    // Every snapshot is also saved, and every copy's checkpoint files
+    // must match the serial run's byte for byte.
     std::string main_label;
     isa::ObjectCode object =
         compileCorpusProgram(GetParam(), &main_label);
@@ -233,14 +263,10 @@ TEST_P(FuzzCoreCheckpointDifferentialTest, CheckpointCorpusByteIdentical)
     }
     config.recovery.enabled = true;
     config.recovery.checkpointEvery = 64 + 64 * (GetParam() % 3);
-    std::string path = cat(::testing::TempDir(), "core_diff_ckpt_",
-                           GetParam(), ".qmc");
-    CoreRun tick =
-        runCore(object, main_label, config, mp::SimCore::Tick, path);
-    CoreRun event =
-        runCore(object, main_label, config, mp::SimCore::Event, path);
-    EXPECT_GE(tick.checkpoints.size(), 2u);
-    expectIdentical(tick, event);
+    std::string stem =
+        cat(::testing::TempDir(), "core_diff_ckpt_", GetParam());
+    CoreRun serial = runOnHostCores(object, main_label, config, stem);
+    EXPECT_GE(serial.checkpoints.size(), 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(CheckpointCorpus,
@@ -257,7 +283,7 @@ TEST_P(FuzzCorePartitionedDifferentialTest,
 {
     // The plain corpus again, but on hierarchical multi-partition
     // machines: cross-ring transfers, bridge arbitration, and sharded
-    // kernel placement must be byte-identical under both cores.
+    // kernel placement must be byte-identical on every host core.
     std::string main_label;
     isa::ObjectCode object =
         compileCorpusProgram(GetParam(), &main_label);
@@ -266,9 +292,7 @@ TEST_P(FuzzCorePartitionedDifferentialTest,
     static const mp::RingTopology kShapes[] = {
         {2, 2}, {4, 1}, {2, 4}, {4, 2}};
     config.setTopology(kShapes[GetParam() % 4]);
-    expectIdentical(
-        runCore(object, main_label, config, mp::SimCore::Tick),
-        runCore(object, main_label, config, mp::SimCore::Event));
+    runOnHostCores(object, main_label, config);
 }
 
 INSTANTIATE_TEST_SUITE_P(PartitionedPlainCorpus,
@@ -286,7 +310,7 @@ TEST_P(PartitionedRecoveryDifferentialTest,
     // The pinned multi-partition recovery corpus (fuzz_corpus.hpp):
     // PE kills plus loss on hierarchical machines, so checkpoint
     // replay, cross-shard re-dispatch, and bridge-crossing
-    // retransmits all run under both cores.
+    // retransmits all run on concurrent Systems.
     const fuzz::PartitionedRecoverySpec &entry =
         fuzz::kPartitionedRecoveryCorpus[static_cast<std::size_t>(
             GetParam())];
@@ -302,9 +326,7 @@ TEST_P(PartitionedRecoveryDifferentialTest,
     config.recovery.enabled = true;
     config.recovery.checkpointEvery = 300;
     config.recovery.maxResends = 64;
-    expectIdentical(
-        runCore(object, main_label, config, mp::SimCore::Tick),
-        runCore(object, main_label, config, mp::SimCore::Event));
+    runOnHostCores(object, main_label, config);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -318,7 +340,7 @@ TEST(CoreDifferential, WatchdogAccountingPinned)
     // Pinned chaos scenario engineered to end runs through the
     // watchdog/starvation path: aggressive loss with a single link
     // retry, no recovery layer, and a tight watchdog. Whatever the
-    // exact outcome per index, both cores must agree on the
+    // exact outcome per index, every copy must agree on the
     // watchdog-tripped flag, the failure reason string, and the cycle
     // the run died at.
     bool saw_trip = false;
@@ -335,12 +357,8 @@ TEST(CoreDifferential, WatchdogAccountingPinned)
         plan.maxRetries = 1;
         config.faultPlan = plan;
         config.watchdogCycles = 3000;
-        CoreRun tick =
-            runCore(object, main_label, config, mp::SimCore::Tick);
-        CoreRun event =
-            runCore(object, main_label, config, mp::SimCore::Event);
-        expectIdentical(tick, event);
-        saw_trip = saw_trip || tick.result.watchdogTripped;
+        CoreRun serial = runOnHostCores(object, main_label, config);
+        saw_trip = saw_trip || serial.result.watchdogTripped;
     }
     // The scenario must actually exercise the path it pins.
     EXPECT_TRUE(saw_trip);
@@ -358,51 +376,56 @@ slurp(const std::string &path)
 TEST(CoreDifferential, BenchAndMetricsJsonByteIdentical)
 {
     // The exported documents - the surfaces CI diffing actually
-    // consumes - compared byte for byte. Host timing is measured by
-    // runOnce either way but stays out of the default BENCH document,
-    // which is exactly why the comparison can be exact.
+    // consumes - compared byte for byte between a serial sweep and one
+    // whose three runs each get a host core of their own. Host timing
+    // is measured either way but stays out of the default BENCH
+    // document, which is exactly why the comparison can be exact.
     std::string source = ProgramGen(corpusSeed(0)).generate();
     occam::CompiledProgram program = occam::compileOccam(source);
+    std::vector<sim::RunSpec> specs;
+    for (int pes : {1, 2, 4}) {
+        sim::RunSpec spec;
+        spec.program = &program;
+        spec.pes = pes;
+        specs.push_back(spec);
+    }
 
-    auto series_for = [&](mp::SimCore core) {
-        mp::SystemConfig config;
-        config.core = core;
+    auto series_at = [&](int jobs) {
         sim::SpeedupSeries series;
         series.name = "corpus0";
-        for (int pes : {1, 2, 4})
-            series.runs.push_back(
-                sim::runOnce(program, "", {}, pes, config));
+        series.runs = sim::runAll(specs, jobs);
         return series;
     };
-    sim::SpeedupSeries tick = series_for(mp::SimCore::Tick);
-    sim::SpeedupSeries event = series_for(mp::SimCore::Event);
+    sim::SpeedupSeries serial = series_at(1);
+    sim::SpeedupSeries parallel = series_at(3);
 
     // Host timing is machine-dependent by design; everything else in
     // the report must match field for field.
-    for (std::size_t i = 0; i < tick.runs.size(); ++i) {
-        EXPECT_EQ(tick.runs[i].cycles, event.runs[i].cycles);
-        EXPECT_EQ(tick.runs[i].completed, event.runs[i].completed);
-        EXPECT_EQ(tick.runs[i].stats.render(),
-                  event.runs[i].stats.render());
-        EXPECT_GE(tick.runs[i].hostWallMs, 0.0);
-        EXPECT_GE(event.runs[i].hostWallMs, 0.0);
+    ASSERT_EQ(serial.runs.size(), parallel.runs.size());
+    for (std::size_t i = 0; i < serial.runs.size(); ++i) {
+        EXPECT_EQ(serial.runs[i].cycles, parallel.runs[i].cycles);
+        EXPECT_EQ(serial.runs[i].completed, parallel.runs[i].completed);
+        EXPECT_EQ(serial.runs[i].stats.render(),
+                  parallel.runs[i].stats.render());
+        EXPECT_GE(serial.runs[i].hostWallMs, 0.0);
+        EXPECT_GE(parallel.runs[i].hostWallMs, 0.0);
     }
 
-    std::string tick_bench =
-        sim::writeBenchJson("corediff", {tick}, "core_diff_tick.json");
-    std::string event_bench = sim::writeBenchJson(
-        "corediff", {event}, "core_diff_event.json");
-    EXPECT_EQ(slurp(tick_bench), slurp(event_bench));
-    std::remove(tick_bench.c_str());
-    std::remove(event_bench.c_str());
+    std::string serial_bench = sim::writeBenchJson(
+        "corediff", {serial}, "core_diff_jobs1.json");
+    std::string parallel_bench = sim::writeBenchJson(
+        "corediff", {parallel}, "core_diff_jobs3.json");
+    EXPECT_EQ(slurp(serial_bench), slurp(parallel_bench));
+    std::remove(serial_bench.c_str());
+    std::remove(parallel_bench.c_str());
 
-    std::string tick_metrics = sim::writeMetricsJson(
-        "corediff", {tick}, "core_diff_tick_metrics.json");
-    std::string event_metrics = sim::writeMetricsJson(
-        "corediff", {event}, "core_diff_event_metrics.json");
-    EXPECT_EQ(slurp(tick_metrics), slurp(event_metrics));
-    std::remove(tick_metrics.c_str());
-    std::remove(event_metrics.c_str());
+    std::string serial_metrics = sim::writeMetricsJson(
+        "corediff", {serial}, "core_diff_jobs1_metrics.json");
+    std::string parallel_metrics = sim::writeMetricsJson(
+        "corediff", {parallel}, "core_diff_jobs3_metrics.json");
+    EXPECT_EQ(slurp(serial_metrics), slurp(parallel_metrics));
+    std::remove(serial_metrics.c_str());
+    std::remove(parallel_metrics.c_str());
 }
 
 } // namespace

@@ -699,8 +699,7 @@ TEST(FaultRecovery, PartitionedPinnedCorpusRecoversExactly)
 {
     // The multi-partition half of the pinned corpus: hierarchical
     // machines where recovery retransmits and fail-stop re-dispatch
-    // must cross ring bridges. Shared with core_differential_test,
-    // which replays the same entries under both simulation cores.
+    // must cross ring bridges.
     programs::Benchmark bench = programs::thesisBenchmarks()[0];
     occam::CompiledProgram program = occam::compileOccam(bench.source);
     for (const fuzz::PartitionedRecoverySpec &entry :

@@ -1,9 +1,8 @@
 /**
  * @file
  * Shared corpus of structured random OCCAM programs (and the fault /
- * recovery plans the chaos suites pair them with). Extracted from the
- * original fuzz differential suite so the simulation-core differential
- * gate can replay the exact same corpora: same seeds, same programs,
+ * recovery plans the chaos suites pair them with), used by the fuzz
+ * differential suite and the fault suite: same seeds, same programs,
  * same fault schedules.
  */
 #pragma once
@@ -164,7 +163,7 @@ class ProgramGen
     int fresh = 0;
 };
 
-/** Program-corpus seed for index @p idx (all three corpora share it). */
+/** Program-corpus seed for index @p idx (every corpus shares it). */
 inline std::uint64_t
 corpusSeed(int idx)
 {
@@ -182,8 +181,7 @@ corpusPes(int idx)
  * One pinned multi-partition recovery scenario: a machine big enough
  * for a real "rings:KxM" hierarchy plus a fault plan whose recovery
  * (retransmits, fail-stop re-dispatch) must push traffic across ring
- * bridges. Replayed by the fault suite (must recover exactly) and by
- * core_differential_test (both simulation cores byte-identical).
+ * bridges. Replayed by the fault suite, which must recover exactly.
  */
 struct PartitionedRecoverySpec
 {

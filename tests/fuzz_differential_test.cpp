@@ -8,12 +8,14 @@
  * Every divergence this has caught was a real compiler or simulator
  * bug, so the corpus is kept deterministic (seeded) and broad.
  *
- * A second corpus re-runs the same programs under seeded fault
- * injection (src/fault): value-preserving faults must never change
- * the observable result - a run either agrees with the abstract
- * interpreter exactly or fails with a structured reason.
+ * Further corpora re-run the same programs under seeded fault
+ * injection (src/fault), with the recovery layer on, on hierarchical
+ * multi-ring machines and under aggressive periodic checkpoints:
+ * value-preserving faults must never change the observable result - a
+ * run either agrees with the abstract interpreter exactly or fails
+ * with a structured reason.
  *
- * Set QM_FUZZ_ITERS to widen both corpora (the nightly chaos CI job
+ * Set QM_FUZZ_ITERS to widen every corpus (the nightly chaos CI job
  * runs a multiple of the default).
  */
 #include <gtest/gtest.h>
@@ -30,6 +32,7 @@ namespace {
 
 using namespace qm;
 using namespace qm::occam;
+using fuzz::corpusPes;
 using fuzz::corpusSeed;
 using fuzz::fuzzIters;
 using fuzz::ProgramGen;
@@ -76,14 +79,16 @@ expectAgree(const GraphInterpreter &interp, mp::System &system,
 }
 
 /**
- * Run corpus program @p idx on the abstract interpreter and, under
- * @p config, on the machine, replaying from checkpoints when recovery
- * is on. A completed run must agree with the interpreter exactly; only
- * a faulty run may fail instead, and then it must say why - never a
- * hang, a crash, or a silent wrong answer.
+ * Run corpus program @p idx on the abstract interpreter and, on the
+ * machine @p config describes, on the simulator, replaying from
+ * checkpoints when recovery is on. A completed run must agree with the
+ * interpreter exactly and have taken at least @p min_checkpoints
+ * snapshots; only a faulty run may fail instead, and then it must say
+ * why - never a hang, a crash, or a silent wrong answer.
  */
 void
-expectCorpusAgrees(int idx, mp::SystemConfig config)
+expectCorpusAgrees(int idx, const mp::SystemConfig &config,
+                   std::uint64_t min_checkpoints = 0)
 {
     std::string source = ProgramGen(corpusSeed(idx)).generate();
     SCOPED_TRACE(source);
@@ -91,7 +96,6 @@ expectCorpusAgrees(int idx, mp::SystemConfig config)
     GraphInterpreter interp(dual.contexts);
     ASSERT_TRUE(interp.run().completed);
 
-    config.numPes = 1 + idx % 4;
     mp::System system(dual.object, config);
     mp::RunResult result = system.run(dual.contexts.mainLabel);
     if (!result.completed) {
@@ -100,6 +104,7 @@ expectCorpusAgrees(int idx, mp::SystemConfig config)
         return;
     }
     expectAgree(interp, system, dual.base, 8);
+    EXPECT_GE(system.stats().counter("sys.checkpoints"), min_checkpoints);
 }
 
 class FuzzDifferentialTest : public ::testing::TestWithParam<int>
@@ -108,7 +113,9 @@ class FuzzDifferentialTest : public ::testing::TestWithParam<int>
 
 TEST_P(FuzzDifferentialTest, ExecutorsAgree)
 {
-    expectCorpusAgrees(GetParam(), mp::SystemConfig{});
+    mp::SystemConfig config;
+    config.numPes = corpusPes(GetParam());
+    expectCorpusAgrees(GetParam(), config);
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, FuzzDifferentialTest,
@@ -181,6 +188,7 @@ TEST_P(FuzzFaultDifferentialTest, FaultyRunAgreesOrFailsCleanly)
     // schedule differs per program but stays reproducible. A lost
     // message beyond the retry bound is an acceptable degraded outcome.
     mp::SystemConfig config;
+    config.numPes = corpusPes(GetParam());
     config.faultPlan.seed = 0xFA117 + static_cast<std::uint64_t>(GetParam());
     config.faultPlan.rate = 0.03;
     config.faultPlan.kinds =
@@ -207,6 +215,7 @@ TEST_P(FuzzRecoveryDifferentialTest, RecoveredRunAgreesExactly)
     // corpus - exact agreement with the abstract interpreter - with a
     // structured failure as the only acceptable degraded outcome.
     mp::SystemConfig config;
+    config.numPes = corpusPes(GetParam());
     fault::FaultPlan &plan = config.faultPlan;
     plan.seed = 0x5EC0 + static_cast<std::uint64_t>(GetParam());
     plan.rate = 0.25;
@@ -226,5 +235,55 @@ TEST_P(FuzzRecoveryDifferentialTest, RecoveredRunAgreesExactly)
 
 INSTANTIATE_TEST_SUITE_P(RecoveryCorpus, FuzzRecoveryDifferentialTest,
                          ::testing::Range(0, fuzzIters(40)));
+
+class FuzzPartitionedDifferentialTest
+    : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(FuzzPartitionedDifferentialTest, PartitionedRunAgrees)
+{
+    // The plain corpus on hierarchical multi-partition machines:
+    // cross-ring transfers, bridge arbitration and sharded kernel
+    // placement must not change a result.
+    mp::SystemConfig config;
+    config.numPes = 8 + 8 * (GetParam() % 2);  // 8 or 16 PEs
+    static const mp::RingTopology kShapes[] = {
+        {2, 2}, {4, 1}, {2, 4}, {4, 2}};
+    config.setTopology(kShapes[GetParam() % 4]);
+    expectCorpusAgrees(GetParam(), config);
+}
+
+INSTANTIATE_TEST_SUITE_P(PartitionedPlainCorpus,
+                         FuzzPartitionedDifferentialTest,
+                         ::testing::Range(0, fuzzIters(24)));
+
+class FuzzCheckpointDifferentialTest
+    : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(FuzzCheckpointDifferentialTest, CheckpointedRunAgrees)
+{
+    // Fault-free runs with aggressive periodic checkpoints: every
+    // snapshot quiesces the machine mid-run (preempting running and
+    // resident contexts), so the checkpoint guard and the quiesce path
+    // run many times per program with nothing else perturbing them.
+    mp::SystemConfig config;
+    // A hierarchy needs at least one PE per ring, so pad the machine
+    // when this index pins the rings:2x2 shape.
+    if (GetParam() % 2 == 0) {
+        config.numPes = 4 + corpusPes(GetParam());
+        config.setTopology({2, 2});
+    } else {
+        config.numPes = corpusPes(GetParam());
+    }
+    config.recovery.enabled = true;
+    config.recovery.checkpointEvery = 64 + 64 * (GetParam() % 3);
+    expectCorpusAgrees(GetParam(), config, /*min_checkpoints=*/2);
+}
+
+INSTANTIATE_TEST_SUITE_P(CheckpointCorpus, FuzzCheckpointDifferentialTest,
+                         ::testing::Range(0, fuzzIters(12)));
 
 } // namespace

@@ -2,9 +2,9 @@
  * @file
  * Observability layer tests: the always-on flight recorder (rings,
  * counts, qm.flight.v1 dumps, QM_FLIGHT kill switch), the telemetry
- * stream (determinism across cores), the Prometheus
- * exposition writer, and the qmprof cross-run analytics (diff verdicts
- * and flight post-mortems).
+ * stream (determinism across host cores), the Prometheus exposition
+ * writer, and the qmprof cross-run analytics (diff verdicts and flight
+ * post-mortems).
  */
 #include <gtest/gtest.h>
 
@@ -17,9 +17,11 @@
 #include "obs/analytics.hpp"
 #include "obs/flight.hpp"
 #include "occam/compiler.hpp"
+#include "sim/experiment.hpp"
 #include "sim/telemetry.hpp"
 #include "support/json_parse.hpp"
 #include "support/stats.hpp"
+#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -265,15 +267,33 @@ TEST(FlightSystem, WriteFlightDumpProducesParseableFile)
     std::remove(path.c_str());
 }
 
-// --- Telemetry determinism -----------------------------------------------
+TEST(FlightSystem, ThrownFailureReasonNamesItsClassOnce)
+{
+    // fatal() starts its message with "fatal: "; the report row and
+    // the black box carry that message as thrown.
+    occam::CompiledProgram program =
+        occam::compileOccam("chan a:\nvar x:\nseq\n  a ? x\n");
+    mp::SystemConfig config;
+    config.flightPath = tempPath("deadlock.flight.json");
+    sim::RunReport report = sim::runOnce(program, "", {}, 1, config);
+    EXPECT_FALSE(report.completed);
+    EXPECT_EQ(report.failureReason.rfind("fatal: deadlock: ", 0), 0u)
+        << report.failureReason;
+    EXPECT_EQ(report.failureReason.find("fatal: ", 1), std::string::npos)
+        << report.failureReason;
+    EXPECT_EQ(parseJsonFile(config.flightPath).str("reason"),
+              report.failureReason);
+    std::remove(config.flightPath.c_str());
+}
+
+// --- Telemetry -----------------------------------------------------------
 
 std::vector<std::string>
-telemetryLines(mp::SimCore core)
+telemetryLines()
 {
     const occam::CompiledProgram &program = pipelineProgram();
     mp::SystemConfig config;
     config.numPes = 2;
-    config.core = core;
     config.telemetryEvery = 50;
     mp::System system(program.object, config);
     std::vector<std::string> lines;
@@ -288,14 +308,22 @@ telemetryLines(mp::SimCore core)
 
 TEST(Telemetry, StreamIsByteIdenticalAcrossCores)
 {
-    std::vector<std::string> event = telemetryLines(mp::SimCore::Event);
-    ASSERT_FALSE(event.empty());
-    EXPECT_EQ(event, telemetryLines(mp::SimCore::Tick));
+    // The stream a run emits must not depend on the host core it runs
+    // on or on a run beside it: two copies at once on parallelFor
+    // workers (as a --jobs sweep runs them) match the serial run.
+    std::vector<std::string> serial = telemetryLines();
+    ASSERT_FALSE(serial.empty());
+    std::vector<std::vector<std::string>> concurrent(2);
+    parallelFor(concurrent.size(), 2, [&concurrent](std::size_t i) {
+        concurrent[i] = telemetryLines();
+    });
+    for (const std::vector<std::string> &lines : concurrent)
+        EXPECT_EQ(serial, lines);
 }
 
 TEST(Telemetry, LinesAreCycleStampedSchemaTaggedAndMonotone)
 {
-    std::vector<std::string> lines = telemetryLines(mp::SimCore::Event);
+    std::vector<std::string> lines = telemetryLines();
     ASSERT_GE(lines.size(), 2u);
     std::int64_t last_cycle = 0;
     long long last_instructions = 0;

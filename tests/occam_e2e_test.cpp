@@ -554,4 +554,25 @@ TEST(E2e, ConsecutiveCallsDoNotReorder)
     EXPECT_EQ(run.word("r", 1), 20u);
 }
 
+TEST(E2e, ForkWaitsForEarlierReadsOfArraysItsChildWrites)
+{
+    // The read of arr[5] precedes the par that overwrites it, so g is
+    // 5 * 3 on any machine; a child forked before that read ran would
+    // make it 101 * 3.
+    Exec run(
+        "var r[1], arr[16]:\n"
+        "var g:\n"
+        "seq\n"
+        "  seq i = [0 for 16]\n"
+        "    arr[i] := i\n"
+        "  g := arr[5] * 3\n"
+        "  par p = [0 for 8]\n"
+        "    arr[p + 4] := 100 + p\n"
+        "  r[0] := g\n",
+        8);
+    ASSERT_TRUE(run.result.completed);
+    EXPECT_EQ(run.word("r"), 15u);
+    EXPECT_EQ(run.word("arr", 5), 101u);
+}
+
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Durability suite: durable checkpoint save/load/resume byte-identity
- * across cores, topologies, and fault injection; a corrupt-checkpoint
+ * across topologies and fault injection; a corrupt-checkpoint
  * fuzzer (bit flips and truncations must be detected and refused with
  * a structured error, never a crash or a silently-wrong resume); the
  * sweep completion journal (replay identity, torn tails, fingerprint
@@ -173,8 +173,8 @@ struct ResumeCase
     const char *name;
     const char *topology;  ///< nullptr = default flat ring.
     int pes;
-    mp::SimCore saveCore;
-    mp::SimCore resumeCore;
+    /** Snapshot interval; rows differ, so resumes start at other points. */
+    mp::Cycle checkpointEvery;
 };
 
 class DurableResumeTest : public ::testing::TestWithParam<ResumeCase>
@@ -185,37 +185,27 @@ TEST_P(DurableResumeTest, ResumeMatchesUninterruptedRun)
 {
     const ResumeCase &c = GetParam();
     std::string path = tempPath(std::string("resume_") + c.name + ".qmc");
-    mp::SystemConfig save_config = baseConfig(c.pes);
-    save_config.core = c.saveCore;
+    mp::SystemConfig config = baseConfig(c.pes);
+    config.recovery.checkpointEvery = c.checkpointEvery;
     if (c.topology)
-        save_config.setTopology(mp::parseTopology(c.topology));
+        config.setTopology(mp::parseTopology(c.topology));
     // Resume every prefix: the 1st, 2nd, ... snapshot must each warm-
     // start into the same completed run the uninterrupted one saw.
     for (int target = 1; target <= 3; ++target) {
-        Surfaces full = runSaving(save_config, path, target);
-        mp::SystemConfig resume_config = save_config;
-        resume_config.core = c.resumeCore;
-        Surfaces resumed = resumeFrom(resume_config, path);
+        Surfaces full = runSaving(config, path, target);
+        Surfaces resumed = resumeFrom(config, path);
         expectIdentical(full, resumed);
     }
     std::remove(path.c_str());
 }
 
+// The row names keep the "_event" suffix from when rows also chose the
+// simulation core.
 INSTANTIATE_TEST_SUITE_P(
     Topologies, DurableResumeTest,
-    ::testing::Values(
-        ResumeCase{"flat_event", nullptr, 4, mp::SimCore::Event,
-                   mp::SimCore::Event},
-        ResumeCase{"flat_cross_core", nullptr, 4, mp::SimCore::Tick,
-                   mp::SimCore::Event},
-        ResumeCase{"flat_cross_core_rev", nullptr, 4, mp::SimCore::Event,
-                   mp::SimCore::Tick},
-        ResumeCase{"ring4_event", "ring:4", 8, mp::SimCore::Event,
-                   mp::SimCore::Event},
-        ResumeCase{"rings2x2_event", "rings:2x2", 8, mp::SimCore::Event,
-                   mp::SimCore::Event},
-        ResumeCase{"rings2x2_from_tick", "rings:2x2", 8,
-                   mp::SimCore::Tick, mp::SimCore::Event}),
+    ::testing::Values(ResumeCase{"flat_event", nullptr, 4, 150},
+                      ResumeCase{"ring4_event", "ring:4", 8, 100},
+                      ResumeCase{"rings2x2_event", "rings:2x2", 8, 250}),
     [](const ::testing::TestParamInfo<ResumeCase> &info) {
         return info.param.name;
     });
@@ -1091,8 +1081,7 @@ TEST(PersistFormatPinTest, JournalRowKeepsItsBytes)
 
 /**
  * The four rendered forms of a run's statistics registry, pinned across
- * commits: both cores record through one path now, so the core
- * differential tests cannot see a change in what the registry holds.
+ * commits: no other test sees a change in what the registry holds.
  */
 TEST(StatsSurfacePinTest, RegistrySurfacesKeepTheirBytes)
 {
@@ -1573,10 +1562,8 @@ TEST(CheckpointReplayTest, SpanPastItsJournalBoundCannotRestart)
 }
 
 // ---------------------------------------------------------------------------
-// Page snapshots against a flat oracle. Both cores share pe::Memory, so
-// the core differential suite cannot see a restore bug they have in
-// common; here every step is checked against a plain byte vector, the
-// whole-store copy checkpoints used to hold.
+// Page snapshots against a flat oracle: every step is checked against
+// a plain byte vector, the whole-store copy checkpoints used to hold.
 // ---------------------------------------------------------------------------
 
 void
@@ -1621,7 +1608,7 @@ driveAgainstOracle(std::size_t size, std::uint64_t seed)
     auto below = [&](std::size_t n) {
         return static_cast<std::size_t>(rng() % n);
     };
-    pe::Memory memory(size, pe::Memory::Alloc::Lazy);
+    pe::Memory memory(size);
     std::vector<std::uint8_t> flat(size, 0);
     std::vector<std::size_t> hot;
     for (int i = 0; i < 6; ++i)
