@@ -2,8 +2,9 @@
  * @file
  * Host-side performance of the simulator itself (google-benchmark):
  * instruction throughput of a single PE, whole-system simulation rate,
- * compiler throughput, and the checkpoint save/load round trip. Not a
- * thesis experiment - this guards the usability of the reproduction.
+ * compiler throughput, message-cache rendezvous, and the checkpoint
+ * save/load round trip. Not a thesis experiment - this guards the
+ * usability of the reproduction.
  */
 #include <benchmark/benchmark.h>
 
@@ -15,6 +16,7 @@
 
 #include "isa/assembler.hpp"
 #include "mp/system.hpp"
+#include "msg/message_cache.hpp"
 #include "occam/compiler.hpp"
 #include "pe/memory.hpp"
 #include "pe/pe.hpp"
@@ -107,6 +109,31 @@ BM_SimCycles(benchmark::State &state)
     state.SetItemsProcessed(total_cycles);
 }
 BENCHMARK(BM_SimCycles)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+
+/**
+ * Message-cache rendezvous: a send then a recv on each of 1,024
+ * channels of a fresh cache, so creating and freeing the entries
+ * counts, as it does in a run whose channels carry a few tokens each.
+ * Items processed is the rendezvous count, accumulated across
+ * iterations as in BM_SimCycles.
+ */
+void
+BM_MessageCacheRendezvous(benchmark::State &state)
+{
+    constexpr isa::Word kChannels = 1024;
+    isa::Word value = static_cast<isa::Word>(state.max_iterations);
+    std::int64_t rendezvous = 0;
+    for (auto _ : state) {
+        msg::MessageCache cache;
+        for (isa::Word channel = 0; channel < kChannels; ++channel) {
+            benchmark::DoNotOptimize(cache.send(channel, 1, value++));
+            benchmark::DoNotOptimize(cache.recv(channel, 2));
+        }
+        rendezvous += kChannels;
+    }
+    state.SetItemsProcessed(rendezvous);
+}
+BENCHMARK(BM_MessageCacheRendezvous)->Unit(benchmark::kMicrosecond);
 
 /**
  * Persistence round trip: matmul on 8 PEs with a snapshot every 4000

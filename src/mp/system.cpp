@@ -453,16 +453,16 @@ System::wakeContext(CtxId id, Cycle at)
 }
 
 void
-System::wakePeers(int pe_idx, Cycle at, const std::vector<CtxId> &peers)
+System::wakePeer(int pe_idx, Cycle at, CtxId peer)
 {
-    for (CtxId peer_id : peers) {
-        BusDelivery wake = bus.deliver(pe_idx, contexts[peer_id].homePe, at);
-        if (!wake.delivered)
-            continue;  // lost wake; watchdog reports the stall
-        wakeContext(peer_id, wake.at);
-        if (wake.duplicated)
-            wakeContext(peer_id, wake.duplicateAt);
-    }
+    if (peer == msg::kNoCtx)
+        return;
+    BusDelivery wake = bus.deliver(pe_idx, contexts[peer].homePe, at);
+    if (!wake.delivered)
+        return;  // lost wake; watchdog reports the stall
+    wakeContext(peer, wake.at);
+    if (wake.duplicated)
+        wakeContext(peer, wake.duplicateAt);
 }
 
 const HostOp *
@@ -484,13 +484,13 @@ System::hostSend(int pe_idx, Word channel, Word value)
 {
     PeSlot &slot = *slots[static_cast<size_t>(pe_idx)];
     // Restarted span: this send already happened before the PE died;
-    // its token is in the cache and its wakes were delivered. Replay
+    // its token is in the cache and its wake was delivered. Replay
     // the outcome with no side effects.
     if (replayedOp(slot, HostOp::Kind::Send, channel))
         return HostStatus::Done;
     msg::ChannelOp op = cache.send(channel, slot.running, value, slot.clock);
     if (op.completed) {
-        wakePeers(pe_idx, slot.clock, op.wakes);
+        wakePeer(pe_idx, slot.clock, op.wake);
         if (recoveryOn_)
             slot.appendOp({HostOp::Kind::Send, channel, 0, 0},
                           config_.recovery.maxLogOps);
@@ -531,7 +531,7 @@ System::hostRecv(int pe_idx, Word channel, Word &value)
                 cat("message corruption detected on channel ", channel,
                     " (checksum mismatch at cycle ", slot.clock, ")");
         }
-        wakePeers(pe_idx, slot.clock, op.wakes);
+        wakePeer(pe_idx, slot.clock, op.wake);
         if (recoveryOn_)
             slot.appendOp({HostOp::Kind::Recv, channel, value, 0},
                           config_.recovery.maxLogOps);
@@ -1590,12 +1590,12 @@ System::loadCheckpoint(const std::string &path)
     });
     section("CACH", [&](Decoder &dec) {
         persist::fields(dec, cp->cache);
-        for (const auto &[chan, entry] : cp->cache.entries)
+        for (const auto *kv : persist::keyOrder(cp->cache.entries))
             for (const auto *waiters :
-                 {&entry.sendWaiters, &entry.recvWaiters})
+                 {&kv->second.sendWaiters, &kv->second.recvWaiters})
                 for (CtxId id : *waiters)
                     if (!names_context(id))
-                        return dec.fail(cat("channel ", chan,
+                        return dec.fail(cat("channel ", kv->first,
                                             " waiter names context ", id,
                                             " of ", k.contexts.size()));
     });

@@ -513,8 +513,11 @@ class System : private KernelState
      * @p kind on @p arg (a divergence panics); null otherwise.
      */
     const HostOp *replayedOp(PeSlot &slot, HostOp::Kind kind, Word arg);
-    /** Deliver a completed rendezvous's wakes from @p pe to each peer. */
-    void wakePeers(int pe, Cycle at, const std::vector<CtxId> &peers);
+    /**
+     * Deliver a completed rendezvous's wake from @p pe to @p peer (no
+     * wake when @p peer is kNoCtx).
+     */
+    void wakePeer(int pe, Cycle at, CtxId peer);
 
     // --- Scheduling ------------------------------------------------------
     bool dispatch(PeSlot &slot);   ///< Load next ready context if idle.

@@ -25,7 +25,9 @@ tokenChecksum(Word value)
 
 MessageCache::MessageCache(int capacity) : capacity_(capacity)
 {
-    fatalIf(capacity < 1, "message cache capacity must be >= 1");
+    fatalIf(capacity < 1 || capacity > kChannelDepth,
+            "message cache capacity ", capacity, " is not in [1, ",
+            kChannelDepth, "]");
 }
 
 ChannelOp
@@ -35,14 +37,13 @@ MessageCache::send(Word channel, CtxId ctx, Word value,
     ChannelEntry &entry = entries[channel];
     ChannelOp op;
     stats_.inc(metric::MsgSendRequests);
-    if (static_cast<int>(entry.values.size()) >= capacity_) {
+    if (entry.values.size() >= static_cast<std::size_t>(capacity_)) {
         entry.sendWaiters.push_back(ctx);
         op.blocked = true;
         return op;
     }
     std::uint64_t seq = entry.nextSeq++;
-    entry.values.push_back(
-        {value, tokenChecksum(value), seq, value, now});
+    entry.values.push_back({value, tokenChecksum(value), seq, value, now});
     stats_.record(metric::MsgFifoDepth,
                   static_cast<std::uint64_t>(entry.values.size()));
     if (faults_ && faults_->fire(fault::kCacheCorrupt)) {
@@ -70,10 +71,8 @@ MessageCache::send(Word channel, CtxId ctx, Word value,
         }
     }
     op.completed = true;
-    if (!entry.recvWaiters.empty()) {
-        op.wakes.push_back(entry.recvWaiters.front());
-        entry.recvWaiters.pop_front();
-    }
+    if (!entry.recvWaiters.empty())
+        op.wake = entry.recvWaiters.pop_front();
     return op;
 }
 
@@ -123,10 +122,8 @@ MessageCache::recv(Word channel, CtxId ctx, trace::Cycle now)
                       : 0);
     if (tracer_)
         tracer_->rendezvous(now, channel, ctx, *op.value);
-    if (!entry.sendWaiters.empty()) {
-        op.wakes.push_back(entry.sendWaiters.front());
-        entry.sendWaiters.pop_front();
-    }
+    if (!entry.sendWaiters.empty())
+        op.wake = entry.sendWaiters.pop_front();
     return op;
 }
 

@@ -24,11 +24,12 @@
  */
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -75,8 +76,11 @@ struct ChannelOp
     /** Protocol cycles to charge (NACK + pristine-copy resend). */
     fault::Cycle penalty = 0;
     std::optional<Word> value;    ///< Received value (receive only).
-    /** Contexts to make ready (woken peers / queued waiters). */
-    std::vector<CtxId> wakes;
+    /**
+     * The parked peer to make ready, or kNoCtx. A send wakes at most
+     * one receiver and a receive at most one sender.
+     */
+    CtxId wake = kNoCtx;
 };
 
 /**
@@ -100,19 +104,134 @@ struct Token
 /** XOR-folded byte checksum; detects any single-bit flip. */
 std::uint8_t tokenChecksum(Word value);
 
+/**
+ * A channel's in-flight tokens, oldest first, in a ring of
+ * kChannelDepth slots stored inside the entry. Callers never push
+ * onto a full ring: the cache parks the sender first, and the CACH
+ * decoder refuses an entry that lists more tokens than fit.
+ */
+class TokenRing
+{
+  public:
+    using value_type = Token;
+
+    static constexpr std::size_t max_size()
+    {
+        return static_cast<std::size_t>(kChannelDepth);
+    }
+
+    std::size_t size() const { return count_; }
+    bool empty() const { return count_ == 0; }
+    const Token &front() const { return slots_[head_]; }
+    Token &back() { return slots_[slot(count_ - 1u)]; }
+    void push_back(const Token &token) { slots_[slot(count_++)] = token; }
+    void pop_front()
+    {
+        head_ = static_cast<std::uint8_t>(slot(1));
+        --count_;
+    }
+
+    /** Oldest-first iteration. */
+    class const_iterator
+    {
+      public:
+        const_iterator(const TokenRing *ring, std::size_t at)
+            : ring_(ring), at_(at)
+        {
+        }
+        const Token &operator*() const
+        {
+            return ring_->slots_[ring_->slot(at_)];
+        }
+        const_iterator &operator++()
+        {
+            ++at_;
+            return *this;
+        }
+        bool operator==(const const_iterator &) const = default;
+
+      private:
+        const TokenRing *ring_;
+        std::size_t at_;
+    };
+    const_iterator begin() const { return {this, 0}; }
+    const_iterator end() const { return {this, count_}; }
+
+  private:
+    /** Slot of the token @p i places after the oldest. */
+    std::size_t slot(std::size_t i) const
+    {
+        return (head_ + i) % max_size();
+    }
+
+    std::array<Token, kChannelDepth> slots_{};
+    std::uint8_t head_ = 0;
+    std::uint8_t count_ = 0;
+};
+
+/**
+ * Parked contexts, first come first served: a vector read from a head
+ * index. It allocates nothing until a context parks, and keeps its
+ * buffer when it drains, so a channel's steady park-and-wake traffic
+ * allocates nothing either.
+ */
+class WaiterQueue
+{
+  public:
+    using value_type = CtxId;
+    using const_iterator = std::vector<CtxId>::const_iterator;
+
+    bool empty() const { return head_ == ids_.size(); }
+    std::size_t size() const { return ids_.size() - head_; }
+
+    void push_back(CtxId id)
+    {
+        // Reclaim the woken prefix before the buffer would grow.
+        if (head_ > 0 && ids_.size() == ids_.capacity()) {
+            ids_.erase(ids_.begin(), begin());
+            head_ = 0;
+        }
+        ids_.push_back(id);
+    }
+
+    /** Remove and return the longest-parked context. */
+    CtxId pop_front()
+    {
+        CtxId id = ids_[head_];
+        if (++head_ == ids_.size()) {
+            ids_.clear();
+            head_ = 0;
+        }
+        return id;
+    }
+
+    const_iterator begin() const
+    {
+        return ids_.begin() + static_cast<std::ptrdiff_t>(head_);
+    }
+    const_iterator end() const { return ids_.end(); }
+
+  private:
+    std::vector<CtxId> ids_;
+    std::size_t head_ = 0;
+};
+
 /** One channel's protocol entry (Fig 5.15 format). */
 struct ChannelEntry
 {
-    std::deque<Token> values;      ///< In-flight tokens, oldest first.
-    std::deque<CtxId> sendWaiters; ///< Parked senders (FIFO full).
-    std::deque<CtxId> recvWaiters; ///< Parked receivers (FIFO empty).
-    std::uint64_t nextSeq = 0;     ///< Send-side sequence counter.
+    TokenRing values;           ///< In-flight tokens, oldest first.
+    WaiterQueue sendWaiters;    ///< Parked senders (FIFO full).
+    WaiterQueue recvWaiters;    ///< Parked receivers (FIFO empty).
+    std::uint64_t nextSeq = 0;  ///< Send-side sequence counter.
 };
 
-/** The cache state a checkpoint captures, copied whole. */
+/**
+ * The cache state a checkpoint captures, copied whole. Entries are
+ * hashed by channel id; a checkpoint lists them by ascending id.
+ */
 struct MessageCacheState
 {
-    std::map<Word, ChannelEntry> entries;
+    std::unordered_map<Word, ChannelEntry> entries;
     /** The cache's statistics, recorded by catalog ID. */
     StatBlock<metric::Owner::Cache> stats_;
 };
@@ -127,7 +246,10 @@ struct MessageCacheState
 class MessageCache : private MessageCacheState
 {
   public:
-    /** @p capacity = tokens one entry can hold before senders park. */
+    /**
+     * @p capacity = tokens one entry holds before senders park, in
+     * [1, kChannelDepth] (a FatalError otherwise).
+     */
     explicit MessageCache(int capacity = kChannelDepth);
 
     /**

@@ -17,6 +17,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -62,6 +63,25 @@ std::uint32_t crc32(const void *data, std::size_t size);
 /** Incremental variant: pass the previous return as @p seed. */
 std::uint32_t crc32Update(std::uint32_t seed, const void *data,
                           std::size_t size);
+
+/**
+ * Pointers to @p m's (key, value) pairs in ascending key order: one
+ * sorted buffer, so a hashed map is written and checked in the order
+ * an ordered one iterates.
+ */
+template <class M>
+std::vector<const typename M::value_type *>
+keyOrder(const M &m)
+{
+    std::vector<const typename M::value_type *> order;
+    order.reserve(m.size());
+    for (const auto &kv : m)
+        order.push_back(&kv);
+    std::sort(order.begin(), order.end(), [](const auto *a, const auto *b) {
+        return a->first < b->first;
+    });
+    return order;
+}
 
 /**
  * Little-endian binary encoder. Append-only; the buffer is plain
@@ -116,13 +136,27 @@ class Encoder
                 each(e);
         }
     }
-    /** A u64 count, then @p each (key, value) in key order. */
+    /** seq() of at most @p max elements; the decoder checks it. */
+    template <class C, class W, class F>
+    void seq(const C &c, std::size_t, W &&, F &&each)
+    {
+        seq(c, each);
+    }
+    /**
+     * A u64 count, then @p each (key, value) in key order. A hashed
+     * map is walked through keyOrder().
+     */
     template <class M, class F>
     void map(const M &m, F &&each)
     {
         u64(m.size());
-        for (const auto &[k, v] : m)
-            each(k, v);
+        if constexpr (requires { m.bucket_count(); }) {
+            for (const auto *kv : keyOrder(m))
+                each(kv->first, kv->second);
+        } else {
+            for (const auto &[k, v] : m)
+                each(k, v);
+        }
     }
     /** Length-prefixed (u64) raw blob. */
     void blob(const void *data, std::size_t size);
@@ -201,19 +235,21 @@ class Decoder
     template <class C, class F>
     void seq(C &c, F &&each)
     {
+        fill(c, length(remaining()), each);
+    }
+    /**
+     * seq() into a container that holds at most @p max elements: a
+     * longer list fails, naming it by @p what(), which only a failing
+     * decode calls.
+     */
+    template <class C, class W, class F>
+    void seq(C &c, std::size_t max, W &&what, F &&each)
+    {
         std::size_t n = length(remaining());
-        if constexpr (requires { c.reserve(n); })
-            c.reserve(n);
-        for (std::size_t i = 0; i < n && ok(); ++i) {
-            typename C::value_type e{};
-            each(e);
-            if (!ok())
-                break;
-            if constexpr (requires { c.push(std::move(e)); })
-                c.push(std::move(e));
-            else
-                c.push_back(std::move(e));
-        }
+        if (ok() && n > max)
+            return fail(what() + " " + std::to_string(n) +
+                        " out of range");
+        fill(c, n, each);
     }
     /** Count-prefixed (key, value) pairs; a repeated key fails. */
     template <class M, class F>
@@ -245,6 +281,24 @@ class Decoder
 
   private:
     bool take(std::size_t n, const std::uint8_t **out);
+
+    /** Append @p n elements decoded by @p each, while the decode is ok. */
+    template <class C, class F>
+    void fill(C &c, std::size_t n, F &&each)
+    {
+        if constexpr (requires { c.reserve(n); })
+            c.reserve(n);
+        for (std::size_t i = 0; i < n && ok(); ++i) {
+            typename C::value_type e{};
+            each(e);
+            if (!ok())
+                break;
+            if constexpr (requires { c.push(std::move(e)); })
+                c.push(std::move(e));
+            else
+                c.push_back(std::move(e));
+        }
+    }
 
     template <class T, class W>
     void bounded(T &v, W raw, W lo, W hi, const char *what)

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <concepts>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -135,6 +136,12 @@ fields(Ar &ar, T &state)
     ar.seq(state.events, [&](auto &e) { fields(ar, e); });
 }
 
+/**
+ * CACH: every channel ever touched, by ascending id, each with its
+ * sequence counter, its tokens oldest first and its parked senders and
+ * receivers. An entry listing more tokens than its ring holds is
+ * refused.
+ */
 template <class Ar, RecordOf<msg::MessageCache::Snapshot> T>
 void
 fields(Ar &ar, T &snap)
@@ -142,7 +149,10 @@ fields(Ar &ar, T &snap)
     ar.map(snap.entries, [&](auto &channel, auto &entry) {
         ar.u32(channel);
         ar.u64(entry.nextSeq);
-        ar.seq(entry.values, [&](auto &t) {
+        auto tokens = [&] {
+            return "channel " + std::to_string(channel) + " tokens";
+        };
+        ar.seq(entry.values, entry.values.max_size(), tokens, [&](auto &t) {
             ar.u32(t.value);
             ar.u8(t.sum);
             ar.u64(t.seq);

@@ -22,11 +22,13 @@ Asserts:
     recovered BENCH row, --topology refused (exit 2) by every bench
     but bench_partitioned, and the usage line an unknown flag (the
     removed simulation-core selector among them) prints;
-  * occamc --interp agrees with the simulated run.
+  * occamc --interp agrees with the simulated run;
+  * bench_ch5_msgproc prints the message-cache tables (Tables 5.3/5.4
+    and 6.7) byte for byte.
 
 Usage: cli_durability_test.py OCCAMC SOURCE_DIR QMPROF PRIME_SIEVE
            BENCH_CH6_SPEEDUP BENCH_CH5_BUS BENCH_CH6_ABLATION
-           BENCH_PARTITIONED
+           BENCH_PARTITIONED BENCH_CH5_MSGPROC
 """
 
 import json
@@ -40,6 +42,24 @@ import time
 import zlib
 
 failures = []
+
+# bench_ch5_msgproc's whole stdout. Table cells are padded to their
+# column's width, so two lines end in a space.
+MSGPROC_TABLES = (
+    "Message-cache entry state transitions "
+    "(thesis Tables 5.3/5.4, capacity-1 entry)\n"
+    "\n"
+    "state     send request               receive request \n"
+    "-----------------------------------------------------\n"
+    "Idle      complete -> Full           park -> RecvWait\n"
+    "Full      park -> Full               complete -> Idle\n"
+    "RecvWait  complete -> Full (wake 1)  park -> RecvWait\n"
+    "\n"
+    "Accessible states over all depth-6 request interleavings "
+    "(Table 6.7): Full Idle RecvWait \n"
+    "(3 states - every protocol state is reachable and no "
+    "undocumented state occurs)\n"
+)
 
 
 def check(name, ok, detail=""):
@@ -98,8 +118,8 @@ def main():
     # Absolute paths: several runs set cwd to scratch directories.
     occamc, srcdir, qmprof, prime_sieve = map(os.path.abspath,
                                               sys.argv[1:5])
-    speedup, bus, ablation, partitioned = map(os.path.abspath,
-                                              sys.argv[5:9])
+    speedup, bus, ablation, partitioned, msgproc = map(os.path.abspath,
+                                                       sys.argv[5:10])
     pipeline = os.path.join(srcdir, "examples", "pipeline.occ")
     tmp = tempfile.mkdtemp(prefix="cli_durability_")
 
@@ -469,6 +489,12 @@ def main():
           sim.get("contexts") == interp.get("contexts") == "106" and
           sim.get("rendezvous") == interp.get("transfers") == "454",
           p.stdout[-300:])
+
+    # --- bench_ch5_msgproc ---------------------------------------------
+    p = run([msgproc])
+    check("bench_ch5_msgproc prints the transition tables byte for byte",
+          p.returncode == 0 and p.stdout == MSGPROC_TABLES,
+          f"rc={p.returncode} {p.stdout!r}")
 
     if failures:
         print(f"{len(failures)} check(s) failed")

@@ -716,6 +716,89 @@ TEST(PersistCheckpointBytesTest, HostileChannelWaitersRefused)
     std::remove(path.c_str());
 }
 
+TEST(PersistCheckpointBytesTest, OverfullChannelEntryRefused)
+{
+    // A channel entry holds at most kChannelDepth tokens, so a CACH
+    // entry listing one more is refused, naming its channel, and the
+    // machine stays cold and runs from the start.
+    std::string path = tempPath("overfull_channel.qmc");
+    mp::SystemConfig config = baseConfig(4);
+    Surfaces original = runSaving(config, path, 2);
+    std::vector<persist::Section> sections = readSections(path);
+    std::vector<std::uint8_t> &cach = payloadOf(sections, "CACH");
+    // The first (lowest) channel's entry: map count u64, channel u32,
+    // nextSeq u64, token count u64, then 25 bytes per token.
+    constexpr std::size_t kTokenBytes = 4 + 1 + 8 + 4 + 8;
+    persist::Decoder dec(cach);
+    ASSERT_GE(dec.u64(), 1u);
+    isa::Word channel = dec.u32();
+    dec.u64();
+    std::size_t listed = dec.length(msg::TokenRing::max_size());
+    ASSERT_TRUE(dec.ok()) << dec.error();
+    std::size_t over = msg::TokenRing::max_size() + 1;
+    patchWord64(cach, 20, static_cast<std::int64_t>(over));
+    cach.insert(cach.begin() +
+                    static_cast<std::ptrdiff_t>(28 + kTokenBytes * listed),
+                kTokenBytes * (over - listed), std::uint8_t{0});
+    ASSERT_TRUE(persist::writeFileAtomic(
+                    path, persist::buildContainer(kCheckpointMagic,
+                                                  kCheckpointVersion,
+                                                  sections))
+                    .ok());
+
+    mp::System system(pipelineProgram().object, config);
+    persist::Status st = system.loadCheckpoint(path);
+    EXPECT_EQ(st.code, persist::ErrCode::BadFormat) << st.toString();
+    EXPECT_NE(st.message.find(cat("section CACH: channel ", channel,
+                                  " tokens ", over, " out of range")),
+              std::string::npos)
+        << st.toString();
+    testutil::expectSameRunResult(
+        original.result, system.run(pipelineProgram().mainLabel));
+    std::remove(path.c_str());
+}
+
+TEST(PersistCheckpointBytesTest, WrappedTokenRingRoundTrips)
+{
+    // A ring that has wrapped lists its tokens oldest first: encode,
+    // decode and encode again give the same bytes, and the decoded
+    // entry hands the tokens out in the order the original would.
+    msg::MessageCache cache;
+    isa::Word next = 1;
+    for (int i = 0; i < msg::kChannelDepth; ++i)
+        cache.send(7, 1, next++);
+    for (int i = 0; i < 5; ++i)
+        cache.recv(7, 2);
+    for (int i = 0; i < 5; ++i)
+        cache.send(7, 1, next++);
+    cache.send(7, 3, 99);  // parks: the ring is full
+    cache.recv(300, 4);    // parks: nothing sent yet
+    cache.send(2, 1, 42);
+    const msg::MessageCache::Snapshot snap = cache.snapshot();
+    persist::Encoder enc;
+    persist::fields(enc, snap);
+
+    persist::Decoder dec(enc.bytes());
+    msg::MessageCache::Snapshot back;
+    persist::fields(dec, back);
+    ASSERT_TRUE(dec.atEnd()) << dec.error();
+    persist::Encoder again;
+    persist::fields(again, back);
+    EXPECT_EQ(enc.bytes(), again.bytes());
+
+    msg::MessageCache restored;
+    restored.restore(back);
+    for (isa::Word v = 6; v <= 13; ++v) {
+        msg::ChannelOp mine = cache.recv(7, 2);
+        msg::ChannelOp theirs = restored.recv(7, 2);
+        EXPECT_EQ(*theirs.value, v);
+        EXPECT_EQ(*mine.value, v);
+        EXPECT_EQ(theirs.wake, mine.wake);
+    }
+    EXPECT_EQ(restored.send(300, 1, 5).wake, 4u);
+    EXPECT_EQ(*restored.recv(2, 4).value, 42u);
+}
+
 /** A StatSet as its wire fields, so a test can write what none holds. */
 struct RawStats
 {
