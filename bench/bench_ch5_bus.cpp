@@ -22,13 +22,11 @@
 
 using namespace qm;
 
+namespace {
+
 int
-main(int argc, char **argv)
+sweep(const benchcli::BenchArgs &args)
 {
-    benchcli::BenchArgs args =
-        benchcli::parseBenchArgs(argc, argv, "bench_ch5_bus");
-    if (!args.ok)
-        return 2;
     const int pes = 8;
     const std::vector<int> partition_counts = {1, 2, 4, 8};
     programs::Benchmark bench = programs::thesisBenchmarks()[3];
@@ -84,4 +82,12 @@ main(int argc, char **argv)
                  "matching the thesis choice of FEW partitions: 2 for "
                  "4 PEs in Fig 5.18)\n";
     return benchcli::finishSweep(args, "ch5_bus", {series});
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchcli::benchMain(argc, argv, "bench_ch5_bus", sweep);
 }

@@ -26,13 +26,11 @@
 
 using namespace qm;
 
+namespace {
+
 int
-main(int argc, char **argv)
+sweep(const benchcli::BenchArgs &args)
 {
-    benchcli::BenchArgs args =
-        benchcli::parseBenchArgs(argc, argv, "bench_ch6_ablation");
-    if (!args.ok)
-        return 2;
     const int pes = 4;
     std::cout << "Table 6.6: compiler optimization speed-up factors "
                  "(4 PEs)\n"
@@ -116,4 +114,12 @@ main(int argc, char **argv)
               << "(JSON runs order: all-on, no live-value, no "
                  "input-seq, no priority-sched, all off)\n";
     return benchcli::finishSweep(args, "ch6_ablation", all);
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchcli::benchMain(argc, argv, "bench_ch6_ablation", sweep);
 }

@@ -68,15 +68,9 @@ reportSeries(const sim::SpeedupSeries &series,
     std::cout << "\n";
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+sweep(const benchcli::BenchArgs &args)
 {
-    benchcli::BenchArgs args =
-        benchcli::parseBenchArgs(argc, argv, "bench_ch6_speedup");
-    if (!args.ok)
-        return 2;
     mp::SystemConfig base_config;
     args.applyTo(base_config);
     const sim::RunPolicy policy = args.runPolicy();
@@ -107,4 +101,12 @@ main(int argc, char **argv)
     }
 
     return benchcli::finishSweep(args, "ch6_speedup", all);
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchcli::benchMain(argc, argv, "bench_ch6_speedup", sweep);
 }

@@ -51,6 +51,8 @@
  * Benches install a SIGINT/SIGTERM handler: on the first signal the
  * running simulations wind down, finished rows are already durable in
  * the journal, and the bench exits 128+signo after flushing.
+ * A sweep that fails on its own, such as on an output path it cannot
+ * open, prints `bench_<name>: <what>` and exits 6, like occamc.
  */
 #pragma once
 
@@ -147,6 +149,31 @@ parseBenchArgs(int argc, char **argv, const char *bench_name,
         args.ok = false;
     }
     return args;
+}
+
+/** Exit code of a sweep a FatalError ended (occamc's kExitFatal). */
+constexpr int kExitFatal = 6;
+
+/**
+ * The main of a sweep bench: parse argv with parseBenchArgs (exit 2
+ * on a usage error), then return @p sweep(args). A FatalError that
+ * escapes the sweep, on a worker thread too, prints one diagnostic
+ * line and exits kExitFatal.
+ */
+template <typename Sweep>
+int
+benchMain(int argc, char **argv, const char *bench_name, Sweep sweep,
+          bool scale_study = false)
+{
+    BenchArgs args = parseBenchArgs(argc, argv, bench_name, scale_study);
+    if (!args.ok)
+        return 2;
+    try {
+        return sweep(args);
+    } catch (const FatalError &e) {
+        std::cerr << bench_name << ": " << e.what() << "\n";
+        return kExitFatal;
+    }
 }
 
 /**

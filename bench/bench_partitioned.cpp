@@ -120,17 +120,9 @@ reportSeries(const sim::SpeedupSeries &series)
     std::cout << "\n";
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+sweep(const benchcli::BenchArgs &args)
 {
-    benchcli::BenchArgs args =
-        benchcli::parseBenchArgs(argc, argv, "bench_partitioned",
-                                 /*scale_study=*/true);
-    if (!args.ok)
-        return 2;
-
     mp::SystemConfig base_config;
     args.applyTo(base_config);
 
@@ -256,4 +248,13 @@ main(int argc, char **argv)
     }
 
     return benchcli::finishSweep(args, "partitioned", all);
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchcli::benchMain(argc, argv, "bench_partitioned", sweep,
+                               /*scale_study=*/true);
 }

@@ -1,8 +1,10 @@
 #include "occam/graph_builder.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "dfg/sequencing.hpp"
+#include "isa/fields.hpp"
 #include "mp/system.hpp"
 #include "support/diagnostics.hpp"
 
@@ -49,10 +51,6 @@ class GraphBuilder
 
         pushContext("main", "main");
         // Top-level channel/array declarations elaborate in main.
-        if (program_.main->kind == Process::Kind::Seq ||
-            program_.main->kind == Process::Kind::Par) {
-            // Declarations attached to main are handled by emitProcess.
-        }
         emitDecls(program_.decls);
         emitProcess(*program_.main);
         finishWithExit();
@@ -212,28 +210,6 @@ class GraphBuilder
             g().addOrderEdge(read, node);
         chain.readsSinceWrite.clear();
         chain.lastWrite = node;
-    }
-
-    /**
-     * Order @p fork after the parent's pending accesses to the arrays
-     * its child touches: the last write of each array the child reads,
-     * and the last write and every read since of each array it writes.
-     * The fork registers as a reader of @p arrays_read; the join orders
-     * the parent's later accesses after the child's.
-     */
-    void
-    orderFork(int fork, const std::vector<int> &arrays_read,
-              const std::vector<int> &arrays_written)
-    {
-        for (int arr : arrays_written) {
-            const Ctx::ArrayChain &chain = cur().arrayChains[arr];
-            if (chain.lastWrite >= 0)
-                g().addOrderEdge(chain.lastWrite, fork);
-            for (int read : chain.readsSinceWrite)
-                g().addOrderEdge(read, fork);
-        }
-        for (int arr : arrays_read)
-            chainArrayRead(arr, fork);
     }
 
     // ----- Expression emission ----------------------------------------------
@@ -477,60 +453,116 @@ class GraphBuilder
         return arrays;
     }
 
+    // ----- The splice protocol (parent side) ---------------------------------
+
+    /** What a child sends back and which arrays it touches. */
+    struct Splice
+    {
+        std::vector<int> returns;  ///< Parent symbols its results bind.
+        std::vector<int> arraysRead;
+        std::vector<int> arraysWritten;
+    };
+
+    /** The splice of the construct whose IFT entry is @p entry. */
+    Splice
+    spliceOf(int entry)
+    {
+        const IftEntry &e = ift_.entry(entry);
+        return {scalarOnly(ift_.liveOutputs(entry)), arraysOf(e.inputs),
+                arraysOf(e.outputs)};
+    }
+
     /**
-     * Parent-side splice: rfork @p child_label, send @p send_symbols in
-     * order, then receive @p return_symbols (or a join token) from the
-     * child's out channel, updating the parent environment.
-     * Array accesses inside the child are ordered against the parent's
-     * via @p arrays_read / @p arrays_written.
+     * rfork the child whose code address is @p target, ordered after
+     * the parent's pending accesses to the child's arrays: the last
+     * write of each array it reads, and the last write and every read
+     * since of each array it writes. The fork registers as a reader of
+     * the arrays the child reads.
+     */
+    int
+    forkChild(int target, const Splice &splice)
+    {
+        int fork = g().addNode("rfork", {target});
+        for (int arr : splice.arraysWritten) {
+            const Ctx::ArrayChain &chain = cur().arrayChains[arr];
+            if (chain.lastWrite >= 0)
+                g().addOrderEdge(chain.lastWrite, fork);
+            for (int read : chain.readsSinceWrite)
+                g().addOrderEdge(read, fork);
+        }
+        for (int arr : splice.arraysRead)
+            chainArrayRead(arr, fork);
+        return fork;
+    }
+
+    /**
+     * Send @p symbols to the child on @p fork, its in channel, in
+     * transfer order, each as the node @p value_of(symbol). Returns
+     * the last send, or @p fork when there is nothing to send.
+     */
+    template <typename ValueOf>
+    int
+    feed(int fork, const std::vector<int> &symbols, ValueOf value_of)
+    {
+        int last = fork;
+        for (int sym : symbols)
+            last = sendOn(fork, value_of(sym));
+        return last;
+    }
+
+    /** feed() with each symbol's current value in the parent. */
+    int
+    feed(int fork, const std::vector<int> &symbols)
+    {
+        return feed(fork, symbols,
+                    [this](int sym) { return envGetOrZero(sym); });
+    }
+
+    /**
+     * Receive the child's results from its out channel (fork + 1 by
+     * the kernel convention), binding splice.returns in order, or a
+     * single join token when it returns nothing. Returns the last
+     * receive, the join. Two rules order the splice:
+     *  - a parent receives from no child before it has fed every child
+     *    it forked, or a child parked on its results and a child
+     *    waiting for its inputs deadlock: the first receive follows
+     *    every send in @p fed;
+     *  - the parent touches the child's arrays only after the join,
+     *    which stands in for the child's reads and writes.
+     */
+    int
+    joinChild(int fork, std::span<const int> fed, const Splice &splice)
+    {
+        int out_chan = binOp("+", fork, g().addConst(1));
+        int join = recvOn(out_chan);
+        for (int send : fed)
+            g().addOrderEdge(send, join);
+        for (std::size_t i = 0; i < splice.returns.size(); ++i) {
+            if (i > 0)
+                join = recvOn(out_chan);
+            cur().env[splice.returns[i]] = join;
+        }
+        for (int arr : splice.arraysRead)
+            chainArrayRead(arr, join);
+        for (int arr : splice.arraysWritten)
+            chainArrayWrite(arr, join);
+        return join;
+    }
+
+    /**
+     * A par feeds every child before it joins any, and until its join
+     * the parent holds each child's channel in its operand queue: more
+     * children than the largest page has words can never compile.
      */
     void
-    spliceFork(const std::string &child_label,
-               const std::vector<int> &send_symbols,
-               const std::vector<int> &return_symbols,
-               const std::vector<int> &arrays_read,
-               const std::vector<int> &arrays_written,
-               const std::map<int, int> &send_overrides = {},
-               bool chain_control = false)
+    checkParWidth(long children, int line)
     {
-        int claddr = g().addCodeAddr(child_label);
-        int fork = g().addNode("rfork", {claddr});
-        orderFork(fork, arrays_read, arrays_written);
-
-        int last_send = fork;
-        for (int sym : send_symbols) {
-            auto it = send_overrides.find(sym);
-            int value =
-                it != send_overrides.end() ? it->second
-                                           : envGetOrZero(sym);
-            last_send = sendOn(fork, value);
-        }
-        int out_chan = binOp("+", fork, g().addConst(1));
-        int last_recv = -1;
-        bool first = true;
-        if (return_symbols.empty()) {
-            last_recv = recvOn(out_chan);  // join token, value unused
-            g().addOrderEdge(last_send, last_recv);
-        } else {
-            for (int sym : return_symbols) {
-                last_recv = recvOn(out_chan);
-                cur().env[sym] = last_recv;
-                if (first) {
-                    g().addOrderEdge(last_send, last_recv);
-                    first = false;
-                }
-            }
-        }
-        // The parent may touch arrays the child wrote only after the
-        // join completes; and it may overwrite arrays the child READS
-        // only after the join, too - so the join registers as the
-        // reader on behalf of the child.
-        for (int arr : arrays_read)
-            chainArrayRead(arr, last_recv);
-        for (int arr : arrays_written)
-            chainArrayWrite(arr, last_recv);
-        if (chain_control)
-            chainControlSpan(fork, last_recv);
+        fatalIf(children > isa::kMaxQueuePageWords, "line ", line,
+                ": par forks ", children,
+                " children before its first join; at most ",
+                isa::kMaxQueuePageWords,
+                " fit, as the parent holds each child's channel in its "
+                "operand queue until the join");
     }
 
     // ----- Declarations ------------------------------------------------------
@@ -677,7 +709,7 @@ class GraphBuilder
     emitWhile(const Process &proc)
     {
         int entry = ift_.entryOf(&proc);
-        const IftEntry &e = ift_.entry(entry);
+        Splice splice = spliceOf(entry);
 
         // Loop state: everything the loop reads or writes.
         std::vector<int> state = ift_.inputSymbols(entry);
@@ -687,10 +719,6 @@ class GraphBuilder
                 state.push_back(sym);
         std::sort(state.begin(), state.end());
 
-        std::vector<int> returns = scalarOnly(ift_.liveOutputs(entry));
-        std::vector<int> arrays_read = arraysOf(e.inputs);
-        std::vector<int> arrays_written = arraysOf(e.outputs);
-
         std::string head_label = freshLabel("while_head");
         std::string body_label = freshLabel("while_body");
         std::string term_label = freshLabel("while_term");
@@ -699,7 +727,7 @@ class GraphBuilder
         pushContext(term_label, "while-term");
         emitChildPrologue(state);
         sequenceChildInputs(cur(), state);
-        emitChildEpilogue(returns);
+        emitChildEpilogue(splice.returns);
         popContext();
 
         // Body context: one iteration, then continue at the head.
@@ -712,10 +740,9 @@ class GraphBuilder
             int fork = g().addNode("ifork", {claddr});
             // Iteration side effects must complete before the handoff
             // releases the next head (arrays the body writes).
-            for (int arr : arrays_written)
+            for (int arr : splice.arraysWritten)
                 chainArrayRead(arr, fork);
-            for (int sym : state)
-                sendOn(fork, envGetOrZero(sym));
+            feed(fork, state);
         }
         finishWithExit();
         popContext();
@@ -729,17 +756,17 @@ class GraphBuilder
             int body_addr = g().addCodeAddr(body_label);
             int term_addr = g().addCodeAddr(term_label);
             int target = selNode(cond, body_addr, term_addr);
-            int fork = g().addNode("ifork", {target});
-            for (int sym : state)
-                sendOn(fork, envGetOrZero(sym));
+            feed(g().addNode("ifork", {target}), state);
         }
         finishWithExit();
         popContext();
 
         // Parent side: rfork the head, stream the state, await results.
-        spliceFork(head_label, state, returns, arrays_read,
-                   arrays_written, {},
-                   /*chain_control=*/effectful(entry));
+        int fork = forkChild(g().addCodeAddr(head_label), splice);
+        int fed = feed(fork, state);
+        int join = joinChild(fork, {&fed, 1}, splice);
+        if (effectful(entry))
+            chainControlSpan(fork, join);
     }
 
     // If: conditions evaluate in the parent; one branch context is
@@ -750,17 +777,14 @@ class GraphBuilder
     emitIf(const Process &proc)
     {
         int entry = ift_.entryOf(&proc);
-        const IftEntry &e = ift_.entry(entry);
+        Splice splice = spliceOf(entry);
 
-        std::vector<int> returns = scalarOnly(ift_.liveOutputs(entry));
         // Branches need old values of outputs they leave untouched.
         std::vector<int> ins = ift_.inputSymbols(entry);
-        for (int sym : returns)
+        for (int sym : splice.returns)
             if (std::find(ins.begin(), ins.end(), sym) == ins.end())
                 ins.push_back(sym);
         std::sort(ins.begin(), ins.end());
-        std::vector<int> arrays_read = arraysOf(e.inputs);
-        std::vector<int> arrays_written = arraysOf(e.outputs);
 
         // Build the branch contexts (plus the default skip branch).
         std::vector<std::string> labels;
@@ -771,14 +795,14 @@ class GraphBuilder
             emitChildPrologue(ins);
             sequenceChildInputs(cur(), ins);
             emitProcess(*branch.body);
-            emitChildEpilogue(returns);
+            emitChildEpilogue(splice.returns);
             popContext();
         }
         std::string skip_label = freshLabel("if_skip");
         pushContext(skip_label, "if-skip");
         emitChildPrologue(ins);
         sequenceChildInputs(cur(), ins);
-        emitChildEpilogue(returns);
+        emitChildEpilogue(splice.returns);
         popContext();
 
         // Parent: fold conditions into a nested sel chain, innermost
@@ -789,35 +813,11 @@ class GraphBuilder
             int addr = g().addCodeAddr(labels[i]);
             target = selNode(cond, addr, target);
         }
-        int fork = g().addNode("rfork", {target});
-        orderFork(fork, arrays_read, arrays_written);
-        int last_send = fork;
-        for (int sym : ins)
-            last_send = sendOn(fork, envGetOrZero(sym));
-        int out_chan = binOp("+", fork, g().addConst(1));
-        int last = -1;
-        bool first = true;
-        if (returns.empty()) {
-            last = recvOn(out_chan);
-            g().addOrderEdge(last_send, last);
-        } else {
-            for (int sym : returns) {
-                last = recvOn(out_chan);
-                cur().env[sym] = last;
-                if (first) {
-                    // Every input send precedes the first join receive
-                    // (the join receives chain among themselves).
-                    g().addOrderEdge(last_send, last);
-                    first = false;
-                }
-            }
-        }
-        for (int arr : arrays_read)
-            chainArrayRead(arr, last);
-        for (int arr : arrays_written)
-            chainArrayWrite(arr, last);
+        int fork = forkChild(target, splice);
+        int fed = feed(fork, ins);
+        int join = joinChild(fork, {&fed, 1}, splice);
         if (effectful(entry))
-            chainControlSpan(fork, last);
+            chainControlSpan(fork, join);
     }
 
     // Par: one context per component, all forked before any join.
@@ -826,87 +826,46 @@ class GraphBuilder
     {
         int entry = ift_.entryOf(&proc);
         const IftEntry &e = ift_.entry(entry);
+        checkParWidth(static_cast<long>(e.chains.size()), proc.line);
 
         struct Comp
         {
             std::string label;
             std::vector<int> ins;
-            std::vector<int> returns;
-            std::vector<int> arraysRead;
-            std::vector<int> arraysWritten;
+            Splice splice;
             int fork = -1;
         };
         std::vector<Comp> comps;
         for (std::size_t k = 0; k < e.chains.size(); ++k) {
             int comp_entry = e.chains[k][0];
-            const IftEntry &ce = ift_.entry(comp_entry);
             Comp comp;
             comp.label = freshLabel("par_comp");
             comp.ins = ift_.inputSymbols(comp_entry);
-            comp.returns = scalarOnly(ift_.liveOutputs(comp_entry));
-            comp.arraysRead = arraysOf(ce.inputs);
-            comp.arraysWritten = arraysOf(ce.outputs);
+            comp.splice = spliceOf(comp_entry);
 
             pushContext(comp.label, "par-comp");
             emitChildPrologue(comp.ins);
             // The transfer order is decided by the pi_I weights of the
             // finished body, then imposed on the existing receives.
             emitProcess(*proc.children[k]);
-            std::vector<int> order = orderedInputs(cur());
-            sequenceChildInputs(cur(), order);
-            comp.ins = order;
-            emitChildEpilogue(comp.returns);
+            comp.ins = orderedInputs(cur());
+            sequenceChildInputs(cur(), comp.ins);
+            emitChildEpilogue(comp.splice.returns);
             popContext();
             comps.push_back(std::move(comp));
         }
 
         // Fork and feed every component before joining any of them.
-        std::vector<int> all_sends;
-        int first_fork = -1;
+        std::vector<int> fed;
         for (Comp &comp : comps) {
-            int claddr = g().addCodeAddr(comp.label);
-            comp.fork = g().addNode("rfork", {claddr});
-            if (first_fork < 0)
-                first_fork = comp.fork;
-            orderFork(comp.fork, comp.arraysRead, comp.arraysWritten);
-            int last_send = comp.fork;
-            for (int sym : comp.ins)
-                last_send = sendOn(comp.fork, envGetOrZero(sym));
-            all_sends.push_back(last_send);
+            comp.fork = forkChild(g().addCodeAddr(comp.label), comp.splice);
+            fed.push_back(feed(comp.fork, comp.ins));
         }
-        int final_join = -1;
-        for (Comp &comp : comps) {
-            int out_chan = binOp("+", comp.fork, g().addConst(1));
-            int last = -1;
-            bool first_of_comp = true;
-            if (comp.returns.empty()) {
-                last = recvOn(out_chan);
-                first_of_comp = false;
-                for (int send : all_sends)
-                    g().addOrderEdge(send, last);
-            } else {
-                for (int sym : comp.returns) {
-                    last = recvOn(out_chan);
-                    cur().env[sym] = last;
-                    if (first_of_comp) {
-                        // Every component's inputs stream before ANY
-                        // join is attempted: each comp's joins are on
-                        // their own channel chain, so each needs its
-                        // own edges from the send set.
-                        for (int send : all_sends)
-                            g().addOrderEdge(send, last);
-                        first_of_comp = false;
-                    }
-                }
-            }
-            final_join = last;
-            for (int arr : comp.arraysRead)
-                chainArrayRead(arr, last);
-            for (int arr : comp.arraysWritten)
-                chainArrayWrite(arr, last);
-        }
-        if (first_fork >= 0 && effectful(entry))
-            chainControlSpan(first_fork, final_join);
+        int join = -1;
+        for (const Comp &comp : comps)
+            join = joinChild(comp.fork, fed, comp.splice);
+        if (!comps.empty() && effectful(entry))
+            chainControlSpan(comps.front().fork, join);
     }
 
     // Replicated par: one shared body graph; the parent forks count
@@ -930,6 +889,7 @@ class GraphBuilder
         }
         fatalIf(count < 0, "line ", proc.line,
                 ": negative replication count");
+        checkParWidth(count, proc.line);
 
         // The instance's inputs: the body chain's seq-combined I set.
         std::vector<int> ins;
@@ -947,9 +907,7 @@ class GraphBuilder
             }
             std::sort(ins.begin(), ins.end());
         }
-        std::vector<int> returns = scalarOnly(ift_.liveOutputs(entry));
-        std::vector<int> arrays_read = arraysOf(e.inputs);
-        std::vector<int> arrays_written = arraysOf(e.outputs);
+        Splice splice = spliceOf(entry);
 
         std::string label = freshLabel("repl_par");
         pushContext(label, "repl-par-body");
@@ -958,55 +916,24 @@ class GraphBuilder
             emitProcess(*child);
         std::vector<int> order = orderedInputs(cur());
         sequenceChildInputs(cur(), order);
-        emitChildEpilogue(returns);
+        emitChildEpilogue(splice.returns);
         popContext();
 
         int base = emitExpr(*proc.repl->base);
-        std::vector<int> forks;
-        std::vector<int> all_sends;
+        std::vector<int> forks, fed;
         for (long k = 0; k < count; ++k) {
-            int claddr = g().addCodeAddr(label);
-            int fork = g().addNode("rfork", {claddr});
-            orderFork(fork, arrays_read, arrays_written);
+            int fork = forkChild(g().addCodeAddr(label), splice);
             int index = binOp("+", base, g().addConst(k));
-            int last_send = fork;
-            for (int sym : order) {
-                int value = sym == proc.repl->symbol
-                                ? index
-                                : envGetOrZero(sym);
-                last_send = sendOn(fork, value);
-            }
-            all_sends.push_back(last_send);
+            fed.push_back(feed(fork, order, [&](int sym) {
+                return sym == proc.repl->symbol ? index : envGetOrZero(sym);
+            }));
             forks.push_back(fork);
         }
-        int final_join = -1;
-        for (int fork : forks) {
-            int out_chan = binOp("+", fork, g().addConst(1));
-            int last = -1;
-            bool first_of_comp = true;
-            if (returns.empty()) {
-                last = recvOn(out_chan);
-                for (int send : all_sends)
-                    g().addOrderEdge(send, last);
-            } else {
-                for (int sym : returns) {
-                    last = recvOn(out_chan);
-                    cur().env[sym] = last;
-                    if (first_of_comp) {
-                        for (int send : all_sends)
-                            g().addOrderEdge(send, last);
-                        first_of_comp = false;
-                    }
-                }
-            }
-            final_join = last;
-            for (int arr : arrays_read)
-                chainArrayRead(arr, last);
-            for (int arr : arrays_written)
-                chainArrayWrite(arr, last);
-        }
+        int join = -1;
+        for (int fork : forks)
+            join = joinChild(fork, fed, splice);
         if (!forks.empty() && effectful(entry))
-            chainControlSpan(forks.front(), final_join);
+            chainControlSpan(forks.front(), join);
     }
 
     // Procedure call: fork the (shared, reentrant) procedure graph,
@@ -1017,10 +944,10 @@ class GraphBuilder
         const ProcInfo &info = ensureProc(proc.calleeSymbol);
         const Symbol &callee = table_.symbol(proc.calleeSymbol);
 
-        // Argument values by param symbol.
+        // Argument values by param symbol. The var-scalar arguments
+        // take the results, in declaration order like info.returnOrder.
         std::map<int, int> values;
-        std::vector<int> arrays_read, arrays_written;
-        std::map<int, int> result_vars;  ///< param symbol -> arg symbol.
+        Splice splice;
         for (std::size_t i = 0; i < proc.args.size(); ++i) {
             const Declaration::Param &param = callee.params[i];
             const Expr &arg = *proc.args[i];
@@ -1029,45 +956,22 @@ class GraphBuilder
             } else if (param.isArray) {
                 values[param.symbol] = envGet(arg.symbol, arg.line);
                 // Conservatively both read and written by the callee.
-                arrays_read.push_back(arg.symbol);
-                arrays_written.push_back(arg.symbol);
+                splice.arraysRead.push_back(arg.symbol);
+                splice.arraysWritten.push_back(arg.symbol);
             } else if (param.byValue) {
                 values[param.symbol] = emitExpr(arg);
             } else {
                 values[param.symbol] = envGetOrZero(arg.symbol);
-                result_vars[param.symbol] = arg.symbol;
+                splice.returns.push_back(arg.symbol);
             }
         }
 
-        int claddr = g().addCodeAddr(info.label);
-        int fork = g().addNode("rfork", {claddr});
-        orderFork(fork, arrays_read, arrays_written);
-        int last_send = fork;
-        for (int sym : info.sendOrder)
-            last_send = sendOn(fork, values.at(sym));
-        int out_chan = binOp("+", fork, g().addConst(1));
-        int last = -1;
-        bool first = true;
-        if (info.returnOrder.empty()) {
-            last = recvOn(out_chan);
-            g().addOrderEdge(last_send, last);
-        } else {
-            for (int param_sym : info.returnOrder) {
-                last = recvOn(out_chan);
-                cur().env[result_vars.at(param_sym)] = last;
-                if (first) {
-                    g().addOrderEdge(last_send, last);
-                    first = false;
-                }
-            }
-        }
-        for (int arr : arrays_read)
-            chainArrayRead(arr, last);
-        for (int arr : arrays_written)
-            chainArrayWrite(arr, last);
+        int fork = forkChild(g().addCodeAddr(info.label), splice);
+        int fed = feed(fork, info.sendOrder,
+                       [&](int sym) { return values.at(sym); });
         // Calls are side-effecting: the whole fork..join span sits on
         // the control chain so consecutive calls do not reorder.
-        chainControlSpan(fork, last);
+        chainControlSpan(fork, joinChild(fork, {&fed, 1}, splice));
     }
 
     const Program &program_;

@@ -20,8 +20,11 @@ Asserts:
   * qmprof flight exit codes and verdicts;
   * the sweep benches' front end: one note line per failed and per
     recovered BENCH row, --topology refused (exit 2) by every bench
-    but bench_partitioned, and the usage line an unknown flag (the
-    removed simulation-core selector among them) prints;
+    but bench_partitioned, the usage line an unknown flag (the
+    removed simulation-core selector among them) prints, and exit 6
+    with one diagnostic on an output path a sweep cannot open;
+  * a par too wide for any operand-queue page is refused (exit 3)
+    before its children are built;
   * occamc --interp agrees with the simulated run;
   * bench_ch5_msgproc prints the message-cache tables (Tables 5.3/5.4
     and 6.7) byte for byte.
@@ -153,6 +156,19 @@ def main():
     bad = write("bad.occ", "seq !!! not occam\n")
     p = run([occamc, bad])
     check_rc("compile error exits 3", p, 3)
+
+    # A par forks all its children before it joins any; past 256 the
+    # compiler refuses it up front instead of compiling for hours.
+    wide = write("wide.occ",
+                 "var a[1]:\npar i = [0 for 100000]\n  a[0] := i\n")
+    started = time.monotonic()
+    p = run([occamc, wide], timeout=120)
+    elapsed = time.monotonic() - started
+    check("a 100000-instance par exits 3 naming its line",
+          p.returncode == 3 and "line 2: par forks 100000" in p.stderr,
+          f"rc={p.returncode} {p.stderr[:200]}")
+    check("a 100000-instance par is refused in under 2 s", elapsed < 2,
+          f"{elapsed:.1f} s")
 
     huge = write("huge.occ",
                  "var r[1]:\nseq\n  r[0] := 12345678901234567890123\n")
@@ -474,6 +490,34 @@ def main():
             check(f"{name} {flags[0]} exits 2 with the usage line",
                   p.returncode == 2 and not p.stdout and p.stderr == usage,
                   f"rc={p.returncode} {p.stderr[:300]}")
+
+    # An output path a sweep cannot open ends it with one diagnostic
+    # line and exit 6, from a worker thread too; the uncaught FatalError
+    # used to abort the bench (SIGABRT). An unwritable --telemetry path
+    # stays a stderr note.
+    def check_bad_path(bench, flags, needle):
+        p = run([bench] + flags, cwd=bench_dir)
+        name = os.path.basename(bench)
+        lines = p.stderr.splitlines()
+        check(f"{name} {' '.join(flags)} exits 6 with one diagnostic",
+              p.returncode == 6 and len(lines) == 1 and
+              lines[0].startswith(f"{name}: ") and needle in lines[0] and
+              "terminate called" not in p.stderr,
+              f"rc={p.returncode} {p.stderr[:300]}")
+    for bench, jobs in ((speedup, "2"), (bus, "1"), (ablation, "1"),
+                        (partitioned, "1")):
+        check_bad_path(bench, ["--jobs", jobs, "--trace-dir", "nodir"],
+                       "cannot open trace output file: nodir/")
+    check_bad_path(bus, ["--jobs", "1", "--resume-dir", "nodir"],
+                   "'nodir/ch5_bus.journal'")
+    check_bad_path(bus, ["--jobs", "1", "--metrics", "nodir/m.json"],
+                   "cannot open metrics file: nodir/m.json")
+    p = run([bus, "--jobs", "1", "--telemetry", "nodir/t.ndjson"],
+            cwd=bench_dir)
+    check("an unwritable --telemetry path is a note, exit 0",
+          p.returncode == 0 and
+          "cannot open telemetry file nodir/t.ndjson" in p.stderr,
+          f"rc={p.returncode} {p.stderr[:200]}")
 
     # --- occamc --interp ------------------------------------------------
     p = run([occamc, "--run", "--interp", "--pes", "4", pipeline])

@@ -177,6 +177,14 @@ struct ResumeCase
     mp::Cycle checkpointEvery;
 };
 
+// Without PrintTo gtest prints a parameter as its raw bytes, pointers
+// included, and gtest_discover_tests puts them into the ctest names.
+void
+PrintTo(const ResumeCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class DurableResumeTest : public ::testing::TestWithParam<ResumeCase>
 {
 };
@@ -1506,6 +1514,12 @@ struct RestoreCase
     const char *topology;  ///< nullptr = default flat ring.
     int pes;
 };
+
+void
+PrintTo(const RestoreCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class RestoreIdentityTest : public ::testing::TestWithParam<RestoreCase>
 {
