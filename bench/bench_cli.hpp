@@ -11,7 +11,7 @@
  * under seeded fault injection; the fault schedule depends only on
  * the spec, never on `--jobs`.
  * `--recover` enables the recovery layer (end-to-end retransmission,
- * heal, dedup, fail-stop re-dispatch, bounded checkpoint replay) and
+ * heal, dedup, fail-stop rollback, bounded checkpoint replay) and
  * `--checkpoint-every N` adds periodic snapshots on top of the boot
  * one. Recovered runs, like faulty ones, are identical for any
  * `--jobs` value.

@@ -30,7 +30,7 @@
  * for the spec grammar, e.g. "seed=42,rate=0.05,kinds=drop+delay").
  * --recover enables the recovery layer on top of the fault plan
  * (end-to-end retransmission, checksum heal, dedup, fail-stop
- * re-dispatch, and bounded replay from the last checkpoint);
+ * rollback, and bounded replay from the last checkpoint);
  * --checkpoint-every N adds periodic snapshots on top of the boot one.
  * --checkpoint-file persists every snapshot durably (atomic write) so a
  * killed run can be warm-started with --resume, byte-identically to an

@@ -29,8 +29,8 @@
  *                   reproducible independent of the rate. Without the
  *                   recovery layer the machine starves and the
  *                   watchdog reports a clean failure; with recovery
- *                   the kernel detects the expired lease and
- *                   re-dispatches the dead PE's contexts.
+ *                   the machine rolls back to its last snapshot and
+ *                   re-runs without the dead PE.
  *
  * All injection sites are pointer-gated exactly like the tracer: with
  * no plan the fabric pays one predictable branch per site and produces
@@ -38,8 +38,8 @@
  *
  * RecoveryPlan (opt-in, mp::SystemConfig::recovery) turns detection
  * into survival: end-to-end ack/retransmit on the ring, checksum-heal
- * from the sender's pristine copy, sequence-number dedup, PE-lease
- * fail-stop recovery, and bounded checkpoint replay (see DESIGN.md
+ * from the sender's pristine copy, sequence-number dedup, fail-stop
+ * rollback, and bounded checkpoint replay (see DESIGN.md
  * "Recoverable execution").
  */
 #pragma once
@@ -141,18 +141,14 @@ struct RecoveryPlan
     bool enabled = false;
     /**
      * End-to-end retransmissions after the link-layer retry bound. The
-     * ack timeout, the PE lease and the NACK penalty are constants of
-     * the ring bus, the kernel and the message cache.
+     * ack timeout and the NACK penalty are constants of the ring bus
+     * and the message cache.
      */
     int maxResends = 16;
     /** Periodic System::snapshot() interval (0 = boot snapshot only). */
     Cycle checkpointEvery = 0;
     /** Checkpoint replays mp::System::run allows a failed run. */
     int maxReplays = 2;
-    /** Host-op log bound per run span; overflow forbids span restart. */
-    std::size_t maxLogOps = 4096;
-    /** Memory undo-log bound per run span (words). */
-    std::size_t maxUndoWords = 1u << 18;
 };
 
 /**

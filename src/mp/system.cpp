@@ -28,8 +28,6 @@ constexpr long kQueryCycles = 1;        ///< getin/getout/now/wait/chan.
 constexpr long kAllocCycles = 4;
 constexpr long kContextLoadCycles = 6;  ///< Dispatch + register load.
 constexpr long kContextSaveCycles = 4;  ///< On top of the roll-out.
-/** PE heartbeat lease: recovery notices a fail-stop when it expires. */
-constexpr Cycle kLeaseCycles = 256;
 
 } // namespace
 
@@ -113,49 +111,6 @@ struct System::PeSlot : SlotState
      */
     CtxId residentBlocked = msg::kNoCtx;
 
-    // Span journal (populated only when recovery is enabled): the
-    // completed host ops and the memory stores of the span currently
-    // running on this PE. Committed (cleared) whenever the span's
-    // registers are safely saved; consumed by recoverDeadPe to restart
-    // the span elsewhere after a fail-stop.
-    std::vector<HostOp> hostLog;
-    std::size_t logCursor = 0;
-    bool logOverflow = false;
-    pe::UndoLog undoLog;
-
-    /** Start an empty span journal, or one that replays @p log. */
-    void
-    resetSpan(std::vector<HostOp> log = {})
-    {
-        hostLog = std::move(log);
-        logCursor = 0;
-        logOverflow = false;
-        undoLog.clear();
-    }
-
-    /** Journal one completed host op (bounded; overflow is sticky). */
-    void
-    appendOp(const HostOp &op, std::size_t max_ops)
-    {
-        if (logOverflow)
-            return;
-        if (hostLog.size() >= max_ops) {
-            // A span too long to journal cannot be restarted; the
-            // recovery path falls back to checkpoint replay.
-            logOverflow = true;
-            return;
-        }
-        hostLog.push_back(op);
-        ++logCursor;
-    }
-
-    /** A logged op is waiting to be replayed instead of re-executed. */
-    bool
-    replaying() const
-    {
-        return logCursor < hostLog.size();
-    }
-
     /** Scheduling load: queued contexts plus the running one. */
     std::size_t
     load() const
@@ -235,7 +190,6 @@ System::System(const isa::ObjectCode &code, SystemConfig config)
     for (int i = 0; i < config_.numPes; ++i) {
         auto slot = std::make_unique<PeSlot>();
         slot->index = i;
-        slot->undoLog.cap = config_.recovery.maxUndoWords;
         slot->host = std::make_unique<HostAdapter>(*this, i);
         slot->pe = std::make_unique<pe::ProcessingElement>(
             *memory_, decoded_, *slot->host);
@@ -354,7 +308,7 @@ System::placeSurvivor()
     // Emptiest runnable queue among live PEs wins; ties rotate around
     // the ring so independent forks still spread out. This is the
     // flat-ring placement policy, with a dead-PE skip, and also where
-    // recoverDeadPe re-homes a fail-stopped PE's contexts.
+    // failStop re-homes a fail-stopped PE's contexts.
     int best = -1;
     std::size_t best_load = 0;
     for (int i = 0; i < config_.numPes; ++i) {
@@ -465,53 +419,21 @@ System::wakePeer(int pe_idx, Cycle at, CtxId peer)
         wakeContext(peer, wake.duplicateAt);
 }
 
-const HostOp *
-System::replayedOp(PeSlot &slot, HostOp::Kind kind, Word arg)
-{
-    if (!recoveryOn_ || !slot.replaying())
-        return nullptr;
-    static const char *const kOpNames[] = {"send", "recv", "trap"};
-    const HostOp &logged = slot.hostLog[slot.logCursor++];
-    panicIf(logged.kind != kind || logged.arg != arg,
-            "host-op replay divergence on ",
-            kOpNames[static_cast<int>(kind)],
-            " (restarted span took a different path)");
-    return &logged;
-}
-
 HostStatus
 System::hostSend(int pe_idx, Word channel, Word value)
 {
     PeSlot &slot = *slots[static_cast<size_t>(pe_idx)];
-    // Restarted span: this send already happened before the PE died;
-    // its token is in the cache and its wake was delivered. Replay
-    // the outcome with no side effects.
-    if (replayedOp(slot, HostOp::Kind::Send, channel))
-        return HostStatus::Done;
     msg::ChannelOp op = cache.send(channel, slot.running, value, slot.clock);
-    if (op.completed) {
-        wakePeer(pe_idx, slot.clock, op.wake);
-        if (recoveryOn_)
-            slot.appendOp({HostOp::Kind::Send, channel, 0, 0},
-                          config_.recovery.maxLogOps);
-        return HostStatus::Done;
-    }
-    // Blocked ops are never journaled: a restarted span re-issues the
-    // request and blocks (or completes) afresh.
-    return HostStatus::Blocked;
+    if (!op.completed)
+        return HostStatus::Blocked;
+    wakePeer(pe_idx, slot.clock, op.wake);
+    return HostStatus::Done;
 }
 
 HostStatus
 System::hostRecv(int pe_idx, Word channel, Word &value)
 {
     PeSlot &slot = *slots[static_cast<size_t>(pe_idx)];
-    // Restarted span: the token was already consumed before the PE
-    // died; hand back the logged value without touching the cache.
-    if (const HostOp *logged =
-            replayedOp(slot, HostOp::Kind::Recv, channel)) {
-        value = logged->result;
-        return HostStatus::Done;
-    }
     msg::ChannelOp op = cache.recv(channel, slot.running, slot.clock);
     if (op.completed) {
         value = *op.value;
@@ -532,9 +454,6 @@ System::hostRecv(int pe_idx, Word channel, Word &value)
                     " (checksum mismatch at cycle ", slot.clock, ")");
         }
         wakePeer(pe_idx, slot.clock, op.wake);
-        if (recoveryOn_)
-            slot.appendOp({HostOp::Kind::Recv, channel, value, 0},
-                          config_.recovery.maxLogOps);
         return HostStatus::Done;
     }
     return HostStatus::Blocked;
@@ -544,31 +463,11 @@ TrapOutcome
 System::hostTrap(int pe_idx, Word number, Word argument)
 {
     PeSlot &slot = *slots[static_cast<size_t>(pe_idx)];
-    // Restarted span: the trap already ran before the PE died (forks
-    // forked, channels allocated). Replay the logged outcome with no
-    // side effects; the charge is re-booked because clocks were not
-    // rolled back past the span start.
-    if (const HostOp *logged =
-            replayedOp(slot, HostOp::Kind::Trap, number)) {
-        TrapOutcome outcome;
-        if (logged->hasResult)
-            outcome.result = logged->result;
-        outcome.kernelCycles = logged->kernelCycles;
-        slot.kernelCycles += outcome.kernelCycles;
-        return outcome;
-    }
     TrapOutcome outcome = trapService(slot, number, argument);
     // Charged service cycles land in the PE's step time; book them
     // separately so the run report can split kernel from compute.
-    if (outcome.status != HostStatus::Blocked) {
+    if (outcome.status != HostStatus::Blocked)
         slot.kernelCycles += outcome.kernelCycles;
-        if (recoveryOn_ && !outcome.endContext)
-            slot.appendOp({HostOp::Kind::Trap, number,
-                           outcome.result.value_or(0),
-                           outcome.kernelCycles,
-                           outcome.result.has_value()},
-                          config_.recovery.maxLogOps);
-    }
     return outcome;
 }
 
@@ -673,9 +572,7 @@ System::dispatch(PeSlot &slot)
 
     if (slot.residentBlocked == ctx.id) {
         // The resident context's rendezvous completed: resume in place
-        // with its registers still live. No roll-out, no reload. The
-        // run span continues: its journal keeps accumulating until the
-        // registers are finally saved somewhere.
+        // with its registers still live. No roll-out, no reload.
         slot.residentBlocked = msg::kNoCtx;
         ctx.status = CtxStatus::Running;
         slot.running = ctx.id;
@@ -694,12 +591,6 @@ System::dispatch(PeSlot &slot)
     slot.running = ctx.id;
     slot.spanStart = slot.clock;
     slot.pe->loadContext(ctx.regs);
-    if (recoveryOn_) {
-        // Fresh span: from here until the next commit, ctx.regs stays
-        // the restart image. A context handed over from a dead PE
-        // brings the journal of its interrupted span along for replay.
-        slot.resetSpan(std::exchange(ctx.pendingReplay, {}));
-    }
     ++switches;
     tracer_.ctxDispatch(slot.clock, slot.index, ctx.id);
     return true;
@@ -730,7 +621,6 @@ System::park(PeSlot &slot, CtxStatus status)
     ctx.regs = slot.pe->saveContext();
     ctx.status = status;
     slot.running = msg::kNoCtx;
-    commitSpan(slot);
     tracer_.ctxPark(slot.clock, slot.index, ctx.id,
                     status == CtxStatus::BlockedTime
                         ? trace::ParkReason::Timer
@@ -748,30 +638,18 @@ System::evictResident(PeSlot &slot)
     slot.residentBlocked = msg::kNoCtx;
     ++switches;
     stats_.inc(metric::SysEvictions);
-    commitSpan(slot);
 }
 
 void
 System::preemptRunning(PeSlot &slot)
 {
     // Checkpoint quiesce: force the running context out (registers
-    // saved, span committed) and requeue it so the snapshot needs no
-    // PE-internal state.
+    // saved) and requeue it so the snapshot needs no PE-internal state.
     CtxId id = slot.running;
     park(slot, CtxStatus::Ready);
     Context &ctx = contexts[id];
     ctx.readyAt = std::max(ctx.readyAt, slot.clock);
     slot.readyQ.push({ctx.readyAt, id});
-}
-
-void
-System::commitSpan(PeSlot &slot)
-{
-    // The span's registers are safely stored (saveContext or context
-    // end), so a restart can never reach back before this point: drop
-    // the journal.
-    if (recoveryOn_)
-        slot.resetSpan();
 }
 
 void
@@ -786,7 +664,6 @@ System::finishContext(PeSlot &slot)
     slot.running = msg::kNoCtx;
     --liveContexts;
     stats_.inc(metric::SysContextsFinished);
-    commitSpan(slot);
 }
 
 RunResult
@@ -887,16 +764,13 @@ System::runLoop(Cycle max_cycles)
         // Planned fail-stop: fires once simulated time reaches killAt.
         if (killArmed_ && best &&
             best_time >= config_.faultPlan.killAt) {
-            injectPeKill(config_.faultPlan.killAt);
-            continue;
-        }
-        // Kernel lease: the killed PE's silence is noticed once the
-        // machine's frontier passes the lease deadline - or right away
-        // if nothing can act at all.
-        if (pendingDeadPe_ >= 0 && recoveryOn_ &&
-            (!best || best_time >= deadDetectAt_)) {
-            recoverDeadPe(deadDetectAt_);
-            continue;
+            std::string failure = injectPeKill(config_.faultPlan.killAt);
+            if (failure.empty())
+                continue;
+            // Not replayable: a replay would only kill the PE again.
+            RunResult result = failRun(failure, /*watchdog=*/false);
+            replayable_ = false;
+            return result;
         }
         if (!best) {
             // Everyone starved: no context can ever run again. Under
@@ -929,18 +803,7 @@ System::runLoop(Cycle max_cycles)
                     ")"),
                 /*watchdog=*/true);
         // Periodic checkpoint, taken at a quiesced scheduler boundary.
-        // Deferred while a fail-stop is pending (the dead PE's context
-        // cannot be rolled out, and the imminent recovery would be
-        // erased by a later restore anyway) and while any restarted
-        // span is still replaying its host-op log: the quiesce preempt
-        // would discard the unconsumed tail and the span would
-        // re-execute those ops live, duplicating their side effects.
-        bool replay_in_flight = false;
-        for (auto &slot : slots)
-            if (slot->replaying())
-                replay_in_flight = true;
-        if (nextCheckpointAt_ > 0 && best_time >= nextCheckpointAt_ &&
-            pendingDeadPe_ < 0 && !replay_in_flight) {
+        if (nextCheckpointAt_ > 0 && best_time >= nextCheckpointAt_) {
             // Advance the schedule *before* capturing: the snapshot
             // then carries the next boundary, so a run warm-started
             // from it (durable resume or checkpoint replay) continues
@@ -951,12 +814,11 @@ System::runLoop(Cycle max_cycles)
             snapshot();
             continue;
         }
-        // Telemetry boundary: same quiesce conditions as checkpoints
-        // (and evaluated after them, so a coincident boundary sees the
-        // checkpoint's counter), but purely observational - no machine
-        // state changes, so the loop continues into dispatch.
-        if (nextTelemetryAt_ > 0 && best_time >= nextTelemetryAt_ &&
-            pendingDeadPe_ < 0 && !replay_in_flight)
+        // Telemetry boundary: evaluated after checkpoints, so a
+        // coincident boundary sees the checkpoint's counter, but purely
+        // observational - no machine state changes, so the loop
+        // continues into dispatch.
+        if (nextTelemetryAt_ > 0 && best_time >= nextTelemetryAt_)
             emitTelemetry(best_time);
 
         if (dispatch(*best))
@@ -987,10 +849,6 @@ System::pickScan(Cycle &at)
 void
 System::runBatch(PeSlot &slot, Cycle max_cycles)
 {
-    if (recoveryOn_)
-        // Journal this span's memory stores for rollback.
-        memory_->setUndoLog(&slot.undoLog);
-
     for (int batch = 0; batch < 16; ++batch) {
         Cycle before = slot.clock;
         StepResult step = slot.pe->step();
@@ -1039,86 +897,61 @@ System::runBatch(PeSlot &slot, Cycle max_cycles)
         }
         break;
     }
-    if (recoveryOn_)
-        memory_->setUndoLog(nullptr);
 }
 
-void
+std::string
 System::injectPeKill(Cycle at)
 {
     killArmed_ = false;
     int victim = config_.faultPlan.killPe;
     victim = victim >= 0 ? victim % config_.numPes
                          : config_.numPes - 1;
+    if (faults_)
+        faults_->notePlanned(fault::kPeKill);
+    bool survivor = false;
+    for (auto &slot : slots)
+        survivor = survivor || (slot->index != victim && !slot->dead);
+    if (recoveryOn_ && survivor) {
+        // Roll back to the last snapshot and re-run without the PE. The
+        // snapshot holds every context's registers in its kernel
+        // record, so the PE takes nothing with it; restore() applies
+        // the death.
+        deadPe_ = victim;
+        restore();
+        return {};
+    }
     PeSlot &slot = *slots[static_cast<size_t>(victim)];
     slot.dead = true;
     slot.clock = std::max(slot.clock, at);
-    if (faults_)
-        faults_->notePlanned(fault::kPeKill);
     stats_.inc(metric::FaultPeKill);
     tracer_.faultInject(at, victim, fault::kPeKill,
                         static_cast<std::uint64_t>(at));
-    if (recoveryOn_) {
-        pendingDeadPe_ = victim;
-        deadDetectAt_ = at + kLeaseCycles;
-    }
     // Without recovery the PE just falls silent; the starvation or
     // watchdog exit reports the resulting stall as a clean failure.
+    if (!recoveryOn_)
+        return {};
+    stats_.inc(metric::FaultPekillDetected);
+    return cat("pekill: PE ", victim, " fail-stopped and no PE survives");
 }
 
 void
-System::recoverDeadPe(Cycle at)
+System::failStop()
 {
-    const int dead_pe = pendingDeadPe_;
-    pendingDeadPe_ = -1;
+    killArmed_ = false;
+    const int dead_pe = deadPe_;
     PeSlot &slot = *slots[static_cast<size_t>(dead_pe)];
-    stats_.inc(metric::FaultPekillDetected);
-
-    int alive = 0;
-    for (auto &s : slots)
-        if (!s->dead)
-            ++alive;
-    if (alive == 0) {
-        pendingFailure_ = cat("pekill: PE ", dead_pe,
-                              " fail-stopped and no PE survives");
-        return;
-    }
-
-    // The context whose registers died with the PE (running, or
-    // resident with a lazily deferred save) restarts from its
-    // dispatch-time register image: roll its journaled memory stores
-    // back and queue its host-op log for side-effect-free replay.
-    CtxId loaded = slot.running != msg::kNoCtx ? slot.running
-                                               : slot.residentBlocked;
-    if (loaded != msg::kNoCtx) {
-        Context &ctx = contexts[loaded];
-        if (slot.logOverflow || slot.undoLog.overflowed) {
-            // The span outran its journal bound, so a span restart
-            // would be unsound. Fall back to checkpoint replay (or a
-            // clean failure when none exists).
-            pendingFailure_ =
-                cat("pekill: context ", loaded, " ran past its span "
-                    "journal bound; span restart impossible");
-            slot.running = msg::kNoCtx;
-            slot.residentBlocked = msg::kNoCtx;
-            slot.readyQ = {};
-            commitSpan(slot);
-            return;
-        }
-        memory_->applyUndo(slot.undoLog);
-        ctx.pendingReplay = std::move(slot.hostLog);
-        if (ctx.status == CtxStatus::Running)
-            ctx.status = CtxStatus::Ready;
-        // A resident-blocked context stays BlockedChannel: the wake it
-        // is waiting for will find it at its new home.
-    }
-    slot.running = msg::kNoCtx;
-    slot.residentBlocked = msg::kNoCtx;
-    slot.blockUntil.reset();
+    if (slot.dead)
+        return;  // The snapshot was taken after the kill.
+    slot.dead = true;
     slot.readyQ = {};
-    commitSpan(slot);
+    const Cycle at = frontier();
+    stats_.inc(metric::FaultPeKill);
+    stats_.inc(metric::FaultPekillDetected);
+    tracer_.faultInject(at, dead_pe, fault::kPeKill,
+                        static_cast<std::uint64_t>(
+                            config_.faultPlan.killAt));
 
-    // Re-home every live context stranded on the dead PE. Shipping a
+    // Re-home every live context homed on the dead PE. Shipping a
     // ready descriptor to its new home rides the (still faulty) ring
     // like any other kernel message.
     std::uint64_t moved = 0;
@@ -1146,8 +979,7 @@ System::recoverDeadPe(Cycle at)
         if (ctx.status == CtxStatus::Ready)
             enqueueShipped(ctx.id, bus.deliver(dead_pe, target, at));
     }
-    if (moved > 0)
-        stats_.inc(metric::FaultPekillRecovered, moved);
+    stats_.inc(metric::FaultPekillRecovered);
     tracer_.faultRecover(at, dead_pe, fault::kPeKill, moved);
 }
 
@@ -1160,7 +992,7 @@ System::snapshot()
         if (slot->dead) {
             panicIf(slot->running != msg::kNoCtx ||
                         slot->residentBlocked != msg::kNoCtx,
-                    "snapshot during an undetected PE fail-stop");
+                    "snapshot with a context on a fail-stopped PE");
             continue;
         }
         if (slot->running != msg::kNoCtx)
@@ -1216,7 +1048,6 @@ System::restore()
         slot.running = msg::kNoCtx;
         slot.residentBlocked = msg::kNoCtx;
         slot.blockUntil.reset();
-        slot.resetSpan();
     }
     pendingFailure_.clear();
     replayable_ = false;
@@ -1229,6 +1060,10 @@ System::restore()
     // record of what the host actually executed, abandoned replay
     // timelines included - exactly what a post-mortem wants.
     flight_.noteRestore(frontier());
+    // Nor does a recovered fail-stop: the PE stays dead in every
+    // timeline after its kill, so the kill fires once per run.
+    if (deadPe_ >= 0)
+        failStop();
 }
 
 // ---------------------------------------------------------------------------
@@ -1263,6 +1098,13 @@ template <class Ar, class K, class L>
 void
 kernelFields(Ar &ar, K &k, L &shard_live)
 {
+    // Two retired slots, from a lease-based fail-stop detector: the
+    // PE awaiting detection, always -1, and its detection cycle,
+    // always 0. KERN keeps its bytes; a file holding anything else is
+    // refused.
+    std::int64_t lease_pe = -1;
+    std::int64_t lease_at = 0;
+
     ar.seq(k.contexts, [&](auto &ctx) { persist::fields(ar, ctx); });
     ar.seq(k.freePages, [&](auto &page) { ar.u32(page); });
     ar.u32(k.nextChannel);
@@ -1277,8 +1119,8 @@ kernelFields(Ar &ar, K &k, L &shard_live)
     ar.u64(k.liveContexts);
     ar.u64(k.switches);
     ar.u8(k.killArmed_);
-    ar.i64(k.pendingDeadPe_);
-    ar.i64(k.deadDetectAt_);
+    ar.i64(lease_pe, -1, -1, "retired lease PE slot");
+    ar.i64(lease_at, 0, 0, "retired lease cycle slot");
     ar.i64(k.nextCheckpointAt_);
     ar.i64(k.lastProgress_);
 }
@@ -1340,9 +1182,11 @@ std::string
 configFingerprint(const SystemConfig &c)
 {
     // The constant sizes and costs have slots too, so a build with other
-    // costs refuses this build's checkpoints and journals. ";place=0" is
-    // the slot of a retired placement knob, kept so checkpoint META and
-    // sweep journal fingerprints keep their bytes.
+    // costs refuses this build's checkpoints and journals. Retired
+    // settings keep their slots, so checkpoint META and sweep journal
+    // fingerprints keep their bytes: ";place=0" was a placement knob,
+    // and the 256, 4096 and 262144 under ";rec=" were the fail-stop
+    // lease and the span journal's host-op and undo-word bounds.
     const fault::RecoveryPlan &r = c.recovery;
     return cat(
         "pes=", c.numPes, ";rings=", c.busRings, ";parts=", c.busPartitions,
@@ -1360,9 +1204,8 @@ configFingerprint(const SystemConfig &c)
         pe::kRollOutCyclesPerReg, ";wd=", c.watchdogCycles,
         ";faults=", fault::toString(c.faultPlan),
         ";rec=", int(r.enabled), ",", r.maxResends, ",", kAckTimeoutCycles,
-        ",", kLeaseCycles, ",", msg::kNackPenaltyCycles, ",",
-        r.checkpointEvery, ",", r.maxReplays, ",", r.maxLogOps, ",",
-        r.maxUndoWords,
+        ",256,", msg::kNackPenaltyCycles, ",", r.checkpointEvery, ",",
+        r.maxReplays, ",4096,262144",
         ";trace=", int(c.traceConfig.enabled), ",", c.traceConfig.maxEvents);
 }
 
@@ -1541,9 +1384,6 @@ System::loadCheckpoint(const std::string &path)
             if (shard < 0 || shard >= numShards())
                 return dec.fail(cat("channel ", chan, " mapped to shard ",
                                     shard, " of ", numShards()));
-        if (k.pendingDeadPe_ >= config_.numPes)
-            return dec.fail(cat("pendingDeadPe ", k.pendingDeadPe_,
-                                " out of range"));
         // Free queue pages: each a page of the pool, listed once, and
         // not the page of a live context - the next fork would hand
         // that context's operand queue to a second one.
@@ -1641,12 +1481,12 @@ System::loadCheckpoint(const std::string &path)
     booted = true;
     restore();
     // The telemetry schedule is host-side streaming state, not part
-    // of the on-disk format: a durable resume re-aligns to the first
-    // boundary after the resume point (restore() zeroed it from the
-    // decoded checkpoint's default).
+    // of the on-disk format: a durable resume, and every later restore
+    // to this checkpoint, re-aligns to the first boundary after it.
     if (config_.telemetryEvery > 0)
-        nextTelemetryAt_ = (frontier() / config_.telemetryEvery + 1) *
-                           config_.telemetryEvery;
+        nextTelemetryAt_ = checkpoint_->kernel.nextTelemetryAt_ =
+            (frontier() / config_.telemetryEvery + 1) *
+            config_.telemetryEvery;
     return Status::okStatus();
 }
 

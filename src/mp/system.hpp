@@ -103,8 +103,8 @@ struct SystemConfig
     /**
      * Opt-in recovery layer (off by default; see src/fault and
      * DESIGN.md "Recoverable execution"): end-to-end retransmission on
-     * the ring, checksum-heal + dedup in the message cache, PE-lease
-     * fail-stop recovery, and checkpoint/restore support.
+     * the ring, checksum-heal + dedup in the message cache, rollback
+     * past a PE fail-stop, and checkpoint/restore support.
      */
     fault::RecoveryPlan recovery{};
 
@@ -177,23 +177,6 @@ enum class CtxStatus
     Done,
 };
 
-/**
- * One completed host interaction (send/recv/trap) of the current run
- * span, recorded only when recovery is enabled. Restarting a span
- * after a PE fail-stop replays these outcomes from the log instead of
- * re-executing them, so forks are not forked twice and tokens are not
- * deposited twice (see DESIGN.md "Recoverable execution").
- */
-struct HostOp
-{
-    enum class Kind : std::uint8_t { Send, Recv, Trap };
-    Kind kind = Kind::Send;
-    Word arg = 0;     ///< Channel id (send/recv) or trap number.
-    Word result = 0;  ///< Received value / trap result.
-    long kernelCycles = 0;  ///< Charged service cycles (traps).
-    bool hasResult = false; ///< Trap produced a value (e.g. not wait).
-};
-
 /** One context: an activation of an acyclic data-flow graph. */
 struct Context
 {
@@ -205,12 +188,6 @@ struct Context
     Word outChan = isa::kNullChannel;
     Addr queuePage = 0;
     Cycle readyAt = 0;
-    /**
-     * Host-op log handed over by a dead PE: replayed (instead of
-     * re-executed) when the context restarts from its span-start
-     * registers on a surviving PE. Empty in normal operation.
-     */
-    std::vector<HostOp> pendingReplay;
 };
 
 /** Result of a complete (or timed-out) program run. */
@@ -243,8 +220,8 @@ struct RunResult
     /**
      * Faults survived: drops compensated by a retry or an end-to-end
      * retransmission, duplicates rejected by sequence-number dedup,
-     * corruptions healed from the pristine copy, and contexts
-     * re-dispatched off a fail-stopped PE. (Before the recovery layer
+     * corruptions healed from the pristine copy, and a PE fail-stop
+     * rolled back onto the surviving PEs. (Before the recovery layer
      * this counter mixed retries and bare detections; it is now
      * exactly the sum of the per-kind recovered counts below.)
      */
@@ -275,7 +252,7 @@ struct RunResult
     struct FaultKindCounts
     {
         std::uint64_t injected = 0;   ///< Faults of this kind fired.
-        std::uint64_t detected = 0;   ///< Noticed by checksum/timeout/lease.
+        std::uint64_t detected = 0;   ///< Noticed by checksum/timeout/kill.
         std::uint64_t recovered = 0;  ///< Survived via the recovery layer.
     };
     std::array<FaultKindCounts, fault::kNumFaultKinds> faultKinds{};
@@ -308,8 +285,6 @@ struct KernelState
 
     // Recovery state (all inert unless config_.recovery.enabled).
     bool killArmed_ = false;       ///< Planned pekill not yet fired.
-    int pendingDeadPe_ = -1;       ///< Killed PE awaiting lease expiry.
-    Cycle deadDetectAt_ = 0;       ///< When the kernel notices.
     Cycle nextCheckpointAt_ = 0;   ///< Next periodic snapshot.
     Cycle lastProgress_ = 0;       ///< Watchdog progress marker.
 
@@ -366,7 +341,9 @@ class System : private KernelState
      * channel state, bus timing, statistics, and trace all rewind.
      * The fault injector's streams deliberately do NOT rewind, so a
      * replay draws a fresh (still deterministic) fault schedule
-     * instead of re-losing the identical message forever.
+     * instead of re-losing the identical message forever. Nor does a
+     * PE that fail-stopped under recovery: each restore marks it dead
+     * again, so its planned kill fires once per run.
      */
     void restore();
 
@@ -509,11 +486,6 @@ class System : private KernelState
     pe::TrapOutcome trapService(PeSlot &slot, Word number,
                                 Word argument);
     /**
-     * In a restarted span, the next logged host op, which must be a
-     * @p kind on @p arg (a divergence panics); null otherwise.
-     */
-    const HostOp *replayedOp(PeSlot &slot, HostOp::Kind kind, Word arg);
-    /**
      * Deliver a completed rendezvous's wake from @p pe to @p peer (no
      * wake when @p peer is kNoCtx).
      */
@@ -528,8 +500,6 @@ class System : private KernelState
     void evictResident(PeSlot &slot);
     /** Forced preemption (checkpoint quiesce): park + requeue Ready. */
     void preemptRunning(PeSlot &slot);
-    /** End the current run span: clear its host-op and undo logs. */
-    void commitSpan(PeSlot &slot);
 
     // --- The run loop (see DESIGN.md "One scheduler") ---
     /**
@@ -556,9 +526,18 @@ class System : private KernelState
     void runBatch(PeSlot &slot, Cycle max_cycles);
 
     // --- Recovery (see DESIGN.md "Recoverable execution") ---------------
-    void injectPeKill(Cycle at);
-    /** Lease expired: re-dispatch the dead PE's contexts. */
-    void recoverDeadPe(Cycle at);
+    /**
+     * Fire the planned pekill at @p at. Under recovery with a survivor
+     * the machine rolls back to the last snapshot without the PE;
+     * otherwise the PE just falls silent. Returns the failure that ends
+     * the run (a recovered run whose kill left no PE alive), else empty.
+     */
+    std::string injectPeKill(Cycle at);
+    /**
+     * Mark deadPe_ fail-stopped in the restored machine and re-home the
+     * contexts homed on it. A no-op when the snapshot postdates the kill.
+     */
+    void failStop();
     /** LeastLoaded placement over live PEs (skips fail-stopped ones). */
     int placeSurvivor();
 
@@ -627,6 +606,11 @@ class System : private KernelState
     bool recoveryOn_ = false;
     /** The last pass ended in a failure worth a checkpoint replay. */
     bool replayable_ = false;
+    /**
+     * The PE a recovered pekill fail-stopped, or -1. Host-side like the
+     * injector's streams: restore() does not rewind it but re-applies it.
+     */
+    int deadPe_ = -1;
     struct Checkpoint;
     std::unique_ptr<Checkpoint> checkpoint_;
 

@@ -422,8 +422,7 @@ analyzeFlight(const std::string &path, const FlightOptions &options,
                "failure\n";
     } else if (reason.find("fault") != std::string::npos ||
                reason.find("fatal") != std::string::npos ||
-               reason.find("corrupt") != std::string::npos ||
-               reason.find("lease") != std::string::npos) {
+               reason.find("corrupt") != std::string::npos) {
         out << "injected or fatal fault; see the fault ring timeline "
                "below\n";
     } else if (reason.find("checkpoint") != std::string::npos ||

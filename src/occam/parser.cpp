@@ -1,11 +1,26 @@
 #include "occam/parser.hpp"
 
+#include <algorithm>
+
 #include "occam/lexer.hpp"
 #include "support/diagnostics.hpp"
 
 namespace qm::occam {
 
 namespace {
+
+/**
+ * The deepest program the parser accepts, in levels of the tree it
+ * builds. A block below the program's own is one level, so a `seq` or
+ * `par` is one, an `if` or `while` two (the construct and its block)
+ * and a replicated `seq` four (it desugars to a `while` between two
+ * `seq`s). An expression adds its depth: a leaf is one level and each
+ * operator, parenthesis and subscript one more, so an `a + b + ...`
+ * chain is as deep as it has terms. Every later phase recurses over
+ * these trees, so deeper input is refused here, with its line, instead
+ * of overflowing the host stack.
+ */
+constexpr int kMaxNesting = 512;
 
 class Parser
 {
@@ -61,16 +76,101 @@ class Parser
         expect(Tok::Newline);
     }
 
+    // ----- Nesting (kMaxNesting) -----------------------------------------
+
+    /** Refuse, at @p tok, a nesting @p levels deep past the bound. */
+    static void
+    checkDepth(const Token &tok, int levels)
+    {
+        fatalIf(levels > kMaxNesting, "line ", tok.line, ":", tok.col,
+                ": nested deeper than ", kMaxNesting, " levels");
+    }
+
+    /** Holds one level open, at @p tok, while it is in scope. */
+    class Level
+    {
+      public:
+        Level(Parser &parser, const Token &tok) : parser_(parser)
+        {
+            checkDepth(tok, parser_.depth + 1);
+            ++parser_.depth;
+        }
+        ~Level() { --parser_.depth; }
+        Level(const Level &) = delete;
+        Level &operator=(const Level &) = delete;
+
+      private:
+        Parser &parser_;
+    };
+
+    /** An indented block (Indent, block, Dedent), one level deeper. */
+    ProcessPtr
+    parseIndented()
+    {
+        Level level(*this, expect(Tok::Indent));
+        ProcessPtr block = parseBlock();
+        expect(Tok::Dedent);
+        return block;
+    }
+
     // ----- Expressions ---------------------------------------------------
+
+    /** A leaf expression at @p tok: one level deep. */
+    void
+    leaf(const Token &tok)
+    {
+        height = 1;
+        checkDepth(tok, depth + height);
+    }
+
+    /**
+     * What @p parse reads below @p tok (a `(`, `[`, `not` or unary `-`
+     * already taken): one level deeper than it.
+     */
+    ExprPtr
+    nested(const Token &tok, ExprPtr (Parser::*parse)())
+    {
+        Level level(*this, tok);
+        ExprPtr inner = (this->*parse)();
+        ++height;
+        return inner;
+    }
+
+    /**
+     * `lhs op rhs`, the operator next and the right operand read by
+     * @p parse: one level deeper than the deeper operand.
+     */
+    ExprPtr
+    binary(std::string op, ExprPtr lhs, ExprPtr (Parser::*parse)())
+    {
+        const Token &tok = take();
+        int lhs_height = height;
+        ExprPtr rhs = (this->*parse)();
+        height = std::max(lhs_height, height) + 1;
+        checkDepth(tok, depth + height);
+        return makeBinary(std::move(op), std::move(lhs), std::move(rhs),
+                          tok.line);
+    }
+
+    /** `name[index]`, the `[` next: one level deeper than the index. */
+    ExprPtr
+    subscript(const Token &name)
+    {
+        auto e = std::make_unique<Expr>();
+        e->kind = Expr::Kind::ArrayRef;
+        e->name = name.text;
+        e->line = name.line;
+        e->args.push_back(nested(take(), &Parser::parseExpr));
+        expect(Tok::RBracket);
+        return e;
+    }
 
     ExprPtr
     parseExpr()
     {
         ExprPtr lhs = parseAndTerm();
-        while (peek().kind == Tok::KwOr) {
-            int line = take().line;
-            lhs = makeBinary("or", std::move(lhs), parseAndTerm(), line);
-        }
+        while (peek().kind == Tok::KwOr)
+            lhs = binary("or", std::move(lhs), &Parser::parseAndTerm);
         return lhs;
     }
 
@@ -78,10 +178,8 @@ class Parser
     parseAndTerm()
     {
         ExprPtr lhs = parseNotTerm();
-        while (peek().kind == Tok::KwAnd) {
-            int line = take().line;
-            lhs = makeBinary("and", std::move(lhs), parseNotTerm(), line);
-        }
+        while (peek().kind == Tok::KwAnd)
+            lhs = binary("and", std::move(lhs), &Parser::parseNotTerm);
         return lhs;
     }
 
@@ -89,8 +187,9 @@ class Parser
     parseNotTerm()
     {
         if (peek().kind == Tok::KwNot) {
-            int line = take().line;
-            return makeUnary("not", parseNotTerm(), line);
+            const Token &tok = take();
+            return makeUnary("not", nested(tok, &Parser::parseNotTerm),
+                             tok.line);
         }
         return parseRelation();
     }
@@ -109,8 +208,7 @@ class Parser
           case Tok::Ge: op = "ge"; break;
           default: return lhs;
         }
-        int line = take().line;
-        return makeBinary(op, std::move(lhs), parseSum(), line);
+        return binary(op, std::move(lhs), &Parser::parseSum);
     }
 
     ExprPtr
@@ -118,15 +216,12 @@ class Parser
     {
         ExprPtr lhs = parseTerm();
         for (;;) {
-            if (peek().kind == Tok::Plus) {
-                int line = take().line;
-                lhs = makeBinary("+", std::move(lhs), parseTerm(), line);
-            } else if (peek().kind == Tok::Minus) {
-                int line = take().line;
-                lhs = makeBinary("-", std::move(lhs), parseTerm(), line);
-            } else {
+            if (peek().kind == Tok::Plus)
+                lhs = binary("+", std::move(lhs), &Parser::parseTerm);
+            else if (peek().kind == Tok::Minus)
+                lhs = binary("-", std::move(lhs), &Parser::parseTerm);
+            else
                 return lhs;
-            }
         }
     }
 
@@ -144,8 +239,7 @@ class Parser
                 op = "\\";
             else
                 return lhs;
-            int line = take().line;
-            lhs = makeBinary(op, std::move(lhs), parseFactor(), line);
+            lhs = binary(op, std::move(lhs), &Parser::parseFactor);
         }
     }
 
@@ -155,43 +249,40 @@ class Parser
         const Token &tok = peek();
         switch (tok.kind) {
           case Tok::Minus: {
-            int line = take().line;
-            return makeUnary("neg", parseFactor(), line);
+            take();
+            return makeUnary("neg", nested(tok, &Parser::parseFactor),
+                             tok.line);
           }
           case Tok::Number: {
             take();
+            leaf(tok);
             return makeNumber(tok.value, tok.line);
           }
           case Tok::KwTrue: {
             take();
+            leaf(tok);
             auto e = makeNumber(-1, tok.line);  // all-ones Boolean
             e->kind = Expr::Kind::BoolLit;
             return e;
           }
           case Tok::KwFalse: {
             take();
+            leaf(tok);
             auto e = makeNumber(0, tok.line);
             e->kind = Expr::Kind::BoolLit;
             return e;
           }
           case Tok::LParen: {
             take();
-            ExprPtr inner = parseExpr();
+            ExprPtr inner = nested(tok, &Parser::parseExpr);
             expect(Tok::RParen);
             return inner;
           }
           case Tok::Name: {
             take();
-            if (accept(Tok::LBracket)) {
-                ExprPtr index = parseExpr();
-                expect(Tok::RBracket);
-                auto e = std::make_unique<Expr>();
-                e->kind = Expr::Kind::ArrayRef;
-                e->name = tok.text;
-                e->line = tok.line;
-                e->args.push_back(std::move(index));
-                return e;
-            }
+            if (peek().kind == Tok::LBracket)
+                return subscript(tok);
+            leaf(tok);
             return makeVar(tok.text, tok.line);
           }
           default:
@@ -288,9 +379,7 @@ class Parser
             expect(Tok::RParen);
             accept(Tok::Eq);
             endLine();
-            expect(Tok::Indent);
-            d.procBody = parseBlock();
-            expect(Tok::Dedent);
+            d.procBody = parseIndented();
             // Optional terminating ':' line.
             if (peek().kind == Tok::Colon) {
                 take();
@@ -348,11 +437,10 @@ class Parser
             take();
             auto repl = parseReplicator();
             endLine();
-            expect(Tok::Indent);
-            ProcessPtr body = parseBlock();
-            expect(Tok::Dedent);
             if (!repl)
-                return body;
+                return parseIndented();
+            Level outer(*this, tok), loop(*this, tok), step(*this, tok);
+            ProcessPtr body = parseIndented();
             return desugarReplicatedSeq(std::move(*repl),
                                         std::move(body), tok.line);
           }
@@ -360,30 +448,20 @@ class Parser
             take();
             auto repl = parseReplicator();
             endLine();
-            expect(Tok::Indent);
+            // Each child line/construct is one parallel component; a
+            // replicated par's single child is the body template.
+            ProcessPtr body = parseIndented();
             auto par = std::make_unique<Process>();
             par->kind = Process::Kind::Par;
             par->line = tok.line;
-            if (repl) {
-                // Replicated par: the single child is the body template.
-                par->repl = std::move(*repl);
-                ProcessPtr body = parseBlock();
-                par->decls = std::move(body->decls);
-                par->children = std::move(body->children);
-            } else {
-                // Each child line/construct is one parallel component.
-                while (peek().kind != Tok::Dedent) {
-                    if (atDeclaration())
-                        parseDeclaration(par->decls);
-                    else
-                        par->children.push_back(parseProcess());
-                }
-            }
-            expect(Tok::Dedent);
+            par->repl = std::move(repl);
+            par->decls = std::move(body->decls);
+            par->children = std::move(body->children);
             return par;
           }
           case Tok::KwIf: {
             take();
+            Level level(*this, tok);
             endLine();
             expect(Tok::Indent);
             auto node = std::make_unique<Process>();
@@ -393,9 +471,7 @@ class Parser
                 Process::Branch branch;
                 branch.condition = parseExpr();
                 endLine();
-                expect(Tok::Indent);
-                branch.body = parseBlock();
-                expect(Tok::Dedent);
+                branch.body = parseIndented();
                 node->branches.push_back(std::move(branch));
             }
             expect(Tok::Dedent);
@@ -403,14 +479,13 @@ class Parser
           }
           case Tok::KwWhile: {
             take();
+            Level level(*this, tok);
             auto node = std::make_unique<Process>();
             node->kind = Process::Kind::While;
             node->line = tok.line;
             node->condition = parseExpr();
             endLine();
-            expect(Tok::Indent);
-            node->children.push_back(parseBlock());
-            expect(Tok::Dedent);
+            node->children.push_back(parseIndented());
             return node;
           }
           case Tok::KwSkip: {
@@ -462,17 +537,9 @@ class Parser
         }
 
         // Build the target lvalue (scalar or array element).
-        ExprPtr lhs;
-        if (accept(Tok::LBracket)) {
-            lhs = std::make_unique<Expr>();
-            lhs->kind = Expr::Kind::ArrayRef;
-            lhs->name = name.text;
-            lhs->line = name.line;
-            lhs->args.push_back(parseExpr());
-            expect(Tok::RBracket);
-        } else {
-            lhs = makeVar(name.text, name.line);
-        }
+        ExprPtr lhs = peek().kind == Tok::LBracket
+                          ? subscript(name)
+                          : makeVar(name.text, name.line);
 
         if (accept(Tok::Assign)) {
             node->kind = Process::Kind::Assign;
@@ -486,17 +553,9 @@ class Parser
             node->channel = std::move(lhs);
             // Input target: scalar or array element.
             const Token &dst = expect(Tok::Name);
-            if (accept(Tok::LBracket)) {
-                auto t = std::make_unique<Expr>();
-                t->kind = Expr::Kind::ArrayRef;
-                t->name = dst.text;
-                t->line = dst.line;
-                t->args.push_back(parseExpr());
-                expect(Tok::RBracket);
-                node->target = std::move(t);
-            } else {
-                node->target = makeVar(dst.text, dst.line);
-            }
+            node->target = peek().kind == Tok::LBracket
+                               ? subscript(dst)
+                               : makeVar(dst.text, dst.line);
             endLine();
             return node;
         }
@@ -584,6 +643,8 @@ class Parser
     std::vector<Token> toks;
     std::size_t pos = 0;
     int replCounter = 0;
+    int depth = 0;   ///< Levels open around the parse point.
+    int height = 0;  ///< Levels of the expression parsed last.
 };
 
 } // namespace

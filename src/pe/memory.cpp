@@ -36,8 +36,6 @@ void
 Memory::writeWord(Addr addr, Word value)
 {
     checkWord(addr);
-    if (undo_)
-        undo_->record(addr, readWord(addr), /*byte=*/false);
     written_[addr / kPageBytes] = 1;  // aligned: one page per word
     data_[addr] = static_cast<std::uint8_t>(value);
     data_[addr + 1] = static_cast<std::uint8_t>(value >> 8);
@@ -58,31 +56,8 @@ Memory::writeByte(Addr addr, std::uint8_t value)
 {
     fatalIf(static_cast<std::size_t>(addr) >= size_,
             "byte access out of bounds at ", addr);
-    if (undo_)
-        undo_->record(addr, data_[addr], /*byte=*/true);
     written_[addr / kPageBytes] = 1;
     data_[addr] = value;
-}
-
-void
-Memory::applyUndo(const UndoLog &undo)
-{
-    panicIf(undo.overflowed, "applying an overflowed undo log");
-    for (auto it = undo.entries.rbegin(); it != undo.entries.rend();
-         ++it) {
-        if (it->byte)
-            data_[it->addr] = static_cast<std::uint8_t>(it->old);
-        else {
-            checkWord(it->addr);
-            data_[it->addr] = static_cast<std::uint8_t>(it->old);
-            data_[it->addr + 1] =
-                static_cast<std::uint8_t>(it->old >> 8);
-            data_[it->addr + 2] =
-                static_cast<std::uint8_t>(it->old >> 16);
-            data_[it->addr + 3] =
-                static_cast<std::uint8_t>(it->old >> 24);
-        }
-    }
 }
 
 PageImage

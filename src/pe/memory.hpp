@@ -24,48 +24,6 @@ namespace qm::pe {
 using isa::Addr;
 using isa::Word;
 
-/**
- * Bounded store undo log for span restart (see DESIGN.md "Recoverable
- * execution"). While attached to a Memory, every write records the
- * value it overwrote; applying the log in reverse restores memory to
- * the state at the moment the log was cleared. Exceeding the bound
- * marks the log overflowed, which forbids restarting the span (the
- * checkpoint path takes over) but keeps memory use bounded.
- */
-struct UndoLog
-{
-    struct Entry
-    {
-        Addr addr = 0;
-        Word old = 0;
-        bool byte = false;
-    };
-
-    std::vector<Entry> entries;
-    std::size_t cap = 1u << 18;
-    bool overflowed = false;
-
-    void
-    clear()
-    {
-        entries.clear();
-        overflowed = false;
-    }
-
-    void
-    record(Addr addr, Word old, bool byte)
-    {
-        if (overflowed)
-            return;
-        if (entries.size() >= cap) {
-            overflowed = true;
-            entries.clear();  // unusable for restart; free the memory
-            return;
-        }
-        entries.push_back({addr, old, byte});
-    }
-};
-
 /** Granule of the written-page map and of a PageImage. */
 constexpr std::size_t kPageBytes = 4096;
 
@@ -99,8 +57,7 @@ struct PageImage
  * Flat byte-addressable memory with checked word/byte access and one
  * written flag per kPageBytes page. writeWord and writeByte are the
  * only write paths and both set the flag, so every unflagged page is
- * all zero; applyUndo rewrites only pages an earlier write flagged,
- * and nothing ever clears a flag. The store is calloc()ed, so pages
+ * all zero, and nothing ever clears a flag. The store is calloc()ed, so pages
  * never touched stay the kernel's shared zero page and constructing a
  * 32 MiB memory costs next to nothing.
  */
@@ -115,17 +72,6 @@ class Memory
     void writeWord(Addr addr, Word value);
     std::uint8_t readByte(Addr addr) const;
     void writeByte(Addr addr, std::uint8_t value);
-
-    /**
-     * Attach (or detach with nullptr) an undo log recording the old
-     * value of every subsequent write. The System points this at the
-     * stepping PE's span log around each batch; with no recovery plan
-     * it stays null and writes are not journaled.
-     */
-    void setUndoLog(UndoLog *undo) { undo_ = undo; }
-
-    /** Roll back every write recorded in @p undo (reverse order). */
-    void applyUndo(const UndoLog &undo);
 
     /** Copy of every written page (System checkpoints). */
     PageImage snapshot() const;
@@ -151,7 +97,6 @@ class Memory
     std::unique_ptr<std::uint8_t[], FreeDeleter> data_;
     std::size_t size_ = 0;
     std::vector<std::uint8_t> written_;  ///< One flag per page.
-    UndoLog *undo_ = nullptr;  ///< Attached span log (see setUndoLog).
 };
 
 } // namespace qm::pe

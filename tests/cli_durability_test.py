@@ -25,6 +25,8 @@ Asserts:
     with one diagnostic on an output path a sweep cannot open;
   * a par too wide for any operand-queue page is refused (exit 3)
     before its children are built;
+  * input nested past the parser's bound is refused (exit 3) with
+    its line, not killed by a signal;
   * occamc --interp agrees with the simulated run;
   * bench_ch5_msgproc prints the message-cache tables (Tables 5.3/5.4
     and 6.7) byte for byte.
@@ -176,6 +178,19 @@ def main():
     check("oversized literal exits 3 naming line:col",
           p.returncode == 3 and "line 3:11" in p.stderr,
           f"rc={p.returncode} {p.stderr[:200]}")
+
+    # Nesting past the parser's bound is a compile error on its line;
+    # both of these used to overflow the host stack (SIGSEGV).
+    for what, expr in (("100000-deep parentheses",
+                        "(" * 100000 + "1" + ")" * 100000),
+                       ("a 100000-term chain",
+                        " + ".join(["1"] * 100000))):
+        deep = write("deep.occ", "var r:\nr := " + expr + "\n")
+        p = run([occamc, "--run", deep])
+        check(f"{what} exit 3 naming line 2",
+              p.returncode == 3 and "line 2:" in p.stderr and
+              "nested deeper than" in p.stderr,
+              f"rc={p.returncode} {p.stderr[:200]}")
 
     # INT32_MIN / -1 wraps to INT32_MIN, as the ALU defines it; the
     # host division used to kill the run with SIGFPE.

@@ -441,7 +441,7 @@ TEST(FaultChaos, RunAllSurvivesFailingRuns)
 
 // ---------------------------------------------------------------------
 // The recovery layer (RecoveryPlan): reliable delivery, heal, dedup,
-// fail-stop restart, and checkpoint replay.
+// fail-stop rollback, and checkpoint replay.
 
 constexpr std::size_t kDropIdx = 0;     // kBusDrop    = 1u << 0
 constexpr std::size_t kDupIdx = 1;      // kBusDup     = 1u << 1
@@ -522,10 +522,11 @@ TEST(FaultRecovery, RejectsDuplicateTokensBySequence)
 TEST(FaultRecovery, RestartsSpansAcrossPeFailStop)
 {
     // Kill each PE in turn at a sweep of cycles inside the ~61-cycle
-    // run. Whenever the fail-stop strands the baseline, the lease
-    // detector must re-home the dead PE's contexts and the span
-    // restart must reproduce the exact sum; kills of an idle or
-    // already-drained PE are absorbed without needing detection.
+    // run. Under recovery every kill rolls the machine back to its
+    // boot snapshot without the dead PE, re-homes the contexts homed
+    // on it, and the re-run must reproduce the exact sum. Whenever the
+    // fail-stop strands the baseline, the kill must also be counted as
+    // detected.
     RecoveryPlan recovery;
     recovery.enabled = true;
     int baseline_failures = 0;

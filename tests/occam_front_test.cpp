@@ -3,6 +3,8 @@
  * Tests for the OCCAM front end: lexer, parser, semantic analysis, and
  * the Intermediate Form Table analyses (thesis sections 4.3-4.4).
  */
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "occam/ift.hpp"
@@ -268,6 +270,86 @@ TEST(Parser, ErrorsCarryLineAndColumn)
     // A second-line error points into that line, not the file start.
     msg = diagnosticOf([] { parse("seq\n  x + 1\n"); });
     EXPECT_NE(msg.find("line 2:3"), std::string::npos) << msg;
+}
+
+/**
+ * One shape of nesting: @p program(n) nests it n times, @p fits is the
+ * most that fits the parser's 512 levels (kMaxNesting in parser.cpp),
+ * and @p line is where it refuses one more. An expression's leaf is a
+ * level of its own, so 511 parentheses (or `not`s, minuses or
+ * subscripts) fit around one, and a chain is as deep as it has terms;
+ * a `seq` is one level, a `while` two and a replicated `seq` four.
+ */
+struct NestShape
+{
+    const char *name;
+    std::string (*program)(int n);
+    int fits;
+    int line;
+};
+
+std::string
+repeated(const std::string &text, int times)
+{
+    std::string out;
+    for (int i = 0; i < times; ++i)
+        out += text;
+    return out;
+}
+
+/** @p n lines of @p head, each indented under the last, then skip. */
+std::string
+stacked(const std::string &head, int n)
+{
+    std::string src;
+    for (int i = 0; i < n; ++i)
+        src += repeated("  ", i) + head + "\n";
+    return src + repeated("  ", n) + "skip\n";
+}
+
+const NestShape kNestShapes[] = {
+    {"parentheses",
+     [](int n) {
+         return "r := " + repeated("(", n) + "1" + repeated(")", n) + "\n";
+     },
+     511, 1},
+    {"not", [](int n) { return "r := " + repeated("not ", n) + "true\n"; },
+     511, 1},
+    {"unary minus", [](int n) { return "r := " + repeated("- ", n) + "1\n"; },
+     511, 1},
+    {"subscript",
+     [](int n) {
+         return "r[0] := " + repeated("r[", n) + "0" + repeated("]", n) +
+                "\n";
+     },
+     511, 1},
+    {"+ chain",
+     [](int n) { return "r := 1" + repeated(" + 1", n - 1) + "\n"; }, 512,
+     1},
+    // The block of the 513th seq opens on the skip line.
+    {"nested seq", [](int n) { return stacked("seq", n); }, 512, 514},
+    {"while", [](int n) { return stacked("while true", n); }, 256, 257},
+    {"replicated seq",
+     [](int n) { return stacked("seq i = [0 for 1]", n); }, 128, 129},
+};
+
+TEST(Parser, NestingPastTheBoundIsRefusedOnItsLine)
+{
+    // Every later phase recurses over the parsed trees, so input deeper
+    // than the bound gets a diagnostic here instead of overflowing the
+    // host stack; input at the bound gets past the parser.
+    for (const NestShape &shape : kNestShapes) {
+        SCOPED_TRACE(shape.name);
+        EXPECT_NO_THROW(parse(shape.program(shape.fits)));
+        std::string msg = diagnosticOf(
+            [&] { parse(shape.program(shape.fits + 1)); });
+        EXPECT_NE(msg.find("line " + std::to_string(shape.line) + ":"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("nested deeper than 512 levels"),
+                  std::string::npos)
+            << msg;
+    }
 }
 
 // ----- Sema ---------------------------------------------------------------

@@ -1196,7 +1196,7 @@ TEST(StatsSurfacePinTest, RegistrySurfacesKeepTheirBytes)
     };
     const Case cases[] = {
         {"pipeline flat 4-PE faulty", &pipelineProgram(), "results", 4,
-         faulty, {0x1b317626, 0x9efac797, 0x30900333, 0x9cc1abf3}},
+         faulty, {0xcf45944c, 0x524a86fd, 0xf41757f0, 0x18022f4d}},
         {"pipeline rings:2x2", &pipelineProgram(), "results", 8, rings,
          {0xe4513956, 0xd747b892, 0xd51e3f59, 0x8f418e4b}},
         {"matmul 8-PE", &matmul, "c", 8, {},
@@ -1621,41 +1621,99 @@ TEST(CheckpointReplayTest, SystemRunReportsItsReplays)
     EXPECT_FALSE(failed.recovered);
 }
 
-TEST(CheckpointReplayTest, SpanPastItsJournalBoundCannotRestart)
+TEST(CheckpointReplayTest, PlannedKillFiresOncePerRun)
 {
-    // A fail-stopped PE's loaded span restarts on a survivor only while
-    // its host-op and undo journals stayed within their bounds. Past
-    // either bound the run fails; its replays die the same way,
-    // because restore() re-arms the planned kill.
+    // A recovered pekill rolls the machine back to its last snapshot
+    // without the PE, and every later restore() re-applies the death,
+    // so the kill fires once however many checkpoint replays the run
+    // takes. Restores that re-armed the kill fired it again on each:
+    // 2 kills with 1 replay and 3 with 2 under the two lossy plans.
     const std::vector<std::int32_t> expected = {1496, 16};
     constexpr std::size_t kPeKillIdx = 5;  // fault::kPeKill = 1u << 5
+    for (const char *plan :
+         {"kinds=pekill,killat=400",
+          "seed=8,rate=0.7,kinds=drop,retries=0,killat=900",
+          "seed=2,rate=0.75,kinds=drop,retries=0,killat=500"}) {
+        SCOPED_TRACE(plan);
+        mp::SystemConfig config;
+        config.recovery.enabled = true;
+        config.faultPlan = fault::parseFaultPlan(plan);
+        sim::RunReport report =
+            sim::runOnce(pipelineProgram(), "results", expected, 4, config);
+        const auto &kill = report.faultKinds[kPeKillIdx];
+        EXPECT_EQ(kill.injected, 1u);
+        EXPECT_EQ(kill.detected, 1u);
+        EXPECT_EQ(kill.recovered, 1u);
+        if (report.completed) {
+            EXPECT_TRUE(report.verified);
+        } else {
+            EXPECT_NE(report.failureReason.find("deadlock:"),
+                      std::string::npos)
+                << report.failureReason;
+        }
+    }
+}
+
+TEST(CheckpointReplayTest, ResumedKillRollsBackLikeTheUninterruptedRun)
+{
+    // A checkpoint taken before the kill carries it armed, so a process
+    // resumed from it fires the kill at the same cycle and rolls back
+    // to the same snapshot; one taken after carries the PE dead.
+    mp::SystemConfig config = baseConfig(4);
+    config.faultPlan = fault::parseFaultPlan("kinds=pekill,killat=400");
+    std::string path = tempPath("resume_kill.qmc");
+    for (int target = 1; target <= 5; ++target) {
+        SCOPED_TRACE(target);
+        Surfaces full = runSaving(config, path, target);
+        Surfaces resumed = resumeFrom(config, path);
+        expectIdentical(full, resumed);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(CheckpointReplayTest, RestoreToALoadedCheckpointKeepsTelemetryGoing)
+{
+    // The file carries no telemetry schedule: loading aligns it to the
+    // first boundary after the checkpoint, and a later restore() to
+    // that checkpoint, here the kill's rollback, must align it again
+    // rather than stop the stream.
+    mp::SystemConfig config = baseConfig(4);
+    config.recovery.checkpointEvery = 1000;
+    config.telemetryEvery = 100;
+    config.faultPlan = fault::parseFaultPlan("kinds=pekill,killat=1500");
+    std::string path = tempPath("resume_telemetry.qmc");
+    runSaving(config, path, 2);
+    mp::System system(pipelineProgram().object, config);
+    std::vector<mp::Cycle> stamps;
+    system.setTelemetrySink(
+        [&](mp::System &, mp::Cycle at) { stamps.push_back(at); });
+    ASSERT_TRUE(system.loadCheckpoint(path).ok());
+    mp::RunResult result = system.resume();
+    ASSERT_TRUE(result.completed) << result.failureReason;
+    ASSERT_FALSE(stamps.empty());
+    EXPECT_GT(stamps.back(), config.faultPlan.killAt);
+    std::remove(path.c_str());
+}
+
+TEST(CheckpointReplayTest, KillWithNoSurvivorIsNotRolledBack)
+{
+    // On 1 PE nothing survives the kill to re-run on: the run fails
+    // where the kill struck, with the cycles it reached, and offers no
+    // checkpoint replay, which would only kill the PE again.
+    constexpr std::size_t kPeKillIdx = 5;  // fault::kPeKill = 1u << 5
     mp::SystemConfig config;
-    config.numPes = 4;
     config.recovery.enabled = true;
     config.faultPlan = fault::parseFaultPlan("kinds=pekill,killat=400");
-
-    sim::RunReport restarted =
-        sim::runOnce(pipelineProgram(), "results", expected, 4, config);
-    EXPECT_TRUE(restarted.verified) << restarted.failureReason;
-    EXPECT_EQ(restarted.faultKinds[kPeKillIdx].detected, 1u);
-    EXPECT_EQ(restarted.faultKinds[kPeKillIdx].recovered, 3u);
-    EXPECT_EQ(restarted.replays, 0);
-
-    for (bool ops : {true, false}) {
-        SCOPED_TRACE(ops ? "maxLogOps = 0" : "maxUndoWords = 0");
-        mp::SystemConfig bounded = config;
-        if (ops)
-            bounded.recovery.maxLogOps = 0;
-        else
-            bounded.recovery.maxUndoWords = 0;
-        sim::RunReport report =
-            sim::runOnce(pipelineProgram(), "results", expected, 4, bounded);
-        EXPECT_FALSE(report.completed);
-        EXPECT_EQ(report.replays, bounded.recovery.maxReplays);
-        EXPECT_EQ(report.failureReason,
-                  "pekill: context 11 ran past its span journal bound; "
-                  "span restart impossible");
-    }
+    sim::RunReport report =
+        sim::runOnce(pipelineProgram(), "results", {}, 1, config);
+    EXPECT_FALSE(report.completed);
+    EXPECT_EQ(report.failureReason,
+              "pekill: PE 0 fail-stopped and no PE survives");
+    EXPECT_GE(report.cycles, 400);
+    EXPECT_EQ(report.replays, 0);
+    EXPECT_EQ(report.faultKinds[kPeKillIdx].injected, 1u);
+    EXPECT_EQ(report.faultKinds[kPeKillIdx].detected, 1u);
+    EXPECT_EQ(report.faultKinds[kPeKillIdx].recovered, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1692,9 +1750,8 @@ throughMems(const pe::PageImage &image)
 }
 
 /**
- * Seeded random word and byte writes, snapshots, restores to the
- * latest and to older images, and undo-log spans rolled back or kept,
- * on a @p size byte memory. Writes cluster on a few pages (so restores
+ * Seeded random word and byte writes, snapshots, and restores to the
+ * latest and to older images, on a @p size byte memory. Writes cluster on a few pages (so restores
  * overlap what is written) and are sometimes zero (so written pages
  * can be all zero again).
  */
@@ -1743,7 +1800,6 @@ driveAgainstOracle(std::size_t size, std::uint64_t seed)
         std::vector<std::uint8_t> flat;
     };
     std::vector<Saved> history;
-    pe::UndoLog undo;
     for (int step = 0; step < 400; ++step) {
         switch (below(8)) {
         case 0: {  // snapshot; a fresh Memory restored from its MEMS
@@ -1766,19 +1822,6 @@ driveAgainstOracle(std::size_t size, std::uint64_t seed)
                 flat = s.flat;
             }
             break;
-        case 2: {  // an undo-logged span, rolled back or kept
-            std::vector<std::uint8_t> before = flat;
-            undo.clear();
-            memory.setUndoLog(&undo);
-            for (std::size_t n = 1 + below(12); n > 0; --n)
-                write();
-            memory.setUndoLog(nullptr);
-            if (below(2) == 0) {
-                memory.applyUndo(undo);
-                flat = std::move(before);
-            }
-            break;
-        }
         default:
             write();
             break;
