@@ -21,10 +21,10 @@ main()
     int a = graph.addInput("a");
     int b = graph.addInput("b");
     int c = graph.addInput("c");
-    int sum = graph.addNode("+", {a, b});
-    int quot = graph.addNode("/", {a, sum});
-    int prod = graph.addNode("*", {sum, c});
-    graph.addNode("+", {quot, prod});
+    int sum = graph.addNode(Actor::Add, {a, b});
+    int quot = graph.addNode(Actor::Div, {a, sum});
+    int prod = graph.addNode(Actor::Mul, {sum, c});
+    graph.addNode(Actor::Add, {quot, prod});
 
     std::cout << "d <- a/(a+b) + (a+b)c   (thesis Table 3.4 / Fig "
                  "3.6)\n"

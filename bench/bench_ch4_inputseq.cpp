@@ -21,19 +21,19 @@ main()
     int b = graph.addInput("b");
     int c = graph.addInput("c");
     int d = graph.addInput("d");
-    int sum = graph.addNode("+", {a, b});
-    int neg = graph.addNode("neg", {c});
-    int prod = graph.addNode("*", {sum, neg});
-    int quot = graph.addNode("/", {prod, d});
-    graph.addNode("store", {quot});
+    int sum = graph.addNode(Actor::Add, {a, b});
+    int neg = graph.addNode(Actor::Neg, {c});
+    int prod = graph.addNode(Actor::Mul, {sum, neg});
+    int quot = graph.addNode(Actor::Div, {prod, d});
+    graph.addNode(Actor::Store, {quot});
 
     auto name = [&](int v) {
         const DfgNode &n = graph.node(v);
-        if (n.op == "in")
+        if (n.op == Actor::In)
             return n.name;
-        if (n.op == "store")
+        if (n.op == Actor::Store)
             return std::string("e");
-        return n.op;
+        return std::string(spelling(n.op));
     };
 
     std::cout << "e <- ((a+b) * (-c)) / d   (thesis Fig 4.14)\n\n";

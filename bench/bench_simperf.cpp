@@ -2,9 +2,10 @@
  * @file
  * Host-side performance of the simulator itself (google-benchmark):
  * instruction throughput of a single PE, whole-system simulation rate,
- * compiler throughput, message-cache rendezvous, and the checkpoint
- * save/load round trip. Not a thesis experiment - this guards the
- * usability of the reproduction.
+ * compiler throughput (whole, and its codegen and assembler layers),
+ * message-cache rendezvous, and the checkpoint save/load round trip.
+ * Not a thesis experiment - this guards the usability of the
+ * reproduction.
  */
 #include <benchmark/benchmark.h>
 
@@ -17,7 +18,11 @@
 #include "isa/assembler.hpp"
 #include "mp/system.hpp"
 #include "msg/message_cache.hpp"
+#include "occam/codegen.hpp"
 #include "occam/compiler.hpp"
+#include "occam/ift.hpp"
+#include "occam/parser.hpp"
+#include "occam/symbols.hpp"
 #include "pe/memory.hpp"
 #include "pe/pe.hpp"
 #include "programs/benchmarks.hpp"
@@ -65,6 +70,47 @@ BM_CompileMatmul(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CompileMatmul)->Unit(benchmark::kMillisecond);
+
+/** Cholesky's context graphs: while, if, calls and replicated par. */
+struct CholeskyGraphs
+{
+    occam::Program program = occam::parse(programs::choleskySource());
+    occam::SymbolTable table = occam::analyze(program);
+    occam::Ift ift = occam::Ift::build(program, table, true);
+    occam::ContextProgram contexts =
+        occam::buildContextGraphs(program, table, ift, {});
+};
+
+void
+BM_CompileCodegen(benchmark::State &state)
+{
+    // Schedule and emit assembly only; the graphs are built once.
+    const CholeskyGraphs graphs;
+    std::int64_t bytes = 0;
+    for (auto _ : state) {
+        std::string assembly = occam::generateAssembly(graphs.contexts);
+        bytes += static_cast<std::int64_t>(assembly.size());
+        benchmark::DoNotOptimize(assembly.data());
+    }
+    state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_CompileCodegen)->Unit(benchmark::kMicrosecond);
+
+void
+BM_Assemble(benchmark::State &state)
+{
+    // Assemble only; the assembly text is generated once.
+    const std::string assembly =
+        occam::generateAssembly(CholeskyGraphs().contexts);
+    std::int64_t bytes = 0;
+    for (auto _ : state) {
+        isa::ObjectCode code = isa::assemble(assembly);
+        bytes += static_cast<std::int64_t>(assembly.size());
+        benchmark::DoNotOptimize(code.words.data());
+    }
+    state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_Assemble)->Unit(benchmark::kMicrosecond);
 
 void
 BM_SimulateMatmul(benchmark::State &state)

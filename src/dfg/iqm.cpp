@@ -72,31 +72,31 @@ std::int64_t
 arithActor(const DfgNode &node, const std::vector<std::int64_t> &operands,
            const InputValues &inputs)
 {
-    const std::string &op = node.op;
-    if (op == "in") {
+    switch (node.op) {
+      case Actor::In: {
         auto it = inputs.find(node.name);
         fatalIf(it == inputs.end(), "unbound graph input '", node.name, "'");
         return it->second;
-    }
-    if (op == "const")
+      }
+      case Actor::Const:
         return node.constValue;
-    if (op == "neg")
+      case Actor::Neg:
         return -operands.at(0);
-    if (op == "+")
+      case Actor::Add:
         return operands.at(0) + operands.at(1);
-    if (op == "-")
+      case Actor::Sub:
         return operands.at(0) - operands.at(1);
-    if (op == "*")
+      case Actor::Mul:
         return operands.at(0) * operands.at(1);
-    if (op == "/") {
+      case Actor::Div:
         fatalIf(operands.at(1) == 0, "division by zero");
         return operands.at(0) / operands.at(1);
-    }
-    if (op == "\\") {
+      case Actor::Rem:
         fatalIf(operands.at(1) == 0, "modulo by zero");
         return operands.at(0) % operands.at(1);
+      default:
+        fatal("arithActor: unknown operator '", spelling(node.op), "'");
     }
-    fatal("arithActor: unknown operator '", op, "'");
 }
 
 NodeValues
@@ -122,7 +122,7 @@ evalProgram(const Dfg &graph, const IqmProgram &program,
             auto &cell = queue[static_cast<size_t>(front)];
             panicIf(!cell.has_value(),
                     "hole in the operand queue at index ", front,
-                    " (operator '", node.op, "')");
+                    " (operator '", spelling(node.op), "')");
             operands.push_back(*cell);
             cell.reset();
             ++front;
@@ -148,12 +148,12 @@ renderProgram(const Dfg &graph, const IqmProgram &program)
     for (const IqmInstr &instr : program.instrs) {
         const DfgNode &node = graph.node(instr.nodeId);
         std::ostringstream os;
-        if (node.op == "in")
+        if (node.op == Actor::In)
             os << "fetch " << node.name;
-        else if (node.op == "const")
+        else if (node.op == Actor::Const)
             os << "const " << node.constValue;
         else
-            os << node.op;
+            os << spelling(node.op);
         if (!instr.resultOffsets.empty()) {
             os << "  ->";
             for (std::size_t i = 0; i < instr.resultOffsets.size(); ++i)

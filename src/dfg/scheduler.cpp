@@ -7,26 +7,6 @@
 namespace qm::dfg {
 
 int
-actorPriority(const std::string &op)
-{
-    if (op == "rfork" || op == "ifork")
-        return 1;
-    if (op == "send" || op == "!")
-        return 2;
-    if (op == "store" || op == "storb")
-        return 3;
-    // "const" is deliberately class 4: constants become immediate
-    // operands, not memory fetches, so they should not be deferred.
-    if (op == "fetch" || op == "fchb" || op == "in")
-        return 5;
-    if (op == "recv" || op == "?")
-        return 6;
-    if (op == "wait")
-        return 7;
-    return 4;
-}
-
-int
 thesisPriority(const Dfg &graph, int node)
 {
     return actorPriority(graph.node(node).op);

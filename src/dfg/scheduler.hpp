@@ -13,15 +13,18 @@
 #pragma once
 
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "dfg/graph.hpp"
 
 namespace qm::dfg {
 
-/** Priority classes per the thesis list; smaller runs earlier. */
-int actorPriority(const std::string &op);
+/** Priority class of @p actor per the thesis list; smaller runs earlier. */
+constexpr int
+actorPriority(Actor actor)
+{
+    return actorInfo(actor).priority;
+}
 
 /**
  * Priority function type: maps a node id to its class. Exposed so the

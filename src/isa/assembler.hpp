@@ -11,12 +11,17 @@
  * assembler emits the PC-relative word offset instead). The ".word n"
  * directive places a literal data word in the code stream.
  *
+ * Numbers (immediates, .word, a "+n" QP increment) must fit one 32-bit
+ * word, -2^31 .. 2^32-1; a QP increment must lie in 0..7. Anything
+ * else is refused with a "line N:" diagnostic.
+ *
  * Code addresses are word indices into the instruction space - the
  * pseudo-static layout keeps instruction and data spaces separate
  * (thesis Fig 2.10), so code addresses never alias data addresses.
  */
 #pragma once
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -30,7 +35,7 @@ struct ObjectCode
 {
     std::vector<Word> words;
     /** Label name -> code word index. */
-    std::map<std::string, Addr> labels;
+    std::map<std::string, Addr, std::less<>> labels;
 
     Addr
     labelAddr(const std::string &name) const;

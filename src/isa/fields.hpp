@@ -27,7 +27,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace qm::isa {
 
@@ -94,10 +94,10 @@ enum class Opcode : int
 };
 
 /** Mnemonic for @p op ("plus", "dup1", ...); panics on unknown values. */
-std::string mnemonic(Opcode op);
+std::string_view mnemonic(Opcode op);
 
 /** Opcode for @p mnemonic; returns false if unknown. */
-bool opcodeFromMnemonic(const std::string &name, Opcode &out);
+bool opcodeFromMnemonic(std::string_view name, Opcode &out);
 
 /** True for dup1/dup2 (the special instruction format). */
 constexpr bool

@@ -1,6 +1,7 @@
 #include "isa/instruction.hpp"
 
-#include <map>
+#include <algorithm>
+#include <array>
 #include <sstream>
 #include <vector>
 
@@ -10,49 +11,76 @@ namespace qm::isa {
 
 namespace {
 
-const std::map<Opcode, std::string> kMnemonics = {
-    {Opcode::Dup1, "dup1"},   {Opcode::Dup2, "dup2"},
-    {Opcode::Send, "send"},   {Opcode::Store, "store"},
-    {Opcode::Storb, "storb"}, {Opcode::Recv, "recv"},
-    {Opcode::Fetch, "fetch"}, {Opcode::Fchb, "fchb"},
-    {Opcode::Or, "or"},       {Opcode::And, "and"},
-    {Opcode::Xor, "xor"},     {Opcode::Lshift, "lshift"},
-    {Opcode::Rshift, "rshift"}, {Opcode::Plus, "plus"},
-    {Opcode::Minus, "minus"}, {Opcode::Mul, "mul"},
-    {Opcode::Div, "div"},     {Opcode::Rem, "rem"},
-    {Opcode::Ge, "ge"},       {Opcode::Ne, "ne"},
-    {Opcode::Gt, "gt"},       {Opcode::Lt, "lt"},
-    {Opcode::Eq, "eq"},       {Opcode::Le, "le"},
-    {Opcode::His, "his"},     {Opcode::Hi, "hi"},
-    {Opcode::Lo, "lo"},       {Opcode::Los, "los"},
-    {Opcode::Bne, "bne"},     {Opcode::Beq, "beq"},
-    {Opcode::Ftrap, "ftrap"}, {Opcode::Trap, "trap"},
-    {Opcode::Fret, "fret"},   {Opcode::Rett, "rett"},
+struct MnemonicEntry
+{
+    std::string_view name;
+    Opcode op;
 };
+
+/** Every opcode and its mnemonic, in Table 5.2 order. */
+constexpr std::array<MnemonicEntry, 34> kOpcodes = {{
+    {"dup1", Opcode::Dup1},     {"dup2", Opcode::Dup2},
+    {"send", Opcode::Send},     {"store", Opcode::Store},
+    {"storb", Opcode::Storb},   {"recv", Opcode::Recv},
+    {"fetch", Opcode::Fetch},   {"fchb", Opcode::Fchb},
+    {"or", Opcode::Or},         {"and", Opcode::And},
+    {"xor", Opcode::Xor},       {"lshift", Opcode::Lshift},
+    {"rshift", Opcode::Rshift}, {"plus", Opcode::Plus},
+    {"minus", Opcode::Minus},   {"mul", Opcode::Mul},
+    {"div", Opcode::Div},       {"rem", Opcode::Rem},
+    {"ge", Opcode::Ge},         {"ne", Opcode::Ne},
+    {"gt", Opcode::Gt},         {"lt", Opcode::Lt},
+    {"eq", Opcode::Eq},         {"le", Opcode::Le},
+    {"his", Opcode::His},       {"hi", Opcode::Hi},
+    {"lo", Opcode::Lo},         {"los", Opcode::Los},
+    {"bne", Opcode::Bne},       {"beq", Opcode::Beq},
+    {"ftrap", Opcode::Ftrap},   {"trap", Opcode::Trap},
+    {"fret", Opcode::Fret},     {"rett", Opcode::Rett},
+}};
+
+/** Mnemonic per 6-bit opcode field value; empty when unassigned. */
+constexpr auto kMnemonicOf = [] {
+    std::array<std::string_view, 64> table{};
+    for (const MnemonicEntry &entry : kOpcodes)
+        table[static_cast<std::size_t>(entry.op)] = entry.name;
+    return table;
+}();
+
+/** kOpcodes sorted by name, for binary search. */
+constexpr auto kOpcodesByName = [] {
+    std::array<MnemonicEntry, kOpcodes.size()> table = kOpcodes;
+    std::sort(table.begin(), table.end(),
+              [](const MnemonicEntry &a, const MnemonicEntry &b) {
+                  return a.name < b.name;
+              });
+    return table;
+}();
 
 constexpr Word kImmWordMarker = 0b110000;
 
 } // namespace
 
-std::string
+std::string_view
 mnemonic(Opcode op)
 {
-    auto it = kMnemonics.find(op);
-    panicIf(it == kMnemonics.end(),
+    auto code = static_cast<std::size_t>(op);
+    panicIf(code >= kMnemonicOf.size() || kMnemonicOf[code].empty(),
             "unknown opcode ", static_cast<int>(op));
-    return it->second;
+    return kMnemonicOf[code];
 }
 
 bool
-opcodeFromMnemonic(const std::string &name, Opcode &out)
+opcodeFromMnemonic(std::string_view name, Opcode &out)
 {
-    for (const auto &[op, text] : kMnemonics) {
-        if (text == name) {
-            out = op;
-            return true;
-        }
-    }
-    return false;
+    auto it = std::lower_bound(
+        kOpcodesByName.begin(), kOpcodesByName.end(), name,
+        [](const MnemonicEntry &entry, std::string_view key) {
+            return entry.name < key;
+        });
+    if (it == kOpcodesByName.end() || it->name != name)
+        return false;
+    out = it->op;
+    return true;
 }
 
 Src
@@ -202,8 +230,8 @@ Instruction::decode(const std::vector<Word> &words, std::size_t &index)
     Instruction instr;
     instr.continueFlag = (word >> 31) & 1;
     instr.op = static_cast<Opcode>((word >> 25) & 0x3F);
-    panicIf(kMnemonics.find(instr.op) == kMnemonics.end(),
-            "illegal opcode ", (word >> 25) & 0x3F);
+    panicIf(kMnemonicOf[(word >> 25) & 0x3F].empty(), "illegal opcode ",
+            (word >> 25) & 0x3F);
 
     if (isDup(instr.op)) {
         instr.dupDst1 = static_cast<int>((word >> 17) & 0xFF);

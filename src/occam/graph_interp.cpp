@@ -51,33 +51,36 @@ namespace {
 
 /** Arithmetic wraps to a machine word, exactly like the PE's ALU. */
 std::int64_t
-applyArith(const std::string &op, std::int64_t a, std::int64_t b)
+applyArith(dfg::Actor op, std::int64_t a, std::int64_t b)
 {
+    using dfg::Actor;
     using isa::wrapWord;
-    if (op == "+") return wrapWord(a + b);
-    if (op == "-") return wrapWord(a - b);
-    if (op == "*") return wrapWord(a * b);
-    if (op == "/") {
+    switch (op) {
+      case Actor::Add: return wrapWord(a + b);
+      case Actor::Sub: return wrapWord(a - b);
+      case Actor::Mul: return wrapWord(a * b);
+      case Actor::Div:
         fatalIf(b == 0, "abstract division by zero");
         return wrapWord(a / b);
-    }
-    if (op == "\\") {
+      case Actor::Rem:
         fatalIf(b == 0, "abstract modulo by zero");
         return wrapWord(a % b);
+      case Actor::And: return a & b;
+      case Actor::Or: return a | b;
+      case Actor::Xor: return a ^ b;
+      case Actor::Lshift: return wrapWord(a << (b & 31));
+      case Actor::Rshift: return a >> (b & 31);
+      // Comparisons use the machine Boolean encoding (all ones / zero).
+      case Actor::Eq: return a == b ? -1 : 0;
+      case Actor::Ne: return a != b ? -1 : 0;
+      case Actor::Lt: return a < b ? -1 : 0;
+      case Actor::Le: return a <= b ? -1 : 0;
+      case Actor::Gt: return a > b ? -1 : 0;
+      case Actor::Ge: return a >= b ? -1 : 0;
+      default:
+        fatal("abstract interpreter: unknown operator '",
+              dfg::spelling(op), "'");
     }
-    if (op == "and") return a & b;
-    if (op == "or") return a | b;
-    if (op == "xor") return a ^ b;
-    if (op == "lshift") return wrapWord(a << (b & 31));
-    if (op == "rshift") return a >> (b & 31);
-    // Comparisons use the machine Boolean encoding (all ones / zero).
-    if (op == "eq") return a == b ? -1 : 0;
-    if (op == "ne") return a != b ? -1 : 0;
-    if (op == "lt") return a < b ? -1 : 0;
-    if (op == "le") return a <= b ? -1 : 0;
-    if (op == "gt") return a > b ? -1 : 0;
-    if (op == "ge") return a >= b ? -1 : 0;
-    fatal("abstract interpreter: unknown operator '", op, "'");
 }
 
 } // namespace
@@ -99,18 +102,24 @@ GraphInterpreter::stepActivation(std::size_t index)
         };
         std::int64_t value = 0;
 
-        if (n.op == "const") {
+        switch (n.op) {
+          case dfg::Actor::Const:
             value = n.constValue;
-        } else if (n.op == "claddr") {
+            break;
+          case dfg::Actor::CodeAddr: {
             auto it = graphIndex.find(n.name);
             panicIf(it == graphIndex.end(), "unknown graph label ",
                     n.name);
             value = it->second;
-        } else if (n.op == "getin") {
+            break;
+          }
+          case dfg::Actor::GetIn:
             value = act.inChan;
-        } else if (n.op == "getout") {
+            break;
+          case dfg::Actor::GetOut:
             value = act.outChan;
-        } else if (n.op == "recv") {
+            break;
+          case dfg::Actor::Recv: {
             std::int64_t chan = arg(0);
             auto &queue = channels[chan];
             if (queue.empty()) {
@@ -121,7 +130,9 @@ GraphInterpreter::stepActivation(std::size_t index)
             value = queue.front();
             queue.erase(queue.begin());
             ++result.transfers;
-        } else if (n.op == "send") {
+            break;
+          }
+          case dfg::Actor::Send: {
             std::int64_t chan = arg(0);
             channels[chan].push_back(arg(1));
             auto it = waiting.find(chan);
@@ -130,7 +141,10 @@ GraphInterpreter::stepActivation(std::size_t index)
                     activations[idx].parked = false;
                 waiting.erase(it);
             }
-        } else if (n.op == "rfork" || n.op == "ifork") {
+            break;
+          }
+          case dfg::Actor::Rfork:
+          case dfg::Actor::Ifork: {
             int graph_id = static_cast<int>(arg(0));
             Activation child;
             child.graph = graph_id;
@@ -141,8 +155,8 @@ GraphInterpreter::stepActivation(std::size_t index)
                     .graph.size(),
                 0);
             child.inChan = nextChannel;
-            child.outChan =
-                n.op == "rfork" ? nextChannel + 1 : act.outChan;
+            child.outChan = n.op == dfg::Actor::Rfork ? nextChannel + 1
+                                                      : act.outChan;
             nextChannel += 2;
             value = child.inChan;
             // push_back may reallocate: 'act' is re-acquired below via
@@ -150,46 +164,59 @@ GraphInterpreter::stepActivation(std::size_t index)
             activations.push_back(std::move(child));
             ++live;
             ++result.contexts;
-        } else if (n.op == "fetch") {
+            break;
+          }
+          case dfg::Actor::Fetch: {
             std::int64_t addr = arg(0);
             fatalIf(addr < 0 || (addr & 3) != 0 ||
                         static_cast<std::size_t>(addr / 4) >=
                             memory.size(),
                     "abstract fetch out of range");
             value = memory[static_cast<size_t>(addr / 4)];
-        } else if (n.op == "store") {
+            break;
+          }
+          case dfg::Actor::Store: {
             std::int64_t addr = arg(0);
             fatalIf(addr < 0 || (addr & 3) != 0 ||
                         static_cast<std::size_t>(addr / 4) >=
                             memory.size(),
                     "abstract store out of range");
             memory[static_cast<size_t>(addr / 4)] = arg(1);
-        } else if (n.op == "alloc") {
+            break;
+          }
+          case dfg::Actor::Alloc:
             value = heapNext;
             heapNext = (heapNext + static_cast<std::uint32_t>(arg(0)) +
                         3u) &
                        ~3u;
-        } else if (n.op == "challoc") {
+            break;
+          case dfg::Actor::ChanAlloc:
             value = nextChannel;
             nextChannel += 2;
-        } else if (n.op == "now") {
+            break;
+          case dfg::Actor::Now:
             value = static_cast<std::int64_t>(clock);
-        } else if (n.op == "wait") {
+            break;
+          case dfg::Actor::Wait:
             // Abstract time: waits are satisfied immediately.
-        } else if (n.op == "exit") {
+            break;
+          case dfg::Actor::Exit:
             activations[index].done = true;
             --live;
             ++activations[index].ip;
             ++result.steps;
             return true;
-        } else if (n.op == "neg") {
+          case dfg::Actor::Neg:
             value = isa::wrapWord(-arg(0));
-        } else if (n.op == "not") {
+            break;
+          case dfg::Actor::Not:
             value = ~arg(0);
-        } else if (n.op == "in") {
+            break;
+          case dfg::Actor::In:
             panic("abstract interpreter: unbound 'in' node");
-        } else {
+          default:
             value = applyArith(n.op, arg(0), arg(1));
+            break;
         }
 
         activations[index].values[static_cast<size_t>(node)] = value;

@@ -25,8 +25,9 @@ Asserts:
     with one diagnostic on an output path a sweep cannot open;
   * a par too wide for any operand-queue page is refused (exit 3)
     before its children are built;
-  * input nested past the parser's bound is refused (exit 3) with
-    its line, not killed by a signal;
+  * input nested past the parser's bound, or a call chain past the
+    graph builder's, is refused (exit 3) with its line, not killed by
+    a signal;
   * occamc --interp agrees with the simulated run;
   * bench_ch5_msgproc prints the message-cache tables (Tables 5.3/5.4
     and 6.7) byte for byte.
@@ -191,6 +192,19 @@ def main():
               p.returncode == 3 and "line 2:" in p.stderr and
               "nested deeper than" in p.stderr,
               f"rc={p.returncode} {p.stderr[:200]}")
+
+    # A chain of calls (p1 calls p0, p2 calls p1, ...) builds each
+    # procedure's body inside its caller's; past 256 it is refused on
+    # the call's line. The 10,000-long chain used to die by SIGSEGV.
+    chain = "var r[1]:\nvar v:\nproc p0 (var x) =\n  x := x + 1\n:\n"
+    for i in range(1, 10000):
+        chain += f"proc p{i} (var x) =\n  p{i - 1} (x)\n:\n"
+    chain += "seq\n  v := 0\n  p9999 (v)\n  r[0] := v\n"
+    p = run([occamc, "--run", write("chain.occ", chain)])
+    check("a 10000-procedure call chain exits 3 with no signal",
+          p.returncode == 3 and
+          "nests procedure bodies deeper than 256 levels" in p.stderr,
+          f"rc={p.returncode} {p.stderr[:200]}")
 
     # INT32_MIN / -1 wraps to INT32_MIN, as the ALU defines it; the
     # host division used to kill the run with SIGFPE.

@@ -29,10 +29,10 @@ struct Table34Graph
         a = graph.addInput("a");
         b = graph.addInput("b");
         c = graph.addInput("c");
-        sum = graph.addNode("+", {a, b});
-        quot = graph.addNode("/", {a, sum});
-        prod = graph.addNode("*", {sum, c});
-        root = graph.addNode("+", {quot, prod});
+        sum = graph.addNode(Actor::Add, {a, b});
+        quot = graph.addNode(Actor::Div, {a, sum});
+        prod = graph.addNode(Actor::Mul, {sum, c});
+        root = graph.addNode(Actor::Add, {quot, prod});
     }
 };
 
@@ -79,7 +79,7 @@ TEST(Dfg, IsTopologicalValidation)
 TEST(Dfg, AddNodeRejectsForwardReferences)
 {
     Dfg graph;
-    EXPECT_THROW(graph.addNode("+", {0, 1}), PanicError);
+    EXPECT_THROW(graph.addNode(Actor::Add, {0, 1}), PanicError);
 }
 
 TEST(Dfg, DotOutputContainsNodesAndEdges)
@@ -188,11 +188,12 @@ TEST(Iqm, RandomDagsEvaluateConsistently)
             int a = static_cast<int>(rng.below(
                 static_cast<std::uint64_t>(graph.size())));
             if (which == 0) {
-                graph.addNode("neg", {a});
+                graph.addNode(Actor::Neg, {a});
             } else {
                 int b = static_cast<int>(rng.below(
                     static_cast<std::uint64_t>(graph.size())));
-                static const char *ops[] = {"+", "-", "*"};
+                static const Actor ops[] = {Actor::Add, Actor::Sub,
+                                            Actor::Mul};
                 graph.addNode(ops[which - 1], {a, b});
             }
         }

@@ -29,11 +29,11 @@ struct Fig414Graph
         b = graph.addInput("b");
         c = graph.addInput("c");
         d = graph.addInput("d");
-        sum = graph.addNode("+", {a, b});
-        neg = graph.addNode("neg", {c});
-        prod = graph.addNode("*", {sum, neg});
-        quot = graph.addNode("/", {prod, d});
-        e = graph.addNode("store", {quot});
+        sum = graph.addNode(Actor::Add, {a, b});
+        neg = graph.addNode(Actor::Neg, {c});
+        prod = graph.addNode(Actor::Mul, {sum, neg});
+        quot = graph.addNode(Actor::Div, {prod, d});
+        e = graph.addNode(Actor::Store, {quot});
     }
 };
 
@@ -125,16 +125,16 @@ TEST(Scheduler, ProducesTopologicalOrders)
 
 TEST(Scheduler, PriorityClassesMatchThesisList)
 {
-    EXPECT_EQ(actorPriority("rfork"), 1);
-    EXPECT_EQ(actorPriority("ifork"), 1);
-    EXPECT_EQ(actorPriority("send"), 2);
-    EXPECT_EQ(actorPriority("store"), 3);
-    EXPECT_EQ(actorPriority("storb"), 3);
-    EXPECT_EQ(actorPriority("+"), 4);
-    EXPECT_EQ(actorPriority("fetch"), 5);
-    EXPECT_EQ(actorPriority("fchb"), 5);
-    EXPECT_EQ(actorPriority("recv"), 6);
-    EXPECT_EQ(actorPriority("wait"), 7);
+    EXPECT_EQ(actorPriority(Actor::Rfork), 1);
+    EXPECT_EQ(actorPriority(Actor::Ifork), 1);
+    EXPECT_EQ(actorPriority(Actor::Send), 2);
+    EXPECT_EQ(actorPriority(Actor::Store), 3);
+    EXPECT_EQ(actorPriority(Actor::Add), 4);
+    EXPECT_EQ(actorPriority(Actor::Const), 4);
+    EXPECT_EQ(actorPriority(Actor::Fetch), 5);
+    EXPECT_EQ(actorPriority(Actor::In), 5);
+    EXPECT_EQ(actorPriority(Actor::Recv), 6);
+    EXPECT_EQ(actorPriority(Actor::Wait), 7);
 }
 
 TEST(Scheduler, ForkRunsBeforeIndependentArithmetic)
@@ -144,10 +144,10 @@ TEST(Scheduler, ForkRunsBeforeIndependentArithmetic)
     Dfg graph;
     int x = graph.addInput("x");
     int y = graph.addInput("y");
-    int add = graph.addNode("+", {x, y});
+    int add = graph.addNode(Actor::Add, {x, y});
     (void)add;
     int code = graph.addConst(100);
-    int fork = graph.addNode("rfork", {code});
+    int fork = graph.addNode(Actor::Rfork, {code});
     std::vector<int> order = schedule(graph);
     auto pos = [&](int id) {
         return std::find(order.begin(), order.end(), id) - order.begin();
@@ -171,7 +171,7 @@ TEST(Scheduler, RandomGraphsScheduleCompletely)
                     static_cast<std::uint64_t>(graph.size())));
                 int b = static_cast<int>(rng.below(
                     static_cast<std::uint64_t>(graph.size())));
-                graph.addNode("+", {a, b});
+                graph.addNode(Actor::Add, {a, b});
             }
         }
         std::vector<int> order = schedule(graph);
