@@ -82,6 +82,39 @@ struct CholeskyGraphs
 };
 
 void
+BM_BuildIft(benchmark::State &state)
+{
+    // Build the IFT only; the program is parsed and analysed once.
+    const CholeskyGraphs graphs;
+    std::int64_t entries = 0;
+    for (auto _ : state) {
+        occam::Ift ift =
+            occam::Ift::build(graphs.program, graphs.table, true);
+        entries += ift.size();
+        benchmark::DoNotOptimize(&ift);
+    }
+    state.SetItemsProcessed(entries);
+}
+BENCHMARK(BM_BuildIft)->Unit(benchmark::kMicrosecond);
+
+void
+BM_BuildContextGraphs(benchmark::State &state)
+{
+    // Build the context graphs only; parse, sema and the IFT run once.
+    const CholeskyGraphs graphs;
+    std::int64_t nodes = 0;
+    for (auto _ : state) {
+        occam::ContextProgram contexts = occam::buildContextGraphs(
+            graphs.program, graphs.table, graphs.ift, {});
+        for (const occam::ContextGraph &context : contexts.contexts)
+            nodes += context.graph.size();
+        benchmark::DoNotOptimize(contexts.contexts.data());
+    }
+    state.SetItemsProcessed(nodes);
+}
+BENCHMARK(BM_BuildContextGraphs)->Unit(benchmark::kMicrosecond);
+
+void
 BM_CompileCodegen(benchmark::State &state)
 {
     // Schedule and emit assembly only; the graphs are built once.

@@ -1,70 +1,69 @@
 #include "dfg/graph.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <sstream>
 
 #include "support/diagnostics.hpp"
 
 namespace qm::dfg {
 
+DfgNode &
+Dfg::add(Actor op)
+{
+    lists_.emplace_back();
+    DfgNode &node = nodes_.emplace_back();
+    node.op = op;
+    return node;
+}
+
+void
+Dfg::append(LinkList &list, int node, int slot)
+{
+    int at = static_cast<int>(links_.size());
+    links_.push_back(Link{node, slot, -1});
+    if (list.tail >= 0)
+        links_[static_cast<size_t>(list.tail)].next = at;
+    else
+        list.head = at;
+    list.tail = at;
+    ++list.size;
+}
+
 int
 Dfg::addInput(std::string input_name)
 {
-    DfgNode n;
-    n.op = Actor::In;
-    n.name = std::move(input_name);
-    nodes_.push_back(std::move(n));
-    consumers_.emplace_back();
-    orderSuccs_.emplace_back();
-    orderPreds_.emplace_back();
+    add(Actor::In).name = std::move(input_name);
     return size() - 1;
 }
 
 int
 Dfg::addConst(std::int64_t value)
 {
-    DfgNode n;
-    n.op = Actor::Const;
-    n.constValue = value;
-    nodes_.push_back(std::move(n));
-    consumers_.emplace_back();
-    orderSuccs_.emplace_back();
-    orderPreds_.emplace_back();
+    add(Actor::Const).constValue = value;
     return size() - 1;
 }
 
 int
-Dfg::addNode(Actor op, std::vector<int> args)
+Dfg::addNode(Actor op, std::initializer_list<int> args)
 {
+    panicIf(args.size() > kMaxArity, "operator '", spelling(op), "' has ",
+            args.size(), " arguments; at most ", kMaxArity, " fit");
     int id = size();
-    for (std::size_t slot = 0; slot < args.size(); ++slot) {
-        int arg = args[slot];
+    for (int arg : args)
         panicIf(arg < 0 || arg >= id,
                 "node argument ", arg, " out of range (must precede)");
-        consumers_[static_cast<size_t>(arg)].push_back(
-            Consumer{id, static_cast<int>(slot)});
+    DfgNode &node = add(op);
+    for (int arg : args) {
+        append(lists_[static_cast<size_t>(arg)].consumers, id, node.arity);
+        node.arg[node.arity++] = arg;
     }
-    DfgNode n;
-    n.op = op;
-    n.args = std::move(args);
-    nodes_.push_back(std::move(n));
-    consumers_.emplace_back();
-    orderSuccs_.emplace_back();
-    orderPreds_.emplace_back();
     return id;
 }
 
 int
 Dfg::addCodeAddr(std::string label)
 {
-    DfgNode n;
-    n.op = Actor::CodeAddr;
-    n.name = std::move(label);
-    nodes_.push_back(std::move(n));
-    consumers_.emplace_back();
-    orderSuccs_.emplace_back();
-    orderPreds_.emplace_back();
+    add(Actor::CodeAddr).name = std::move(label);
     return size() - 1;
 }
 
@@ -76,12 +75,11 @@ Dfg::addOrderEdge(int before, int after)
             "order edge endpoint out of range");
     if (before == after)
         return;
-    auto &succs = orderSuccs_[static_cast<size_t>(before)];
-    for (int s : succs)
+    for (int s : orderSuccs(before))
         if (s == after)
             return;  // duplicate
-    succs.push_back(after);
-    orderPreds_[static_cast<size_t>(after)].push_back(before);
+    append(lists_[static_cast<size_t>(before)].orderSuccs, after, -1);
+    append(lists_[static_cast<size_t>(after)].orderPreds, before, -1);
 }
 
 std::vector<int>
@@ -95,19 +93,10 @@ Dfg::inputs() const
 }
 
 std::vector<int>
-Dfg::sinks() const
-{
-    std::vector<int> result;
-    for (int id = 0; id < size(); ++id)
-        if (consumers_[static_cast<size_t>(id)].empty())
-            result.push_back(id);
-    return result;
-}
-
-std::vector<int>
 Dfg::predecessors(int id) const
 {
-    std::vector<int> preds = node(id).args;
+    std::span<const int> args = node(id).args();
+    std::vector<int> preds(args.begin(), args.end());
     std::sort(preds.begin(), preds.end());
     preds.erase(std::unique(preds.begin(), preds.end()), preds.end());
     return preds;
@@ -134,7 +123,7 @@ Dfg::reaches(int from, int to) const
     std::vector<bool> mark(static_cast<size_t>(size()), false);
     mark[static_cast<size_t>(from)] = true;
     for (int id = from + 1; id <= to; ++id) {
-        for (int arg : node(id).args) {
+        for (int arg : node(id).args()) {
             if (mark[static_cast<size_t>(arg)]) {
                 mark[static_cast<size_t>(id)] = true;
                 break;
@@ -157,7 +146,7 @@ Dfg::isTopological(const std::vector<int> &order) const
         position[static_cast<size_t>(id)] = static_cast<int>(i);
     }
     for (int id = 0; id < size(); ++id) {
-        for (int arg : node(id).args)
+        for (int arg : node(id).args())
             if (position[static_cast<size_t>(arg)] >
                 position[static_cast<size_t>(id)])
                 return false;
@@ -188,10 +177,12 @@ Dfg::toDot(const std::string &title) const
             os << " shape=plaintext";
         os << "];\n";
     }
-    for (int id = 0; id < size(); ++id)
-        for (std::size_t slot = 0; slot < node(id).args.size(); ++slot)
-            os << "  n" << node(id).args[slot] << " -> n" << id
-               << " [label=\"" << slot << "\"];\n";
+    for (int id = 0; id < size(); ++id) {
+        std::span<const int> args = node(id).args();
+        for (std::size_t slot = 0; slot < args.size(); ++slot)
+            os << "  n" << args[slot] << " -> n" << id << " [label=\""
+               << slot << "\"];\n";
+    }
     // Control-token arcs render dashed (thesis Fig 4.18 style).
     for (int id = 0; id < size(); ++id)
         for (int succ : orderSuccs(id))

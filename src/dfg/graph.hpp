@@ -11,9 +11,14 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace qm::dfg {
@@ -113,16 +118,24 @@ spelling(Actor actor)
     return actorInfo(actor).spelling;
 }
 
+/** The most argument arcs a vertex has (binary operators, send, store). */
+inline constexpr int kMaxArity = 2;
+
 /** One vertex of an acyclic data-flow graph. */
 struct DfgNode
 {
     Actor op = Actor::Const;
+    /** How many of @c arg are argument arcs. */
+    std::uint8_t arity = 0;
+    /** Argument arcs, inline: arg[l] is the node feeding slot l. */
+    std::array<int, kMaxArity> arg{-1, -1};
     /** Literal value for Const nodes. */
     std::int64_t constValue = 0;
     /** Input name for In nodes; code label for CodeAddr nodes. */
     std::string name;
+
     /** Ordered predecessor node ids (input arc l feeds slot l). */
-    std::vector<int> args;
+    std::span<const int> args() const { return {arg.data(), arity}; }
 };
 
 /** A consumer reference: which node consumes a value, at which slot. */
@@ -134,18 +147,109 @@ struct Consumer
     bool operator==(const Consumer &) const = default;
 };
 
-/** Arena-based acyclic data-flow graph. */
+/**
+ * Arena-based acyclic data-flow graph. Argument arcs live inline in
+ * their node; consumer arcs and control-token arcs live in one flat
+ * per-graph store of singly linked lists, one list per node and kind,
+ * each kept in insertion order.
+ */
 class Dfg
 {
+  private:
+    /** One arc in a node's list: the node at its far end, its slot. */
+    struct Link
+    {
+        int node;
+        int slot;  ///< The consumer's argument slot; -1 on control arcs.
+        int next;  ///< The next link of the same list, or -1.
+    };
+
+    /** First and last link of one list, and its length. */
+    struct LinkList
+    {
+        int head = -1;
+        int tail = -1;
+        int size = 0;
+    };
+
   public:
+    /**
+     * One node's list of arcs in insertion order: Consumer for value
+     * arcs, the far node's id for control arcs. Valid until the graph
+     * next changes.
+     */
+    template <typename T>
+    class Arcs
+    {
+      public:
+        class iterator
+        {
+          public:
+            using iterator_category = std::forward_iterator_tag;
+            using value_type = T;
+            using difference_type = std::ptrdiff_t;
+            using pointer = void;
+            using reference = T;
+
+            iterator() = default;
+            iterator(const Link *links, int at) : links_(links), at_(at) {}
+
+            T
+            operator*() const
+            {
+                const Link &link = links_[at_];
+                if constexpr (std::is_same_v<T, Consumer>)
+                    return Consumer{link.node, link.slot};
+                else
+                    return link.node;
+            }
+            iterator &
+            operator++()
+            {
+                at_ = links_[at_].next;
+                return *this;
+            }
+            iterator
+            operator++(int)
+            {
+                iterator old = *this;
+                ++*this;
+                return old;
+            }
+            bool operator==(const iterator &other) const
+            {
+                return at_ == other.at_;
+            }
+
+          private:
+            const Link *links_ = nullptr;
+            int at_ = -1;
+        };
+
+        Arcs(const Link *links, LinkList list) : links_(links), list_(list)
+        {
+        }
+        iterator begin() const { return {links_, list_.head}; }
+        iterator end() const { return {links_, -1}; }
+        bool empty() const { return list_.size == 0; }
+        std::size_t size() const { return static_cast<size_t>(list_.size); }
+
+      private:
+        const Link *links_;
+        LinkList list_;
+    };
+
     /** Add an input vertex; returns its handle. */
     int addInput(std::string input_name);
 
     /** Add a constant vertex. */
     int addConst(std::int64_t value);
 
-    /** Add an operator vertex over already-added arguments. */
-    int addNode(Actor op, std::vector<int> args);
+    /**
+     * Add an operator vertex over already-added arguments, at most
+     * kMaxArity of them.
+     */
+    int addNode(Actor op, std::initializer_list<int> args = {});
 
     /** Add a code-address constant (resolved to a label at assembly). */
     int addCodeAddr(std::string label);
@@ -158,13 +262,15 @@ class Dfg
      */
     void addOrderEdge(int before, int after);
 
-    const std::vector<int> &orderSuccs(int id) const
+    /** Control-token successors of @p id, in insertion order. */
+    Arcs<int> orderSuccs(int id) const
     {
-        return orderSuccs_[static_cast<size_t>(id)];
+        return {links_.data(), lists(id).orderSuccs};
     }
-    const std::vector<int> &orderPreds(int id) const
+    /** Control-token predecessors of @p id, in insertion order. */
+    Arcs<int> orderPreds(int id) const
     {
-        return orderPreds_[static_cast<size_t>(id)];
+        return {links_.data(), lists(id).orderPreds};
     }
 
     int size() const { return static_cast<int>(nodes_.size()); }
@@ -172,22 +278,16 @@ class Dfg
     {
         return nodes_[static_cast<size_t>(id)];
     }
-    int arity(int id) const
-    {
-        return static_cast<int>(node(id).args.size());
-    }
+    int arity(int id) const { return node(id).arity; }
     bool isInput(int id) const { return node(id).op == Actor::In; }
 
     /** All input vertices, in insertion order. */
     std::vector<int> inputs() const;
 
-    /** All sink vertices (no consumers), in insertion order. */
-    std::vector<int> sinks() const;
-
     /** Consumers of node @p id, ordered by (consumer id, slot). */
-    const std::vector<Consumer> &consumers(int id) const
+    Arcs<Consumer> consumers(int id) const
     {
-        return consumers_[static_cast<size_t>(id)];
+        return {links_.data(), lists(id).consumers};
     }
 
     /** Immediate predecessor set P(v) (deduplicated args). */
@@ -206,10 +306,25 @@ class Dfg
     std::string toDot(const std::string &title = "dfg") const;
 
   private:
+    /** A node's three lists. */
+    struct NodeLists
+    {
+        LinkList consumers;
+        LinkList orderSuccs;
+        LinkList orderPreds;
+    };
+
+    const NodeLists &lists(int id) const
+    {
+        return lists_[static_cast<size_t>(id)];
+    }
+    /** Append a node of @p op with no arcs; returns it. */
+    DfgNode &add(Actor op);
+    void append(LinkList &list, int node, int slot);
+
     std::vector<DfgNode> nodes_;
-    std::vector<std::vector<Consumer>> consumers_;
-    std::vector<std::vector<int>> orderSuccs_;
-    std::vector<std::vector<int>> orderPreds_;
+    std::vector<NodeLists> lists_;  ///< Parallel to nodes_.
+    std::vector<Link> links_;       ///< Every list's links.
 };
 
 } // namespace qm::dfg

@@ -44,7 +44,7 @@ buildProgram(const Dfg &graph, const std::vector<int> &order)
     }
     for (std::size_t j = 0; j < order.size(); ++j) {
         int node = order[j];
-        const auto &args = graph.node(node).args;
+        std::span<const int> args = graph.node(node).args();
         for (std::size_t slot = 0; slot < args.size(); ++slot) {
             int producer_pos = position[static_cast<size_t>(args[slot])];
             program.instrs[static_cast<size_t>(producer_pos)]
@@ -117,8 +117,8 @@ evalProgram(const Dfg &graph, const IqmProgram &program,
                 "queue front drifted: expected ", instr.frontIndex,
                 " got ", front);
         std::vector<std::int64_t> operands;
-        operands.reserve(node.args.size());
-        for (std::size_t slot = 0; slot < node.args.size(); ++slot) {
+        operands.reserve(node.arity);
+        for (int slot = 0; slot < node.arity; ++slot) {
             auto &cell = queue[static_cast<size_t>(front)];
             panicIf(!cell.has_value(),
                     "hole in the operand queue at index ", front,

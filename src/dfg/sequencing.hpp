@@ -11,6 +11,8 @@
  */
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dfg/graph.hpp"
@@ -39,6 +41,35 @@ CostAnalysis analyzeCosts(const Dfg &graph);
 
 /** W(v) for every input vertex v, keyed by node id (Fig 4.16). */
 std::vector<long> inputWeights(const Dfg &graph, const CostAnalysis &costs);
+
+/**
+ * W(v) of any vertices, without P* and I* per node: the sum of C(u)
+ * over every node u whose P*(u) contains v. On an input vertex this is
+ * inputWeights' W, as an input is in I*(u) exactly when it is in
+ * P*(u); the graph builder also weighs a context's input receives,
+ * which are not input vertices. P* is kept as bit rows, a fixed number
+ * of words a node however large the graph, in buffers kept between
+ * calls, so a weigher allocates only when a graph is larger than any
+ * before it. analyzeCosts is the reference.
+ */
+class PredecessorWeights
+{
+  public:
+    /** W(v) for each v of @p nodes, distinct vertices, in their order. */
+    const std::vector<long> &weigh(const Dfg &graph,
+                                   std::span<const int> nodes);
+
+  private:
+    /** Words of a P* row; C(u) is counted kBlockBits ids at a time. */
+    static constexpr std::size_t kBlockWords = 16;
+    static constexpr std::size_t kBlockBits = 64 * kBlockWords;
+
+    std::vector<std::uint64_t> bits_;   ///< One row of bits per node.
+    std::vector<long> cost_;            ///< C(u) = |P*(u)|.
+    std::vector<std::size_t> written_;  ///< Node -> block its row holds.
+    std::vector<int> slot_;             ///< Node -> index in nodes, or -1.
+    std::vector<long> weights_;
+};
 
 /**
  * Inputs of @p graph ordered by decreasing W (satisfying pi_I). Ties keep

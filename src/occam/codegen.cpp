@@ -74,7 +74,7 @@ class Emitter
     queueRank(int node, int slot) const
     {
         int rank = 0;
-        const auto &args = cg_->graph.node(node).args;
+        std::span<const int> args = cg_->graph.node(node).args();
         for (int i = 0; i < slot; ++i)
             if (!isImmediate(args[static_cast<size_t>(i)]))
                 ++rank;
@@ -101,7 +101,7 @@ class Emitter
             if (info.immediate)
                 continue;
             int arity = 0;
-            for (int arg : n.args)
+            for (int arg : n.args())
                 if (!isImmediate(arg))
                     ++arity;
             arity_[static_cast<size_t>(node)] = arity;
@@ -123,7 +123,7 @@ class Emitter
         for (int node = 0; node < graph.size(); ++node) {
             if (!emitted_[static_cast<size_t>(node)])
                 continue;
-            const auto &args = graph.node(node).args;
+            std::span<const int> args = graph.node(node).args();
             for (std::size_t slot = 0; slot < args.size(); ++slot) {
                 int producer = args[slot];
                 if (isImmediate(producer))
@@ -152,7 +152,7 @@ class Emitter
     void
     appendSrc(int node, int slot)
     {
-        int arg = cg_->graph.node(node).args[static_cast<size_t>(slot)];
+        int arg = cg_->graph.node(node).arg[static_cast<size_t>(slot)];
         const dfg::DfgNode &a = cg_->graph.node(arg);
         if (a.op == Actor::Const) {
             out_ += '#';

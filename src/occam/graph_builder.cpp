@@ -16,14 +16,24 @@ using dfg::Actor;
 using dfg::Dfg;
 
 /**
- * The longest chain of procedure bodies built one inside another. A
- * procedure's graph is built at its first call, from inside the
- * caller's, so a chain of first calls (p1 calls p0, p2 calls p1, ...)
- * recurses once per procedure, which the parser's nesting bound does
- * not see: it bounds each body on its own. A longer chain is refused,
- * with the line of the call, instead of overflowing the host stack.
+ * The build-depth budget, in levels. The builder recurses through
+ * emitProcess for every process and emitExpr for every expression
+ * node, and builds a procedure's graph at its first call, from inside
+ * the caller's (ensureProc): a chain of first calls (p1 calls p0, p2
+ * calls p1, ...) stacks body on body, which the parser's nesting bound
+ * does not see, as it bounds each body on its own. Each emitProcess and
+ * emitExpr frame holds one level; a while, if or par emitter holds
+ * kSpliceLevels more, and a body built inside its caller's kCallLevels
+ * more, in proportion to their frames: about 1.1 KiB a level under
+ * ASan, whose frames are the largest. Past the budget the builder
+ * refuses, on the line of the call whose body it is building, instead
+ * of overflowing the host stack. 4,096 levels take about 4.6 MiB of
+ * ASan's 8 MiB; a body at the parser's bound needs at most 2,560 (512
+ * nested pars), and a chain of bare calls 6 a procedure.
  */
-constexpr int kMaxCallChain = 256;
+constexpr int kMaxBuildDepth = 4096;
+constexpr int kSpliceLevels = 4;
+constexpr int kCallLevels = 4;
 
 /** The actor of an AST operator; the parser spells both the same. */
 Actor
@@ -35,25 +45,49 @@ exprActor(const std::string &op)
     panic("no actor for operator '", op, "'");
 }
 
-/** Builder state for one context graph under construction. */
+/**
+ * Builder state for one context graph under construction. The builder
+ * keeps one Ctx per level of its context stack and reuses it for every
+ * context opened at that level, so the dense tables below allocate
+ * only when a level first sees more symbols or nodes.
+ */
 struct Ctx
 {
     ContextGraph cg;
-    /** Symbol id -> node currently holding the symbol's value. */
-    std::map<int, int> env;
+    /** Symbol id -> node currently holding the symbol's value, or -1. */
+    std::vector<int> env;
     /** Per-array order state (multiple readers / single writer). */
     struct ArrayChain
     {
         int lastWrite = -1;
         std::vector<int> readsSinceWrite;
     };
-    std::map<int, ArrayChain> arrayChains;   ///< Keyed by array symbol.
-    /** Last send/recv per splice-channel node (keyed by channel node). */
-    std::map<int, int> channelChains;
+    /** Indexed by the array's ordinal among the program's arrays. */
+    std::vector<ArrayChain> arrayChains;
+    /** Channel node id -> last send/recv on that channel, or -1. */
+    std::vector<int> channelChains;
     /** One control-token chain for user channel ops and waits. */
     int controlChain = -1;
     /** Recv nodes for this context's spliced inputs, in symbol order. */
     std::vector<std::pair<int, int>> inputRecvs;  ///< (symbol, node).
+
+    /** Start context @p label in a program of @p symbols and @p arrays. */
+    void
+    open(std::string label, std::string role, int symbols, int arrays)
+    {
+        cg = ContextGraph{};
+        cg.label = std::move(label);
+        cg.role = std::move(role);
+        env.assign(static_cast<size_t>(symbols), -1);
+        arrayChains.resize(static_cast<size_t>(arrays));
+        for (ArrayChain &chain : arrayChains) {
+            chain.lastWrite = -1;
+            chain.readsSinceWrite.clear();
+        }
+        channelChains.clear();
+        controlChain = -1;
+        inputRecvs.clear();
+    }
 };
 
 class GraphBuilder
@@ -63,6 +97,10 @@ class GraphBuilder
                  const Ift &ift, const BuildOptions &options)
         : program_(program), table_(table), ift_(ift), options_(options)
     {
+        arrayOrdinal.assign(static_cast<size_t>(table.size()), -1);
+        for (int sym = 0; sym < table.size(); ++sym)
+            if (table.symbol(sym).kind == Symbol::Kind::Array)
+                arrayOrdinal[static_cast<size_t>(sym)] = arrayCount++;
     }
 
     ContextProgram
@@ -82,27 +120,73 @@ class GraphBuilder
     }
 
   private:
+    // ----- Build depth (kMaxBuildDepth) -------------------------------------
+
+    /** A call whose procedure body is being built. */
+    struct Call
+    {
+        int symbol = -1;  ///< The procedure; -1 outside every body.
+        int line = 0;
+    };
+
+    /** Holds @p levels of the build-depth budget while in scope. */
+    class Depth
+    {
+      public:
+        Depth(GraphBuilder &builder, int levels, int line)
+            : builder_(builder), levels_(levels)
+        {
+            builder.buildDepth += levels;
+            if (builder.buildDepth > kMaxBuildDepth)
+                builder.refuseDepth(line);
+        }
+        ~Depth() { builder_.buildDepth -= levels_; }
+        Depth(const Depth &) = delete;
+        Depth &operator=(const Depth &) = delete;
+
+      private:
+        GraphBuilder &builder_;
+        int levels_;
+    };
+
+    /**
+     * Refuse a build past the budget: on the line of the call whose
+     * body is being built, or on @p line outside every body.
+     */
+    [[noreturn]] void
+    refuseDepth(int line)
+    {
+        if (building.symbol >= 0)
+            fatal("line ", building.line, ": call of '",
+                  table_.symbol(building.symbol).name,
+                  "' nests the graph build deeper than ", kMaxBuildDepth,
+                  " levels");
+        fatal("line ", line, ": nests the graph build deeper than ",
+              kMaxBuildDepth, " levels");
+    }
+
     // ----- Context stack ---------------------------------------------------
 
-    Ctx &cur() { return stack.back(); }
-    Dfg &g() { return stack.back().cg.graph; }
+    Ctx &cur() { return stack[static_cast<size_t>(openContexts - 1)]; }
+    Dfg &g() { return cur().cg.graph; }
 
     void
     pushContext(std::string label, std::string role)
     {
-        Ctx ctx;
-        ctx.cg.label = std::move(label);
-        ctx.cg.role = std::move(role);
-        ctx.cg.getin = ctx.cg.graph.addNode(Actor::GetIn, {});
-        ctx.cg.getout = ctx.cg.graph.addNode(Actor::GetOut, {});
-        stack.push_back(std::move(ctx));
+        if (openContexts == static_cast<int>(stack.size()))
+            stack.emplace_back();
+        ++openContexts;
+        cur().open(std::move(label), std::move(role), table_.size(),
+                   arrayCount);
+        cur().cg.getin = g().addNode(Actor::GetIn);
+        cur().cg.getout = g().addNode(Actor::GetOut);
     }
 
     void
     popContext()
     {
-        result.contexts.push_back(std::move(stack.back().cg));
-        stack.pop_back();
+        result.contexts.push_back(std::move(cur().cg));
+        --openContexts;
     }
 
     std::string
@@ -115,11 +199,12 @@ class GraphBuilder
     void
     finishWithExit()
     {
-        int exit_node = g().addNode(Actor::Exit, {});
-        // The exit must run after everything with a side effect.
-        for (int sink : g().sinks())
-            if (sink != exit_node)
-                g().addOrderEdge(sink, exit_node);
+        int exit_node = g().addNode(Actor::Exit);
+        // The exit must run after everything with a side effect: every
+        // sink, a node nothing consumes.
+        for (int node = 0; node < exit_node; ++node)
+            if (g().consumers(node).empty())
+                g().addOrderEdge(node, exit_node);
     }
 
     // ----- Data layout -----------------------------------------------------
@@ -140,17 +225,23 @@ class GraphBuilder
 
     // ----- Environment -----------------------------------------------------
 
+    /** The node bound to @p symbol in the current context. */
+    int &
+    binding(int symbol)
+    {
+        return cur().env[static_cast<size_t>(symbol)];
+    }
+
     int
     envGet(int symbol, int line)
     {
-        auto it = cur().env.find(symbol);
-        if (it != cur().env.end())
-            return it->second;
+        if (int node = binding(symbol); node >= 0)
+            return node;
         const Symbol &sym = table_.symbol(symbol);
         if (sym.kind == Symbol::Kind::Array && sym.topLevel) {
             int node = g().addConst(static_cast<std::int64_t>(
                 result.dataAddress.at(symbol)));
-            cur().env[symbol] = node;
+            binding(symbol) = node;
             return node;
         }
         fatal("line ", line, ": '", sym.name,
@@ -161,9 +252,8 @@ class GraphBuilder
     int
     envGetOrZero(int symbol)
     {
-        auto it = cur().env.find(symbol);
-        if (it != cur().env.end())
-            return it->second;
+        if (int node = binding(symbol); node >= 0)
+            return node;
         const Symbol &sym = table_.symbol(symbol);
         if (sym.kind == Symbol::Kind::Array && sym.topLevel)
             return envGet(symbol, sym.line);
@@ -206,16 +296,26 @@ class GraphBuilder
     void
     chainChannel(int channel_node, int node)
     {
-        auto it = cur().channelChains.find(channel_node);
-        if (it != cur().channelChains.end())
-            g().addOrderEdge(it->second, node);
-        cur().channelChains[channel_node] = node;
+        std::vector<int> &chains = cur().channelChains;
+        if (chains.size() <= static_cast<size_t>(channel_node))
+            chains.resize(static_cast<size_t>(g().size()), -1);
+        int &last = chains[static_cast<size_t>(channel_node)];
+        if (last >= 0)
+            g().addOrderEdge(last, node);
+        last = node;
+    }
+
+    Ctx::ArrayChain &
+    arrayChain(int array_symbol)
+    {
+        int ordinal = arrayOrdinal[static_cast<size_t>(array_symbol)];
+        return cur().arrayChains[static_cast<size_t>(ordinal)];
     }
 
     void
     chainArrayRead(int array_symbol, int node)
     {
-        Ctx::ArrayChain &chain = cur().arrayChains[array_symbol];
+        Ctx::ArrayChain &chain = arrayChain(array_symbol);
         if (chain.lastWrite >= 0)
             g().addOrderEdge(chain.lastWrite, node);
         chain.readsSinceWrite.push_back(node);
@@ -224,7 +324,7 @@ class GraphBuilder
     void
     chainArrayWrite(int array_symbol, int node)
     {
-        Ctx::ArrayChain &chain = cur().arrayChains[array_symbol];
+        Ctx::ArrayChain &chain = arrayChain(array_symbol);
         if (chain.lastWrite >= 0)
             g().addOrderEdge(chain.lastWrite, node);
         for (int read : chain.readsSinceWrite)
@@ -281,6 +381,7 @@ class GraphBuilder
     int
     emitExpr(const Expr &expr)
     {
+        Depth held(*this, 1, expr.line);
         switch (expr.kind) {
           case Expr::Kind::Number:
           case Expr::Kind::BoolLit:
@@ -356,55 +457,53 @@ class GraphBuilder
         return node;
     }
 
-    /**
-     * Order the splice transfer list. With input sequencing enabled the
-     * child's receives are weighted by the pi_I heuristic (section
-     * 4.5): inputs enabling more computation come first. The child must
-     * already be fully built.
-     */
-    std::vector<int>
-    orderedInputs(Ctx &child)
-    {
-        std::vector<int> symbols;
-        for (auto &[sym, node] : child.inputRecvs)
-            symbols.push_back(sym);
-        if (!options_.inputSequencing || symbols.size() < 2)
-            return symbols;
-
-        dfg::CostAnalysis costs = dfg::analyzeCosts(child.cg.graph);
-        std::map<int, long> weight;
-        for (auto &[sym, node] : child.inputRecvs) {
-            long w = 0;
-            for (int u = 0; u < child.cg.graph.size(); ++u) {
-                const auto &pstar =
-                    costs.predecessorSet[static_cast<size_t>(u)];
-                if (std::binary_search(pstar.begin(), pstar.end(),
-                                       node))
-                    w += costs.cost[static_cast<size_t>(u)];
-            }
-            weight[sym] = w;
-        }
-        std::stable_sort(symbols.begin(), symbols.end(),
-                         [&](int a, int b) {
-                             return weight[a] > weight[b];
-                         });
-        return symbols;
-    }
-
-    /** Chain the child's input receives in the final transfer order. */
+    /** Chain the child's input receives in creation order. */
     void
-    sequenceChildInputs(Ctx &child, const std::vector<int> &order)
+    sequenceChildInputs(Ctx &child)
     {
-        std::map<int, int> node_of;
-        for (auto &[sym, node] : child.inputRecvs)
-            node_of[sym] = node;
         int prev = -1;
-        for (int sym : order) {
-            int node = node_of.at(sym);
+        for (auto [sym, node] : child.inputRecvs) {
             if (prev >= 0)
                 child.cg.graph.addOrderEdge(prev, node);
             prev = node;
         }
+    }
+
+    /**
+     * Chain a finished child's input receives in transfer order and
+     * return their symbols in that order. With input sequencing enabled
+     * the receives are weighted by the pi_I heuristic (section 4.5):
+     * inputs enabling more computation come first, ties in creation
+     * order; otherwise they keep creation order.
+     */
+    std::vector<int>
+    sequenceWeightedInputs(Ctx &child)
+    {
+        const auto &recvs = child.inputRecvs;
+        std::vector<int> order(recvs.size());
+        for (std::size_t i = 0; i < order.size(); ++i)
+            order[i] = static_cast<int>(i);
+        if (options_.inputSequencing && order.size() >= 2) {
+            recvNodes.clear();
+            for (auto [sym, node] : recvs)
+                recvNodes.push_back(node);
+            const std::vector<long> &weight =
+                weigher.weigh(child.cg.graph, recvNodes);
+            std::stable_sort(order.begin(), order.end(),
+                             [&](int a, int b) {
+                                 return weight[static_cast<size_t>(a)] >
+                                        weight[static_cast<size_t>(b)];
+                             });
+        }
+        int prev = -1;
+        for (int &at : order) {
+            auto [sym, node] = recvs[static_cast<size_t>(at)];
+            if (prev >= 0)
+                child.cg.graph.addOrderEdge(prev, node);
+            prev = node;
+            at = sym;
+        }
+        return order;
     }
 
     /**
@@ -420,7 +519,7 @@ class GraphBuilder
         // the graph cyclic).
         for (int sym : in_symbols) {
             int node = g().addNode(Actor::Recv, {cur().cg.getin});
-            cur().env[sym] = node;
+            binding(sym) = node;
             cur().inputRecvs.emplace_back(sym, node);
         }
     }
@@ -436,10 +535,12 @@ class GraphBuilder
         // The splice protocol: a child receives every input before it
         // sends any output (the parent mirrors this), or two parked
         // sends deadlock. Constant-valued outputs carry no data
-        // dependence on the receives, so the ordering must be explicit.
-        std::vector<int> before = g().sinks();
-        for (auto &[sym, node] : cur().inputRecvs)
-            before.push_back(node);
+        // dependence on the receives, so the ordering must be explicit:
+        // the first send follows every sink so far and every receive.
+        sinks.clear();
+        for (int node = 0; node < g().size(); ++node)
+            if (g().consumers(node).empty())
+                sinks.push_back(node);
 
         int first_send = -1;
         if (return_symbols.empty()) {
@@ -451,7 +552,10 @@ class GraphBuilder
                     first_send = node;
             }
         }
-        for (int node : before)
+        for (int node : sinks)
+            if (node != first_send)
+                g().addOrderEdge(node, first_send);
+        for (auto [sym, node] : cur().inputRecvs)
             if (node != first_send)
                 g().addOrderEdge(node, first_send);
         finishWithExit();
@@ -514,7 +618,7 @@ class GraphBuilder
     {
         int fork = g().addNode(Actor::Rfork, {target});
         for (int arr : splice.arraysWritten) {
-            const Ctx::ArrayChain &chain = cur().arrayChains[arr];
+            const Ctx::ArrayChain &chain = arrayChain(arr);
             if (chain.lastWrite >= 0)
                 g().addOrderEdge(chain.lastWrite, fork);
             for (int read : chain.readsSinceWrite)
@@ -570,7 +674,7 @@ class GraphBuilder
         for (std::size_t i = 0; i < splice.returns.size(); ++i) {
             if (i > 0)
                 join = recvOn(out_chan);
-            cur().env[splice.returns[i]] = join;
+            binding(splice.returns[i]) = join;
         }
         for (int arr : splice.arraysRead)
             chainArrayRead(arr, join);
@@ -603,14 +707,13 @@ class GraphBuilder
         for (const Declaration &decl : decls) {
             switch (decl.kind) {
               case Declaration::Kind::Channel:
-                cur().env[decl.symbol] = g().addNode(Actor::ChanAlloc, {});
+                binding(decl.symbol) = g().addNode(Actor::ChanAlloc);
                 break;
               case Declaration::Kind::Array:
                 if (!table_.symbol(decl.symbol).topLevel) {
                     int size = g().addConst(
                         table_.symbol(decl.symbol).arraySize * 4);
-                    cur().env[decl.symbol] =
-                        g().addNode(Actor::Alloc, {size});
+                    binding(decl.symbol) = g().addNode(Actor::Alloc, {size});
                 }
                 break;
               case Declaration::Kind::Scalar:
@@ -641,9 +744,9 @@ class GraphBuilder
             return it->second;
 
         const Symbol &sym = table_.symbol(proc_symbol);
-        fatalIf(callChain == kMaxCallChain, "line ", line, ": call of '",
-                sym.name, "' nests procedure bodies deeper than ",
-                kMaxCallChain, " levels");
+        Call outer = building;
+        building = {proc_symbol, line};
+        Depth held(*this, kCallLevels, line);
         ProcInfo info;
         info.label = freshLabel("proc_" + sym.name);
         for (const Declaration::Param &param : sym.params) {
@@ -659,20 +762,25 @@ class GraphBuilder
 
         pushContext(info.label, "proc " + sym.name);
         emitChildPrologue(info.sendOrder);
-        sequenceChildInputs(cur(), info.sendOrder);
-        ++callChain;
+        sequenceChildInputs(cur());
         emitProcess(*sym.procBody);
-        --callChain;
         emitChildEpilogue(info.returnOrder);
         popContext();
+        building = outer;
         return procs.at(proc_symbol);
     }
 
     // ----- Process emission ----------------------------------------------------
+    //
+    // The construct emitters stay out of line, so that the frame every
+    // nesting level pays, emitProcess's, holds only its own locals:
+    // inlined, each level paid for every construct's (about 8 KiB under
+    // ASan).
 
     void
     emitProcess(const Process &proc)
     {
+        Depth held(*this, 1, proc.line);
         switch (proc.kind) {
           case Process::Kind::Skip:
             return;
@@ -683,7 +791,8 @@ class GraphBuilder
                 int store = g().addNode(Actor::Store, {addr, value});
                 chainArrayWrite(proc.target->symbol, store);
             } else {
-                cur().env[proc.target->symbol] = emitExpr(*proc.value);
+                int value = emitExpr(*proc.value);
+                binding(proc.target->symbol) = value;
             }
             return;
           case Process::Kind::Output: {
@@ -702,7 +811,7 @@ class GraphBuilder
                 int store = g().addNode(Actor::Store, {addr, node});
                 chainArrayWrite(proc.target->symbol, store);
             } else {
-                cur().env[proc.target->symbol] = node;
+                binding(proc.target->symbol) = node;
             }
             return;
           }
@@ -741,9 +850,10 @@ class GraphBuilder
     // the terminator; the body runs one iteration then iforks the head
     // again; the terminator sends the live results on the inherited out
     // channel, which reaches the loop's creator (thesis Fig 4.6).
-    void
+    [[gnu::noinline]] void
     emitWhile(const Process &proc)
     {
+        Depth held(*this, kSpliceLevels, proc.line);
         int entry = ift_.entryOf(&proc);
         Splice splice = spliceOf(entry);
 
@@ -762,14 +872,14 @@ class GraphBuilder
         // Terminator context.
         pushContext(term_label, "while-term");
         emitChildPrologue(state);
-        sequenceChildInputs(cur(), state);
+        sequenceChildInputs(cur());
         emitChildEpilogue(splice.returns);
         popContext();
 
         // Body context: one iteration, then continue at the head.
         pushContext(body_label, "while-body");
         emitChildPrologue(state);
-        sequenceChildInputs(cur(), state);
+        sequenceChildInputs(cur());
         emitProcess(*proc.children[0]);
         {
             int claddr = g().addCodeAddr(head_label);
@@ -786,7 +896,7 @@ class GraphBuilder
         // Head context: dispatch on the condition.
         pushContext(head_label, "while-head");
         emitChildPrologue(state);
-        sequenceChildInputs(cur(), state);
+        sequenceChildInputs(cur());
         {
             int cond = emitExpr(*proc.condition);
             int body_addr = g().addCodeAddr(body_label);
@@ -809,9 +919,10 @@ class GraphBuilder
     // forked through a sel chain over branch code addresses. Every
     // branch receives the same input list and returns the same output
     // list, so the merge is uniform whichever branch runs.
-    void
+    [[gnu::noinline]] void
     emitIf(const Process &proc)
     {
+        Depth held(*this, kSpliceLevels, proc.line);
         int entry = ift_.entryOf(&proc);
         Splice splice = spliceOf(entry);
 
@@ -829,7 +940,7 @@ class GraphBuilder
             labels.push_back(label);
             pushContext(label, "if-branch");
             emitChildPrologue(ins);
-            sequenceChildInputs(cur(), ins);
+            sequenceChildInputs(cur());
             emitProcess(*branch.body);
             emitChildEpilogue(splice.returns);
             popContext();
@@ -837,7 +948,7 @@ class GraphBuilder
         std::string skip_label = freshLabel("if_skip");
         pushContext(skip_label, "if-skip");
         emitChildPrologue(ins);
-        sequenceChildInputs(cur(), ins);
+        sequenceChildInputs(cur());
         emitChildEpilogue(splice.returns);
         popContext();
 
@@ -857,9 +968,10 @@ class GraphBuilder
     }
 
     // Par: one context per component, all forked before any join.
-    void
+    [[gnu::noinline]] void
     emitPar(const Process &proc)
     {
+        Depth held(*this, kSpliceLevels, proc.line);
         int entry = ift_.entryOf(&proc);
         const IftEntry &e = ift_.entry(entry);
         checkParWidth(static_cast<long>(e.chains.size()), proc.line);
@@ -884,8 +996,7 @@ class GraphBuilder
             // The transfer order is decided by the pi_I weights of the
             // finished body, then imposed on the existing receives.
             emitProcess(*proc.children[k]);
-            comp.ins = orderedInputs(cur());
-            sequenceChildInputs(cur(), comp.ins);
+            comp.ins = sequenceWeightedInputs(cur());
             emitChildEpilogue(comp.splice.returns);
             popContext();
             comps.push_back(std::move(comp));
@@ -907,9 +1018,10 @@ class GraphBuilder
     // Replicated par: one shared body graph; the parent forks count
     // instances, each sent its own index value (pseudo-static
     // reentrancy: one instruction sequence, many operand queues).
-    void
+    [[gnu::noinline]] void
     emitReplicatedPar(const Process &proc)
     {
+        Depth held(*this, kSpliceLevels, proc.line);
         int entry = ift_.entryOf(&proc);
         const IftEntry &e = ift_.entry(entry);
         long count = -1;
@@ -930,16 +1042,19 @@ class GraphBuilder
         // The instance's inputs: the body chain's seq-combined I set.
         std::vector<int> ins;
         {
-            std::set<int> defined;
+            std::vector<int> defined;
+            auto has = [](const std::vector<int> &set, int symbol) {
+                return std::find(set.begin(), set.end(), symbol) !=
+                       set.end();
+            };
             for (int child : e.chains[0]) {
                 for (const IftValue &v : ift_.entry(child).inputs)
-                    if (v.symbol != kControlToken &&
-                        !defined.count(v.symbol) &&
-                        std::find(ins.begin(), ins.end(), v.symbol) ==
-                            ins.end())
+                    if (v.symbol != kControlToken && !has(defined, v.symbol) &&
+                        !has(ins, v.symbol))
                         ins.push_back(v.symbol);
                 for (const IftValue &v : ift_.entry(child).outputs)
-                    defined.insert(v.symbol);
+                    if (!has(defined, v.symbol))
+                        defined.push_back(v.symbol);
             }
             std::sort(ins.begin(), ins.end());
         }
@@ -950,8 +1065,7 @@ class GraphBuilder
         emitChildPrologue(ins);
         for (const ProcessPtr &child : proc.children)
             emitProcess(*child);
-        std::vector<int> order = orderedInputs(cur());
-        sequenceChildInputs(cur(), order);
+        std::vector<int> order = sequenceWeightedInputs(cur());
         emitChildEpilogue(splice.returns);
         popContext();
 
@@ -974,37 +1088,40 @@ class GraphBuilder
 
     // Procedure call: fork the (shared, reentrant) procedure graph,
     // stream the arguments, then receive var-scalar results back.
-    void
+    [[gnu::noinline]] void
     emitCall(const Process &proc)
     {
         const ProcInfo &info = ensureProc(proc.calleeSymbol, proc.line);
         const Symbol &callee = table_.symbol(proc.calleeSymbol);
 
-        // Argument values by param symbol. The var-scalar arguments
-        // take the results, in declaration order like info.returnOrder.
-        std::map<int, int> values;
+        // Argument values in declaration order, the send order of
+        // info.sendOrder. The var-scalar arguments take the results, in
+        // declaration order like info.returnOrder.
+        std::vector<int> values;
+        values.reserve(proc.args.size());
         Splice splice;
         for (std::size_t i = 0; i < proc.args.size(); ++i) {
             const Declaration::Param &param = callee.params[i];
             const Expr &arg = *proc.args[i];
             if (param.isChannel) {
-                values[param.symbol] = envGet(arg.symbol, arg.line);
+                values.push_back(envGet(arg.symbol, arg.line));
             } else if (param.isArray) {
-                values[param.symbol] = envGet(arg.symbol, arg.line);
+                values.push_back(envGet(arg.symbol, arg.line));
                 // Conservatively both read and written by the callee.
                 splice.arraysRead.push_back(arg.symbol);
                 splice.arraysWritten.push_back(arg.symbol);
             } else if (param.byValue) {
-                values[param.symbol] = emitExpr(arg);
+                values.push_back(emitExpr(arg));
             } else {
-                values[param.symbol] = envGetOrZero(arg.symbol);
+                values.push_back(envGetOrZero(arg.symbol));
                 splice.returns.push_back(arg.symbol);
             }
         }
 
         int fork = forkChild(g().addCodeAddr(info.label), splice);
-        int fed = feed(fork, info.sendOrder,
-                       [&](int sym) { return values.at(sym); });
+        int fed = fork;
+        for (int value : values)
+            fed = sendOn(fork, value);
         // Calls are side-effecting: the whole fork..join span sits on
         // the control chain so consecutive calls do not reorder.
         chainControlSpan(fork, joinChild(fork, {&fed, 1}, splice));
@@ -1014,11 +1131,24 @@ class GraphBuilder
     const SymbolTable &table_;
     const Ift &ift_;
     BuildOptions options_;
+    /** Symbol id -> ordinal among the program's arrays, or -1. */
+    std::vector<int> arrayOrdinal;
+    int arrayCount = 0;
 
+    /** One Ctx per level of the context stack, reused level by level. */
     std::vector<Ctx> stack;
+    /** Contexts open: the first this many entries of the stack. */
+    int openContexts = 0;
+    /** Scratch of emitChildEpilogue: the sinks before the sends. */
+    std::vector<int> sinks;
+    /** Scratch of sequenceWeightedInputs: the receives to weigh. */
+    std::vector<int> recvNodes;
+    dfg::PredecessorWeights weigher;
     std::map<int, ProcInfo> procs;
-    /** Procedure bodies being built, one inside another. */
-    int callChain = 0;
+    /** Levels of the build-depth budget held. */
+    int buildDepth = 0;
+    /** The innermost call whose procedure body is being built. */
+    Call building;
     int labelCounter = 0;
     ContextProgram result;
 };

@@ -98,7 +98,7 @@ GraphInterpreter::stepActivation(std::size_t index)
         const dfg::DfgNode &n = graph.node(node);
         auto arg = [&](int slot) {
             return nodeValue(activations[index],
-                             n.args[static_cast<size_t>(slot)]);
+                             n.arg[static_cast<size_t>(slot)]);
         };
         std::int64_t value = 0;
 

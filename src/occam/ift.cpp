@@ -1,6 +1,8 @@
 #include "occam/ift.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <span>
 #include <sstream>
 
 #include "support/diagnostics.hpp"
@@ -37,8 +39,12 @@ IftEntry::output(int symbol)
 int
 Ift::entryOf(const Process *proc) const
 {
-    auto it = byProcess.find(proc);
-    panicIf(it == byProcess.end(), "process has no IFT entry");
+    auto it = std::lower_bound(byProcess.begin(), byProcess.end(), proc,
+                               [](const auto &pair, const Process *key) {
+                                   return std::less<>{}(pair.first, key);
+                               });
+    panicIf(it == byProcess.end() || it->first != proc,
+            "process has no IFT entry");
     return it->second;
 }
 
@@ -73,6 +79,21 @@ Ift::inputSymbols(int index) const
 }
 
 namespace {
+
+/** Add @p value to the sorted set @p set unless it is there already. */
+void
+insertSorted(std::vector<int> &set, int value)
+{
+    auto at = std::lower_bound(set.begin(), set.end(), value);
+    if (at == set.end() || *at != value)
+        set.insert(at, value);
+}
+
+bool
+contains(const std::vector<int> &set, int value)
+{
+    return std::binary_search(set.begin(), set.end(), value);
+}
 
 const char *
 typeName(IftEntry::Type type)
@@ -141,6 +162,10 @@ class IftBuilder
         // Procedure bodies first (call entries do not expand inline).
         buildProcDecls(program_.decls);
         ift.main_ = buildProcess(*program_.main);
+        std::sort(ift.byProcess.begin(), ift.byProcess.end(),
+                  [](const auto &a, const auto &b) {
+                      return std::less<>{}(a.first, b.first);
+                  });
 
         // Use/definition linking, then liveness, per root.
         useAndDef(ift.main_);
@@ -175,6 +200,10 @@ class IftBuilder
         return ift.entries_[static_cast<size_t>(index)];
     }
 
+    /**
+     * Start a new entry. Its I and O sets are gathered in the ins and
+     * outs scratch lists until finish() copies them into the entry.
+     */
     int
     newEntry(IftEntry::Type type, const Process *syntax)
     {
@@ -184,7 +213,27 @@ class IftBuilder
         ift.entries_.push_back(std::move(e));
         int index = ift.size() - 1;
         if (syntax)
-            ift.byProcess[syntax] = index;
+            ift.byProcess.emplace_back(syntax, index);
+        ins.clear();
+        outs.clear();
+        return index;
+    }
+
+    /** Give entry @p index the I and O sets gathered since newEntry. */
+    int
+    finish(int index)
+    {
+        auto fill = [](std::vector<IftValue> &set,
+                       const std::vector<int> &symbols) {
+            set.reserve(symbols.size());
+            for (int symbol : symbols) {
+                IftValue v;
+                v.symbol = symbol;
+                set.push_back(std::move(v));
+            }
+        };
+        fill(entryRef(index).inputs, ins);
+        fill(entryRef(index).outputs, outs);
         return index;
     }
 
@@ -200,7 +249,7 @@ class IftBuilder
 
     /** Collect value symbols an expression consumes (not constants). */
     void
-    collectVars(const Expr &expr, std::set<int> &out) const
+    collectVars(const Expr &expr, std::vector<int> &out) const
     {
         switch (expr.kind) {
           case Expr::Kind::Number:
@@ -209,11 +258,11 @@ class IftBuilder
           case Expr::Kind::Var: {
             const Symbol &sym = table_.symbol(expr.symbol);
             if (sym.kind != Symbol::Kind::Constant)
-                out.insert(expr.symbol);
+                out.push_back(expr.symbol);
             return;
           }
           case Expr::Kind::ArrayRef:
-            out.insert(expr.symbol);
+            out.push_back(expr.symbol);
             collectVars(*expr.args[0], out);
             return;
           case Expr::Kind::Unary:
@@ -226,24 +275,34 @@ class IftBuilder
         }
     }
 
+    /** Append @p symbol to the ordered set @p set unless it is there. */
     static void
-    addValue(std::vector<IftValue> &set, int symbol)
+    addValue(std::vector<int> &set, int symbol)
     {
-        for (const IftValue &v : set)
-            if (v.symbol == symbol)
-                return;
-        IftValue v;
-        v.symbol = symbol;
-        set.push_back(v);
+        if (std::find(set.begin(), set.end(), symbol) == set.end())
+            set.push_back(symbol);
     }
 
+    /** Add the symbols @p expr consumes to @p set, in symbol order. */
     void
-    addVars(std::vector<IftValue> &set, const Expr &expr)
+    addVars(std::vector<int> &set, const Expr &expr)
     {
-        std::set<int> symbols;
-        collectVars(expr, symbols);
-        for (int s : symbols)
+        vars.clear();
+        collectVars(expr, vars);
+        std::sort(vars.begin(), vars.end());
+        vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+        for (int s : vars)
             addValue(set, s);
+    }
+
+    /** Add the I and O sets of finished entry @p child. */
+    void
+    addValuesOf(int child)
+    {
+        for (const IftValue &v : entryRef(child).inputs)
+            addValue(ins, v.symbol);
+        for (const IftValue &v : entryRef(child).outputs)
+            addValue(outs, v.symbol);
     }
 
     void
@@ -262,39 +321,39 @@ class IftBuilder
     {
         int index = newEntry(IftEntry::Type::Condition, nullptr);
         entryRef(index).condExpr = &cond;
-        addVars(entryRef(index).inputs, cond);
-        return index;
+        addVars(ins, cond);
+        return finish(index);
     }
 
     /** Table 4.2 seq combination of already-built component entries. */
     void
-    combineSeq(IftEntry &e, const std::vector<int> &chain)
+    combineSeq(const std::vector<int> &chain)
     {
-        std::set<int> defined;
+        defined.clear();
         for (int child : chain) {
             for (const IftValue &v : entryRef(child).inputs)
-                if (!defined.count(v.symbol))
-                    addValue(e.inputs, v.symbol);
+                if (!contains(defined, v.symbol))
+                    addValue(ins, v.symbol);
             for (const IftValue &v : entryRef(child).outputs) {
-                defined.insert(v.symbol);
-                addValue(e.outputs, v.symbol);
+                insertSorted(defined, v.symbol);
+                addValue(outs, v.symbol);
             }
         }
     }
 
-    /** Remove declared-local symbols from an interface's I/O sets. */
-    static void
-    filterLocals(IftEntry &e)
+    /** Remove @p e's declared-local symbols from the gathered sets. */
+    void
+    filterLocals(const IftEntry &e)
     {
-        auto drop = [&](std::vector<IftValue> &set) {
+        auto drop = [&](std::vector<int> &set) {
             set.erase(std::remove_if(set.begin(), set.end(),
-                                     [&](const IftValue &v) {
-                                         return e.locals.count(v.symbol);
+                                     [&](int symbol) {
+                                         return contains(e.locals, symbol);
                                      }),
                       set.end());
         };
-        drop(e.inputs);
-        drop(e.outputs);
+        drop(ins);
+        drop(outs);
     }
 
     void
@@ -302,7 +361,7 @@ class IftBuilder
     {
         for (const Declaration &decl : decls)
             if (decl.symbol >= 0)
-                e.locals.insert(decl.symbol);
+                insertSorted(e.locals, decl.symbol);
     }
 
     int
@@ -311,84 +370,70 @@ class IftBuilder
         switch (proc.kind) {
           case Process::Kind::Assign: {
             int index = newEntry(IftEntry::Type::Assignment, &proc);
-            IftEntry &e = entryRef(index);
-            addVars(e.inputs, *proc.value);
+            addVars(ins, *proc.value);
             if (proc.target->kind == Expr::Kind::ArrayRef) {
-                addVars(e.inputs, *proc.target->args[0]);
-                addValue(e.inputs, proc.target->symbol);
-                addValue(e.outputs, proc.target->symbol);
-            } else {
-                addValue(e.outputs, proc.target->symbol);
+                addVars(ins, *proc.target->args[0]);
+                addValue(ins, proc.target->symbol);
             }
-            return index;
+            addValue(outs, proc.target->symbol);
+            return finish(index);
           }
           case Process::Kind::Input: {
             int index = newEntry(IftEntry::Type::Input, &proc);
-            IftEntry &e = entryRef(index);
-            addValue(e.inputs, kControlToken);
-            addValue(e.inputs, proc.channel->symbol);
-            addValue(e.outputs, kControlToken);
+            addValue(ins, kControlToken);
+            addValue(ins, proc.channel->symbol);
+            addValue(outs, kControlToken);
             if (proc.target->kind == Expr::Kind::ArrayRef) {
-                addVars(e.inputs, *proc.target->args[0]);
-                addValue(e.inputs, proc.target->symbol);
-                addValue(e.outputs, proc.target->symbol);
-            } else {
-                addValue(e.outputs, proc.target->symbol);
+                addVars(ins, *proc.target->args[0]);
+                addValue(ins, proc.target->symbol);
             }
-            return index;
+            addValue(outs, proc.target->symbol);
+            return finish(index);
           }
           case Process::Kind::Output: {
             int index = newEntry(IftEntry::Type::Output, &proc);
-            IftEntry &e = entryRef(index);
-            addValue(e.inputs, kControlToken);
-            addValue(e.inputs, proc.channel->symbol);
-            addVars(e.inputs, *proc.value);
-            addValue(e.outputs, kControlToken);
-            return index;
+            addValue(ins, kControlToken);
+            addValue(ins, proc.channel->symbol);
+            addVars(ins, *proc.value);
+            addValue(outs, kControlToken);
+            return finish(index);
           }
           case Process::Kind::Wait: {
             int index = newEntry(IftEntry::Type::Wait, &proc);
-            IftEntry &e = entryRef(index);
-            addValue(e.inputs, kControlToken);
-            addVars(e.inputs, *proc.value);
-            addValue(e.outputs, kControlToken);
-            return index;
+            addValue(ins, kControlToken);
+            addVars(ins, *proc.value);
+            addValue(outs, kControlToken);
+            return finish(index);
           }
           case Process::Kind::Skip:
-            return newEntry(IftEntry::Type::Skip, &proc);
+            return finish(newEntry(IftEntry::Type::Skip, &proc));
           case Process::Kind::Call: {
             int index = newEntry(IftEntry::Type::Call, &proc);
-            IftEntry &e = entryRef(index);
-            addValue(e.inputs, kControlToken);
-            addValue(e.outputs, kControlToken);
+            addValue(ins, kControlToken);
+            addValue(outs, kControlToken);
             const Symbol &callee = table_.symbol(proc.calleeSymbol);
             for (std::size_t i = 0; i < proc.args.size(); ++i) {
                 const Expr &arg = *proc.args[i];
                 const Declaration::Param &param = callee.params[i];
                 if (param.byValue || param.isChannel) {
-                    addVars(e.inputs, arg);
+                    addVars(ins, arg);
                 } else {
                     // var scalar / array: both used and (re)defined.
-                    addValue(e.inputs, arg.symbol);
-                    addValue(e.outputs, arg.symbol);
+                    addValue(ins, arg.symbol);
+                    addValue(outs, arg.symbol);
                 }
             }
-            return index;
+            return finish(index);
           }
           case Process::Kind::While: {
             int cond = buildCondition(*proc.condition);
             int body = buildProcess(*proc.children[0]);
             int index = newEntry(IftEntry::Type::While, &proc);
-            IftEntry &e = entryRef(index);
-            e.chains.push_back({cond, body});
+            entryRef(index).chains.push_back({cond, body});
             // I = I(C) + (I(P) - O(C)); O(C) is empty for conditions.
-            for (const IftValue &v : entryRef(cond).inputs)
-                addValue(e.inputs, v.symbol);
-            for (const IftValue &v : entryRef(body).inputs)
-                addValue(e.inputs, v.symbol);
-            for (const IftValue &v : entryRef(body).outputs)
-                addValue(e.outputs, v.symbol);
-            return index;
+            addValuesOf(cond);
+            addValuesOf(body);
+            return finish(index);
           }
           case Process::Kind::If: {
             std::vector<std::pair<int, int>> pairs;
@@ -401,14 +446,10 @@ class IftBuilder
             IftEntry &e = entryRef(index);
             for (auto [cond, body] : pairs) {
                 e.chains.push_back({cond, body});
-                for (const IftValue &v : entryRef(cond).inputs)
-                    addValue(e.inputs, v.symbol);
-                for (const IftValue &v : entryRef(body).inputs)
-                    addValue(e.inputs, v.symbol);
-                for (const IftValue &v : entryRef(body).outputs)
-                    addValue(e.outputs, v.symbol);
+                addValuesOf(cond);
+                addValuesOf(body);
             }
-            return index;
+            return finish(index);
           }
           case Process::Kind::Seq: {
             buildProcDecls(proc.decls);
@@ -418,10 +459,10 @@ class IftBuilder
             int index = newEntry(IftEntry::Type::Seq, &proc);
             IftEntry &e = entryRef(index);
             noteLocals(e, proc.decls);
-            e.chains.push_back(chain);
-            combineSeq(e, chain);
+            combineSeq(chain);
+            e.chains.push_back(std::move(chain));
             filterLocals(e);
-            return index;
+            return finish(index);
           }
           case Process::Kind::Par: {
             buildProcDecls(proc.decls);
@@ -435,13 +476,13 @@ class IftBuilder
                 index = newEntry(IftEntry::Type::Par, &proc);
                 IftEntry &e = entryRef(index);
                 noteLocals(e, proc.decls);
-                e.locals.insert(proc.repl->symbol);
-                e.chains.push_back(chain);
-                combineSeq(e, chain);
-                addVars(e.inputs, *proc.repl->base);
-                addVars(e.inputs, *proc.repl->count);
+                insertSorted(e.locals, proc.repl->symbol);
+                combineSeq(chain);
+                e.chains.push_back(std::move(chain));
+                addVars(ins, *proc.repl->base);
+                addVars(ins, *proc.repl->count);
                 filterLocals(e);
-                return index;
+                return finish(index);
             }
             std::vector<std::vector<int>> chains;
             for (const ProcessPtr &child : proc.children)
@@ -449,17 +490,11 @@ class IftBuilder
             index = newEntry(IftEntry::Type::Par, &proc);
             IftEntry &e = entryRef(index);
             noteLocals(e, proc.decls);
-            for (auto &chain : chains) {
-                e.chains.push_back(chain);
-                for (const IftValue &v :
-                     entryRef(chain[0]).inputs)
-                    addValue(e.inputs, v.symbol);
-                for (const IftValue &v :
-                     entryRef(chain[0]).outputs)
-                    addValue(e.outputs, v.symbol);
-            }
+            for (const std::vector<int> &chain : chains)
+                addValuesOf(chain[0]);
+            e.chains = std::move(chains);
             filterLocals(e);
-            return index;
+            return finish(index);
           }
         }
         panic("unreachable process kind");
@@ -467,21 +502,24 @@ class IftBuilder
 
     // --- Fig 4.11: use and definition sets --------------------------------
 
+    /** @p preceding: the chain's entries before @p user, in order. */
     void
     findDef(int symbol, int user, int interface,
-            const std::vector<int> &preceding, std::set<int> &defs)
+            std::span<const int> preceding, std::vector<int> &defs)
     {
-        for (int candidate : preceding) {
+        // The most recent definition wins.
+        for (auto it = preceding.rbegin(); it != preceding.rend(); ++it) {
+            int candidate = *it;
             if (IftValue *out = entryRef(candidate).output(symbol)) {
-                out->uses.insert(user);
-                defs.insert(candidate);
+                insertSorted(out->uses, user);
+                insertSorted(defs, candidate);
                 return;
             }
         }
         for (IftValue &in : entryRef(interface).inputs) {
             if (in.symbol == symbol) {
-                in.uses.insert(user);
-                defs.insert(interface);
+                insertSorted(in.uses, user);
+                insertSorted(defs, interface);
                 return;
             }
         }
@@ -493,17 +531,15 @@ class IftBuilder
     {
         IftEntry &e = entryRef(interface);
         for (const std::vector<int> &chain : e.chains) {
-            std::vector<int> preceding;  // most recent first
-            for (int child : chain) {
+            for (std::size_t i = 0; i < chain.size(); ++i) {
+                int child = chain[i];
                 for (IftValue &in : entryRef(child).inputs)
-                    findDef(in.symbol, child, interface, preceding,
+                    findDef(in.symbol, child, interface, {chain.data(), i},
                             in.defs);
                 useAndDef(child);
-                preceding.insert(preceding.begin(), child);
             }
             for (IftValue &out : entryRef(interface).outputs)
-                findDef(out.symbol, interface, interface, preceding,
-                        out.defs);
+                findDef(out.symbol, interface, interface, chain, out.defs);
         }
     }
 
@@ -519,7 +555,7 @@ class IftBuilder
                     if (out.uses.empty()) {
                         out.live = varFormal(out.symbol);
                     } else if (out.uses.size() == 1 &&
-                               *out.uses.begin() == interface) {
+                               out.uses.front() == interface) {
                         // Only exported: loop-carried values are live,
                         // everything else inherits the interface flag.
                         if (e.isLoop() && e.input(out.symbol)) {
@@ -543,6 +579,13 @@ class IftBuilder
     const SymbolTable &table_;
     bool liveAnalysis;
     Ift ift;
+    /** The I and O symbols of the entry being built, in set order. */
+    std::vector<int> ins;
+    std::vector<int> outs;
+    /** Scratch of addVars: the symbols an expression reads. */
+    std::vector<int> vars;
+    /** Scratch of combineSeq: what the chain has defined so far. */
+    std::vector<int> defined;
 };
 
 Ift

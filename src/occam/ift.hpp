@@ -29,7 +29,6 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -45,9 +44,9 @@ constexpr int kControlToken = -1;
 struct IftValue
 {
     int symbol = -1;
-    std::set<int> defs;   ///< D: entries defining the consumed value.
-    std::set<int> uses;   ///< U: entries consuming this definition.
-    bool live = false;    ///< O values only: needed after this entry.
+    std::vector<int> defs;  ///< D: entries defining it, sorted.
+    std::vector<int> uses;  ///< U: entries consuming it, sorted.
+    bool live = false;      ///< O values only: needed after this entry.
 };
 
 /** One Intermediate Form Table entry. */
@@ -67,8 +66,8 @@ struct IftEntry
     std::vector<IftValue> outputs;    ///< The O set.
     /** E: execution chains of component entry indices. */
     std::vector<std::vector<int>> chains;
-    /** Symbols declared locally (never escape into parents' I sets). */
-    std::set<int> locals;
+    /** Symbols declared locally, sorted; never in a parent's I set. */
+    std::vector<int> locals;
 
     bool
     isLoop() const
@@ -120,7 +119,8 @@ class Ift
     friend class IftBuilder;
 
     std::vector<IftEntry> entries_;
-    std::map<const Process *, int> byProcess;
+    /** (process, entry) pairs, sorted by process once the table is built. */
+    std::vector<std::pair<const Process *, int>> byProcess;
     std::map<int, int> byProc;  ///< proc symbol -> body entry.
     int main_ = -1;
 };

@@ -25,7 +25,7 @@ const std::map<std::string, Tok> kKeywords = {
 
 } // namespace
 
-std::string
+std::string_view
 tokName(Tok kind)
 {
     switch (kind) {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qm::occam {
@@ -54,6 +55,6 @@ struct Token
 std::vector<Token> lex(const std::string &source);
 
 /** Human-readable token kind (for diagnostics). */
-std::string tokName(Tok kind);
+std::string_view tokName(Tok kind);
 
 } // namespace qm::occam

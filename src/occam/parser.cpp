@@ -64,9 +64,9 @@ class Parser
     const Token &
     expect(Tok kind)
     {
-        fatalIf(peek().kind != kind, "line ", peek().line, ":",
-                peek().col, ": expected ", tokName(kind), ", found ",
-                tokName(peek().kind));
+        if (peek().kind != kind)
+            fatal("line ", peek().line, ":", peek().col, ": expected ",
+                  tokName(kind), ", found ", tokName(peek().kind));
         return take();
     }
 

@@ -26,8 +26,8 @@ Asserts:
   * a par too wide for any operand-queue page is refused (exit 3)
     before its children are built;
   * input nested past the parser's bound, or a call chain past the
-    graph builder's, is refused (exit 3) with its line, not killed by
-    a signal;
+    graph builder's depth budget, is refused (exit 3) with its line,
+    not killed by a signal;
   * occamc --interp agrees with the simulated run;
   * bench_ch5_msgproc prints the message-cache tables (Tables 5.3/5.4
     and 6.7) byte for byte.
@@ -194,17 +194,29 @@ def main():
               f"rc={p.returncode} {p.stderr[:200]}")
 
     # A chain of calls (p1 calls p0, p2 calls p1, ...) builds each
-    # procedure's body inside its caller's; past 256 it is refused on
-    # the call's line. The 10,000-long chain used to die by SIGSEGV.
-    chain = "var r[1]:\nvar v:\nproc p0 (var x) =\n  x := x + 1\n:\n"
-    for i in range(1, 10000):
-        chain += f"proc p{i} (var x) =\n  p{i - 1} (x)\n:\n"
-    chain += "seq\n  v := 0\n  p9999 (v)\n  r[0] := v\n"
-    p = run([occamc, "--run", write("chain.occ", chain)])
-    check("a 10000-procedure call chain exits 3 with no signal",
-          p.returncode == 3 and
-          "nests procedure bodies deeper than 256 levels" in p.stderr,
-          f"rc={p.returncode} {p.stderr[:200]}")
+    # procedure's body inside its caller's, and the graph builder's one
+    # depth budget counts the bodies' nesting along the chain: past it
+    # the build is refused on a call's line. Each of these used to die
+    # by SIGSEGV: 10,000 bare calls, and 256 calls each wrapped in 200
+    # nested seqs; 40 seqs a call overflowed the ASan build's stack.
+    def call_chain(n, depth):
+        src = "var r[1]:\nvar v:\nproc p0 (var x) =\n  x := x + 1\n:\n"
+        for i in range(1, n):
+            src += f"proc p{i} (var x) =\n"
+            for d in range(depth):
+                src += "  " * (d + 1) + "seq\n"
+            src += "  " * (depth + 1) + f"p{i - 1} (x)\n:\n"
+        return src + f"seq\n  v := 0\n  p{n - 1} (v)\n  r[0] := v\n"
+
+    for n, depth, line in ((10000, 0, 27958), (256, 40, 7185),
+                           (256, 200, 48115)):
+        p = run([occamc, "--run", write("chain.occ", call_chain(n, depth))])
+        check(f"a {n}-procedure call chain {depth} seqs deep exits 3 "
+              f"on line {line} with no signal",
+              p.returncode == 3 and
+              f"line {line}: call of" in p.stderr and
+              "nests the graph build deeper than 4096 levels" in p.stderr,
+              f"rc={p.returncode} {p.stderr[:200]}")
 
     # INT32_MIN / -1 wraps to INT32_MIN, as the ALU defines it; the
     # host division used to kill the run with SIGFPE.

@@ -144,44 +144,114 @@ TEST(Codegen, ParOf256ChildrenFitsOnePage)
 }
 
 /**
- * @p n procedures, each calling the one before it: the graph builder
- * builds each body inside its caller's, one level deeper per procedure.
+ * @p n procedures, each calling the one before it inside @p depth
+ * nested seqs: the graph builder builds each body inside its caller's.
  */
 std::string
-callChainSource(int n)
+callChainSource(int n, int depth = 0)
 {
     std::string source = "var r[1]:\nvar v:\n"
                          "proc p0 (var x) =\n  x := x + 1\n:\n";
-    for (int i = 1; i < n; ++i)
-        source += "proc p" + std::to_string(i) + " (var x) =\n  p" +
-                  std::to_string(i - 1) + " (x)\n:\n";
+    for (int i = 1; i < n; ++i) {
+        source += "proc p" + std::to_string(i) + " (var x) =\n";
+        std::string indent = "  ";
+        for (int d = 0; d < depth; ++d, indent += "  ")
+            source += indent + "seq\n";
+        source += indent + "p" + std::to_string(i - 1) + " (x)\n:\n";
+    }
     return source + "seq\n  v := 0\n  p" + std::to_string(n - 1) +
            " (v)\n  r[0] := v\n";
 }
 
+/** The diagnostic compiling @p source throws, or "" if it compiles. */
+std::string
+compileDiagnostic(const std::string &source)
+{
+    try {
+        compileOccam(source);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
 TEST(Codegen, CallChainAtTheBoundCompilesAndRuns)
 {
-    EXPECT_EQ(runAndReadWord(callChainSource(256), "r"), 1u);
+    // Six levels of the graph builder's 4,096 a bare call: 682 fit.
+    EXPECT_EQ(runAndReadWord(callChainSource(682), "r"), 1u);
 }
 
 TEST(Codegen, CallChainPastTheBoundIsALineDiagnostic)
 {
-    // p0's body would be the 257th built inside another; a 10,000-long
+    // p0's body would take the build past its budget; a 10,000-long
     // chain used to overflow the host stack.
-    for (int n : {257, 10000}) {
-        try {
-            compileOccam(callChainSource(n));
-            FAIL() << "a " << n << "-procedure call chain compiled";
-        } catch (const FatalError &e) {
-            std::string line = std::to_string(3 * (n - 256) + 4);
-            EXPECT_NE(std::string(e.what()).find(
-                          "line " + line + ": call of 'p" +
-                          std::to_string(n - 257) +
-                          "' nests procedure bodies deeper than 256 levels"),
-                      std::string::npos)
-                << e.what();
-        }
+    for (int n : {683, 10000}) {
+        std::string line = std::to_string(3 * (n - 682) + 4);
+        EXPECT_NE(compileDiagnostic(callChainSource(n))
+                      .find("line " + line + ": call of 'p" +
+                            std::to_string(n - 683) +
+                            "' nests the graph build deeper than 4096 "
+                            "levels"),
+                  std::string::npos)
+            << "a " << n << "-procedure call chain";
     }
+}
+
+TEST(Codegen, DeepBodiesAlongACallChainShareTheBudget)
+{
+    // The budget counts each body's nesting along the chain, not only
+    // the bodies: 256 procedures whose calls sit 40 or 200 seqs deep
+    // are refused on the line of the call that crosses it. They used to
+    // overflow the ASan and the release stack.
+    const struct
+    {
+        int depth;
+        const char *diagnostic;
+    } cases[] = {
+        {40, "line 7185: call of 'p166' nests the graph build deeper "
+             "than 4096 levels"},
+        {200, "line 48115: call of 'p236' nests the graph build deeper "
+              "than 4096 levels"},
+    };
+    for (const auto &c : cases)
+        EXPECT_NE(compileDiagnostic(callChainSource(256, c.depth))
+                      .find(c.diagnostic),
+                  std::string::npos)
+            << c.depth << " seqs deep";
+}
+
+TEST(Codegen, NestingAtTheParserBoundBuilds)
+{
+    // Every shape the parser takes at its 512 levels builds within the
+    // build-depth budget, under ASan too; a par is the costliest level.
+    auto stacked = [](const std::string &head, int n,
+                      const std::string &leaf) {
+        std::string src = "var r[1]:\nvar x:\n", indent;
+        for (int i = 0; i < n; ++i, indent += "  ")
+            src += indent + head + "\n";
+        return src + indent + leaf + "\n";
+    };
+    auto repeat = [](const std::string &text, int n) {
+        std::string out;
+        for (int i = 0; i < n; ++i)
+            out += text;
+        return out;
+    };
+    const std::pair<const char *, std::string> shapes[] = {
+        {"seq", stacked("seq", 512, "skip")},
+        {"par", stacked("par", 512, "skip")},
+        {"while", stacked("while true", 256, "skip")},
+        {"replicated seq", stacked("seq i = [0 for 1]", 128, "skip")},
+        {"parentheses",
+         "var x:\nx := " + repeat("(", 511) + "1" + repeat(")", 511) +
+             "\n"},
+        {"subscript", "var r[1]:\nr[0] := " + repeat("r[", 511) + "0" +
+                          repeat("]", 511) + "\n"},
+        {"+ chain", "var x:\nseq\n  x := 1\n  x := x" +
+                        repeat(" + x", 509) + "\n"},
+    };
+    for (const auto &[name, source] : shapes)
+        EXPECT_EQ(compileDiagnostic(source), "") << name;
 }
 
 TEST(Codegen, FifoSchedulingStillCorrect)

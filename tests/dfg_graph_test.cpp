@@ -41,14 +41,52 @@ TEST(Dfg, StructureQueries)
     Table34Graph t;
     EXPECT_EQ(t.graph.size(), 7);
     EXPECT_EQ(t.graph.inputs(), (std::vector<int>{t.a, t.b, t.c}));
-    EXPECT_EQ(t.graph.sinks(), (std::vector<int>{t.root}));
+    std::vector<int> sinks;
+    for (int id = 0; id < t.graph.size(); ++id)
+        if (t.graph.consumers(id).empty())
+            sinks.push_back(id);
+    EXPECT_EQ(sinks, (std::vector<int>{t.root}));
     EXPECT_EQ(t.graph.arity(t.sum), 2);
     EXPECT_EQ(t.graph.arity(t.a), 0);
     // a feeds both + (slot 0) and / (slot 0).
-    auto consumers = t.graph.consumers(t.a);
+    auto arcs = t.graph.consumers(t.a);
+    std::vector<Consumer> consumers(arcs.begin(), arcs.end());
+    EXPECT_EQ(arcs.size(), 2u);
     ASSERT_EQ(consumers.size(), 2u);
     EXPECT_EQ(consumers[0], (Consumer{t.sum, 0}));
     EXPECT_EQ(consumers[1], (Consumer{t.quot, 0}));
+}
+
+TEST(Dfg, ArcListsKeepInsertionOrder)
+{
+    // Consumers run in (consumer id, slot) order, a node that takes a
+    // value twice included; control arcs in the order they were added,
+    // a repeated arc once.
+    Dfg graph;
+    int x = graph.addInput("x");
+    int y = graph.addInput("y");
+    int sq = graph.addNode(Actor::Mul, {x, x});
+    int sum = graph.addNode(Actor::Add, {y, x});
+    int store = graph.addNode(Actor::Store, {sq, sum});
+    auto arcs = graph.consumers(x);
+    EXPECT_EQ(std::vector<Consumer>(arcs.begin(), arcs.end()),
+              (std::vector<Consumer>{{sq, 0}, {sq, 1}, {sum, 1}}));
+    EXPECT_EQ(graph.node(store).args().size(), 2u);
+    EXPECT_EQ(graph.node(store).args()[1], sum);
+
+    graph.addOrderEdge(store, y);
+    graph.addOrderEdge(sum, y);
+    graph.addOrderEdge(store, x);
+    graph.addOrderEdge(store, y);  // duplicate
+    graph.addOrderEdge(x, x);      // self arc: ignored
+    auto succs = graph.orderSuccs(store);
+    EXPECT_EQ(std::vector<int>(succs.begin(), succs.end()),
+              (std::vector<int>{y, x}));
+    auto preds = graph.orderPreds(y);
+    EXPECT_EQ(std::vector<int>(preds.begin(), preds.end()),
+              (std::vector<int>{store, sum}));
+    EXPECT_EQ(graph.orderPreds(x).size(), 1u);
+    EXPECT_TRUE(graph.orderSuccs(x).empty());
 }
 
 TEST(Dfg, ReachesImplementsPartialOrder)
@@ -80,6 +118,13 @@ TEST(Dfg, AddNodeRejectsForwardReferences)
 {
     Dfg graph;
     EXPECT_THROW(graph.addNode(Actor::Add, {0, 1}), PanicError);
+}
+
+TEST(Dfg, AddNodeRejectsMoreArgumentsThanFitInline)
+{
+    Dfg graph;
+    int a = graph.addConst(1);
+    EXPECT_THROW(graph.addNode(Actor::Add, {a, a, a}), PanicError);
 }
 
 TEST(Dfg, DotOutputContainsNodesAndEdges)
@@ -202,7 +247,7 @@ TEST(Iqm, RandomDagsEvaluateConsistently)
         NodeValues expected(static_cast<size_t>(graph.size()));
         for (int id = 0; id < graph.size(); ++id) {
             std::vector<std::int64_t> operands;
-            for (int arg : graph.node(id).args)
+            for (int arg : graph.node(id).args())
                 operands.push_back(expected[static_cast<size_t>(arg)]);
             expected[static_cast<size_t>(id)] =
                 arithActor(graph.node(id), operands, inputs);

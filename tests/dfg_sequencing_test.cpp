@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "dfg/graph.hpp"
 #include "dfg/scheduler.hpp"
@@ -111,6 +112,65 @@ TEST(Sequencing, PredecessorSetsIncludeSelf)
         const auto &pstar =
             costs.predecessorSet[static_cast<size_t>(v)];
         EXPECT_TRUE(std::binary_search(pstar.begin(), pstar.end(), v));
+    }
+}
+
+TEST(Sequencing, PredecessorWeightsMatchTheCostAnalysis)
+{
+    // The graph builder weighs a context's receives with
+    // PredecessorWeights instead of analyzeCosts. On random graphs,
+    // wider than one 64-bit word and, every 40th, than the 1,024 ids it
+    // counts C(u) over at a time, its W of any vertex is the sum of
+    // C(u) over the P*(u) holding it, and inputWeights' W on inputs.
+    SplitMix64 rng(0x1F7);
+    PredecessorWeights weigher;  // Reused across graphs, as in the builder.
+    for (int trial = 0; trial < 200; ++trial) {
+        Dfg graph;
+        int n = static_cast<int>(trial % 40 == 0 ? rng.range(1025, 2600)
+                                                 : rng.range(1, 150));
+        graph.addInput("i0");
+        for (int i = 1; i < n; ++i) {
+            auto pick = [&] {
+                return static_cast<int>(
+                    rng.below(static_cast<std::uint64_t>(graph.size())));
+            };
+            switch (rng.below(4)) {
+              case 0:
+                graph.addInput("i" + std::to_string(i));
+                break;
+              case 1:
+                graph.addNode(Actor::Neg, {pick()});
+                break;
+              default:
+                graph.addNode(Actor::Add, {pick(), pick()});
+                break;
+            }
+        }
+        CostAnalysis costs = analyzeCosts(graph);
+        std::vector<long> reference = inputWeights(graph, costs);
+        // Weigh a shuffled subset: the weights follow the given order.
+        std::vector<int> nodes;
+        for (int v = 0; v < graph.size(); ++v)
+            if (rng.below(2) == 0)
+                nodes.push_back(v);
+        for (std::size_t i = nodes.size(); i > 1; --i)
+            std::swap(nodes[i - 1], nodes[rng.below(i)]);
+        const std::vector<long> &w = weigher.weigh(graph, nodes);
+        ASSERT_EQ(w.size(), nodes.size());
+        for (std::size_t i = 0; i < nodes.size(); ++i) {
+            int v = nodes[i];
+            long expected = 0;
+            for (int u = 0; u < graph.size(); ++u) {
+                const auto &pstar =
+                    costs.predecessorSet[static_cast<size_t>(u)];
+                if (std::binary_search(pstar.begin(), pstar.end(), v))
+                    expected += costs.cost[static_cast<size_t>(u)];
+            }
+            ASSERT_EQ(w[i], expected) << "trial " << trial << " node " << v;
+            if (graph.isInput(v)) {
+                ASSERT_EQ(w[i], reference[static_cast<size_t>(v)]);
+            }
+        }
     }
 }
 

@@ -272,6 +272,26 @@ TEST(Parser, ErrorsCarryLineAndColumn)
     EXPECT_NE(msg.find("line 2:3"), std::string::npos) << msg;
 }
 
+TEST(Parser, DiagnosticsNameTheExpectedAndFoundTokens)
+{
+    // The exact text of each diagnostic that names token kinds.
+    const std::pair<const char *, const char *> cases[] = {
+        {"var x:\nx := 1 2\n", "line 2:8: expected newline, found number"},
+        {"var x:\nx := )\n", "line 2:6: expected expression, found ')'"},
+        {"var x:\nx := (1\n", "line 2:8: expected ')', found newline"},
+        {"proc 1 () =\n  skip\n", "line 1:6: expected name, found number"},
+        {"seq\n  := 1\n", "line 2:3: expected a process, found ':='"},
+        {"var a[2]:\na[1 := 2\n", "line 2:5: expected ']', found ':='"},
+        {"par i = [0 1]\n  skip\n",
+         "line 1:12: expected keyword, found number"},
+        {"while\n", "line 1:6: expected expression, found newline"},
+    };
+    for (auto [source, text] : cases)
+        EXPECT_EQ(diagnosticOf([&] { parse(source); }),
+                  std::string("fatal: ") + text)
+            << source;
+}
+
 /**
  * One shape of nesting: @p program(n) nests it n times, @p fits is the
  * most that fits the parser's 512 levels (kMaxNesting in parser.cpp),
@@ -509,12 +529,18 @@ TEST(Ift, UseDefLinksSequentialChain)
     int first = f.ift.entry(seq).chains[0][0];
     int second = f.ift.entry(seq).chains[0][1];
     // The definition of x in entry 'first' is used by 'second'.
+    // U and D are sorted sets of entry indices.
+    auto has = [](const std::vector<int> &set, int entry) {
+        return std::is_sorted(set.begin(), set.end()) &&
+               std::binary_search(set.begin(), set.end(), entry);
+    };
     const IftValue *def = f.ift.entry(first).output(f.sym("x"));
     ASSERT_NE(def, nullptr);
-    EXPECT_TRUE(def->uses.count(second));
+    EXPECT_TRUE(has(def->uses, second));
     const IftValue *use = f.ift.entry(second).input(f.sym("x"));
     ASSERT_NE(use, nullptr);
-    EXPECT_TRUE(use->defs.count(first));
+    EXPECT_TRUE(has(use->defs, first));
+    EXPECT_EQ(use->defs, std::vector<int>{first});
 }
 
 TEST(Ift, LivenessMarksValuesUsedLater)
